@@ -42,32 +42,26 @@ from .demand import (
 )
 from .prefetch import (
     BatchResult,
-    EpisodeState,
-    EpisodeTrace,
     PrefetchPolicy,
     ZetaTable,
-    alpha_from_final_threshold,
-    approximate_task_set,
-    best_prefix_set,
     build_prefix_tables,
     build_zeta_table,
-    decision_vector,
-    estimate_threshold,
     expected_total_energy_fast,
     no_prefetch_energy_fast,
-    noncausal_final_threshold,
     run_prefetch_batch,
-    run_prefetch_episode,
-    select_noncausal_set,
-    threshold_eta,
 )
 from .oracles import (
     BenchmarkResult,
     InductionResult,
     OracleResult,
+    alpha_from_final_threshold,
+    best_prefix_set,
+    decision_vector,
     noncausal_benchmark_energy,
+    noncausal_final_threshold,
     p5_backward_induction,
     slow_oracle,
+    threshold_eta,
 )
 from .sweep import (
     CSV_HEADER,

@@ -18,14 +18,10 @@ from .slow import (
     no_prefetch_energy_slow,
     optimal_prefetch_slow,
     priorities,
+    priority_order,
 )
-from .demand import build_xi_table
-from .prefetch import (
-    PrefetchPolicy,
-    build_prefix_tables,
-    no_prefetch_energy_fast,
-    run_prefetch_episode,
-)
+from .demand import build_xi_table, simulate_demand_episode
+from .prefetch import PrefetchPolicy, no_prefetch_energy_fast, run_prefetch_batch
 from .sweep import (
     FAST_POLICIES,
     SLOW_POLICIES,
@@ -237,20 +233,23 @@ def _print_fast_single(s, settings, rng) -> None:
     channel = FastGamma(settings["k"])
     policy = PrefetchPolicy(settings["policy"])
     xi = build_xi_table(channel, s.m, s.N - s.N_P)
-    tables = build_prefix_tables(s, channel, xi)
-    trace = run_prefetch_episode(s, channel, policy, rng, xi=xi,
-                                 prefix_tables=tables)
+    gains = sample_gain(channel, rng, (1, s.N))
+    realized = rng.choice(s.L, size=1, p=s.p)
+    result = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi, trace=True)
+    order = priority_order(s)
     print(f"fast fading, k={settings['k']}, policy={policy.value}")
     for n in range(s.N_P):
-        members = ",".join(str(i) for i in sorted(trace.task_sets[n])) or "-"
-        print(f"  slot {n + 1}: g={trace.gains[n]:.4f} eta={trace.thresholds[n]:.5g} "
-              f"bits={trace.decisions[n].sum():.5g} set={{{members}}}")
-    print(f"  realized task  = {trace.realized}")
+        members = ",".join(str(i) for i in sorted(order[:result.slot_set_size[0, n]])) or "-"
+        print(f"  slot {n + 1}: g={gains[0, n]:.4f} eta={result.thresholds[0, n]:.5g} "
+              f"bits={result.decisions[0, n].sum():.5g} set={{{members}}}")
+    demand = simulate_demand_episode(float(result.beta[0]), gains[0, s.N_P:], xi,
+                                     lam=s.lam)
+    print(f"  realized task  = {realized[0]}")
     with np.printoptions(precision=5, suppress=True):
-        print(f"  demand bits    = {trace.demand.bits}")
-    print(f"  prefetch energy = {trace.prefetch_energy:.6g}")
-    print(f"  demand energy   = {trace.demand.total_energy:.6g}")
-    print(f"  total energy    = {trace.total_energy:.6g}")
+        print(f"  demand bits    = {demand.bits}")
+    print(f"  prefetch energy = {result.prefetch_energy[0]:.6g}")
+    print(f"  demand energy   = {result.demand_energy[0]:.6g}")
+    print(f"  total energy    = {result.total_energy[0]:.6g}")
     print(f"  no-prefetch reference = {no_prefetch_energy_fast(s, xi):.6g}")
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "expected_demand_energy",
     "demand_energy_bounds",
     "simulate_demand_episode",
+    "simulate_demand_batch",
 ]
 
 
@@ -173,13 +174,34 @@ def simulate_demand_episode(beta: float, gains: np.ndarray, table: XiTable,
     duration = gains.size
     if duration > table.horizon:
         raise ValueError(f"duration={duration} outside the table horizon {table.horizon}")
-    bits = np.empty(duration)
-    energy = np.empty(duration)
-    rho = float(beta)
+    if beta < 0.0 or not np.isfinite(beta):
+        raise ValueError(f"residual bits must be nonnegative, got {beta!r}")
+    bits, energy = simulate_demand_batch(np.array([float(beta)]), gains[None, :],
+                                         table, lam=lam)
+    return DemandTrace(bits=bits[0], energy=energy[0])
+
+
+def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable,
+                          lam: float = 1.0) -> tuple:
+    """Run the xi-policy on many episodes at once: ``(bits, energy)``.
+
+    ``beta`` holds one residual per episode and ``gains`` the demand-phase
+    gains, shape ``(episodes, duration)``, which both outputs share.  Inputs
+    are not checked (see :func:`simulate_demand_episode`).
+    """
+    duration = gains.shape[1]
+    root = 1.0 / (table.m - 1)
+    bits, energy = np.empty_like(gains), np.empty_like(gains)
+    residual = np.array(beta, dtype=float)
     for slot in range(duration):
         remaining = duration - slot
-        b = demand_bits(rho, float(gains[slot]), remaining, table)
-        bits[slot] = b
-        energy[slot] = lam * b ** table.m / gains[slot]
-        rho -= b
-    return DemandTrace(bits=bits, energy=energy)
+        g = gains[:, slot]
+        if remaining == 1:
+            sent = residual.copy()
+        else:
+            u_g = g ** root
+            sent = residual * u_g / (u_g + table.inv_root[remaining - 1])
+        bits[:, slot] = sent
+        energy[:, slot] = lam * sent ** table.m / g
+        residual -= sent
+    return bits, energy

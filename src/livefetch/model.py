@@ -259,7 +259,12 @@ def expect_over_gain(f: Callable[[float], float], channel: Channel) -> float:
 
 
 def to_db(energy_ratio: float) -> float:
-    """Express a positive energy ratio in decibels (``10*log10``)."""
-    if not (np.isfinite(energy_ratio) and energy_ratio > 0.0):
+    """Express a positive energy ratio in decibels (``10*log10``).
+
+    A non-finite ratio (an upstream overflow) raises ``FloatingPointError``.
+    """
+    if not np.isfinite(energy_ratio):
+        raise FloatingPointError(f"ratio must be finite, got {energy_ratio!r}")
+    if not energy_ratio > 0.0:
         raise ValueError(f"ratio must be strictly positive, got {energy_ratio!r}")
     return 10.0 * math.log10(energy_ratio)

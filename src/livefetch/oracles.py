@@ -1,10 +1,10 @@
 """Independent verification routes for the prefetching policies.
 
-Everything here recomputes optima by brute force — grid search plus
+Everything here recomputes optima by another route — grid search plus
 coordinate descent for the slow-fading stage problem, a discretized
-backward induction for small fast-fading instances, and a Monte-Carlo
-benchmark for the noncausal policy — sharing no arithmetic with the
-closed-form implementations they are meant to check.
+backward induction for small fast-fading instances, a Monte-Carlo
+benchmark for the noncausal policy, and the paper's fast-fading closed
+forms — sharing no arithmetic with the episode kernel they check.
 """
 
 from __future__ import annotations
@@ -16,14 +16,18 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
-from .model import Channel, FastGamma, Scenario, SlowFading, sample_gain
+from .model import POSITIVE_BITS_EPS, Channel, FastGamma, Scenario, SlowFading, sample_gain
 from .demand import XiTable, build_xi_table, expected_demand_energy
 from .prefetch import (
-    BatchResult,
     PrefetchPolicy,
+    ZetaTable,
     build_prefix_tables,
+    build_zeta_table,
+    expected_total_energy_fast,
+    no_prefetch_energy_fast,
     run_prefetch_batch,
 )
+from .slow import priority_order
 
 __all__ = [
     "OracleResult",
@@ -32,6 +36,11 @@ __all__ = [
     "slow_oracle",
     "p5_backward_induction",
     "noncausal_benchmark_energy",
+    "threshold_eta",
+    "decision_vector",
+    "noncausal_final_threshold",
+    "alpha_from_final_threshold",
+    "best_prefix_set",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -314,3 +323,141 @@ def noncausal_benchmark_energy(s: Scenario, channel: Channel, trials: int = 10_0
     mean = float(total.mean())
     stderr = float(total.std(ddof=1) / math.sqrt(trials))
     return BenchmarkResult(mean=mean, stderr=stderr, trials=trials)
+
+
+def _check_slot_state(rho: np.ndarray, slot: int, s: Scenario) -> None:
+    if not 1 <= slot <= s.N_P:
+        raise ValueError(f"slot {slot} outside the prefetch phase 1..{s.N_P}")
+    if rho.shape != s.gamma.shape:
+        raise ValueError("rho must have one entry per candidate task")
+    if np.any(rho < -POSITIVE_BITS_EPS):
+        raise ValueError("residual bits must be nonnegative")
+
+
+def _members_array(s: Scenario, task_set) -> np.ndarray:
+    members = sorted({int(i) for i in task_set})
+    if not members:
+        raise ValueError("task_set must be nonempty")
+    if members[0] < 0 or members[-1] >= s.L:
+        raise IndexError(f"task indices {members} out of range for L={s.L}")
+    return np.array(members, dtype=int)
+
+
+def threshold_eta(rho: np.ndarray, slot: int, g: float, s: Scenario, task_set,
+                  zeta: ZetaTable, xi: XiTable) -> float:
+    """Closed-form prefetch threshold at prefetch slot ``slot`` (1-based).
+
+    ``rho`` holds the residual bits per task.  Before the final prefetch
+    slot the continuation runs through the zeta coefficient at ``N - n``
+    slots-to-deadline; at the final prefetch slot (``n == N_P``) it couples
+    directly into the demand table:
+
+        n < N_P:  eta = sum_S rho * u_z / ((g**(1/(m-1)) + u_z) * A)
+        n == N_P: eta = sum_S rho * u_xi / (g**(1/(m-1)) + u_xi * A).
+
+    Exact while every member of the set is interior (strictly positive
+    decision); the episode kernel switches to an active-prefix solve when
+    that fails.
+    """
+    _check_slot_state(rho, slot, s)
+    if not (np.isfinite(g) and g > 0.0):
+        raise ValueError(f"channel gain must be strictly positive, got {g!r}")
+    idx = _members_array(s, task_set)
+    root = 1.0 / (s.m - 1)
+    mass = float(np.sum(s.p[idx] ** (-root)))
+    residual = float(np.sum(rho[idx]))
+    u_g = g ** root
+    if slot < s.N_P:
+        u_z = zeta.u(s.N - slot)
+        return residual * u_z / ((u_g + u_z) * mass)
+    u_xi = xi.inv_root[s.N - s.N_P]
+    return residual * u_xi / (u_g + u_xi * mass)
+
+
+def decision_vector(rho: np.ndarray, slot: int, eta: float, s: Scenario) -> np.ndarray:
+    """Per-task bits to prefetch in ``slot`` under threshold ``eta``.
+
+    Applies ``[rho - eta * p**(-1/(m-1))]+`` to *every* task; tasks whose
+    priority falls below the threshold get zero on their own.  Decisions
+    never exceed the residual.
+    """
+    _check_slot_state(rho, slot, s)
+    if eta < 0.0 or not np.isfinite(eta):
+        raise ValueError(f"threshold must be nonnegative and finite, got {eta!r}")
+    w = s.p ** (-1.0 / (s.m - 1))
+    return np.clip(rho - eta * w, 0.0, np.maximum(rho, 0.0))
+
+
+def noncausal_final_threshold(rho: np.ndarray, slot: int, future_gains, s: Scenario,
+                              task_set, zeta: ZetaTable, xi: XiTable) -> float:
+    """Final-slot threshold computed with the remaining gains revealed.
+
+    Given the gains of slots ``n..N_P``, the threshold the policy will end
+    up applying in slot ``N_P`` is a cascade: the exact final-slot formula
+    evaluated at the current residuals, damped once per intermediate slot by
+    the fraction of the target-set residual that survives it,
+
+        eta_NP = sum_S rho_n * u_xi / (u_g(N_P) + u_xi * A)
+                 * prod_{k=n}^{N_P-1} u_z(N-k) / (u_g(k) + u_z(N-k)).
+
+    At ``n == N_P`` the product is empty and this is the exact threshold.
+    """
+    _check_slot_state(rho, slot, s)
+    gains = np.asarray(future_gains, dtype=float)
+    expected = s.N_P - slot + 1
+    if gains.ndim != 1 or gains.size != expected:
+        raise ValueError(f"need gains for slots {slot}..{s.N_P} ({expected} values)")
+    if np.any(gains <= 0.0):
+        raise ValueError("all gains must be strictly positive")
+    idx = _members_array(s, task_set)
+    root = 1.0 / (s.m - 1)
+    mass = float(np.sum(s.p[idx] ** (-root)))
+    residual = float(np.sum(rho[idx]))
+    u_xi = xi.inv_root[s.N - s.N_P]
+    value = residual * u_xi / (gains[-1] ** root + u_xi * mass)
+    for offset, k in enumerate(range(slot, s.N_P)):
+        u_z = zeta.u(s.N - k)
+        value *= u_z / (gains[offset] ** root + u_z)
+    return value
+
+
+def alpha_from_final_threshold(s: Scenario, eta_final: float) -> np.ndarray:
+    """Total bits each task ends up prefetching over the whole phase.
+
+    The slot thresholds telescope, so only the final one matters:
+    ``alpha = [gamma - eta_final * p**(-1/(m-1))]+``.
+    """
+    if eta_final < 0.0 or not np.isfinite(eta_final):
+        raise ValueError(f"threshold must be nonnegative and finite, got {eta_final!r}")
+    w = s.p ** (-1.0 / (s.m - 1))
+    return np.maximum(s.gamma - eta_final * w, 0.0)
+
+
+def best_prefix_set(s: Scenario, channel: Channel, xi: XiTable,
+                    exhaustive: bool = False) -> tuple:
+    """Minimize the locked-set energy *formula* over candidate target sets.
+
+    Searches the priority-ordered prefixes (plus the empty set); with
+    ``exhaustive=True`` every subset is scanned instead (L <= 10).  Returns
+    ``(task_set, energy, zeta_or_none)``.
+
+    The formula assumes every member stays active in every prefetch slot,
+    so for sets the execution would clamp it is an unattainably low bound
+    and the argmin can overshoot the realizable best set; the noncausal
+    policy of ``run_prefetch_batch`` scores realized executions instead.
+    """
+    best = (frozenset(), no_prefetch_energy_fast(s, xi), None)
+    if exhaustive:
+        if s.L > 10:
+            raise ValueError("exhaustive subset search is limited to L <= 10")
+        candidates = [tuple(i for i in range(s.L) if mask >> i & 1)
+                      for mask in range(1, 1 << s.L)]
+    else:
+        order = priority_order(s)
+        candidates = [tuple(order[:k]) for k in range(1, s.L + 1)]
+    for members in candidates:
+        zeta = build_zeta_table(s, channel, members, xi)
+        energy = expected_total_energy_fast(s, members, zeta)
+        if energy < best[1]:
+            best = (frozenset(members), energy, zeta)
+    return best

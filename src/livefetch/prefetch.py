@@ -8,60 +8,38 @@ policy is a soft water-filling: task ``l`` receives
 
 where ``rho_n`` are the residual bits and the threshold ``eta_n`` depends on
 the gain, the slot and a second family of backward coefficients ``zeta``
-(one table per candidate target set ``S``).  The closed-form threshold
-expressions assume every member of ``S`` is interior (strictly positive
-decision); the episode runners therefore work from the stage-optimal *slot
-total* and recover the threshold with an active-prefix solve, which
-coincides with the closed forms whenever all members are active and handles
-the early slots in which low-priority members are still clamped at zero.
-
-The exact final-slot threshold is only computable noncausally ahead of
-time; two causal estimators (an optimistic and a pessimistic one) bracket
-typical behaviour and feed a set-growth heuristic executed every slot.
-Episode simulation comes in two equivalent flavours: a readable scalar
-runner built from the public per-slot operations, and a vectorized batch
-runner used by the Monte-Carlo harness.
+(one table per candidate target set ``S``).  One vectorized slot step
+executes every prefetch slot of every policy: it sends the stage-optimal
+slot total and recovers the threshold with an active-prefix solve, which
+coincides with the closed forms in :mod:`livefetch.oracles` whenever every
+member of ``S`` is active.  The policies differ only in the priority prefix
+the step works on: the noncausal oracle runs every locked prefix against
+the revealed gains and keeps the best-scoring one per episode,
+``forced_prefix`` locks one prefix, and the two causal estimators (an
+optimistic and a pessimistic guess of the final-slot threshold) regrow the
+set every slot.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .model import (
-    POSITIVE_BITS_EPS,
-    Channel,
-    Scenario,
-    SlowFading,
-    expect_over_gain,
-    sample_gain,
-)
-from .demand import DemandTrace, XiTable, build_xi_table, simulate_demand_episode
-from .slow import priorities, priority_order
+from .model import POSITIVE_BITS_EPS, Channel, Scenario, expect_over_gain
+from .demand import XiTable, build_xi_table, simulate_demand_batch
+from .slow import priority_order
 
 __all__ = [
     "PrefetchPolicy",
     "ZetaTable",
-    "EpisodeState",
-    "EpisodeTrace",
     "BatchResult",
     "build_zeta_table",
     "build_prefix_tables",
-    "threshold_eta",
-    "decision_vector",
-    "noncausal_final_threshold",
-    "alpha_from_final_threshold",
-    "estimate_threshold",
-    "approximate_task_set",
-    "select_noncausal_set",
     "expected_total_energy_fast",
     "no_prefetch_energy_fast",
-    "best_prefix_set",
-    "run_prefetch_episode",
     "run_prefetch_batch",
 ]
 
@@ -158,295 +136,6 @@ def build_prefix_tables(s: Scenario, channel: Channel, xi: XiTable) -> list:
     return [build_zeta_table(s, channel, order[:k], xi) for k in range(1, s.L + 1)]
 
 
-@dataclass
-class EpisodeState:
-    """Mutable per-episode bookkeeping carried across prefetch slots.
-
-    ``slot`` is 1-based; ``rho`` holds the residual bits per task;
-    ``approx_set`` is the causal estimators' working set (the tasks that
-    received strictly positive bits in the previous slot); and
-    ``threshold_history`` collects the realized thresholds.
-    """
-
-    slot: int
-    rho: np.ndarray
-    approx_set: frozenset = frozenset()
-    threshold_history: list = field(default_factory=list)
-
-
-def _check_state(state: EpisodeState, s: Scenario):
-    if not 1 <= state.slot <= s.N_P:
-        raise ValueError(f"slot {state.slot} outside the prefetch phase 1..{s.N_P}")
-    if state.rho.shape != s.gamma.shape:
-        raise ValueError("state.rho must have one entry per candidate task")
-    if np.any(state.rho < -POSITIVE_BITS_EPS):
-        raise ValueError("residual bits must be nonnegative")
-
-
-def _members_array(s: Scenario, task_set) -> np.ndarray:
-    members = sorted({int(i) for i in task_set})
-    if not members:
-        raise ValueError("task_set must be nonempty")
-    if members[0] < 0 or members[-1] >= s.L:
-        raise IndexError(f"task indices {members} out of range for L={s.L}")
-    return np.array(members, dtype=int)
-
-
-def threshold_eta(state: EpisodeState, g: float, s: Scenario, task_set,
-                  zeta: ZetaTable, xi: XiTable) -> float:
-    """Closed-form prefetch threshold at the current slot, given the set.
-
-    Before the final prefetch slot the continuation runs through the zeta
-    coefficient at ``N - n`` slots-to-deadline; at the final prefetch slot
-    (``n == N_P``) it couples directly into the demand table:
-
-        n < N_P:  eta = sum_S rho * u_z / ((g**(1/(m-1)) + u_z) * A)
-        n == N_P: eta = sum_S rho * u_xi / (g**(1/(m-1)) + u_xi * A).
-
-    Exact while every member of the set is interior (strictly positive
-    decision); the episode runners switch to an active-prefix solve when
-    that fails.
-    """
-    _check_state(state, s)
-    if not (np.isfinite(g) and g > 0.0):
-        raise ValueError(f"channel gain must be strictly positive, got {g!r}")
-    idx = _members_array(s, task_set)
-    root = 1.0 / (s.m - 1)
-    mass = float(np.sum(s.p[idx] ** (-root)))
-    residual = float(np.sum(state.rho[idx]))
-    u_g = g ** root
-    if state.slot < s.N_P:
-        u_z = zeta.u(s.N - state.slot)
-        return residual * u_z / ((u_g + u_z) * mass)
-    u_xi = xi.inv_root[s.N - s.N_P]
-    return residual * u_xi / (u_g + u_xi * mass)
-
-
-def decision_vector(state: EpisodeState, eta: float, s: Scenario) -> np.ndarray:
-    """Per-task bits to prefetch this slot under threshold ``eta``.
-
-    Applies ``[rho - eta * p**(-1/(m-1))]+`` to *every* task; tasks whose
-    priority falls below the threshold get zero on their own.  Decisions
-    never exceed the residual.
-    """
-    _check_state(state, s)
-    if eta < 0.0 or not np.isfinite(eta):
-        raise ValueError(f"threshold must be nonnegative and finite, got {eta!r}")
-    w = s.p ** (-1.0 / (s.m - 1))
-    return np.clip(state.rho - eta * w, 0.0, np.maximum(state.rho, 0.0))
-
-
-def _solve_slot_threshold(rho: np.ndarray, w: np.ndarray, total: float) -> float:
-    """Threshold ``eta`` with ``sum([rho - eta*w]+) == total`` (members only).
-
-    Piecewise-linear water-filling: scan prefixes in descending ``rho/w``
-    until the implied threshold clears the next member's ratio.  Requires
-    ``0 <= total <= sum(rho)``; the result is nonnegative.
-    """
-    ratios = rho / w
-    order = np.argsort(-ratios)
-    cum_rho = np.cumsum(rho[order])
-    cum_w = np.cumsum(w[order])
-    sorted_ratios = ratios[order]
-    for j in range(order.size):
-        eta = (cum_rho[j] - total) / cum_w[j]
-        if j + 1 == order.size or eta >= sorted_ratios[j + 1]:
-            return max(eta, 0.0)
-    return 0.0  # pragma: no cover - loop always returns
-
-
-def _solve_final_threshold(rho: np.ndarray, w: np.ndarray, c0: float) -> float:
-    """Threshold ``eta`` with ``sum([rho - eta*w]+) == eta * c0``.
-
-    The final prefetch slot's stage problem is exactly separable, so its
-    box-constrained optimum is this piecewise-linear fixed point with
-    ``c0 = (g * xi_d)**(1/(m-1))``; when every member stays active it equals
-    the closed-form threshold.
-    """
-    ratios = rho / w
-    order = np.argsort(-ratios)
-    cum_rho = np.cumsum(rho[order])
-    cum_w = np.cumsum(w[order])
-    sorted_ratios = ratios[order]
-    for j in range(order.size):
-        eta = cum_rho[j] / (cum_w[j] + c0)
-        if j + 1 == order.size or eta >= sorted_ratios[j + 1]:
-            return eta
-    return 0.0  # pragma: no cover - loop always returns
-
-
-def noncausal_final_threshold(state: EpisodeState, future_gains, s: Scenario,
-                              task_set, zeta: ZetaTable, xi: XiTable) -> float:
-    """Final-slot threshold computed with the remaining gains revealed.
-
-    Given the gains of slots ``n..N_P``, the threshold the policy will end
-    up applying in slot ``N_P`` is a cascade: the exact final-slot formula
-    evaluated at the current residuals, damped once per intermediate slot by
-    the fraction of the target-set residual that survives it,
-
-        eta_NP = sum_S rho_n * u_xi / (u_g(N_P) + u_xi * A)
-                 * prod_{k=n}^{N_P-1} u_z(N-k) / (u_g(k) + u_z(N-k)).
-
-    At ``n == N_P`` the product is empty and this is the exact threshold.
-    """
-    _check_state(state, s)
-    gains = np.asarray(future_gains, dtype=float)
-    expected = s.N_P - state.slot + 1
-    if gains.ndim != 1 or gains.size != expected:
-        raise ValueError(f"need gains for slots {state.slot}..{s.N_P} ({expected} values)")
-    if np.any(gains <= 0.0):
-        raise ValueError("all gains must be strictly positive")
-    idx = _members_array(s, task_set)
-    root = 1.0 / (s.m - 1)
-    mass = float(np.sum(s.p[idx] ** (-root)))
-    residual = float(np.sum(state.rho[idx]))
-    u_xi = xi.inv_root[s.N - s.N_P]
-    value = residual * u_xi / (gains[-1] ** root + u_xi * mass)
-    for offset, k in enumerate(range(state.slot, s.N_P)):
-        u_z = zeta.u(s.N - k)
-        value *= u_z / (gains[offset] ** root + u_z)
-    return value
-
-
-def alpha_from_final_threshold(s: Scenario, eta_final: float) -> np.ndarray:
-    """Total bits each task ends up prefetching over the whole phase.
-
-    The slot thresholds telescope, so only the final one matters:
-    ``alpha = [gamma - eta_final * p**(-1/(m-1))]+``.
-    """
-    if eta_final < 0.0 or not np.isfinite(eta_final):
-        raise ValueError(f"threshold must be nonnegative and finite, got {eta_final!r}")
-    w = s.p ** (-1.0 / (s.m - 1))
-    return np.maximum(s.gamma - eta_final * w, 0.0)
-
-
-def estimate_threshold(state: EpisodeState, g: float, s: Scenario, task_set,
-                       zeta: ZetaTable, xi: XiTable,
-                       kind: PrefetchPolicy) -> float:
-    """Causal estimate of the final-slot threshold from the current slot.
-
-    The aggressive variant assumes the future damping factors cancel against
-    the mass normalization (they do exactly under a mean-gain substitution),
-    the conservative variant assumes future slots contribute nothing:
-
-        aggressive:   sum_S rho * u_xi / (u_g + u_z(N-n))
-        conservative: sum_S rho * u_z(N-n) / ((u_g + u_z(N-n)) * A).
-
-    Both reduce to the exact threshold at ``n == N_P``.
-    """
-    _check_state(state, s)
-    if kind not in (PrefetchPolicy.AGGRESSIVE, PrefetchPolicy.CONSERVATIVE):
-        raise ValueError(f"estimator kind must be aggressive or conservative, got {kind!r}")
-    if not (np.isfinite(g) and g > 0.0):
-        raise ValueError(f"channel gain must be strictly positive, got {g!r}")
-    if state.slot == s.N_P:
-        return threshold_eta(state, g, s, task_set, zeta, xi)
-    idx = _members_array(s, task_set)
-    root = 1.0 / (s.m - 1)
-    mass = float(np.sum(s.p[idx] ** (-root)))
-    residual = float(np.sum(state.rho[idx]))
-    u_g = g ** root
-    u_z = zeta.u(s.N - state.slot)
-    if kind is PrefetchPolicy.AGGRESSIVE:
-        return residual * xi.inv_root[s.N - s.N_P] / (u_g + u_z)
-    return residual * u_z / ((u_g + u_z) * mass)
-
-
-def approximate_task_set(state: EpisodeState, g: float, kind: PrefetchPolicy,
-                         s: Scenario, channel: Channel, xi: XiTable,
-                         prefix_tables: Optional[Sequence[ZetaTable]] = None) -> frozenset:
-    """Causal working-set estimate for the current slot.
-
-    Starts from the tasks that got positive bits in the previous slot
-    (``state.approx_set``, empty in slot 1, recanonicalized to a
-    priority-ordered prefix of the same size) and grows the prefix while the
-    estimated final threshold admits more tasks than the prefix holds: for
-    each size the estimated ``eta`` implies phase totals
-    ``[gamma - eta * p**(-1/(m-1))]+`` whose positive count must match the
-    prefix size.  Never shrinks within a slot; shrinking happens across
-    slots through the positive-decision reinitialization.
-    """
-    _check_state(state, s)
-    if prefix_tables is None:
-        prefix_tables = build_prefix_tables(s, channel, xi)
-    order = priority_order(s)
-    w = s.p ** (-1.0 / (s.m - 1))
-    k = len(state.approx_set)
-    while k < s.L:
-        if k == 0:
-            eta_hat = 0.0
-        else:
-            eta_hat = estimate_threshold(state, g, s, order[:k],
-                                         prefix_tables[k - 1], xi, kind)
-        alpha = s.gamma - eta_hat * w
-        if int(np.count_nonzero(alpha > POSITIVE_BITS_EPS)) == k:
-            break
-        k += 1
-    return frozenset(order[:k])
-
-
-def _prefix_energy_predictions(s: Scenario, gains: np.ndarray,
-                               prefix_tables, xi: XiTable) -> np.ndarray:
-    """``(episodes, L)`` predicted stage energies of locked priority prefixes.
-
-    Each prefix is executed deterministically against the revealed
-    prefetch-phase gains (``gains`` has shape ``(episodes, N_P)``) with the
-    stage-total water-filling used by the episode runners, and scored by the
-    realized prefetch energy plus the expected demand energy of the final
-    residuals.  Shared by the scalar and batch noncausal selections so both
-    pick identical sets.
-    """
-    episodes = gains.shape[0]
-    d = s.N - s.N_P
-    root = 1.0 / (s.m - 1)
-    order = np.array(priority_order(s))
-    gam = s.gamma[order]
-    prob = s.p[order]
-    w = prob ** (-root)
-    u_xi = xi.inv_root[d]
-    u_gain = gains ** root
-    column = np.arange(s.L)
-    predicted = np.empty((episodes, s.L))
-    for k in range(1, s.L + 1):
-        member = np.broadcast_to(column < k, (episodes, s.L))
-        rho = np.tile(gam, (episodes, 1))
-        energy = np.zeros(episodes)
-        for n in range(1, s.N_P + 1):
-            u_g = u_gain[:, n - 1]
-            if n == s.N_P:
-                eta = _solve_final_threshold_batch(rho, w, member, u_g / u_xi)
-            else:
-                residual = rho[:, :k].sum(axis=1)
-                u_c = prefix_tables[k - 1].u(s.N - n)
-                total = residual * u_g / (u_g + u_c)
-                eta = _solve_slot_threshold_batch(rho, w, member, total)
-            bits = np.where(member,
-                            np.maximum(rho - eta[:, None] * w[None, :], 0.0),
-                            0.0)
-            energy += s.lam * bits.sum(axis=1) ** s.m / gains[:, n - 1]
-            rho = rho - bits
-        energy += s.lam * xi.xi[d] * (prob[None, :] * rho ** s.m).sum(axis=1)
-        predicted[:, k - 1] = energy
-    return predicted
-
-
-def select_noncausal_set(s: Scenario, prefetch_gains, prefix_tables, xi: XiTable) -> int:
-    """Size of the target prefix chosen with all prefetch gains revealed.
-
-    Searches the priority-ordered prefixes: each candidate set is executed
-    deterministically against the revealed gains and scored by realized
-    prefetch energy plus the expected demand energy of its residuals; the
-    smallest best-scoring size wins.
-    """
-    gains = np.asarray(prefetch_gains, dtype=float)
-    if gains.ndim != 1 or gains.size != s.N_P:
-        raise ValueError(f"need the {s.N_P} prefetch-phase gains")
-    if np.any(gains <= 0.0):
-        raise ValueError("all gains must be strictly positive")
-    predicted = _prefix_energy_predictions(s, gains[None, :], prefix_tables, xi)
-    return int(np.argmin(predicted[0])) + 1
-
-
 def expected_total_energy_fast(s: Scenario, task_set,
                                zeta: Optional[ZetaTable] = None,
                                xi: Optional[XiTable] = None) -> float:
@@ -484,177 +173,6 @@ def no_prefetch_energy_fast(s: Scenario, xi: XiTable) -> float:
     return expected_total_energy_fast(s, (), xi=xi)
 
 
-def best_prefix_set(s: Scenario, channel: Channel, xi: XiTable,
-                    exhaustive: bool = False) -> tuple:
-    """Minimize the locked-set energy *formula* over candidate target sets.
-
-    Searches the priority-ordered prefixes (plus the empty set); with
-    ``exhaustive=True`` every subset is scanned instead (debugging aid,
-    L <= 10).  Returns ``(task_set, energy, zeta_or_none)``.
-
-    The formula assumes every member stays active in every prefetch slot,
-    so for sets the execution would clamp it is an unattainably low bound
-    and the argmin can overshoot the realizable best set.  Use the episode
-    runners (or :func:`select_noncausal_set` per gain draw) when the
-    realizable energy is the quantity of interest.
-    """
-    best = (frozenset(), no_prefetch_energy_fast(s, xi), None)
-    if exhaustive:
-        if s.L > 10:
-            raise ValueError("exhaustive subset search is limited to L <= 10")
-        candidates = [tuple(i for i in range(s.L) if mask >> i & 1)
-                      for mask in range(1, 1 << s.L)]
-    else:
-        order = priority_order(s)
-        candidates = [tuple(order[:k]) for k in range(1, s.L + 1)]
-    for members in candidates:
-        zeta = build_zeta_table(s, channel, members, xi)
-        energy = expected_total_energy_fast(s, members, zeta)
-        if energy < best[1]:
-            best = (frozenset(members), energy, zeta)
-    return best
-
-
-@dataclass(frozen=True)
-class EpisodeTrace:
-    """Full record of one simulated stage."""
-
-    policy: PrefetchPolicy
-    gains: np.ndarray             #: all N realized gains
-    realized: int                 #: task that turned out to run
-    decisions: np.ndarray         #: (N_P, L) prefetched bits per slot and task
-    thresholds: np.ndarray        #: (N_P,) realized thresholds (0 for no-prefetch)
-    task_sets: tuple              #: per-slot working sets
-    prefetch_energy: float
-    demand: DemandTrace
-
-    @property
-    def total_energy(self) -> float:
-        return self.prefetch_energy + self.demand.total_energy
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """Total bits prefetched per task over the phase."""
-        return self.decisions.sum(axis=0)
-
-
-def _slot_decision(state: EpisodeState, g: float, s: Scenario, members: np.ndarray,
-                   zeta: ZetaTable, xi: XiTable, w: np.ndarray) -> tuple:
-    """One prefetch-slot step restricted to ``members``: (bits, eta).
-
-    Before the final prefetch slot the continuation depends on the members'
-    residual total only, so the slot sends the stage-optimal total
-    ``R * u_g / (u_g + u_c)`` and splits it at the water-filling threshold.
-    At the final slot the continuation is exactly separable per task and the
-    consistent clamped threshold is solved directly.  Both coincide with the
-    closed-form ``threshold_eta`` decision whenever every member is active.
-    """
-    root = 1.0 / (s.m - 1)
-    u_g = g ** root
-    if state.slot < s.N_P:
-        u_c = zeta.u(s.N - state.slot)
-        residual = float(np.sum(state.rho[members]))
-        total = residual * u_g / (u_g + u_c)
-        eta = _solve_slot_threshold(state.rho[members], w[members], total)
-    else:
-        c0 = u_g / xi.inv_root[s.N - s.N_P]
-        eta = _solve_final_threshold(state.rho[members], w[members], c0)
-    bits = np.zeros(s.L)
-    bits[members] = np.maximum(state.rho[members] - eta * w[members], 0.0)
-    return bits, eta
-
-
-def run_prefetch_episode(s: Scenario, channel: Channel, policy: PrefetchPolicy,
-                         rng: Optional[np.random.Generator] = None, *,
-                         gains: Optional[np.ndarray] = None,
-                         realized: Optional[int] = None,
-                         xi: Optional[XiTable] = None,
-                         prefix_tables: Optional[Sequence[ZetaTable]] = None,
-                         forced_set: Optional[Iterable[int]] = None) -> EpisodeTrace:
-    """Simulate one full stage (prefetch phase, realization, demand phase).
-
-    Gains and the realized task are drawn from ``rng`` unless supplied,
-    which allows paired comparisons across policies.  The noncausal oracle
-    locks its target set once from the revealed prefetch gains; the causal
-    estimators rebuild their working set every slot.  ``forced_set`` locks
-    an arbitrary target set instead (skipping any selection) — useful for
-    validating the locked-set energy formula.  The demand phase always runs
-    the xi-policy.
-    """
-    if s.N == s.N_P:
-        raise ValueError("fast-fading episodes require a demand phase (N > N_P)")
-    if gains is None or realized is None:
-        if rng is None:
-            raise ValueError("rng is required when gains/realized are not supplied")
-    if gains is None:
-        gains = sample_gain(channel, rng, s.N)
-    gains = np.asarray(gains, dtype=float)
-    if gains.shape != (s.N,):
-        raise ValueError(f"gains must have shape ({s.N},)")
-    if realized is None:
-        realized = int(rng.choice(s.L, p=s.p))
-    if not 0 <= realized < s.L:
-        raise IndexError(f"realized task {realized} out of range for L={s.L}")
-    d = s.N - s.N_P
-    if xi is None:
-        xi = build_xi_table(channel, s.m, d)
-    need_prefixes = (policy in (PrefetchPolicy.AGGRESSIVE, PrefetchPolicy.CONSERVATIVE)
-                     or (policy is PrefetchPolicy.NONCAUSAL_ORACLE and forced_set is None))
-    if prefix_tables is None and need_prefixes:
-        prefix_tables = build_prefix_tables(s, channel, xi)
-
-    w = s.p ** (-1.0 / (s.m - 1))
-    decisions = np.zeros((s.N_P, s.L))
-    thresholds = np.zeros(s.N_P)
-    task_sets = []
-    prefetch_energy = 0.0
-    state = EpisodeState(slot=1, rho=s.gamma.copy())
-
-    if forced_set is not None:
-        locked = frozenset(int(i) for i in forced_set)
-        locked_zeta = build_zeta_table(s, channel, locked, xi) if locked else None
-    elif policy is PrefetchPolicy.NONCAUSAL_ORACLE:
-        k_sel = select_noncausal_set(s, gains[:s.N_P], prefix_tables, xi)
-        locked = frozenset(priority_order(s)[:k_sel])
-        locked_zeta = prefix_tables[k_sel - 1]
-    else:
-        locked = None
-        locked_zeta = None
-
-    if policy is not PrefetchPolicy.NO_PREFETCH:
-        for n in range(1, s.N_P + 1):
-            state.slot = n
-            g = float(gains[n - 1])
-            if locked is not None:
-                working, zeta = locked, locked_zeta
-            else:
-                working = approximate_task_set(state, g, policy, s, channel, xi,
-                                               prefix_tables)
-                zeta = prefix_tables[len(working) - 1]
-            if working:
-                members = np.array(sorted(working), dtype=int)
-                bits, eta = _slot_decision(state, g, s, members, zeta, xi, w)
-            else:
-                bits, eta = np.zeros(s.L), 0.0
-            decisions[n - 1] = bits
-            thresholds[n - 1] = eta
-            task_sets.append(working)
-            prefetch_energy += s.lam * float(bits.sum()) ** s.m / g
-            state.rho = state.rho - bits
-            state.approx_set = frozenset(
-                int(i) for i in np.flatnonzero(bits > POSITIVE_BITS_EPS))
-            state.threshold_history.append(eta)
-    else:
-        task_sets = [frozenset()] * s.N_P
-
-    beta = float(state.rho[realized])
-    demand = simulate_demand_episode(beta, gains[s.N_P:], xi, lam=s.lam)
-    return EpisodeTrace(policy=policy, gains=gains, realized=realized,
-                        decisions=decisions, thresholds=thresholds,
-                        task_sets=tuple(task_sets),
-                        prefetch_energy=prefetch_energy, demand=demand)
-
-
 @dataclass(frozen=True)
 class BatchResult:
     """Vectorized episode statistics (one entry per episode)."""
@@ -666,12 +184,68 @@ class BatchResult:
     set_size: np.ndarray            #: final working-set size (0 for no-prefetch)
     beta: np.ndarray                #: residual bits of the realized task
     final_rho: np.ndarray           #: (E, L) residual bits per task, original order
-    thresholds: Optional[np.ndarray] = None   #: (E, N_P) if requested
-    decisions: Optional[np.ndarray] = None    #: (E, N_P, L) if requested
+    thresholds: Optional[np.ndarray] = None     #: (E, N_P) if traced
+    decisions: Optional[np.ndarray] = None      #: (E, N_P, L) if traced, original order
+    slot_set_size: Optional[np.ndarray] = None  #: (E, N_P) working-set sizes if traced
 
     @property
     def total_energy(self) -> np.ndarray:
         return self.prefetch_energy + self.demand_energy
+
+
+@dataclass
+class _Phase:
+    """Prefetch-phase outcome per episode, tasks in priority order."""
+
+    rho: np.ndarray                       #: (E, L) residual bits
+    energy: np.ndarray                    #: (E,) prefetch energy
+    set_size: np.ndarray                  #: (E,) final working-set size
+    thresholds: Optional[np.ndarray]      #: (E, N_P) when traced
+    bits: Optional[np.ndarray]            #: (E, N_P, L) when traced
+    slot_set_size: Optional[np.ndarray]   #: (E, N_P) when traced
+
+    @classmethod
+    def start(cls, gam: np.ndarray, episodes: int, slots: int, trace: bool) -> "_Phase":
+        def zeros(*shape, dtype=float):
+            return np.zeros((episodes,) + shape, dtype=dtype) if trace else None
+        return cls(rho=np.tile(gam, (episodes, 1)), energy=np.zeros(episodes),
+                   set_size=np.zeros(episodes, dtype=int), thresholds=zeros(slots),
+                   bits=zeros(slots, gam.size), slot_set_size=zeros(slots, dtype=int))
+
+    def record(self, n: int, k, bits: np.ndarray, eta: np.ndarray) -> None:
+        """Keep slot ``n``'s decisions when traced (``k`` is the set size)."""
+        self.set_size[:] = k
+        if self.thresholds is not None:
+            self.thresholds[:, n - 1] = eta
+            self.bits[:, n - 1] = bits
+            self.slot_set_size[:, n - 1] = k
+
+    def keep(self, other: "_Phase", better: np.ndarray) -> None:
+        """Replace the episodes flagged in ``better`` by ``other``'s."""
+        for field in fields(self):
+            mine = getattr(self, field.name)
+            if mine is not None:
+                mask = better.reshape(better.shape + (1,) * (mine.ndim - 1))
+                setattr(self, field.name, np.where(mask, getattr(other, field.name), mine))
+
+
+def _solve_threshold(rho: np.ndarray, w_row: np.ndarray, member: np.ndarray,
+                     total: Optional[np.ndarray] = None,
+                     c0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-episode thresholds with ``sum_members([rho - eta*w]+) == total``.
+
+    The final slot's stage problem is exactly separable; its optimum is the
+    fixed point with ``eta * c0`` in place of ``total``, where
+    ``c0 = (g * xi_d)**(1/(m-1))``.
+    """
+    cum_rho, cum_w, next_ratio = _sorted_member_cumulants(rho, w_row, member)
+    if c0 is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            candidates = (cum_rho - total[:, None]) / cum_w
+    else:
+        candidates = cum_rho / (cum_w + c0[:, None])
+    first = np.argmax(candidates >= next_ratio, axis=1)
+    return np.maximum(candidates[np.arange(rho.shape[0]), first], 0.0)
 
 
 def _sorted_member_cumulants(rho: np.ndarray, w_row: np.ndarray,
@@ -680,34 +254,105 @@ def _sorted_member_cumulants(rho: np.ndarray, w_row: np.ndarray,
     masked_rho = np.where(member, rho, 0.0)
     masked_w = np.where(member, w_row[None, :], 0.0)
     ratios = np.where(member, rho / w_row[None, :], -np.inf)
-    order = np.argsort(-ratios, axis=1)
-    cum_rho = np.cumsum(np.take_along_axis(masked_rho, order, axis=1), axis=1)
-    cum_w = np.cumsum(np.take_along_axis(masked_w, order, axis=1), axis=1)
-    ratio_sorted = np.take_along_axis(ratios, order, axis=1)
+    flat = np.argsort(-ratios, axis=1) + np.arange(0, rho.size, rho.shape[1])[:, None]
+    cum_rho = np.cumsum(np.take(masked_rho, flat), axis=1)
+    cum_w = np.cumsum(np.take(masked_w, flat), axis=1)
+    ratio_sorted = np.take(ratios, flat)
     next_ratio = np.concatenate(
         [ratio_sorted[:, 1:], np.full((rho.shape[0], 1), -np.inf)], axis=1)
     return cum_rho, cum_w, next_ratio
 
 
-def _solve_slot_threshold_batch(rho: np.ndarray, w_row: np.ndarray,
-                                member: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Vectorized water-filling thresholds; non-members are masked out."""
-    cum_rho, cum_w, next_ratio = _sorted_member_cumulants(rho, w_row, member)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        candidates = (cum_rho - total[:, None]) / cum_w
-    first = np.argmax(candidates >= next_ratio, axis=1)
-    eta = candidates[np.arange(rho.shape[0]), first]
-    return np.maximum(eta, 0.0)
+@dataclass(frozen=True)
+class _Kernel:
+    """Per-batch constants of the prefetch phase, tasks in priority order."""
 
+    s: Scenario
+    gam: np.ndarray        #: (L,) data sizes
+    w: np.ndarray          #: (L,) probability weights p**(-1/(m-1))
+    u_zeta: np.ndarray     #: [k-1, n-1]: u of the size-k prefix table at N-n to go
+    u_xi: float
+    gains: np.ndarray      #: (E, N) all gains
+    u_gain: np.ndarray     #: (E, N_P) prefetch-phase gains**(1/(m-1))
+    trace: bool
 
-def _solve_final_threshold_batch(rho: np.ndarray, w_row: np.ndarray,
-                                 member: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """Vectorized final-slot thresholds (``sum([rho-eta*w]+) == eta*c0``)."""
-    cum_rho, cum_w, next_ratio = _sorted_member_cumulants(rho, w_row, member)
-    candidates = cum_rho / (cum_w + c0[:, None])
-    first = np.argmax(candidates >= next_ratio, axis=1)
-    eta = candidates[np.arange(rho.shape[0]), first]
-    return np.maximum(eta, 0.0)
+    def start(self) -> _Phase:
+        return _Phase.start(self.gam, self.gains.shape[0], self.s.N_P, self.trace)
+
+    def slot(self, phase: _Phase, n: int, k, residual: np.ndarray) -> np.ndarray:
+        """Execute prefetch slot ``n`` on the size-``k`` prefixes; returns the bits.
+
+        Before the final slot the continuation depends on the members'
+        residual total ``R`` only, so the slot sends the stage-optimal total
+        ``R * u_g / (u_g + u_c)``.  Updates ``phase`` in place.
+        """
+        s, w = self.s, self.w
+        member = np.broadcast_to(np.arange(s.L) < np.reshape(k, (-1, 1)), phase.rho.shape)
+        u_g = self.u_gain[:, n - 1]
+        if n == s.N_P:
+            eta = _solve_threshold(phase.rho, w, member, c0=u_g / self.u_xi)
+        else:
+            u_c = self.u_zeta[np.subtract(k, 1), n - 1]
+            eta = _solve_threshold(phase.rho, w, member, total=residual * u_g / (u_g + u_c))
+        bits = np.where(member, np.maximum(phase.rho - eta[:, None] * w[None, :], 0.0), 0.0)
+        phase.energy += s.lam * bits.sum(axis=1) ** s.m / self.gains[:, n - 1]
+        phase.rho -= bits
+        phase.record(n, k, bits, eta)
+        return bits
+
+    def locked(self, k: int) -> _Phase:
+        """The prefetch phase with the size-``k`` priority prefix locked."""
+        phase = self.start()
+        for n in range(1, self.s.N_P):
+            residual = phase.rho[:, 0].copy()    # np.cumsum's order, no (E, k) temporary
+            for j in range(1, k):
+                residual += phase.rho[:, j]
+            self.slot(phase, n, k, residual)
+        self.slot(phase, self.s.N_P, k, None)
+        return phase
+
+    def causal(self, policy: PrefetchPolicy) -> _Phase:
+        """The prefetch phase with the working set regrown every slot.
+
+        Each slot starts from the tasks that got positive bits in the
+        previous slot and takes the smallest priority prefix, at least that
+        large, whose estimated final threshold admits exactly as many tasks
+        as it holds (the full set if none does).  The estimates are
+
+            aggressive:   R * u_xi / (u_g + u_z(N-n))
+            conservative: R * u_z(N-n) / ((u_g + u_z(N-n)) * A)
+
+        with ``A`` the prefix's inverse-probability mass; at the final slot
+        both are the exact ``R * u_xi / (u_g + u_xi * A)``.
+        """
+        s, w, u_xi = self.s, self.w, self.u_xi
+        phase = self.start()
+        episodes = phase.rho.shape[0]
+        rows = np.arange(episodes)
+        sizes = np.arange(1, s.L + 1)
+        mass = np.cumsum(w)
+        prev_positive = np.zeros(episodes, dtype=int)
+        for n in range(1, s.N_P + 1):
+            u_g = self.u_gain[:, n - 1, None]
+            prefix_rho = np.concatenate(
+                [np.zeros((episodes, 1)), np.cumsum(phase.rho, axis=1)], axis=1)
+            residual = prefix_rho[:, 1:]
+            if n == s.N_P:
+                eta_hat = residual * u_xi / (u_g + u_xi * mass)
+            elif policy is PrefetchPolicy.AGGRESSIVE:
+                eta_hat = residual * u_xi / (u_g + self.u_zeta[:, n - 1])
+            else:
+                u_z = self.u_zeta[:, n - 1]
+                eta_hat = residual * u_z / ((u_g + u_z) * mass)
+            counts = np.count_nonzero(
+                self.gam[None, None, :] - eta_hat[:, :, None] * w[None, None, :]
+                > POSITIVE_BITS_EPS, axis=2)
+            match = (counts == sizes[None, :]) & (sizes[None, :] >= prev_positive[:, None])
+            first = np.argmax(match, axis=1)
+            k = np.where(match[rows, first], first + 1, s.L)
+            bits = self.slot(phase, n, k, prefix_rho[rows, k])
+            prev_positive = np.count_nonzero(bits > POSITIVE_BITS_EPS, axis=1)
+        return phase
 
 
 def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
@@ -715,15 +360,18 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
                        xi: Optional[XiTable] = None,
                        prefix_tables: Optional[Sequence[ZetaTable]] = None,
                        forced_prefix: Optional[int] = None,
-                       keep_thresholds: bool = False,
-                       keep_decisions: bool = False) -> BatchResult:
-    """Vectorized equivalent of :func:`run_prefetch_episode`.
+                       trace: bool = False) -> BatchResult:
+    """Simulate whole stages: prefetch phase, realization, demand phase.
 
     ``gains`` has shape ``(episodes, N)`` and ``realized`` holds the task
     index per episode; sharing them across policies yields paired samples.
-    ``forced_prefix`` locks the target set to the priority prefix of that
-    size for every episode.  Matches the scalar runner slot for slot, up to
-    float summation order.
+    The noncausal oracle executes every priority prefix against the
+    revealed prefetch gains and keeps, per episode, the one with the lowest
+    realized prefetch energy plus expected demand energy of its residuals
+    (ties go to the smaller prefix).  ``forced_prefix`` locks the target set
+    to the priority prefix of that size for every episode instead.  The
+    demand phase always runs the xi-policy.  ``trace`` fills the per-slot
+    thresholds, decisions and working-set sizes.
     """
     if s.N == s.N_P:
         raise ValueError("fast-fading episodes require a demand phase (N > N_P)")
@@ -749,104 +397,39 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     root = 1.0 / (s.m - 1)
     order = np.array(priority_order(s))
     inv_order = np.argsort(order)
-    gam = s.gamma[order]
     prob = s.p[order]
-    w = prob ** (-root)
-    mass = np.cumsum(w)                      # mass[k-1] = A for prefix of size k
-    u_xi = xi.inv_root[d]
-    sizes = np.arange(1, s.L + 1)
-
-    # u_zeta[k-1, n-1] = u of the size-k prefix table at N-n slots to deadline
     u_zeta = np.zeros((s.L, max(s.N_P - 1, 1)))
     if policy is not PrefetchPolicy.NO_PREFETCH and s.N_P > 1:
-        for k in sizes:
-            table = prefix_tables[k - 1]
-            u_zeta[k - 1] = [table.u(s.N - n) for n in range(1, s.N_P)]
+        for k in range(1, s.L + 1):
+            u_zeta[k - 1] = [prefix_tables[k - 1].u(s.N - n) for n in range(1, s.N_P)]
+    kernel = _Kernel(s=s, gam=s.gamma[order], w=prob ** (-root), u_zeta=u_zeta,
+                     u_xi=xi.inv_root[d], gains=gains,
+                     u_gain=gains[:, :s.N_P] ** root, trace=trace)
 
-    rho = np.tile(gam, (episodes, 1))
-    prefetch_energy = np.zeros(episodes)
-    set_size = np.zeros(episodes, dtype=int)
-    thresholds = np.zeros((episodes, s.N_P)) if keep_thresholds else None
-    decisions = np.zeros((episodes, s.N_P, s.L)) if keep_decisions else None
-
-    if policy is not PrefetchPolicy.NO_PREFETCH:
-        u_gain = gains[:, :s.N_P] ** root
-
-        if forced_prefix is not None:
-            k_locked = np.full(episodes, forced_prefix, dtype=int)
-            set_size[:] = k_locked
-        elif policy is PrefetchPolicy.NONCAUSAL_ORACLE:
-            predicted = _prefix_energy_predictions(s, gains[:, :s.N_P],
-                                                   prefix_tables, xi)
-            k_locked = np.argmin(predicted, axis=1) + 1
-            set_size[:] = k_locked
-        else:
-            k_locked = None
-
-        prev_positive = np.zeros(episodes, dtype=int)
-        column = np.arange(s.L)
-        for n in range(1, s.N_P + 1):
-            u_g = u_gain[:, n - 1]
-            prefix_rho = np.concatenate(
-                [np.zeros((episodes, 1)), np.cumsum(rho, axis=1)], axis=1)
-            if k_locked is not None:
-                k_sel = k_locked
+    if policy is PrefetchPolicy.NO_PREFETCH:
+        phase = kernel.start()
+    elif forced_prefix is not None:
+        phase = kernel.locked(forced_prefix)
+    elif policy is PrefetchPolicy.NONCAUSAL_ORACLE:
+        demand_weight = s.lam * xi.xi[d]
+        for k in range(1, s.L + 1):
+            candidate = kernel.locked(k)
+            score = (candidate.energy
+                     + demand_weight * (prob[None, :] * candidate.rho ** s.m).sum(axis=1))
+            if k == 1:
+                phase, best = candidate, score
             else:
-                eta_hat = np.empty((episodes, s.L))
-                for k in sizes:
-                    residual = prefix_rho[:, k]
-                    if n == s.N_P:
-                        eta_hat[:, k - 1] = residual * u_xi / (u_g + u_xi * mass[k - 1])
-                    elif policy is PrefetchPolicy.AGGRESSIVE:
-                        u_z = u_zeta[k - 1, n - 1]
-                        eta_hat[:, k - 1] = residual * u_xi / (u_g + u_z)
-                    else:
-                        u_z = u_zeta[k - 1, n - 1]
-                        eta_hat[:, k - 1] = residual * u_z / ((u_g + u_z) * mass[k - 1])
-                counts = np.count_nonzero(
-                    gam[None, None, :] - eta_hat[:, :, None] * w[None, None, :]
-                    > POSITIVE_BITS_EPS, axis=2)
-                match = (counts == sizes[None, :]) & (sizes[None, :] >= prev_positive[:, None])
-                first = np.argmax(match, axis=1)
-                found = match[np.arange(episodes), first]
-                k_sel = np.where(found, first + 1, s.L)
-                set_size[:] = k_sel
+                better = score < best
+                phase.keep(candidate, better)
+                best = np.where(better, score, best)
+    else:
+        phase = kernel.causal(policy)
 
-            member = column[None, :] < k_sel[:, None]
-            if n == s.N_P:
-                eta = _solve_final_threshold_batch(rho, w, member, u_g / u_xi)
-            else:
-                residual = prefix_rho[np.arange(episodes), k_sel]
-                u_c = u_zeta[k_sel - 1, n - 1]
-                total = residual * u_g / (u_g + u_c)
-                eta = _solve_slot_threshold_batch(rho, w, member, total)
-            bits = np.where(member, np.maximum(rho - eta[:, None] * w[None, :], 0.0), 0.0)
-            prefetch_energy += s.lam * bits.sum(axis=1) ** s.m / gains[:, n - 1]
-            rho = rho - bits
-            prev_positive = np.count_nonzero(bits > POSITIVE_BITS_EPS, axis=1)
-            if keep_thresholds:
-                thresholds[:, n - 1] = eta
-            if keep_decisions:
-                decisions[:, n - 1, :] = bits[:, inv_order]
-
-    # Demand phase: xi-policy on the realized task's residual.
-    realized_sorted = inv_order[realized]
-    beta = rho[np.arange(episodes), realized_sorted].copy()
-    demand_energy = np.zeros(episodes)
-    residual = beta.copy()
-    for slot in range(d):
-        remaining = d - slot
-        g = gains[:, s.N_P + slot]
-        if remaining == 1:
-            bits = residual.copy()
-        else:
-            u_g = g ** root
-            bits = residual * u_g / (u_g + xi.inv_root[remaining - 1])
-        demand_energy += s.lam * bits ** s.m / g
-        residual -= bits
-
-    return BatchResult(policy=policy, prefetch_energy=prefetch_energy,
-                       demand_energy=demand_energy, realized=realized,
-                       set_size=set_size, beta=beta,
-                       final_rho=rho[:, inv_order],
-                       thresholds=thresholds, decisions=decisions)
+    beta = phase.rho[np.arange(episodes), inv_order[realized]]
+    _, demand = simulate_demand_batch(beta, gains[:, s.N_P:], xi, lam=s.lam)
+    return BatchResult(policy=policy, prefetch_energy=phase.energy,
+                       demand_energy=np.cumsum(demand, axis=1)[:, -1],
+                       realized=realized, set_size=phase.set_size, beta=beta,
+                       final_rho=phase.rho[:, inv_order], thresholds=phase.thresholds,
+                       decisions=None if phase.bits is None else phase.bits[:, :, inv_order],
+                       slot_set_size=phase.slot_set_size)

@@ -150,6 +150,15 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_real_overflow_exits_three(self, tmp_path, capsys):
+        # gamma**m overflows to inf, which surfaces in the dB conversion.
+        with pytest.warns(RuntimeWarning):
+            code = main(["sweep", "--param", "gamma", "--values", "1e70",
+                         "--m", "5", "--fading", "fast", "--trials", "20",
+                         "--scenarios", "1", "--out", str(tmp_path / "big.csv")])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestSingleCommand:
     def test_slow_stage_report(self, capsys):
@@ -159,11 +168,12 @@ class TestSingleCommand:
         assert "optimal alpha" in out
         assert "prefetching gain" in out
 
-    def test_fast_episode_report(self, capsys):
-        assert main(["single", "--fading", "fast", "--policy", "aggressive",
+    @pytest.mark.parametrize("policy", FAST_POLICIES)
+    def test_fast_episode_report(self, capsys, policy):
+        assert main(["single", "--fading", "fast", "--policy", policy,
                      "--seed", "2"]) == 0
         out = capsys.readouterr().out
-        assert "fast fading, k=2, policy=aggressive" in out
+        assert f"fast fading, k=2, policy={policy}" in out
         assert "slot 4:" in out             # N_P = 4 by default
         assert "total energy" in out
         assert "no-prefetch reference" in out

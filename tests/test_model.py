@@ -175,3 +175,8 @@ class TestDecibels:
     def test_requires_positive(self):
         with pytest.raises(ValueError):
             to_db(0.0)
+
+    @pytest.mark.parametrize("ratio", [np.inf, np.nan])
+    def test_non_finite_is_a_numerical_failure(self, ratio):
+        with pytest.raises(FloatingPointError):
+            to_db(ratio)

@@ -11,23 +11,20 @@ from livefetch.model import (
     SlowFading,
     sample_gain,
 )
-from livefetch.prefetch import (
-    EpisodeState,
-    PrefetchPolicy,
+from livefetch.oracles import (
     alpha_from_final_threshold,
-    approximate_task_set,
     best_prefix_set,
+    decision_vector,
+    noncausal_final_threshold,
+    threshold_eta,
+)
+from livefetch.prefetch import (
+    PrefetchPolicy,
     build_prefix_tables,
     build_zeta_table,
-    decision_vector,
-    estimate_threshold,
     expected_total_energy_fast,
     no_prefetch_energy_fast,
-    noncausal_final_threshold,
     run_prefetch_batch,
-    run_prefetch_episode,
-    select_noncausal_set,
-    threshold_eta,
 )
 from livefetch.slow import priorities, priority_order
 
@@ -60,6 +57,19 @@ def golden_min(f, lo, hi, tol=1e-10):
             a, c = c, d
             d = a + inv * (b - a)
     return 0.5 * (a + b)
+
+
+def draw_episodes(s, channel, rng, episodes):
+    """Paired gains and realized tasks for ``episodes`` stages."""
+    gains = sample_gain(channel, rng, (episodes, s.N))
+    return gains, rng.choice(s.L, size=episodes, p=s.p)
+
+
+def traced(s, policy, gains, realized=None, xi=XI3, tables=TABLES3, **kwargs):
+    if realized is None:
+        realized = np.zeros(gains.shape[0], dtype=int)
+    return run_prefetch_batch(s, FAST2, policy, gains, realized, xi=xi,
+                              prefix_tables=tables, trace=True, **kwargs)
 
 
 class TestZetaTable:
@@ -130,11 +140,12 @@ class TestZetaTable:
 
 
 class TestThresholdEta:
+    RHO2 = np.array([4.0, 4.0])
+
     def test_final_slot_reference_value(self):
         # Single prefetch slot, m=2, Gamma shape 2, both residuals 4, g=1:
         # 1/xi_1 = 1/2 and sum(1/p) = 4, so eta = 8*(1/2)/(1 + (1/2)*4) = 4/3.
-        state = EpisodeState(slot=1, rho=np.array([4.0, 4.0]))
-        eta = threshold_eta(state, 1.0, S2, (0, 1), ZETA2, XI2)
+        eta = threshold_eta(self.RHO2, 1, 1.0, S2, (0, 1), ZETA2, XI2)
         assert eta == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert eta == pytest.approx(1.3333, abs=1e-4)
 
@@ -146,52 +157,45 @@ class TestThresholdEta:
         channel = SlowFading(2.0)
         xi = build_xi_table(channel, 2, 1)
         table = build_zeta_table(s, channel, (0, 1), xi)
-        state = EpisodeState(slot=1, rho=np.array([4.0, 4.0]))
-        eta = threshold_eta(state, 2.0, s, (0, 1), table, xi)
+        eta = threshold_eta(self.RHO2, 1, 2.0, s, (0, 1), table, xi)
         assert eta == pytest.approx(5.0 / 3.0, rel=1e-12)
 
     def test_large_gain_prefetches_everything(self):
-        state = EpisodeState(slot=1, rho=np.array([4.0, 4.0]))
-        assert threshold_eta(state, 1e12, S2, (0, 1), ZETA2, XI2) < 1e-9
+        assert threshold_eta(self.RHO2, 1, 1e12, S2, (0, 1), ZETA2, XI2) < 1e-9
 
     def test_small_gain_limit_at_final_slot(self):
         # g -> 0+ at the last prefetch slot: eta -> sum(rho)/sum(p**(-1/(m-1))).
-        state = EpisodeState(slot=1, rho=np.array([4.0, 4.0]))
-        eta = threshold_eta(state, 1e-30, S2, (0, 1), ZETA2, XI2)
+        eta = threshold_eta(self.RHO2, 1, 1e-30, S2, (0, 1), ZETA2, XI2)
         assert eta == pytest.approx(8.0 / 4.0, rel=1e-9)
 
     def test_validation(self):
-        state = EpisodeState(slot=1, rho=np.array([4.0, 4.0]))
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
-                threshold_eta(state, bad, S2, (0, 1), ZETA2, XI2)
+                threshold_eta(self.RHO2, 1, bad, S2, (0, 1), ZETA2, XI2)
         with pytest.raises(ValueError):
-            threshold_eta(EpisodeState(slot=2, rho=np.array([4.0, 4.0])),
-                          1.0, S2, (0, 1), ZETA2, XI2)
+            threshold_eta(self.RHO2, 2, 1.0, S2, (0, 1), ZETA2, XI2)
         with pytest.raises(ValueError):
-            threshold_eta(EpisodeState(slot=1, rho=np.array([-1.0, 4.0])),
-                          1.0, S2, (0, 1), ZETA2, XI2)
+            threshold_eta(np.array([-1.0, 4.0]), 1, 1.0, S2, (0, 1), ZETA2, XI2)
         with pytest.raises(ValueError):
-            threshold_eta(state, 1.0, S2, (), ZETA2, XI2)
+            threshold_eta(self.RHO2, 1, 1.0, S2, (), ZETA2, XI2)
 
 
 class TestDecisionVector:
     def test_zero_threshold_sends_all_residuals(self):
-        state = EpisodeState(slot=1, rho=np.array([3.0, 1.0, 0.0]))
         s = Scenario(m=2, N=4, N_P=2, p=np.array([0.5, 0.3, 0.2]),
                      gamma=np.array([3.0, 1.0, 2.0]))
-        assert decision_vector(state, 0.0, s) == pytest.approx([3.0, 1.0, 0.0])
+        bits = decision_vector(np.array([3.0, 1.0, 0.0]), 1, 0.0, s)
+        assert bits == pytest.approx([3.0, 1.0, 0.0])
 
     def test_threshold_above_every_ratio_sends_nothing(self):
-        state = EpisodeState(slot=1, rho=np.array([3.0, 1.0]))
+        rho = np.array([3.0, 1.0])
         s = Scenario(m=2, N=4, N_P=2, p=np.array([0.5, 0.5]),
                      gamma=np.array([3.0, 1.0]))
-        cap = float(np.max(state.rho * s.p)) + 1e-9
-        assert decision_vector(state, cap, s) == pytest.approx([0.0, 0.0])
+        cap = float(np.max(rho * s.p)) + 1e-9
+        assert decision_vector(rho, 1, cap, s) == pytest.approx([0.0, 0.0])
 
     def test_reference_continuation(self):
-        state = EpisodeState(slot=1, rho=np.array([4.0, 4.0]))
-        bits = decision_vector(state, 4.0 / 3.0, S2)
+        bits = decision_vector(np.array([4.0, 4.0]), 1, 4.0 / 3.0, S2)
         assert bits == pytest.approx([4.0 / 3.0, 4.0 / 3.0], rel=1e-12)
         assert bits == pytest.approx([1.3333, 1.3333], abs=1e-4)
 
@@ -201,62 +205,60 @@ class TestDecisionVector:
                      gamma=np.array([5.0, 4.0, 3.0]))
         for _ in range(50):
             rho = rng.uniform(0.0, 5.0, 3)
-            state = EpisodeState(slot=1, rho=rho)
-            bits = decision_vector(state, float(rng.uniform(0.0, 3.0)), s)
+            bits = decision_vector(rho, 1, float(rng.uniform(0.0, 3.0)), s)
             assert np.all(bits >= 0.0)
             assert np.all(bits <= rho + 1e-12)
 
     def test_validation(self):
-        state = EpisodeState(slot=1, rho=np.array([4.0, 4.0]))
         for bad in (-0.5, np.nan, np.inf):
             with pytest.raises(ValueError):
-                decision_vector(state, bad, S2)
+                decision_vector(np.array([4.0, 4.0]), 1, bad, S2)
 
 
 class TestNoncausalFinalThreshold:
     def test_empty_cascade_is_the_exact_final_formula(self):
-        state = EpisodeState(slot=3, rho=np.array([2.0, 1.5, 1.0]))
+        rho = np.array([2.0, 1.5, 1.0])
         for g in (0.4, 1.0, 2.7):
-            cascade = noncausal_final_threshold(state, [g], S3, (0, 1, 2),
+            cascade = noncausal_final_threshold(rho, 3, [g], S3, (0, 1, 2),
                                                 TABLES3[2], XI3)
-            exact = threshold_eta(state, g, S3, (0, 1, 2), TABLES3[2], XI3)
+            exact = threshold_eta(rho, 3, g, S3, (0, 1, 2), TABLES3[2], XI3)
             assert cascade == pytest.approx(exact, rel=1e-12)
 
     def test_zero_future_gains_match_conservative(self):
         # Damping factors with vanishing future gains collapse onto the
-        # pessimistic estimator for any target prefix.
-        state = EpisodeState(slot=1, rho=np.array([6.5, 5.0, 4.5]))
+        # pessimistic estimator, which is the current slot's closed-form
+        # threshold, for any target prefix.
+        rho = np.array([6.5, 5.0, 4.5])
         order = priority_order(S3)
         for k in (1, 2, 3):
             members = tuple(order[:k])
-            cons = estimate_threshold(state, 1.3, S3, members, TABLES3[k - 1],
-                                      XI3, PrefetchPolicy.CONSERVATIVE)
+            cons = threshold_eta(rho, 1, 1.3, S3, members, TABLES3[k - 1], XI3)
             cascade = noncausal_final_threshold(
-                state, [1.3, 1e-300, 1e-300], S3, members, TABLES3[k - 1], XI3)
+                rho, 1, [1.3, 1e-300, 1e-300], S3, members, TABLES3[k - 1], XI3)
             assert cascade == pytest.approx(cons, rel=1e-9)
 
     def test_constant_gain_cascade_telescopes_to_aggressive(self):
         # On a constant-gain channel each continuation root grows by exactly
         # the gain root, so the damping product telescopes and the cascade
-        # equals the optimistic estimator.
+        # equals the optimistic estimator sum(rho) * u_xi / (u_g + u_z(N-1)).
         s = Scenario(m=3, N=6, N_P=3, p=np.array([0.5, 0.3, 0.2]),
                      gamma=np.array([6.0, 5.0, 4.0]))
         channel = SlowFading(1.7)
         xi = build_xi_table(channel, 3, 3)
         table = build_zeta_table(s, channel, (0, 1, 2), xi)
-        state = EpisodeState(slot=1, rho=np.array([6.0, 5.0, 4.0]))
-        cascade = noncausal_final_threshold(state, [1.7, 1.7, 1.7], s,
+        rho = np.array([6.0, 5.0, 4.0])
+        cascade = noncausal_final_threshold(rho, 1, [1.7, 1.7, 1.7], s,
                                             (0, 1, 2), table, xi)
-        aggressive = estimate_threshold(state, 1.7, s, (0, 1, 2), table, xi,
-                                        PrefetchPolicy.AGGRESSIVE)
+        aggressive = (rho.sum() * xi.inv_root[s.N - s.N_P]
+                      / (1.7 ** 0.5 + table.u(s.N - 1)))
         assert cascade == pytest.approx(aggressive, rel=1e-12)
 
     def test_validation(self):
-        state = EpisodeState(slot=2, rho=np.array([2.0, 2.0, 2.0]))
+        rho = np.array([2.0, 2.0, 2.0])
         with pytest.raises(ValueError):
-            noncausal_final_threshold(state, [1.0], S3, (0, 1), TABLES3[1], XI3)
+            noncausal_final_threshold(rho, 2, [1.0], S3, (0, 1), TABLES3[1], XI3)
         with pytest.raises(ValueError):
-            noncausal_final_threshold(state, [1.0, -1.0], S3, (0, 1),
+            noncausal_final_threshold(rho, 2, [1.0, -1.0], S3, (0, 1),
                                       TABLES3[1], XI3)
 
 
@@ -280,96 +282,70 @@ class TestAlphaFromFinalThreshold:
                 alpha_from_final_threshold(S3, bad)
 
 
+# One-prefetch-slot instance: no future estimation is involved.
+S1 = Scenario(m=2, N=3, N_P=1, p=np.array([0.6, 0.3, 0.1]),
+              gamma=np.array([5.0, 6.0, 2.0]))
+XI1 = build_xi_table(FAST2, 2, 2)
+TABLES1 = build_prefix_tables(S1, FAST2, XI1)
+CAUSAL = (PrefetchPolicy.AGGRESSIVE, PrefetchPolicy.CONSERVATIVE)
+
+
 class TestEstimateThreshold:
     def test_both_estimators_exact_at_final_slot(self):
+        # Both causal estimates reduce to the exact final-slot threshold, so
+        # in a one-slot window the two causal policies coincide exactly.
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            rho = rng.uniform(0.5, 7.0, 3)
-            state = EpisodeState(slot=3, rho=rho)
-            g = float(sample_gain(FAST2, rng))
-            exact = threshold_eta(state, g, S3, (0, 1, 2), TABLES3[2], XI3)
-            for kind in (PrefetchPolicy.AGGRESSIVE, PrefetchPolicy.CONSERVATIVE):
-                est = estimate_threshold(state, g, S3, (0, 1, 2), TABLES3[2],
-                                         XI3, kind)
-                assert est == pytest.approx(exact, rel=1e-12)
-
-    def test_ordering_matches_mass_condition(self):
-        # Conservative <= aggressive exactly when the inverse-probability
-        # mass of the set exceeds the continuation-to-demand root ratio.
-        rng = np.random.default_rng(6)
-        order = priority_order(S3)
-        root = 1.0 / (S3.m - 1)
-        for _ in range(60):
-            k = int(rng.integers(1, 4))
-            members = tuple(order[:k])
-            table = TABLES3[k - 1]
-            state = EpisodeState(slot=int(rng.integers(1, 3)),
-                                 rho=rng.uniform(0.5, 7.0, 3))
-            g = float(sample_gain(FAST2, rng))
-            aggressive = estimate_threshold(state, g, S3, members, table, XI3,
-                                            PrefetchPolicy.AGGRESSIVE)
-            conservative = estimate_threshold(state, g, S3, members, table,
-                                              XI3, PrefetchPolicy.CONSERVATIVE)
-            mass = float(np.sum(S3.p[list(members)] ** (-root)))
-            u_ratio = table.u(S3.N - state.slot) / XI3.inv_root[S3.N - S3.N_P]
-            if mass >= u_ratio:
-                assert conservative <= aggressive + 1e-12
-            else:
-                assert conservative >= aggressive - 1e-12
-
-    def test_rejects_non_estimator_kinds(self):
-        state = EpisodeState(slot=1, rho=np.array([4.0, 4.0]))
-        for kind in (PrefetchPolicy.NONCAUSAL_ORACLE, PrefetchPolicy.NO_PREFETCH):
-            with pytest.raises(ValueError):
-                estimate_threshold(state, 1.0, S2, (0, 1), ZETA2, XI2, kind)
+        gains, realized = draw_episodes(S1, FAST2, rng, 100)
+        aggr, cons = (traced(S1, policy, gains, realized, xi=XI1, tables=TABLES1)
+                      for policy in CAUSAL)
+        assert np.array_equal(aggr.slot_set_size, cons.slot_set_size)
+        assert np.array_equal(aggr.thresholds, cons.thresholds)
+        assert np.array_equal(aggr.decisions, cons.decisions)
+        assert np.array_equal(aggr.total_energy, cons.total_energy)
 
 
 class TestApproximateTaskSet:
     def test_single_candidate_always_selected(self):
         s = Scenario(m=2, N=3, N_P=1, p=np.array([1.0]), gamma=np.array([5.0]))
         xi = build_xi_table(FAST2, 2, 2)
-        state = EpisodeState(slot=1, rho=s.gamma.copy())
-        for kind in (PrefetchPolicy.AGGRESSIVE, PrefetchPolicy.CONSERVATIVE):
-            assert approximate_task_set(state, 1.0, kind, s, FAST2, xi) == {0}
+        gains = sample_gain(FAST2, np.random.default_rng(4), (20, s.N))
+        for kind in CAUSAL:
+            result = traced(s, kind, gains, xi=xi, tables=None)
+            assert np.all(result.slot_set_size == 1)
+            assert np.all(result.set_size == 1)
 
     def test_single_slot_window_matches_exact_thresholding(self):
         # With one prefetch slot no future estimation is involved, so the
         # causal growth must reproduce the count fixed point of the exact
         # threshold formula.
-        s = Scenario(m=2, N=3, N_P=1, p=np.array([0.6, 0.3, 0.1]),
-                     gamma=np.array([5.0, 6.0, 2.0]))
-        xi = build_xi_table(FAST2, 2, 2)
-        tables = build_prefix_tables(s, FAST2, xi)
+        s = S1
         order = priority_order(s)
         w = s.p ** (-1.0 / (s.m - 1))
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            g = float(sample_gain(FAST2, rng))
-            expected = frozenset(range(s.L))
+        gains = sample_gain(FAST2, rng, (100, s.N))
+        expected = np.full(100, s.L)
+        for i in range(100):
             for k in range(1, s.L + 1):
-                state = EpisodeState(slot=1, rho=s.gamma.copy())
-                eta = threshold_eta(state, g, s, order[:k], tables[k - 1], xi)
-                count = int(np.count_nonzero(
-                    s.gamma - eta * w > POSITIVE_BITS_EPS))
-                if count == k:
-                    expected = frozenset(order[:k])
+                eta = threshold_eta(s.gamma, 1, float(gains[i, 0]), s, order[:k],
+                                    TABLES1[k - 1], XI1)
+                if int(np.count_nonzero(s.gamma - eta * w > POSITIVE_BITS_EPS)) == k:
+                    expected[i] = k
                     break
-            state = EpisodeState(slot=1, rho=s.gamma.copy())
-            for kind in (PrefetchPolicy.AGGRESSIVE, PrefetchPolicy.CONSERVATIVE):
-                assert approximate_task_set(state, g, kind, s, FAST2, xi,
-                                            tables) == expected
+        for kind in CAUSAL:
+            result = traced(s, kind, gains, xi=XI1, tables=TABLES1)
+            assert np.array_equal(result.slot_set_size[:, 0], expected)
 
     def test_returns_priority_prefixes_only(self):
+        # Bits only ever go to the priority prefix of the slot's set size.
         rng = np.random.default_rng(8)
-        order = priority_order(S3)
-        for _ in range(50):
-            state = EpisodeState(slot=int(rng.integers(1, 4)),
-                                 rho=rng.uniform(0.1, 7.0, 3))
-            g = float(sample_gain(FAST2, rng))
-            for kind in (PrefetchPolicy.AGGRESSIVE, PrefetchPolicy.CONSERVATIVE):
-                working = approximate_task_set(state, g, kind, S3, FAST2, XI3,
-                                               TABLES3)
-                assert working == frozenset(order[:len(working)])
+        gains, realized = draw_episodes(S3, FAST2, rng, 50)
+        rank = np.argsort(priority_order(S3))
+        for kind in CAUSAL:
+            result = traced(S3, kind, gains, realized)
+            sizes = result.slot_set_size
+            assert np.all((sizes >= 1) & (sizes <= S3.L))
+            outside = rank[None, None, :] >= sizes[:, :, None]
+            assert np.all(result.decisions[outside] == 0.0)
 
     def test_rare_task_never_admitted_before_likelier_ones(self):
         s = Scenario(m=2, N=5, N_P=2, p=np.array([0.69, 0.3, 0.01]),
@@ -377,32 +353,31 @@ class TestApproximateTaskSet:
         xi = build_xi_table(FAST2, 2, 3)
         tables = build_prefix_tables(s, FAST2, xi)
         delta = priorities(s)
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            state = EpisodeState(slot=1, rho=s.gamma.copy())
-            g = float(sample_gain(FAST2, rng))
-            for kind in (PrefetchPolicy.AGGRESSIVE, PrefetchPolicy.CONSERVATIVE):
-                working = approximate_task_set(state, g, kind, s, FAST2, xi,
-                                               tables)
+        order = priority_order(s)
+        gains = sample_gain(FAST2, np.random.default_rng(9), (50, s.N))
+        for kind in CAUSAL:
+            result = traced(s, kind, gains, xi=xi, tables=tables)
+            for size in np.unique(result.slot_set_size):
+                working = set(order[:size])
                 if 2 in working:
-                    assert all(i in working for i in range(3)
-                               if delta[i] > delta[2])
+                    assert all(i in working for i in range(3) if delta[i] > delta[2])
 
     def test_never_shrinks_below_previous_positive_count(self):
-        state = EpisodeState(slot=2, rho=np.array([3.0, 2.5, 2.0]),
-                             approx_set=frozenset({0, 1}))
-        for kind in (PrefetchPolicy.AGGRESSIVE, PrefetchPolicy.CONSERVATIVE):
-            working = approximate_task_set(state, 2.0, kind, S3, FAST2, XI3,
-                                           TABLES3)
-            assert len(working) >= 2
+        rng = np.random.default_rng(10)
+        gains, realized = draw_episodes(S3, FAST2, rng, 200)
+        for kind in CAUSAL:
+            result = traced(S3, kind, gains, realized)
+            positive = np.count_nonzero(result.decisions > POSITIVE_BITS_EPS, axis=2)
+            assert np.all(result.slot_set_size[:, 1:] >= positive[:, :-1])
 
 
 class TestSelectNoncausalSet:
     def test_single_candidate(self):
         s = Scenario(m=2, N=3, N_P=1, p=np.array([1.0]), gamma=np.array([5.0]))
         xi = build_xi_table(FAST2, 2, 2)
-        tables = build_prefix_tables(s, FAST2, xi)
-        assert select_noncausal_set(s, [1.0], tables, xi) == 1
+        result = traced(s, PrefetchPolicy.NONCAUSAL_ORACLE, np.ones((1, s.N)),
+                        xi=xi, tables=None)
+        assert result.set_size.tolist() == [1]
 
     def test_selection_minimizes_locked_prefix_score(self):
         # Independent scoring: lock each prefix with the batch runner, take
@@ -422,14 +397,15 @@ class TestSelectNoncausalSet:
                 demand = float(np.sum(S3.p * result.final_rho[0] ** S3.m))
                 scores.append(float(result.prefetch_energy[0])
                               + XI3.xi[d] * demand)
-            chosen = select_noncausal_set(S3, gains[0, :S3.N_P], TABLES3, XI3)
+            chosen = run_prefetch_batch(S3, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
+                                        gains, np.array([0]), xi=XI3,
+                                        prefix_tables=TABLES3).set_size[0]
             assert scores[chosen - 1] <= min(scores) + 1e-12
 
     def test_gain_count_validation(self):
-        with pytest.raises(ValueError):
-            select_noncausal_set(S3, [1.0, 1.0], TABLES3, XI3)
-        with pytest.raises(ValueError):
-            select_noncausal_set(S3, [1.0, 1.0, -2.0], TABLES3, XI3)
+        for gains in (np.ones((1, S3.N - 1)), np.array([[1.0, 1.0, -2.0, 1.0, 1.0]])):
+            with pytest.raises(ValueError):
+                traced(S3, PrefetchPolicy.NONCAUSAL_ORACLE, gains)
 
 
 class TestSetEnergy:
@@ -506,27 +482,33 @@ class TestSetEnergy:
 class TestEpisodeRunner:
     def test_no_prefetch_reduces_to_pure_demand(self):
         rng = np.random.default_rng(12)
-        gains = sample_gain(FAST2, rng, S3.N)
-        trace = run_prefetch_episode(S3, FAST2, PrefetchPolicy.NO_PREFETCH,
-                                     gains=gains, realized=1, xi=XI3)
-        assert trace.prefetch_energy == 0.0
-        assert np.all(trace.decisions == 0.0)
-        assert np.all(trace.thresholds == 0.0)
-        replay = simulate_demand_episode(float(S3.gamma[1]), gains[S3.N_P:], XI3)
-        assert trace.demand.total_energy == pytest.approx(replay.total_energy,
-                                                          rel=1e-12)
-        assert trace.total_energy == pytest.approx(replay.total_energy, rel=1e-12)
+        gains = sample_gain(FAST2, rng, (1, S3.N))
+        result = traced(S3, PrefetchPolicy.NO_PREFETCH, gains, np.array([1]))
+        assert result.prefetch_energy[0] == 0.0
+        assert np.all(result.decisions == 0.0)
+        assert np.all(result.thresholds == 0.0)
+        assert np.all(result.slot_set_size == 0)
+        replay = simulate_demand_episode(float(S3.gamma[1]), gains[0, S3.N_P:], XI3)
+        assert result.demand_energy[0] == pytest.approx(replay.total_energy,
+                                                        rel=1e-12)
+        assert result.total_energy[0] == pytest.approx(replay.total_energy, rel=1e-12)
 
     def test_bit_conservation_and_nonnegative_residuals(self):
         rng = np.random.default_rng(13)
+        gains, realized = draw_episodes(S3, FAST2, rng, 30)
+        rows = np.arange(30)
         for policy in SET_POLICIES:
-            for _ in range(30):
-                trace = run_prefetch_episode(S3, FAST2, policy, rng, xi=XI3,
-                                             prefix_tables=TABLES3)
-                assert trace.alpha == pytest.approx(trace.decisions.sum(axis=0))
-                assert np.all(trace.alpha <= S3.gamma + 1e-9)
-                fetched = trace.alpha[trace.realized] + trace.demand.bits.sum()
-                assert fetched == pytest.approx(float(S3.gamma[trace.realized]),
+            result = traced(S3, policy, gains, realized)
+            alpha = result.decisions.sum(axis=1)
+            assert alpha == pytest.approx(S3.gamma - result.final_rho)
+            assert np.all(alpha <= S3.gamma + 1e-9)
+            assert np.all(result.final_rho >= -1e-9)
+            assert result.beta == pytest.approx(result.final_rho[rows, realized])
+            for i in rows:
+                demand = simulate_demand_episode(float(result.beta[i]),
+                                                 gains[i, S3.N_P:], XI3)
+                fetched = alpha[i, realized[i]] + demand.bits.sum()
+                assert fetched == pytest.approx(float(S3.gamma[realized[i]]),
                                                 abs=1e-9)
 
     def test_status_identity_after_positive_decisions(self):
@@ -534,34 +516,29 @@ class TestEpisodeRunner:
         # the threshold times its probability weight.
         rng = np.random.default_rng(14)
         w = S3.p ** (-1.0 / (S3.m - 1))
+        gains, realized = draw_episodes(S3, FAST2, rng, 30)
         for policy in SET_POLICIES:
-            for _ in range(30):
-                trace = run_prefetch_episode(S3, FAST2, policy, rng, xi=XI3,
-                                             prefix_tables=TABLES3)
-                rho = S3.gamma.copy()
-                for n in range(S3.N_P):
-                    rho = rho - trace.decisions[n]
-                    positive = trace.decisions[n] > POSITIVE_BITS_EPS
-                    target = trace.thresholds[n] * w[positive]
-                    assert rho[positive] == pytest.approx(target, abs=1e-9)
+            result = traced(S3, policy, gains, realized)
+            rho = np.tile(S3.gamma, (30, 1))
+            for n in range(S3.N_P):
+                rho = rho - result.decisions[:, n]
+                positive = result.decisions[:, n] > POSITIVE_BITS_EPS
+                target = result.thresholds[:, n, None] * w[None, :]
+                assert rho[positive] == pytest.approx(target[positive], abs=1e-9)
 
-    def test_forced_set_masks_outside_tasks(self):
+    def test_forced_prefix_masks_outside_tasks(self):
         rng = np.random.default_rng(15)
-        trace = run_prefetch_episode(S3, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
-                                     rng, xi=XI3, forced_set={0})
-        assert np.all(trace.decisions[:, 1:] == 0.0)
-        assert trace.task_sets == (frozenset({0}),) * S3.N_P
+        gains, realized = draw_episodes(S3, FAST2, rng, 20)
+        result = traced(S3, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized,
+                        forced_prefix=1)
+        assert priority_order(S3)[0] == 0
+        assert np.all(result.decisions[:, :, 1:] == 0.0)
+        assert np.all(result.slot_set_size == 1)
 
     def test_noncausal_thresholds_strictly_decrease_and_cap(self):
         rng = np.random.default_rng(16)
-        episodes = 300
-        gains = sample_gain(FAST2, rng, (episodes, S3.N))
-        realized = rng.choice(S3.L, size=episodes, p=S3.p)
-        result = run_prefetch_batch(S3, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
-                                    gains, realized, xi=XI3,
-                                    prefix_tables=TABLES3,
-                                    keep_thresholds=True)
-        th = result.thresholds
+        gains, realized = draw_episodes(S3, FAST2, rng, 300)
+        th = traced(S3, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized).thresholds
         assert np.all(th[:, 1:] < th[:, :-1] + 1e-9)
         assert np.all(th[:, 0] < float(priorities(S3).max()) + 1e-9)
         assert np.all(th > 0.0)
@@ -573,13 +550,14 @@ class TestEpisodeRunner:
         # working set.
         rng = np.random.default_rng(17)
         d = S3.N - S3.N_P
+        order = priority_order(S3)
+        gains, realized = draw_episodes(S3, FAST2, rng, 5)
         for policy in SET_POLICIES:
-            for _ in range(5):
-                trace = run_prefetch_episode(S3, FAST2, policy, rng, xi=XI3,
-                                             prefix_tables=TABLES3)
-                members = sorted(trace.task_sets[-1])
-                rho = S3.gamma - trace.decisions[:-1].sum(axis=0)
-                g = float(trace.gains[S3.N_P - 1])
+            result = traced(S3, policy, gains, realized)
+            for i in range(5):
+                members = sorted(order[:result.slot_set_size[i, -1]])
+                rho = S3.gamma - result.decisions[i, :-1].sum(axis=0)
+                g = float(gains[i, S3.N_P - 1])
 
                 def objective(bits):
                     remain = rho[members] - bits
@@ -587,22 +565,21 @@ class TestEpisodeRunner:
                         S3.p[members] * remain ** S3.m)) * XI3.xi[d]
                     return float(bits.sum()) ** S3.m / g + demand
 
-                executed = trace.decisions[-1][members]
+                executed = result.decisions[i, -1][members]
                 best = executed.copy()
                 for _ in range(60):
-                    for i in range(len(members)):
-                        def line(x, i=i):
+                    for j in range(len(members)):
+                        def line(x, j=j):
                             trial = best.copy()
-                            trial[i] = x
+                            trial[j] = x
                             return objective(trial)
-                        best[i] = golden_min(line, 0.0, float(rho[members[i]]))
+                        best[j] = golden_min(line, 0.0, float(rho[members[j]]))
                 assert objective(executed) <= objective(best) * (1.0 + 1e-5)
 
     def test_paired_policy_ordering(self):
         rng = np.random.default_rng(18)
         episodes = 20_000
-        gains = sample_gain(FAST2, rng, (episodes, S3.N))
-        realized = rng.choice(S3.L, size=episodes, p=S3.p)
+        gains, realized = draw_episodes(S3, FAST2, rng, episodes)
         totals = {}
         for policy in PrefetchPolicy:
             result = run_prefetch_batch(S3, FAST2, policy, gains, realized,
@@ -616,58 +593,64 @@ class TestEpisodeRunner:
             assert float(diff.mean()) >= -3.0 * se
 
     def test_validation(self):
-        rng = np.random.default_rng(19)
         with pytest.raises(ValueError):
-            run_prefetch_episode(S3, FAST2, PrefetchPolicy.AGGRESSIVE)
-        with pytest.raises(ValueError):
-            run_prefetch_episode(S3, FAST2, PrefetchPolicy.AGGRESSIVE,
-                                 gains=np.ones(3), realized=0, xi=XI3)
+            run_prefetch_batch(S3, FAST2, PrefetchPolicy.AGGRESSIVE,
+                               np.ones((1, 3)), np.array([0]), xi=XI3)
         with pytest.raises(IndexError):
-            run_prefetch_episode(S3, FAST2, PrefetchPolicy.AGGRESSIVE,
-                                 gains=np.ones(S3.N), realized=7, xi=XI3)
+            run_prefetch_batch(S3, FAST2, PrefetchPolicy.AGGRESSIVE,
+                               np.ones((1, S3.N)), np.array([7]), xi=XI3)
         degenerate = Scenario(m=2, N=3, N_P=3, p=np.array([1.0]),
                               gamma=np.array([2.0]))
         with pytest.raises(ValueError):
-            run_prefetch_episode(degenerate, FAST2, PrefetchPolicy.AGGRESSIVE,
-                                 rng)
+            run_prefetch_batch(degenerate, FAST2, PrefetchPolicy.AGGRESSIVE,
+                               np.ones((1, 3)), np.array([0]))
 
 
 class TestBatchRunner:
-    SCENARIOS = (
-        (S3, FAST2),
-        (Scenario(m=3, N=6, N_P=2, p=np.array([0.7, 0.3]),
-                  gamma=np.array([8.0, 3.0])), FastGamma(3)),
-        (Scenario(m=2, N=3, N_P=1, p=np.array([0.6, 0.3, 0.1]),
-                  gamma=np.array([5.0, 6.0, 2.0])), FAST2),
-    )
-
-    def test_matches_scalar_runner(self):
-        for s, channel in self.SCENARIOS:
+    def test_locked_prefix_matches_closed_forms(self):
+        # On episodes where every member of the locked prefix receives bits
+        # in every slot, the executed thresholds, decisions and phase totals
+        # are the paper's closed forms.
+        cases = ((S3, FAST2),
+                 (Scenario(m=3, N=6, N_P=2, p=np.array([0.7, 0.3]),
+                           gamma=np.array([8.0, 3.0])), FastGamma(3)))
+        multi_member = 0
+        for s, channel in cases:
             xi = build_xi_table(channel, s.m, s.N - s.N_P)
-            rng = np.random.default_rng(20)
-            episodes = 25
-            gains = sample_gain(channel, rng, (episodes, s.N))
-            realized = rng.choice(s.L, size=episodes, p=s.p)
-            for policy in PrefetchPolicy:
-                batch = run_prefetch_batch(s, channel, policy, gains, realized,
-                                           xi=xi, keep_thresholds=True,
-                                           keep_decisions=True)
-                for i in range(episodes):
-                    trace = run_prefetch_episode(s, channel, policy,
-                                                 gains=gains[i],
-                                                 realized=int(realized[i]),
-                                                 xi=xi)
-                    assert batch.prefetch_energy[i] == pytest.approx(
-                        trace.prefetch_energy, abs=1e-10)
-                    assert batch.demand_energy[i] == pytest.approx(
-                        trace.demand.total_energy, abs=1e-10)
-                    assert batch.decisions[i] == pytest.approx(trace.decisions,
-                                                               abs=1e-10)
-                    assert batch.thresholds[i] == pytest.approx(
-                        trace.thresholds, abs=1e-10)
-                    assert batch.beta[i] == pytest.approx(
-                        float(s.gamma[realized[i]] - trace.alpha[realized[i]]),
-                        abs=1e-10)
+            tables = build_prefix_tables(s, channel, xi)
+            order = priority_order(s)
+            gains, realized = draw_episodes(s, channel, np.random.default_rng(20), 400)
+            checked = 0
+            for k in range(1, s.L + 1):
+                members = sorted(order[:k])
+                outside = sorted(order[k:])
+                result = run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE,
+                                            gains, realized, xi=xi, prefix_tables=tables,
+                                            forced_prefix=k, trace=True)
+                active = np.all(result.decisions[:, :, members] > POSITIVE_BITS_EPS,
+                                axis=(1, 2))
+                checked += np.count_nonzero(active)
+                multi_member += np.count_nonzero(active) if k > 1 else 0
+                for i in np.flatnonzero(active):
+                    rho = s.gamma.copy()
+                    for n in range(1, s.N_P + 1):
+                        g = float(gains[i, n - 1])
+                        eta = threshold_eta(rho, n, g, s, members, tables[k - 1], xi)
+                        assert result.thresholds[i, n - 1] == pytest.approx(eta, rel=1e-12)
+                        bits = result.decisions[i, n - 1]
+                        expected = decision_vector(rho, n, eta, s)
+                        assert bits[members] == pytest.approx(expected[members],
+                                                              rel=1e-12)
+                        assert np.all(bits[outside] == 0.0)
+                        rho = rho - bits
+                    eta_final = noncausal_final_threshold(
+                        s.gamma, 1, gains[i, :s.N_P], s, members, tables[k - 1], xi)
+                    assert result.thresholds[i, -1] == pytest.approx(eta_final, rel=1e-12)
+                    alpha = alpha_from_final_threshold(s, eta_final)
+                    sent = s.gamma - result.final_rho[i]
+                    assert sent[members] == pytest.approx(alpha[members], rel=1e-12)
+            assert checked > 0
+        assert multi_member > 0
 
     def test_validation(self):
         rng = np.random.default_rng(21)
