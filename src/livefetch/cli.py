@@ -1,7 +1,9 @@
 """Command-line interface: parameter sweeps, single-stage inspection, figures.
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags, bad
-config file, inconsistent geometry), 3 for numerical failures.
+config file, inconsistent geometry), 3 for numerical failures.  Commands run
+with numpy overflow, division by zero and invalid operations raising, so a
+numerical failure stops where it happens.
 """
 
 from __future__ import annotations
@@ -291,7 +293,8 @@ def main(argv=None) -> int:
     handler = {"sweep": _cmd_sweep, "single": _cmd_single,
                "figures": _cmd_figures}[args.command]
     try:
-        return handler(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handler(args)
     except (QuadratureError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -8,10 +8,11 @@ policy is a soft water-filling: task ``l`` receives
 
 where ``rho_n`` are the residual bits and the threshold ``eta_n`` depends on
 the gain, the slot and a second family of backward coefficients ``zeta``
-(one table per candidate target set ``S``).  One vectorized slot step
-executes every prefetch slot of every policy: it sends the stage-optimal
-slot total and recovers the threshold with an active-prefix solve, which
-coincides with the closed forms in :mod:`livefetch.oracles` whenever every
+(one table per candidate target set ``S``).  Thresholds only fall, so an
+episode's whole phase state is one water level and the largest working set
+so far.  One vectorized slot step executes every prefetch slot of every
+policy: it sends the stage-optimal slot total and solves for the threshold
+over the members' already sorted ratios, which coincides with the closed forms in :mod:`livefetch.oracles` whenever every
 member of ``S`` is active.  The policies differ only in the priority prefix
 the step works on: the noncausal oracle runs every locked prefix against
 the revealed gains and keeps the best-scoring one per episode,
@@ -28,9 +29,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .model import POSITIVE_BITS_EPS, Channel, Scenario, expect_over_gain
+from .model import Channel, Scenario, expect_over_gain
 from .demand import XiTable, build_xi_table, simulate_demand_batch
-from .slow import priority_order
+from .slow import priorities, priority_order
 
 __all__ = [
     "PrefetchPolicy",
@@ -195,29 +196,32 @@ class BatchResult:
 
 @dataclass
 class _Phase:
-    """Prefetch-phase outcome per episode, tasks in priority order."""
+    """Prefetch-phase state per episode: the water level and the set bound.
 
-    rho: np.ndarray                       #: (E, L) residual bits
+    In priority order, task ``l`` holds ``w(l) * level`` if ``l < bound``
+    and ``delta(l) > level``, and exactly ``gamma(l)`` otherwise.  This
+    holds because thresholds only fall: each slot sends a positive total
+    below the members' residual.  A causal set rule leaves out only tasks
+    that would get no bits, because both causal estimates are at most the
+    executed threshold (the conservative one is the all-active formula, a
+    lower bound once members clamp; the aggressive one lies below it since
+    ``u_z > u_xi * A``): a task left out has ``delta <= eta_hat <= eta``.
+    """
+
+    level: np.ndarray                     #: (E,) last slot's threshold
+    bound: np.ndarray                     #: (E,) largest working set so far
     energy: np.ndarray                    #: (E,) prefetch energy
     set_size: np.ndarray                  #: (E,) final working-set size
     thresholds: Optional[np.ndarray]      #: (E, N_P) when traced
-    bits: Optional[np.ndarray]            #: (E, N_P, L) when traced
     slot_set_size: Optional[np.ndarray]   #: (E, N_P) when traced
 
-    @classmethod
-    def start(cls, gam: np.ndarray, episodes: int, slots: int, trace: bool) -> "_Phase":
-        def zeros(*shape, dtype=float):
-            return np.zeros((episodes,) + shape, dtype=dtype) if trace else None
-        return cls(rho=np.tile(gam, (episodes, 1)), energy=np.zeros(episodes),
-                   set_size=np.zeros(episodes, dtype=int), thresholds=zeros(slots),
-                   bits=zeros(slots, gam.size), slot_set_size=zeros(slots, dtype=int))
-
-    def record(self, n: int, k, bits: np.ndarray, eta: np.ndarray) -> None:
-        """Keep slot ``n``'s decisions when traced (``k`` is the set size)."""
+    def record(self, n: int, k, eta: np.ndarray) -> None:
+        """Move to slot ``n``'s threshold on the size-``k`` sets."""
+        self.level = eta
+        self.bound = np.maximum(self.bound, k)
         self.set_size[:] = k
         if self.thresholds is not None:
             self.thresholds[:, n - 1] = eta
-            self.bits[:, n - 1] = bits
             self.slot_set_size[:, n - 1] = k
 
     def keep(self, other: "_Phase", better: np.ndarray) -> None:
@@ -229,40 +233,6 @@ class _Phase:
                 setattr(self, field.name, np.where(mask, getattr(other, field.name), mine))
 
 
-def _solve_threshold(rho: np.ndarray, w_row: np.ndarray, member: np.ndarray,
-                     total: Optional[np.ndarray] = None,
-                     c0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-episode thresholds with ``sum_members([rho - eta*w]+) == total``.
-
-    The final slot's stage problem is exactly separable; its optimum is the
-    fixed point with ``eta * c0`` in place of ``total``, where
-    ``c0 = (g * xi_d)**(1/(m-1))``.
-    """
-    cum_rho, cum_w, next_ratio = _sorted_member_cumulants(rho, w_row, member)
-    if c0 is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            candidates = (cum_rho - total[:, None]) / cum_w
-    else:
-        candidates = cum_rho / (cum_w + c0[:, None])
-    first = np.argmax(candidates >= next_ratio, axis=1)
-    return np.maximum(candidates[np.arange(rho.shape[0]), first], 0.0)
-
-
-def _sorted_member_cumulants(rho: np.ndarray, w_row: np.ndarray,
-                             member: np.ndarray) -> tuple:
-    """Per-episode cumulative sums in descending ``rho/w`` member order."""
-    masked_rho = np.where(member, rho, 0.0)
-    masked_w = np.where(member, w_row[None, :], 0.0)
-    ratios = np.where(member, rho / w_row[None, :], -np.inf)
-    flat = np.argsort(-ratios, axis=1) + np.arange(0, rho.size, rho.shape[1])[:, None]
-    cum_rho = np.cumsum(np.take(masked_rho, flat), axis=1)
-    cum_w = np.cumsum(np.take(masked_w, flat), axis=1)
-    ratio_sorted = np.take(ratios, flat)
-    next_ratio = np.concatenate(
-        [ratio_sorted[:, 1:], np.full((rho.shape[0], 1), -np.inf)], axis=1)
-    return cum_rho, cum_w, next_ratio
-
-
 @dataclass(frozen=True)
 class _Kernel:
     """Per-batch constants of the prefetch phase, tasks in priority order."""
@@ -270,6 +240,8 @@ class _Kernel:
     s: Scenario
     gam: np.ndarray        #: (L,) data sizes
     w: np.ndarray          #: (L,) probability weights p**(-1/(m-1))
+    delta: np.ndarray      #: (L,) priorities gamma * p**(1/(m-1)), non-increasing
+    cum_w: np.ndarray      #: (L+1,) prefix sums of w, from 0
     u_zeta: np.ndarray     #: [k-1, n-1]: u of the size-k prefix table at N-n to go
     u_xi: float
     gains: np.ndarray      #: (E, N) all gains
@@ -277,38 +249,58 @@ class _Kernel:
     trace: bool
 
     def start(self) -> _Phase:
-        return _Phase.start(self.gam, self.gains.shape[0], self.s.N_P, self.trace)
+        episodes = self.gains.shape[0]
+        traced = np.zeros((episodes, self.s.N_P)) if self.trace else None
+        return _Phase(level=np.full(episodes, self.delta[0]),
+                      bound=np.zeros(episodes, dtype=int), energy=np.zeros(episodes),
+                      set_size=np.zeros(episodes, dtype=int), thresholds=traced,
+                      slot_set_size=None if traced is None else traced.astype(int))
 
-    def slot(self, phase: _Phase, n: int, k, residual: np.ndarray) -> np.ndarray:
-        """Execute prefetch slot ``n`` on the size-``k`` prefixes; returns the bits.
+    def residuals(self, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """Bits each task still holds at water ``level`` under set ``bound``."""
+        level, bound = level[..., None], bound[..., None]
+        clamped = (np.arange(self.s.L) < bound) & (self.delta > level)
+        return np.where(clamped, level * self.w, self.gam)
+
+    def prefix_residuals(self, phase: _Phase) -> np.ndarray:
+        """(E, L+1) residual totals of the priority prefixes of size 0..L."""
+        rho = self.residuals(phase.level, phase.bound)
+        return np.concatenate([np.zeros((rho.shape[0], 1)), np.cumsum(rho, axis=1)], axis=1)
+
+    def slot(self, phase: _Phase, n: int, k, cum_rho: np.ndarray) -> np.ndarray:
+        """Execute prefetch slot ``n`` on the size-``k`` prefixes; returns the threshold.
 
         Before the final slot the continuation depends on the members'
         residual total ``R`` only, so the slot sends the stage-optimal total
-        ``R * u_g / (u_g + u_c)``.  Updates ``phase`` in place.
+        ``R * u_g / (u_g + u_c)``; the final slot's stage problem is exactly
+        separable, its optimum the fixed point with ``eta * u_g / u_xi`` in
+        place of that total.  The members' ratios ``rho/w = min(delta, level)``
+        are already sorted, so the threshold is the candidate of the first
+        prefix that reaches the next member's ratio.  Updates ``phase``.
         """
-        s, w = self.s, self.w
-        member = np.broadcast_to(np.arange(s.L) < np.reshape(k, (-1, 1)), phase.rho.shape)
+        s = self.s
+        rows = np.arange(cum_rho.shape[0])
+        k = np.broadcast_to(k, rows.shape)
         u_g = self.u_gain[:, n - 1]
         if n == s.N_P:
-            eta = _solve_threshold(phase.rho, w, member, c0=u_g / self.u_xi)
+            candidates = cum_rho[:, 1:] / (self.cum_w[1:] + (u_g / self.u_xi)[:, None])
         else:
-            u_c = self.u_zeta[np.subtract(k, 1), n - 1]
-            eta = _solve_threshold(phase.rho, w, member, total=residual * u_g / (u_g + u_c))
-        bits = np.where(member, np.maximum(phase.rho - eta[:, None] * w[None, :], 0.0), 0.0)
-        phase.energy += s.lam * bits.sum(axis=1) ** s.m / self.gains[:, n - 1]
-        phase.rho -= bits
-        phase.record(n, k, bits, eta)
-        return bits
+            total = cum_rho[rows, k] * u_g / (u_g + self.u_zeta[k - 1, n - 1])
+            candidates = (cum_rho[:, 1:] - total[:, None]) / self.cum_w[1:]
+        following = np.minimum(np.append(self.delta[1:], -np.inf), phase.level[:, None])
+        reached = (candidates >= following) | (np.arange(1, s.L + 1) >= k[:, None])
+        active = np.argmax(reached, axis=1) + 1
+        eta = np.maximum(candidates[rows, active - 1], 0.0)
+        sent = cum_rho[rows, active] - eta * self.cum_w[active]
+        phase.energy += s.lam * sent ** s.m / self.gains[:, n - 1]
+        phase.record(n, k, eta)
+        return eta
 
     def locked(self, k: int) -> _Phase:
         """The prefetch phase with the size-``k`` priority prefix locked."""
         phase = self.start()
-        for n in range(1, self.s.N_P):
-            residual = phase.rho[:, 0].copy()    # np.cumsum's order, no (E, k) temporary
-            for j in range(1, k):
-                residual += phase.rho[:, j]
-            self.slot(phase, n, k, residual)
-        self.slot(phase, self.s.N_P, k, None)
+        for n in range(1, self.s.N_P + 1):
+            self.slot(phase, n, k, self.prefix_residuals(phase))
         return phase
 
     def causal(self, policy: PrefetchPolicy) -> _Phase:
@@ -323,20 +315,18 @@ class _Kernel:
             conservative: R * u_z(N-n) / ((u_g + u_z(N-n)) * A)
 
         with ``A`` the prefix's inverse-probability mass; at the final slot
-        both are the exact ``R * u_xi / (u_g + u_xi * A)``.
+        both are the exact ``R * u_xi / (u_g + u_xi * A)``.  A threshold
+        admits the tasks whose priority exceeds it.
         """
-        s, w, u_xi = self.s, self.w, self.u_xi
+        s, u_xi, mass = self.s, self.u_xi, self.cum_w[1:]
         phase = self.start()
-        episodes = phase.rho.shape[0]
-        rows = np.arange(episodes)
+        rows = np.arange(self.gains.shape[0])
         sizes = np.arange(1, s.L + 1)
-        mass = np.cumsum(w)
-        prev_positive = np.zeros(episodes, dtype=int)
+        positive = np.zeros(rows.size, dtype=int)
         for n in range(1, s.N_P + 1):
             u_g = self.u_gain[:, n - 1, None]
-            prefix_rho = np.concatenate(
-                [np.zeros((episodes, 1)), np.cumsum(phase.rho, axis=1)], axis=1)
-            residual = prefix_rho[:, 1:]
+            cum_rho = self.prefix_residuals(phase)
+            residual = cum_rho[:, 1:]
             if n == s.N_P:
                 eta_hat = residual * u_xi / (u_g + u_xi * mass)
             elif policy is PrefetchPolicy.AGGRESSIVE:
@@ -344,14 +334,12 @@ class _Kernel:
             else:
                 u_z = self.u_zeta[:, n - 1]
                 eta_hat = residual * u_z / ((u_g + u_z) * mass)
-            counts = np.count_nonzero(
-                self.gam[None, None, :] - eta_hat[:, :, None] * w[None, None, :]
-                > POSITIVE_BITS_EPS, axis=2)
-            match = (counts == sizes[None, :]) & (sizes[None, :] >= prev_positive[:, None])
+            admitted = np.searchsorted(-self.delta, -eta_hat)
+            match = (admitted == sizes) & (sizes >= positive[:, None])
             first = np.argmax(match, axis=1)
             k = np.where(match[rows, first], first + 1, s.L)
-            bits = self.slot(phase, n, k, prefix_rho[rows, k])
-            prev_positive = np.count_nonzero(bits > POSITIVE_BITS_EPS, axis=1)
+            eta = self.slot(phase, n, k, cum_rho)
+            positive = np.minimum(k, np.searchsorted(-self.delta, -eta))
         return phase
 
 
@@ -365,6 +353,7 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
 
     ``gains`` has shape ``(episodes, N)`` and ``realized`` holds the task
     index per episode; sharing them across policies yields paired samples.
+    ``policy`` may also be given by its value (``"aggressive"``, ...).
     The noncausal oracle executes every priority prefix against the
     revealed prefetch gains and keeps, per episode, the one with the lowest
     realized prefetch energy plus expected demand energy of its residuals
@@ -373,6 +362,7 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     demand phase always runs the xi-policy.  ``trace`` fills the per-slot
     thresholds, decisions and working-set sizes.
     """
+    policy = PrefetchPolicy(policy)
     if s.N == s.N_P:
         raise ValueError("fast-fading episodes require a demand phase (N > N_P)")
     gains = np.asarray(gains, dtype=float)
@@ -398,11 +388,13 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     order = np.array(priority_order(s))
     inv_order = np.argsort(order)
     prob = s.p[order]
+    w = prob ** (-root)
     u_zeta = np.zeros((s.L, max(s.N_P - 1, 1)))
     if policy is not PrefetchPolicy.NO_PREFETCH and s.N_P > 1:
         for k in range(1, s.L + 1):
             u_zeta[k - 1] = [prefix_tables[k - 1].u(s.N - n) for n in range(1, s.N_P)]
-    kernel = _Kernel(s=s, gam=s.gamma[order], w=prob ** (-root), u_zeta=u_zeta,
+    kernel = _Kernel(s=s, gam=s.gamma[order], w=w, delta=priorities(s)[order],
+                     cum_w=np.concatenate([[0.0], np.cumsum(w)]), u_zeta=u_zeta,
                      u_xi=xi.inv_root[d], gains=gains,
                      u_gain=gains[:, :s.N_P] ** root, trace=trace)
 
@@ -414,8 +406,8 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         demand_weight = s.lam * xi.xi[d]
         for k in range(1, s.L + 1):
             candidate = kernel.locked(k)
-            score = (candidate.energy
-                     + demand_weight * (prob[None, :] * candidate.rho ** s.m).sum(axis=1))
+            rho = kernel.residuals(candidate.level, candidate.bound)
+            score = candidate.energy + demand_weight * (prob * rho ** s.m).sum(axis=1)
             if k == 1:
                 phase, best = candidate, score
             else:
@@ -425,11 +417,17 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     else:
         phase = kernel.causal(policy)
 
-    beta = phase.rho[np.arange(episodes), inv_order[realized]]
+    final_rho = kernel.residuals(phase.level, phase.bound)[:, inv_order]
+    decisions = None
+    if trace:
+        pad = ((0, 0), (1, 0))
+        held = kernel.residuals(np.pad(phase.thresholds, pad, constant_values=kernel.delta[0]),
+                                np.maximum.accumulate(np.pad(phase.slot_set_size, pad), axis=1))
+        decisions = (held[:, :-1] - held[:, 1:])[:, :, inv_order]
+    beta = final_rho[np.arange(episodes), realized]
     _, demand = simulate_demand_batch(beta, gains[:, s.N_P:], xi, lam=s.lam)
     return BatchResult(policy=policy, prefetch_energy=phase.energy,
                        demand_energy=np.cumsum(demand, axis=1)[:, -1],
                        realized=realized, set_size=phase.set_size, beta=beta,
-                       final_rho=phase.rho[:, inv_order], thresholds=phase.thresholds,
-                       decisions=None if phase.bits is None else phase.bits[:, :, inv_order],
-                       slot_set_size=phase.slot_set_size)
+                       final_rho=final_rho, thresholds=phase.thresholds,
+                       decisions=decisions, slot_set_size=phase.slot_set_size)

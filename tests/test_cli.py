@@ -1,5 +1,7 @@
 """Command-line interface: flag handling, config files, exit codes."""
 
+import warnings
+
 import pytest
 
 from livefetch.cli import main
@@ -151,13 +153,17 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_real_overflow_exits_three(self, tmp_path, capsys):
-        # gamma**m overflows to inf, which surfaces in the dB conversion.
-        with pytest.warns(RuntimeWarning):
+        # gamma**m overflows; the CLI raises on it where it happens instead
+        # of warning and failing later on the non-finite result.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["sweep", "--param", "gamma", "--values", "1e70",
                          "--m", "5", "--fading", "fast", "--trials", "20",
                          "--scenarios", "1", "--out", str(tmp_path / "big.csv")])
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "overflow" in err
 
 
 class TestSingleCommand:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from livefetch.demand import build_xi_table, simulate_demand_episode
 from livefetch.model import (
@@ -27,6 +28,7 @@ from livefetch.prefetch import (
     run_prefetch_batch,
 )
 from livefetch.slow import priorities, priority_order
+from livefetch.sweep import generate_scenario
 
 FAST2 = FastGamma(2)
 
@@ -402,6 +404,25 @@ class TestSelectNoncausalSet:
                                         prefix_tables=TABLES3).set_size[0]
             assert scores[chosen - 1] <= min(scores) + 1e-12
 
+    def test_exact_score_tie_goes_to_the_smaller_prefix(self):
+        # With one prefetch slot, a prefix whose extra task gets no bits
+        # executes exactly like the prefix without it: the scores tie bit for
+        # bit, and the oracle must keep the smaller set.
+        s = Scenario(m=2, N=3, N_P=1, p=np.array([0.5, 0.45, 0.05]),
+                     gamma=np.array([6.0, 5.0, 0.2]))
+        xi = build_xi_table(FAST2, 2, 2)
+        tables = build_prefix_tables(s, FAST2, xi)
+        gains, realized = draw_episodes(s, FAST2, np.random.default_rng(1), 500)
+        two, three = (traced(s, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized, xi=xi,
+                             tables=tables, forced_prefix=k) for k in (2, 3))
+        assert np.array_equal(two.prefetch_energy, three.prefetch_energy)
+        assert np.array_equal(two.final_rho, three.final_rho)
+        result = traced(s, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized, xi=xi,
+                        tables=tables)
+        positive = np.count_nonzero(result.decisions[:, -1] > 0.0, axis=1)
+        assert np.array_equal(result.set_size, positive)
+        assert set(np.unique(result.set_size)) == {1, 2}
+
     def test_gain_count_validation(self):
         for gains in (np.ones((1, S3.N - 1)), np.array([[1.0, 1.0, -2.0, 1.0, 1.0]])):
             with pytest.raises(ValueError):
@@ -592,10 +613,23 @@ class TestEpisodeRunner:
             se = float(diff.std(ddof=1)) / np.sqrt(episodes)
             assert float(diff.mean()) >= -3.0 * se
 
+    @pytest.mark.parametrize("policy", PrefetchPolicy)
+    def test_policy_given_by_its_value(self, policy):
+        gains, realized = draw_episodes(S3, FAST2, np.random.default_rng(19), 200)
+        by_enum, by_value = (run_prefetch_batch(S3, FAST2, given, gains, realized, xi=XI3,
+                                                prefix_tables=TABLES3)
+                             for given in (policy, policy.value))
+        assert by_value.policy is policy
+        assert np.array_equal(by_value.set_size, by_enum.set_size)
+        assert np.array_equal(by_value.total_energy, by_enum.total_energy)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_prefetch_batch(S3, FAST2, PrefetchPolicy.AGGRESSIVE,
                                np.ones((1, 3)), np.array([0]), xi=XI3)
+        with pytest.raises(ValueError):
+            run_prefetch_batch(S3, FAST2, "bogus", np.ones((1, S3.N)), np.array([0]),
+                               xi=XI3)
         with pytest.raises(IndexError):
             run_prefetch_batch(S3, FAST2, PrefetchPolicy.AGGRESSIVE,
                                np.ones((1, S3.N)), np.array([7]), xi=XI3)
@@ -673,3 +707,52 @@ class TestBatchRunner:
                 run_prefetch_batch(S3, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
                                    gains, realized, xi=XI3,
                                    forced_prefix=bad_prefix)
+
+
+class TestScaleHomogeneity:
+    def test_normalized_energy_does_not_depend_on_data_scale(self):
+        # Stage energy is homogeneous of degree m in the data sizes, so no
+        # policy may decide anything by comparing bits to an absolute cutoff.
+        gains, realized = draw_episodes(S3, FAST2, np.random.default_rng(23), 2000)
+        for policy in PrefetchPolicy:
+            normalized = []
+            for c in (1.0, 1e-14, 1e10):
+                s = Scenario(m=S3.m, N=S3.N, N_P=S3.N_P, p=S3.p, gamma=c * S3.gamma)
+                result = run_prefetch_batch(s, FAST2, policy, gains, realized, xi=XI3)
+                normalized.append(result.total_energy.mean() / c ** S3.m)
+            assert normalized[1:] == pytest.approx([normalized[0]] * 2, rel=1e-12, abs=0.0)
+
+
+class TestCausalClosedForms:
+    @settings(derandomize=True, deadline=None)
+    @given(L=st.integers(1, 8), m=st.integers(2, 5), shape=st.sampled_from([2, 3, 8]),
+           window=st.integers(2, 10).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           gamma_total=st.sampled_from([0.01, 20.0, 1e4]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_decisions_follow_the_executed_thresholds(self, L, m, shape, window,
+                                                      gamma_total, seed):
+        # Every slot of a causal episode is the closed-form split at its
+        # threshold over all tasks (a task the set rule leaves out would get
+        # nothing), and the thresholds telescope to the final one.
+        N, N_P = window
+        rng = np.random.default_rng(seed)
+        s = generate_scenario(rng, L=L, gamma_total=gamma_total, m=m, N=N, N_P=N_P)
+        channel = FastGamma(shape)
+        xi = build_xi_table(channel, m, N - N_P)
+        tables = build_prefix_tables(s, channel, xi)
+        gains, realized = draw_episodes(s, channel, rng, 20)
+        tol = 1e-12 * gamma_total
+        for policy in CAUSAL:
+            result = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi,
+                                        prefix_tables=tables, trace=True)
+            for i in range(gains.shape[0]):
+                rho = s.gamma.copy()
+                for n in range(1, N_P + 1):
+                    bits = result.decisions[i, n - 1]
+                    expected = decision_vector(rho, n, result.thresholds[i, n - 1], s)
+                    np.testing.assert_allclose(bits, expected, rtol=0.0, atol=tol)
+                    rho = rho - bits
+                alpha = alpha_from_final_threshold(s, result.thresholds[i, -1])
+                np.testing.assert_allclose(s.gamma - result.final_rho[i], alpha,
+                                           rtol=0.0, atol=tol)
