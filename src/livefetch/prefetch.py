@@ -11,11 +11,13 @@ the gain, the slot and a second family of backward coefficients ``zeta``
 (one table per candidate target set ``S``).  Thresholds only fall, so an
 episode's whole phase state is one water level and the largest working set
 so far.  One vectorized slot step executes every prefetch slot of every
-policy: it sends the stage-optimal slot total and solves for the threshold
-over the members' already sorted ratios, which coincides with the closed forms in :mod:`livefetch.oracles` whenever every
-member of ``S`` is active.  The policies differ only in the priority prefix
-the step works on: the noncausal oracle runs every locked prefix against
-the revealed gains and keeps the best-scoring one per episode,
+policy: it sends the stage-optimal slot total and finds the threshold by
+bisection over the priority prefixes, whose residual totals are closed
+forms in the water level; it coincides with the closed forms in
+:mod:`livefetch.oracles` whenever every member of ``S`` is active.  The
+policies differ only in the priority prefix the step works on: the
+noncausal oracle runs all ``L`` locked prefixes as one batch against the
+revealed gains and keeps the best-scoring one per episode,
 ``forced_prefix`` locks one prefix, and the two causal estimators (an
 optimistic and a pessimistic guess of the final-slot threshold) regrow the
 set every slot.
@@ -206,14 +208,16 @@ class _Phase:
     executed threshold (the conservative one is the all-active formula, a
     lower bound once members clamp; the aggressive one lies below it since
     ``u_z > u_xi * A``): a task left out has ``delta <= eta_hat <= eta``.
+    The arrays are ``(E,)``, or ``(L, E)`` while every locked prefix runs
+    at once (row ``k-1`` locks the size-``k`` prefix).
     """
 
-    level: np.ndarray                     #: (E,) last slot's threshold
-    bound: np.ndarray                     #: (E,) largest working set so far
-    energy: np.ndarray                    #: (E,) prefetch energy
-    set_size: np.ndarray                  #: (E,) final working-set size
-    thresholds: Optional[np.ndarray]      #: (E, N_P) when traced
-    slot_set_size: Optional[np.ndarray]   #: (E, N_P) when traced
+    level: np.ndarray                     #: last slot's threshold
+    bound: np.ndarray                     #: largest working set so far
+    energy: np.ndarray                    #: prefetch energy
+    set_size: np.ndarray                  #: final working-set size
+    thresholds: Optional[np.ndarray]      #: (..., N_P) when traced
+    slot_set_size: Optional[np.ndarray]   #: (..., N_P) when traced
 
     def record(self, n: int, k, eta: np.ndarray) -> None:
         """Move to slot ``n``'s threshold on the size-``k`` sets."""
@@ -221,16 +225,16 @@ class _Phase:
         self.bound = np.maximum(self.bound, k)
         self.set_size[:] = k
         if self.thresholds is not None:
-            self.thresholds[:, n - 1] = eta
-            self.slot_set_size[:, n - 1] = k
+            self.thresholds[..., n - 1] = eta
+            self.slot_set_size[..., n - 1] = k
 
-    def keep(self, other: "_Phase", better: np.ndarray) -> None:
-        """Replace the episodes flagged in ``better`` by ``other``'s."""
+    def pick(self, rows: np.ndarray) -> None:
+        """Keep, for episode ``e`` of an ``(L, E)`` state, row ``rows[e]``."""
+        episodes = np.arange(rows.size)
         for field in fields(self):
-            mine = getattr(self, field.name)
-            if mine is not None:
-                mask = better.reshape(better.shape + (1,) * (mine.ndim - 1))
-                setattr(self, field.name, np.where(mask, getattr(other, field.name), mine))
+            value = getattr(self, field.name)
+            if value is not None:
+                setattr(self, field.name, value[rows, episodes])
 
 
 @dataclass(frozen=True)
@@ -238,69 +242,111 @@ class _Kernel:
     """Per-batch constants of the prefetch phase, tasks in priority order."""
 
     s: Scenario
+    order: np.ndarray      #: (L,) task indices in priority order
     gam: np.ndarray        #: (L,) data sizes
+    prob: np.ndarray       #: (L,) task probabilities
     w: np.ndarray          #: (L,) probability weights p**(-1/(m-1))
-    delta: np.ndarray      #: (L,) priorities gamma * p**(1/(m-1)), non-increasing
+    delta: np.ndarray      #: (L+1,) priorities gamma/w, non-increasing, then -inf
     cum_w: np.ndarray      #: (L+1,) prefix sums of w, from 0
+    span: np.ndarray       #: (L+1, L+1): [c, j] = sum of gamma over c <= l < j
     u_zeta: np.ndarray     #: [k-1, n-1]: u of the size-k prefix table at N-n to go
     u_xi: float
+    demand_weight: float   #: lam * xi[N-N_P]
     gains: np.ndarray      #: (E, N) all gains
     u_gain: np.ndarray     #: (E, N_P) prefetch-phase gains**(1/(m-1))
     trace: bool
 
-    def start(self) -> _Phase:
-        episodes = self.gains.shape[0]
-        traced = np.zeros((episodes, self.s.N_P)) if self.trace else None
-        return _Phase(level=np.full(episodes, self.delta[0]),
-                      bound=np.zeros(episodes, dtype=int), energy=np.zeros(episodes),
-                      set_size=np.zeros(episodes, dtype=int), thresholds=traced,
+    def start(self, shape: tuple) -> _Phase:
+        traced = np.zeros(shape + (self.s.N_P,)) if self.trace else None
+        return _Phase(level=np.full(shape, self.delta[0]), bound=np.zeros(shape, dtype=int),
+                      energy=np.zeros(shape), set_size=np.zeros(shape, dtype=int),
+                      thresholds=traced,
                       slot_set_size=None if traced is None else traced.astype(int))
 
     def residuals(self, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
         """Bits each task still holds at water ``level`` under set ``bound``."""
         level, bound = level[..., None], bound[..., None]
-        clamped = (np.arange(self.s.L) < bound) & (self.delta > level)
+        clamped = (np.arange(self.s.L) < bound) & (self.delta[:-1] > level)
         return np.where(clamped, level * self.w, self.gam)
 
-    def prefix_residuals(self, phase: _Phase) -> np.ndarray:
-        """(E, L+1) residual totals of the priority prefixes of size 0..L."""
-        rho = self.residuals(phase.level, phase.bound)
-        return np.concatenate([np.zeros((rho.shape[0], 1)), np.cumsum(rho, axis=1)], axis=1)
+    def above(self, level: np.ndarray) -> np.ndarray:
+        """Number of tasks whose priority exceeds ``level``."""
+        return (-self.delta[:-1]).searchsorted(-level)
 
-    def slot(self, phase: _Phase, n: int, k, cum_rho: np.ndarray) -> np.ndarray:
-        """Execute prefetch slot ``n`` on the size-``k`` prefixes; returns the threshold.
+    def clamped(self, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """Count ``c`` of the leading tasks held at the water level."""
+        return np.minimum(bound, self.above(level))
+
+    def totals(self, level, c, j) -> np.ndarray:
+        """Residual totals of the size-``j`` prefixes with ``c`` tasks at ``level``."""
+        return level * np.minimum(self.cum_w[j], self.cum_w[c]) + self.span[c, j]
+
+    def solve(self, level: np.ndarray, bound: np.ndarray, n: int, k):
+        """Prefetch slot ``n`` on the size-``k`` prefixes: active count, threshold, sent bits.
 
         Before the final slot the continuation depends on the members'
-        residual total ``R`` only, so the slot sends the stage-optimal total
-        ``R * u_g / (u_g + u_c)``; the final slot's stage problem is exactly
-        separable, its optimum the fixed point with ``eta * u_g / u_xi`` in
-        place of that total.  The members' ratios ``rho/w = min(delta, level)``
-        are already sorted, so the threshold is the candidate of the first
-        prefix that reaches the next member's ratio.  Updates ``phase``.
+        residual total ``R_k`` only, so the slot sends the stage-optimal total
+        ``T = R_k * u_g / (u_g + u_c)`` and an active prefix of size ``j``
+        has the threshold ``(R_j - T) / W_j``; the final slot's stage problem
+        is exactly separable, its threshold ``R_j / (W_j + u_g / u_xi)``.
+        The active prefix is the first whose threshold reaches the next
+        member's ratio ``f_j = min(delta, level)``, i.e. ``R_j - f_j * W_j``
+        reaches ``T`` (or ``f_j * u_g / u_xi``).  That left side never
+        decreases in ``j`` and ``f_j`` never increases, so the first reached
+        prefix is found by bisection over ``[c, k]``; below the clamped
+        count ``c`` no prefix is reached while the members hold bits.
         """
-        s = self.s
-        rows = np.arange(cum_rho.shape[0])
-        k = np.broadcast_to(k, rows.shape)
+        c = self.clamped(level, bound)
         u_g = self.u_gain[:, n - 1]
-        if n == s.N_P:
-            candidates = cum_rho[:, 1:] / (self.cum_w[1:] + (u_g / self.u_xi)[:, None])
+        if n == self.s.N_P:
+            total, spare = 0.0, u_g / self.u_xi
         else:
-            total = cum_rho[rows, k] * u_g / (u_g + self.u_zeta[k - 1, n - 1])
-            candidates = (cum_rho[:, 1:] - total[:, None]) / self.cum_w[1:]
-        following = np.minimum(np.append(self.delta[1:], -np.inf), phase.level[:, None])
-        reached = (candidates >= following) | (np.arange(1, s.L + 1) >= k[:, None])
-        active = np.argmax(reached, axis=1) + 1
-        eta = np.maximum(candidates[rows, active - 1], 0.0)
-        sent = cum_rho[rows, active] - eta * self.cum_w[active]
-        phase.energy += s.lam * sent ** s.m / self.gains[:, n - 1]
+            total = self.totals(level, c, k) * u_g / (u_g + self.u_zeta[k - 1, n - 1])
+            spare = 0.0
+        lo = np.minimum(np.maximum(c, 1), k)
+        active = np.maximum(lo, k)
+        for _ in range(int((active - lo).max()).bit_length()):
+            mid = (lo + active) // 2
+            eta = (self.totals(level, c, mid) - total) / (self.cum_w[mid] + spare)
+            reached = eta >= np.minimum(self.delta[mid], level)
+            active = np.where(reached, mid, active)
+            lo = np.where(reached, lo, mid + 1)
+        held = self.totals(level, c, active)
+        eta = np.maximum((held - total) / (self.cum_w[active] + spare), 0.0)
+        return active, eta, held - eta * self.cum_w[active]
+
+    def slot(self, phase: _Phase, n: int, k) -> np.ndarray:
+        """Execute prefetch slot ``n`` on the size-``k`` prefixes; returns the threshold."""
+        _, eta, sent = self.solve(phase.level, phase.bound, n, k)
+        phase.energy += self.s.lam * sent ** self.s.m / self.gains[:, n - 1]
         phase.record(n, k, eta)
         return eta
 
-    def locked(self, k: int) -> _Phase:
-        """The prefetch phase with the size-``k`` priority prefix locked."""
-        phase = self.start()
+    def locked(self, k) -> _Phase:
+        """The prefetch phase with the size-``k`` priority prefix locked.
+
+        ``k`` is a size or an ``(L, 1)`` column of sizes, one row each.
+        """
+        phase = self.start(np.broadcast_shapes(np.shape(k), self.gains.shape[:1]))
         for n in range(1, self.s.N_P + 1):
-            self.slot(phase, n, k, self.prefix_residuals(phase))
+            self.slot(phase, n, k)
+        return phase
+
+    def noncausal(self) -> _Phase:
+        """Every locked prefix at once, keeping the best-scoring one per episode.
+
+        A prefix scores its realized prefetch energy plus the expected
+        demand energy of its residuals, ``lam * xi * sum p * rho**m``.  The
+        ``c`` clamped tasks hold ``w * level`` and ``p * w**m = w``, so the
+        sum is ``level**m * W_c`` plus the tail sum of ``p * gamma**m``.
+        ``argmin`` keeps the first minimum: ties go to the smaller prefix.
+        """
+        s = self.s
+        phase = self.locked(np.arange(1, s.L + 1)[:, None])
+        tail = np.append(np.cumsum((self.prob * self.gam ** s.m)[::-1])[::-1], 0.0)
+        c = self.clamped(phase.level, phase.bound)
+        score = phase.energy + self.demand_weight * (phase.level ** s.m * self.cum_w[c] + tail[c])
+        phase.pick(np.argmin(score, axis=0))
         return phase
 
     def causal(self, policy: PrefetchPolicy) -> _Phase:
@@ -319,14 +365,14 @@ class _Kernel:
         admits the tasks whose priority exceeds it.
         """
         s, u_xi, mass = self.s, self.u_xi, self.cum_w[1:]
-        phase = self.start()
+        phase = self.start(self.gains.shape[:1])
         rows = np.arange(self.gains.shape[0])
         sizes = np.arange(1, s.L + 1)
         positive = np.zeros(rows.size, dtype=int)
         for n in range(1, s.N_P + 1):
             u_g = self.u_gain[:, n - 1, None]
-            cum_rho = self.prefix_residuals(phase)
-            residual = cum_rho[:, 1:]
+            clamped = self.clamped(phase.level, phase.bound)[:, None]
+            residual = self.totals(phase.level[:, None], clamped, sizes)
             if n == s.N_P:
                 eta_hat = residual * u_xi / (u_g + u_xi * mass)
             elif policy is PrefetchPolicy.AGGRESSIVE:
@@ -334,13 +380,37 @@ class _Kernel:
             else:
                 u_z = self.u_zeta[:, n - 1]
                 eta_hat = residual * u_z / ((u_g + u_z) * mass)
-            admitted = np.searchsorted(-self.delta, -eta_hat)
+            admitted = self.above(eta_hat)
             match = (admitted == sizes) & (sizes >= positive[:, None])
             first = np.argmax(match, axis=1)
             k = np.where(match[rows, first], first + 1, s.L)
-            eta = self.slot(phase, n, k, cum_rho)
-            positive = np.minimum(k, np.searchsorted(-self.delta, -eta))
+            eta = self.slot(phase, n, k)
+            positive = np.minimum(k, self.above(eta))
         return phase
+
+
+def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable]],
+            gains: np.ndarray, trace: bool = False) -> _Kernel:
+    """The batch constants; ``prefix_tables`` may be ``None`` when no slot runs."""
+    d = s.N - s.N_P
+    root = 1.0 / (s.m - 1)
+    order = np.array(priority_order(s))
+    gam, prob = s.gamma[order], s.p[order]
+    w = prob ** (-root)
+    # Summing each row from its own start keeps the unclamped part of a
+    # prefix total free of the cancellation in a difference of prefix sums.
+    ahead = np.arange(s.L) >= np.arange(s.L + 1)[:, None]
+    span = np.cumsum(np.where(ahead, gam, 0.0), axis=1)
+    u_zeta = np.zeros((s.L, max(s.N_P - 1, 1)))
+    if prefix_tables is not None and s.N_P > 1:
+        u_zeta[:] = [table.inv_root[s.N_P - 2::-1] for table in prefix_tables]
+    return _Kernel(s=s, order=order, gam=gam, prob=prob, w=w,
+                   delta=np.append(priorities(s)[order], -np.inf),
+                   cum_w=np.concatenate([[0.0], np.cumsum(w)]),
+                   span=np.concatenate([np.zeros((s.L + 1, 1)), span], axis=1),
+                   u_zeta=u_zeta, u_xi=xi.inv_root[d], demand_weight=s.lam * xi.xi[d],
+                   gains=gains,
+                   u_gain=gains[:, :s.N_P] ** root, trace=trace)
 
 
 def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
@@ -355,9 +425,10 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     index per episode; sharing them across policies yields paired samples.
     ``policy`` may also be given by its value (``"aggressive"``, ...).
     The noncausal oracle executes every priority prefix against the
-    revealed prefetch gains and keeps, per episode, the one with the lowest
-    realized prefetch energy plus expected demand energy of its residuals
-    (ties go to the smaller prefix).  ``forced_prefix`` locks the target set
+    revealed prefetch gains, all ``L`` of them as one ``(L, episodes)``
+    batch, and keeps, per episode, the one with the lowest realized
+    prefetch energy plus expected demand energy of its residuals (ties go
+    to the smaller prefix).  ``forced_prefix`` locks the target set
     to the priority prefix of that size for every episode instead.  The
     demand phase always runs the xi-policy.  ``trace`` fills the per-slot
     thresholds, decisions and working-set sizes.
@@ -377,46 +448,25 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         raise IndexError("realized task index out of range")
     if forced_prefix is not None and not 1 <= forced_prefix <= s.L:
         raise ValueError(f"forced_prefix must lie in 1..{s.L}")
-    d = s.N - s.N_P
     if xi is None:
-        xi = build_xi_table(channel, s.m, d)
-    if prefix_tables is None and policy is not PrefetchPolicy.NO_PREFETCH:
+        xi = build_xi_table(channel, s.m, s.N - s.N_P)
+    if policy is PrefetchPolicy.NO_PREFETCH:
+        prefix_tables = None
+    elif prefix_tables is None:
         prefix_tables = build_prefix_tables(s, channel, xi)
+    kernel = _kernel(s, xi, prefix_tables, gains, trace)
 
     episodes = gains.shape[0]
-    root = 1.0 / (s.m - 1)
-    order = np.array(priority_order(s))
-    inv_order = np.argsort(order)
-    prob = s.p[order]
-    w = prob ** (-root)
-    u_zeta = np.zeros((s.L, max(s.N_P - 1, 1)))
-    if policy is not PrefetchPolicy.NO_PREFETCH and s.N_P > 1:
-        for k in range(1, s.L + 1):
-            u_zeta[k - 1] = [prefix_tables[k - 1].u(s.N - n) for n in range(1, s.N_P)]
-    kernel = _Kernel(s=s, gam=s.gamma[order], w=w, delta=priorities(s)[order],
-                     cum_w=np.concatenate([[0.0], np.cumsum(w)]), u_zeta=u_zeta,
-                     u_xi=xi.inv_root[d], gains=gains,
-                     u_gain=gains[:, :s.N_P] ** root, trace=trace)
-
     if policy is PrefetchPolicy.NO_PREFETCH:
-        phase = kernel.start()
+        phase = kernel.start((episodes,))
     elif forced_prefix is not None:
         phase = kernel.locked(forced_prefix)
     elif policy is PrefetchPolicy.NONCAUSAL_ORACLE:
-        demand_weight = s.lam * xi.xi[d]
-        for k in range(1, s.L + 1):
-            candidate = kernel.locked(k)
-            rho = kernel.residuals(candidate.level, candidate.bound)
-            score = candidate.energy + demand_weight * (prob * rho ** s.m).sum(axis=1)
-            if k == 1:
-                phase, best = candidate, score
-            else:
-                better = score < best
-                phase.keep(candidate, better)
-                best = np.where(better, score, best)
+        phase = kernel.noncausal()
     else:
         phase = kernel.causal(policy)
 
+    inv_order = np.argsort(kernel.order)
     final_rho = kernel.residuals(phase.level, phase.bound)[:, inv_order]
     decisions = None
     if trace:

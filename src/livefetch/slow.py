@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import POSITIVE_BITS_EPS, Scenario
+from .model import Scenario
 
 __all__ = [
     "PrefetchPlan",
@@ -37,7 +37,7 @@ class PrefetchPlan:
     """Solution of the slow-fading prefetch problem.
 
     ``alpha[l]`` is the number of bits of task ``l`` pushed during the
-    prefetch phase, ``task_set`` the tasks with strictly positive ``alpha``
+    prefetch phase, ``task_set`` exactly the tasks with positive ``alpha``
     and ``alpha_sigma`` their total.
     """
 
@@ -47,10 +47,11 @@ class PrefetchPlan:
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
-        positive = {int(i) for i in np.flatnonzero(alpha > POSITIVE_BITS_EPS)}
+        positive = {int(i) for i in np.flatnonzero(alpha > 0.0)}
         if positive != set(self.task_set):
             raise ValueError("task_set must contain exactly the tasks with positive alpha")
-        if abs(float(alpha.sum()) - self.alpha_sigma) > 1e-9 * max(1.0, abs(self.alpha_sigma)):
+        total = float(alpha.sum())
+        if abs(total - self.alpha_sigma) > 1e-9 * max(abs(total), abs(self.alpha_sigma)):
             raise ValueError("alpha_sigma is inconsistent with alpha")
 
 
@@ -102,26 +103,26 @@ def optimal_prefetch_slow(s: Scenario) -> PrefetchPlan:
     Grows the priority-ordered candidate prefix one task at a time; for each
     prefix the implied total uniquely determines every task's thresholded
     amount ``[gamma - p**(-1/(m-1)) * ((N-N_P)/N_P) * alpha_sigma]+``, and the
-    prefix is accepted once exactly its members come out positive.  The
-    optimal amounts do not depend on the gain or on ``lam``.
+    prefix is accepted once exactly its members come out positive.  A task
+    comes out positive iff its priority exceeds ``((N-N_P)/N_P) *
+    alpha_sigma``, a test that scales with the data.  The optimal amounts do
+    not depend on the gain or on ``lam``.
     """
     if s.N == s.N_P:
         alpha = s.gamma.copy()
         return PrefetchPlan(alpha=alpha, task_set=frozenset(range(s.L)),
                             alpha_sigma=float(alpha.sum()))
     order = priority_order(s)
+    delta = priorities(s)
     w = s.p ** (-1.0 / (s.m - 1))
     ratio = (s.N - s.N_P) / s.N_P
-    alpha = np.zeros(s.L)
-    alpha_sigma = 0.0
     for rank in range(1, s.L + 1):
-        members = order[:rank]
-        alpha_sigma = total_prefetched_bits(s, members)
-        alpha = np.maximum(s.gamma - w * ratio * alpha_sigma, 0.0)
-        if int(np.count_nonzero(alpha > POSITIVE_BITS_EPS)) == rank:
+        alpha_sigma = total_prefetched_bits(s, order[:rank])
+        member = delta > ratio * alpha_sigma
+        if int(np.count_nonzero(member)) == rank:
             break
-    alpha[alpha <= POSITIVE_BITS_EPS] = 0.0
-    task_set = frozenset(int(i) for i in np.flatnonzero(alpha > POSITIVE_BITS_EPS))
+    alpha = np.where(member, np.maximum(s.gamma - w * ratio * alpha_sigma, 0.0), 0.0)
+    task_set = frozenset(int(i) for i in np.flatnonzero(alpha > 0.0))
     return PrefetchPlan(alpha=alpha, task_set=task_set, alpha_sigma=float(alpha.sum()))
 
 
@@ -159,7 +160,7 @@ def expected_fetch_energy_slow(s: Scenario, g: float, plan: PrefetchPlan) -> flo
     if s.N > s.N_P:
         demand = float(np.sum(s.p * beta ** s.m)) / (s.N - s.N_P) ** (s.m - 1)
     else:
-        if np.any(beta > POSITIVE_BITS_EPS):
+        if np.any(beta > 1e-12 * s.gamma):
             raise ValueError("N == N_P leaves no demand phase, but the plan leaves bits unfetched")
         demand = 0.0
     return s.lam / g * (prefetch + demand)

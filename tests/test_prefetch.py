@@ -19,6 +19,7 @@ from livefetch.oracles import (
     noncausal_final_threshold,
     threshold_eta,
 )
+from livefetch import prefetch
 from livefetch.prefetch import (
     PrefetchPolicy,
     build_prefix_tables,
@@ -423,6 +424,41 @@ class TestSelectNoncausalSet:
         assert np.array_equal(result.set_size, positive)
         assert set(np.unique(result.set_size)) == {1, 2}
 
+    def test_one_batch_matches_separate_locked_runs(self):
+        # The oracle runs every prefix in one batch; scoring each locked run
+        # separately from its energy and residuals must give the same first
+        # argmin wherever the two best scores are not a near tie.
+        rng = np.random.default_rng(11)
+        wide = generate_scenario(rng, L=16, gamma_total=20.0, m=3, N=10, N_P=6)
+        for s in (S3, wide):
+            xi = build_xi_table(FAST2, s.m, s.N - s.N_P)
+            tables = build_prefix_tables(s, FAST2, xi)
+            gains, realized = draw_episodes(s, FAST2, rng, 400)
+            weight = s.lam * xi.xi[s.N - s.N_P]
+            runs = [run_prefetch_batch(s, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE, gains,
+                                       realized, xi=xi, prefix_tables=tables, forced_prefix=k)
+                    for k in range(1, s.L + 1)]
+            scores = np.array([run.prefetch_energy
+                               + weight * (s.p * run.final_rho ** s.m).sum(axis=1)
+                               for run in runs])
+            oracle = run_prefetch_batch(s, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE, gains,
+                                        realized, xi=xi, prefix_tables=tables)
+            best, runner_up = np.sort(scores, axis=0)[:2]
+            clear = runner_up - best > 1e-12 * best
+            assert np.count_nonzero(clear) > 0.9 * clear.size
+            first = np.argmin(scores, axis=0)
+            assert np.array_equal(oracle.set_size[clear], first[clear] + 1)
+            # The batched row of the kept prefix is that prefix's locked run.
+            episodes = np.arange(gains.shape[0])
+            kept = oracle.set_size - 1
+            np.testing.assert_allclose(
+                oracle.prefetch_energy,
+                np.array([run.prefetch_energy for run in runs])[kept, episodes],
+                rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(
+                oracle.final_rho, np.array([run.final_rho for run in runs])[kept, episodes],
+                rtol=1e-12, atol=0.0)
+
     def test_gain_count_validation(self):
         for gains in (np.ones((1, S3.N - 1)), np.array([[1.0, 1.0, -2.0, 1.0, 1.0]])):
             with pytest.raises(ValueError):
@@ -707,6 +743,89 @@ class TestBatchRunner:
                 run_prefetch_batch(S3, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
                                    gains, realized, xi=XI3,
                                    forced_prefix=bad_prefix)
+
+
+def dense_first_reached(kernel, level, bound, n, k):
+    """Slot solve by scanning every prefix size: the search's reference.
+
+    Builds the residual matrix and its prefix sums, forms every size's
+    candidate threshold and takes the first that reaches the next member's
+    ratio (or the set size ``k``).  Returns the active counts, thresholds,
+    sent bits and the ``(E, L)`` candidates.
+    """
+    s = kernel.s
+    rows = np.arange(level.size)
+    rho = kernel.residuals(level, bound)
+    cum_rho = np.concatenate([np.zeros((rows.size, 1)), np.cumsum(rho, axis=1)], axis=1)
+    u_g = kernel.u_gain[:, n - 1]
+    if n == s.N_P:
+        candidates = cum_rho[:, 1:] / (kernel.cum_w[1:] + (u_g / kernel.u_xi)[:, None])
+    else:
+        total = cum_rho[rows, k] * u_g / (u_g + kernel.u_zeta[k - 1, n - 1])
+        candidates = (cum_rho[:, 1:] - total[:, None]) / kernel.cum_w[1:]
+    following = np.minimum(kernel.delta[1:], level[:, None])
+    reached = (candidates >= following) | (np.arange(1, s.L + 1) >= k[:, None])
+    active = np.argmax(reached, axis=1) + 1
+    eta = np.maximum(candidates[rows, active - 1], 0.0)
+    sent = cum_rho[rows, active] - eta * kernel.cum_w[active]
+    return active, eta, sent, candidates
+
+
+class TestSlotSearch:
+    TOL = 1e-12
+
+    def check(self, s, channel, rng, episodes=200):
+        xi = build_xi_table(channel, s.m, s.N - s.N_P)
+        tables = build_prefix_tables(s, channel, xi)
+        gains = sample_gain(channel, rng, (episodes, s.N))
+        kernel = prefetch._kernel(s, xi, tables, gains)
+        delta = kernel.delta[:-1]
+        for n in range(1, s.N_P + 1):
+            # Arbitrary states: any level from zero to above the top
+            # priority, levels equal to a priority, any bound and set size.
+            level = rng.uniform(0.0, 1.2 * delta[0], episodes)
+            level[rng.random(episodes) < 0.15] = 0.0
+            on_priority = rng.random(episodes) < 0.15
+            level[on_priority] = rng.choice(delta, np.count_nonzero(on_priority))
+            bound = rng.integers(0, s.L + 1, episodes)
+            k = rng.integers(1, s.L + 1, episodes)
+            active, eta, sent = kernel.solve(level, bound, n, k)
+            ref_active, ref_eta, ref_sent, candidates = dense_first_reached(
+                kernel, level, bound, n, k)
+            rows = np.arange(episodes)
+            moved = active != ref_active
+            np.testing.assert_allclose(candidates[rows, active - 1][moved],
+                                       candidates[rows, ref_active - 1][moved],
+                                       rtol=self.TOL, atol=0.0)
+            np.testing.assert_allclose(eta, ref_eta, rtol=self.TOL, atol=0.0)
+            # Both codes send ``R - eta * W``, a difference of the active
+            # prefix's held bits ``R``, so the sent bits agree relative to
+            # ``R``, and the slot energies ``lam * sent**m / g`` as far as
+            # the mean value theorem carries that error.
+            held = kernel.residuals(level, bound).cumsum(axis=1)[rows, active - 1]
+            gap = self.TOL * held
+            assert np.all(np.abs(sent - ref_sent) <= gap)
+            scale = s.lam / gains[:, n - 1]
+            slope = s.m * np.maximum(sent, ref_sent) ** (s.m - 1)
+            assert np.all(np.abs(scale * sent ** s.m - scale * ref_sent ** s.m)
+                          <= scale * slope * gap)
+
+    def test_matches_the_dense_scan_on_random_instances(self):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            L, m = int(rng.integers(1, 17)), int(rng.integers(2, 6))
+            N = int(rng.integers(2, 11))
+            s = generate_scenario(rng, L=L, gamma_total=20.0, m=m, N=N,
+                                  N_P=int(rng.integers(1, N)))
+            self.check(s, FastGamma(int(rng.choice([2, 3, 8]))), rng)
+
+    def test_equal_priorities(self):
+        rng = np.random.default_rng(31)
+        for s in (Scenario(m=2, N=6, N_P=4, p=np.full(5, 0.2), gamma=np.full(5, 3.0)),
+                  Scenario(m=3, N=8, N_P=5, p=np.array([0.3, 0.3, 0.2, 0.2]),
+                           gamma=np.array([5.0, 5.0, 2.0, 2.0]))):
+            assert len(set(priorities(s))) < s.L
+            self.check(s, FAST2, rng)
 
 
 class TestScaleHomogeneity:

@@ -161,6 +161,33 @@ class TestOptimalPrefetch:
         with pytest.raises(ValueError):
             PrefetchPlan(alpha=np.array([1.0, 1.0]), task_set=frozenset({0, 1}),
                          alpha_sigma=3.0)
+        with pytest.raises(ValueError):
+            PrefetchPlan(alpha=np.array([1e-14, 1e-14]), task_set=frozenset({0, 1}),
+                         alpha_sigma=3e-14)
+
+    def test_plan_does_not_depend_on_data_scale(self):
+        # The plan is homogeneous of degree 1 in the data sizes and the gain
+        # of degree 0, so membership may not compare bits to a fixed cutoff.
+        s = Scenario(m=2, N=5, N_P=4, p=np.array([0.45, 0.35, 0.2]),
+                     gamma=np.array([7.0, 6.0, 5.0]))
+        plan = optimal_prefetch_slow(s)
+        assert plan.task_set == {0, 1}
+        for c in (1e-14, 1e10):
+            scaled = Scenario(m=s.m, N=s.N, N_P=s.N_P, p=s.p, gamma=c * s.gamma)
+            other = optimal_prefetch_slow(scaled)
+            assert other.task_set == plan.task_set
+            np.testing.assert_allclose(other.alpha / c, plan.alpha, rtol=1e-12, atol=0.0)
+            assert prefetch_gain_slow(scaled, 1.0) == pytest.approx(
+                prefetch_gain_slow(s, 1.0), rel=1e-12, abs=0.0)
+
+    def test_task_set_is_exactly_the_positive_amounts(self):
+        tiny = 1e-13
+        plan = PrefetchPlan(alpha=np.array([tiny, 0.0]), task_set=frozenset({0}),
+                            alpha_sigma=tiny)
+        assert plan.task_set == {0}
+        with pytest.raises(ValueError):
+            PrefetchPlan(alpha=np.array([tiny, 0.0]), task_set=frozenset(),
+                         alpha_sigma=tiny)
 
 
 class TestSlotAllocation:
@@ -183,6 +210,15 @@ class TestSlotAllocation:
 
 
 class TestEnergies:
+    def test_unfetched_bits_rejected_without_a_demand_phase(self):
+        for c in (1.0, 1e-14):
+            s = Scenario(m=2, N=3, N_P=3, p=np.array([0.5, 0.5]), gamma=c * np.array([4.0, 4.0]))
+            short = PrefetchPlan(alpha=c * np.array([4.0, 2.0]), task_set=frozenset({0, 1}),
+                                 alpha_sigma=c * 6.0)
+            with pytest.raises(ValueError):
+                expected_fetch_energy_slow(s, 1.0, short)
+            assert expected_fetch_energy_slow(s, 1.0, optimal_prefetch_slow(s)) > 0.0
+
     def test_reference_objective(self):
         """The optimal two-task plan's stage energy, oracle-confirmed."""
         plan = optimal_prefetch_slow(UNIFORM2)
