@@ -11,6 +11,7 @@ from .model import (
     QuadratureError,
     Scenario,
     SlowFading,
+    coefficient_chain,
     expect_over_gain,
     mean_gain,
     mean_inverse_gain,

@@ -21,9 +21,7 @@ import numpy as np
 
 from .model import (
     Channel,
-    FastGamma,
-    SlowFading,
-    expect_over_gain,
+    coefficient_chain,
     mean_gain,
     mean_inverse_gain,
 )
@@ -62,25 +60,24 @@ class XiTable:
 
 @lru_cache(maxsize=None)
 def _xi_cached(channel: Channel, m: int, horizon: int) -> XiTable:
-    root = 1.0 / (m - 1)
-    xi = [float("inf")]
-    inv_root = [0.0]
-    for _ in range(horizon):
-        u_prev = inv_root[-1]
-        value = expect_over_gain(
-            lambda x: (x ** root + u_prev) ** (-(m - 1)), channel)
-        xi.append(value)
-        inv_root.append((1.0 / value) ** root)
-    return XiTable(channel=channel, m=m, xi=tuple(xi), inv_root=tuple(inv_root))
+    xi, inv_root = [float("inf")], [0.0]
+    if horizon >= 1:
+        xi.append(mean_inverse_gain(channel))
+        inv_root.append((1.0 / xi[1]) ** (1.0 / (m - 1)))
+    entries, roots = coefficient_chain(channel, m, inv_root[-1:], max(horizon - 1, 0))
+    return XiTable(channel=channel, m=m, xi=tuple(xi + entries[0].tolist()),
+                   inv_root=tuple(inv_root + roots[0].tolist()))
 
 
 def build_xi_table(channel: Channel, m: int, horizon: int) -> XiTable:
     """Tabulate the demand coefficients for horizons ``0..horizon``.
 
-    The recursion starts from ``xi[1] = E[1/g]`` (a single slot must flush
-    everything) and proceeds as
+    The recursion starts from the exact ``xi[1] = E[1/g]`` (a single slot
+    must flush everything) and proceeds as
 
-        xi[j] = E[ (g**(1/(m-1)) + (1/xi[j-1])**(1/(m-1)))**-(m-1) ].
+        xi[j] = E[ (g**(1/(m-1)) + (1/xi[j-1])**(1/(m-1)))**-(m-1) ],
+
+    one :func:`~livefetch.model.coefficient_chain` from ``xi[1]``'s root.
 
     For a constant gain it collapses to ``xi[j] = 1 / (g * j**(m-1))``,
     i.e. equal splitting over the remaining slots.

@@ -31,7 +31,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .model import Channel, Scenario, expect_over_gain
+# ``expect_over_gain`` stays importable here: perfbench's tracer and its
+# smoke test look for it on this module.
+from .model import Channel, Scenario, coefficient_chain, expect_over_gain  # noqa: F401
 from .demand import XiTable, build_xi_table, simulate_demand_batch
 from .slow import priorities, priority_order
 
@@ -105,38 +107,43 @@ def build_zeta_table(s: Scenario, channel: Channel, task_set: Iterable[int],
         u_xi = (1/xi[N-N_P])**(1/(m-1)),  A = sum_S p**(-1/(m-1)),
 
     and deeper entries reuse the demand-style recursion with the previous
-    zeta in place of xi.
+    zeta in place of xi: one :func:`~livefetch.model.coefficient_chain`
+    from ``u_xi * A``.
     """
     members = tuple(sorted({int(i) for i in task_set}))
     if not members:
         raise ValueError("task_set must be nonempty")
     if members[0] < 0 or members[-1] >= s.L:
         raise IndexError(f"task indices {members} out of range for L={s.L}")
+    return _zeta_tables(s, channel, [members], xi)[0]
+
+
+def build_prefix_tables(s: Scenario, channel: Channel, xi: XiTable) -> list:
+    """Zeta tables for every priority-ordered prefix (sizes 1..L).
+
+    All ``L`` chains advance together, one vectorized step per slot; each
+    table equals :func:`build_zeta_table` on its prefix bit for bit.
+    """
+    order = priority_order(s)
+    return _zeta_tables(s, channel, [tuple(sorted(order[:k])) for k in range(1, s.L + 1)], xi)
+
+
+def _zeta_tables(s: Scenario, channel: Channel, sets: list, xi: XiTable) -> list:
+    """Zeta tables of the given sorted, valid target sets."""
     if s.N == s.N_P:
         raise ValueError("zeta coefficients require a demand phase (N > N_P)")
     d = s.N - s.N_P
     if xi.horizon < d or xi.m != s.m or xi.channel != channel:
         raise ValueError("xi table does not match the scenario/channel")
     root = 1.0 / (s.m - 1)
-    mass = float(np.sum(s.p[list(members)] ** (-root)))
-    u_prev = xi.inv_root[d] * mass
-    zeta = []
-    inv_root = []
-    for _ in range(d + 1, s.N + 1):
-        value = expect_over_gain(
-            lambda x: (x ** root + u_prev) ** (-(s.m - 1)), channel)
-        zeta.append(value)
-        inv_root.append((1.0 / value) ** root)
-        u_prev = inv_root[-1]
-    return ZetaTable(task_set=members, channel=channel, m=s.m, first_index=d + 1,
-                     zeta=tuple(zeta), inv_root=tuple(inv_root),
-                     inv_prob_mass=mass, xi=xi)
-
-
-def build_prefix_tables(s: Scenario, channel: Channel, xi: XiTable) -> list:
-    """Zeta tables for every priority-ordered prefix (sizes 1..L)."""
-    order = priority_order(s)
-    return [build_zeta_table(s, channel, order[:k], xi) for k in range(1, s.L + 1)]
+    masses = [float(np.sum(s.p[list(members)] ** (-root))) for members in sets]
+    entries, roots = coefficient_chain(channel, s.m, xi.inv_root[d] * np.array(masses),
+                                       s.N_P)
+    return [ZetaTable(task_set=members, channel=channel, m=s.m, first_index=d + 1,
+                      zeta=tuple(zeta), inv_root=tuple(inv_root),
+                      inv_prob_mass=mass, xi=xi)
+            for members, mass, zeta, inv_root
+            in zip(sets, masses, entries.tolist(), roots.tolist())]
 
 
 def expected_total_energy_fast(s: Scenario, task_set,
