@@ -224,6 +224,96 @@ class TestBackwardInduction:
         no_demand = Scenario(m=2, N=2, N_P=2, p=np.array([1.0]), gamma=np.array([2.0]))
         with pytest.raises(ValueError):
             p5_backward_induction(no_demand, FAST2)
+        for bad in ({"gain_bins": 0}, {"gain_bins": -1}, {"gain_bins": 2.5},
+                    {"bit_grid": 2.5}, {"bit_grid": 3.0}):
+            with pytest.raises(ValueError):
+                p5_backward_induction(S21, FAST2, **bad)
+            with pytest.raises(ValueError):
+                p5_backward_induction(S21, SlowFading(1.0), **bad)
+
+
+def dense_induction(s, grids, gain_values, gain_weights, no_prefetch):
+    """Reference recursion over every (state, next) pair of the product grid.
+
+    Costs live in a dense ``(n, n)`` (one task) or ``(n, n, n, n)`` (two
+    tasks) array with infeasible transitions at ``+inf``, and each step takes
+    a plain ``min`` over all next states.  Returns the value from full
+    residuals and the per-task demand values at the prefetch deadline.
+    """
+    demand = []
+    for grid in grids:
+        send = grid[:, None] - grid[None, :]
+        invalid = send < 0.0
+        cost = np.where(invalid, np.inf, s.lam * np.where(invalid, 0.0, send) ** s.m)
+        tables = [np.where(grid > 0.0, np.inf, 0.0)]
+        for _ in range(s.N - s.N_P):
+            previous = tables[-1]
+            value = np.zeros(grid.size)
+            for g, wt in zip(gain_values, gain_weights):
+                value = value + wt * np.min(cost / g + previous[None, :], axis=1)
+            tables.append(value)
+        demand.append(tables[-1])
+
+    if s.L == 1:
+        boundary = s.p[0] * demand[0]
+        send = grids[0][:, None] - grids[0][None, :]
+        invalid = send < 0.0
+    else:
+        boundary = s.p[0] * demand[0][:, None] + s.p[1] * demand[1][None, :]
+        send = (grids[0][:, None, None, None] - grids[0][None, None, :, None]
+                + grids[1][None, :, None, None] - grids[1][None, None, None, :])
+        invalid = ((grids[0][:, None, None, None] - grids[0][None, None, :, None] < 0.0)
+                   | (grids[1][None, :, None, None] - grids[1][None, None, None, :] < 0.0))
+    power = np.where(invalid, np.inf, np.where(invalid, 0.0, send) ** s.m)
+
+    value = boundary
+    for _ in range(0 if no_prefetch else s.N_P):
+        new_value = np.zeros_like(value)
+        if s.L == 1:
+            for g, wt in zip(gain_values, gain_weights):
+                new_value = new_value + wt * np.min(
+                    s.lam * power / g + value[None, :], axis=1)
+        else:
+            n = grids[0].size
+            flat = value.reshape(-1)
+            shaped = power.reshape(n, n, -1)
+            for g, wt in zip(gain_values, gain_weights):
+                new_value = new_value + wt * np.min(
+                    s.lam * shaped / g + flat[None, None, :], axis=2)
+        value = new_value
+    return float(value.reshape(-1)[-1]), demand
+
+
+class TestSparseStep:
+    """The feasible-transition recursion equals the dense one bit for bit."""
+
+    @pytest.mark.parametrize("channel", [SlowFading(1.3), FastGamma(2), FastGamma(3)],
+                             ids=["slow", "gamma2", "gamma3"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_matches_the_dense_recursion(self, L, m, channel):
+        rng = np.random.default_rng([L, m, channel.k if isinstance(channel, FastGamma) else 0])
+        for bit_grid in (2, 3, 7, 11):
+            for gain_bins in (1, 4):
+                for no_prefetch in (False, True):
+                    N = int(rng.integers(2, 7))
+                    s = Scenario(m=m, N=N, N_P=int(rng.integers(1, N)),
+                                 p=rng.dirichlet(np.ones(L)),
+                                 gamma=rng.uniform(0.5, 10.0, L),
+                                 lam=float(rng.uniform(0.5, 2.0)))
+                    result = p5_backward_induction(s, channel, bit_grid=bit_grid,
+                                                   gain_bins=gain_bins,
+                                                   no_prefetch=no_prefetch)
+                    grids = tuple(np.linspace(0.0, gi, bit_grid) for gi in s.gamma)
+                    value, demand = dense_induction(s, grids, result.gain_values,
+                                                    result.gain_weights, no_prefetch)
+                    assert result.value == value
+                    assert len(result.demand_values) == L
+                    for sparse, dense in zip(result.demand_values, demand):
+                        assert sparse.shape == dense.shape
+                        assert np.array_equal(sparse, dense)
+                    for grid, expected in zip(result.bit_grids, grids):
+                        assert np.array_equal(grid, expected)
 
 
 class TestNoncausalBenchmark:
