@@ -7,7 +7,6 @@ fading, brute-force verification oracles and a Monte-Carlo sweep harness.
 from .model import (
     Channel,
     FastGamma,
-    FetchSplit,
     QuadratureError,
     Scenario,
     SlowFading,
@@ -27,19 +26,15 @@ from .slow import (
     optimal_prefetch_slow,
     prefetch_gain_slow,
     priorities,
-    priority,
     priority_order,
     slot_allocation_slow,
     total_prefetched_bits,
 )
 from .demand import (
-    DemandTrace,
     XiTable,
     build_xi_table,
-    demand_bits,
     demand_energy_bounds,
     expected_demand_energy,
-    simulate_demand_episode,
 )
 from .prefetch import (
     BatchResult,
@@ -52,13 +47,11 @@ from .prefetch import (
     run_prefetch_batch,
 )
 from .oracles import (
-    BenchmarkResult,
     InductionResult,
     OracleResult,
     alpha_from_final_threshold,
     best_prefix_set,
     decision_vector,
-    noncausal_benchmark_energy,
     noncausal_final_threshold,
     p5_backward_induction,
     slow_oracle,

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .model import FastGamma, QuadratureError, SlowFading, sample_gain, to_db
+from .model import FastGamma, QuadratureError, sample_gain, to_db
 from .slow import (
     expected_fetch_energy_slow,
     no_prefetch_energy_slow,
@@ -22,7 +23,7 @@ from .slow import (
     priorities,
     priority_order,
 )
-from .demand import build_xi_table, simulate_demand_episode
+from .demand import build_xi_table, simulate_demand_batch
 from .prefetch import PrefetchPolicy, no_prefetch_energy_fast, run_prefetch_batch
 from .sweep import (
     FAST_POLICIES,
@@ -35,17 +36,15 @@ from .sweep import (
     run_sweep,
 )
 
-_DEFAULTS = {
-    "param": None, "values": None, "policies": None, "fading": None,
-    "trials": 10_000, "scenarios": 100, "seed": 0, "out": "sweep.csv",
-    "m": 2, "k": 2, "slow_g": 1.0, "gamma_total": 20.0,
-    "L": 4, "N": 5, "Np": 4, "lam": 1.0, "uniform": False,
-    "policy": "noncausal",
-}
+#: Config keys name SweepConfig's fields, ``Np`` standing for ``N_P``.
+_FIELDS = {"Np" if field.name == "N_P" else field.name: field
+           for field in fields(SweepConfig)}
 
-_BOOL_KEYS = {"uniform"}
-_INT_KEYS = {"trials", "scenarios", "seed", "m", "k", "L", "N", "Np"}
-_FLOAT_KEYS = {"slow_g", "gamma_total", "lam"}
+#: SweepConfig's defaults, except that ``fading`` starts unset: the CLI
+#: infers it from the swept parameter or the policy list.
+_DEFAULTS = {key: None if field.default is MISSING or key == "fading" else field.default
+             for key, field in _FIELDS.items()}
+_DEFAULTS.update(out="sweep.csv", policy="noncausal")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,20 +117,20 @@ def _read_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value):
+    """Convert a config-file string to the type of the key's default."""
     if not isinstance(value, str):
         return value
+    default = _DEFAULTS[key]
     try:
-        if key in _BOOL_KEYS:
+        if isinstance(default, bool):
             lowered = value.lower()
             if lowered in ("1", "true", "yes", "on"):
                 return True
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(value)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        if isinstance(default, (int, float)):
+            return type(default)(value)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {value!r}") from None
     return value
@@ -177,13 +176,8 @@ def _sweep_config(settings: dict) -> SweepConfig:
             fading = "slow" if set(policies) <= set(SLOW_POLICIES) else "fast"
     if policies is None:
         policies = SLOW_POLICIES if fading == "slow" else FAST_POLICIES
-    return SweepConfig(param=settings["param"], values=values, policies=policies,
-                       fading=fading, m=settings["m"], k=settings["k"],
-                       slow_g=settings["slow_g"], gamma_total=settings["gamma_total"],
-                       L=settings["L"], N=settings["N"], N_P=settings["Np"],
-                       lam=settings["lam"], trials=settings["trials"],
-                       scenarios=settings["scenarios"], seed=settings["seed"],
-                       uniform=bool(settings["uniform"]))
+    chosen = dict(settings, values=values, policies=policies, fading=fading)
+    return SweepConfig(**{field.name: chosen[key] for key, field in _FIELDS.items()})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -244,11 +238,10 @@ def _print_fast_single(s, settings, rng) -> None:
         members = ",".join(str(i) for i in sorted(order[:result.slot_set_size[0, n]])) or "-"
         print(f"  slot {n + 1}: g={gains[0, n]:.4f} eta={result.thresholds[0, n]:.5g} "
               f"bits={result.decisions[0, n].sum():.5g} set={{{members}}}")
-    demand = simulate_demand_episode(float(result.beta[0]), gains[0, s.N_P:], xi,
-                                     lam=s.lam)
+    bits, _ = simulate_demand_batch(result.beta, gains[:, s.N_P:], xi, lam=s.lam)
     print(f"  realized task  = {realized[0]}")
     with np.printoptions(precision=5, suppress=True):
-        print(f"  demand bits    = {demand.bits}")
+        print(f"  demand bits    = {bits[0]}")
     print(f"  prefetch energy = {result.prefetch_energy[0]:.6g}")
     print(f"  demand energy   = {result.demand_energy[0]:.6g}")
     print(f"  total energy    = {result.total_energy[0]:.6g}")

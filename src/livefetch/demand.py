@@ -28,12 +28,9 @@ from .model import (
 
 __all__ = [
     "XiTable",
-    "DemandTrace",
     "build_xi_table",
-    "demand_bits",
     "expected_demand_energy",
     "demand_energy_bounds",
-    "simulate_demand_episode",
     "simulate_demand_batch",
 ]
 
@@ -89,27 +86,6 @@ def build_xi_table(channel: Channel, m: int, horizon: int) -> XiTable:
     return _xi_cached(channel, int(m), int(horizon))
 
 
-def demand_bits(rho: float, g: float, slots_remaining: int, table: XiTable) -> float:
-    """Bits to send now, given residual ``rho``, gain ``g`` and slots left.
-
-    The final slot (``slots_remaining == 1``) flushes the whole residual.
-    Earlier slots send a fraction that grows with the current gain and
-    shrinks with the quality of the remaining opportunities.
-    """
-    if rho < 0.0 or not np.isfinite(rho):
-        raise ValueError(f"residual bits must be nonnegative, got {rho!r}")
-    if not (np.isfinite(g) and g > 0.0):
-        raise ValueError(f"channel gain must be strictly positive, got {g!r}")
-    if not 1 <= slots_remaining <= table.horizon:
-        raise ValueError(
-            f"slots_remaining={slots_remaining} outside the table horizon {table.horizon}")
-    if slots_remaining == 1:
-        return float(rho)
-    root = 1.0 / (table.m - 1)
-    u_g = g ** root
-    return float(rho) * u_g / (u_g + table.inv_root[slots_remaining - 1])
-
-
 def expected_demand_energy(beta: float, table: XiTable, duration: int,
                            lam: float = 1.0) -> float:
     """Optimal expected demand energy ``lam * xi[duration] * beta**m``."""
@@ -143,53 +119,31 @@ def demand_energy_bounds(beta: float, channel: Channel, m: int, duration: int,
     return (scale / mean_gain(channel), scale * mean_inverse_gain(channel))
 
 
-@dataclass(frozen=True)
-class DemandTrace:
-    """Realized demand phase: per-slot bits, per-slot energies."""
-
-    bits: np.ndarray
-    energy: np.ndarray
-
-    @property
-    def total_energy(self) -> float:
-        return float(self.energy.sum())
-
-
-def simulate_demand_episode(beta: float, gains: np.ndarray, table: XiTable,
-                            lam: float = 1.0) -> DemandTrace:
-    """Run the xi-policy on one realized gain sequence.
-
-    ``gains`` holds the demand-phase gains in slot order; its length is the
-    phase duration.  All residual bits are cleared by construction (the last
-    slot flushes), so the per-slot bits sum to ``beta`` exactly.
-    """
-    gains = np.asarray(gains, dtype=float)
-    if gains.ndim != 1 or gains.size < 1:
-        raise ValueError("gains must be a 1-d array with at least one slot")
-    if np.any(gains <= 0.0):
-        raise ValueError("all gains must be strictly positive")
-    duration = gains.size
-    if duration > table.horizon:
-        raise ValueError(f"duration={duration} outside the table horizon {table.horizon}")
-    if beta < 0.0 or not np.isfinite(beta):
-        raise ValueError(f"residual bits must be nonnegative, got {beta!r}")
-    bits, energy = simulate_demand_batch(np.array([float(beta)]), gains[None, :],
-                                         table, lam=lam)
-    return DemandTrace(bits=bits[0], energy=energy[0])
-
-
 def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable,
                           lam: float = 1.0) -> tuple:
     """Run the xi-policy on many episodes at once: ``(bits, energy)``.
 
     ``beta`` holds one residual per episode and ``gains`` the demand-phase
-    gains, shape ``(episodes, duration)``, which both outputs share.  Inputs
-    are not checked (see :func:`simulate_demand_episode`).
+    gains in slot order, shape ``(episodes, duration)``, which both outputs
+    share.  The final slot flushes the whole residual, so each episode's
+    bits sum to its ``beta``.  Raises ``ValueError`` unless the shapes
+    agree, every gain is positive, every ``beta`` is finite and
+    nonnegative, and ``1 <= duration <= table.horizon``.
     """
+    beta = np.asarray(beta, dtype=float)
+    gains = np.asarray(gains, dtype=float)
+    if gains.ndim != 2 or beta.shape != gains.shape[:1]:
+        raise ValueError("gains must have shape (episodes, duration) and beta (episodes,)")
     duration = gains.shape[1]
+    if not 1 <= duration <= table.horizon:
+        raise ValueError(f"duration={duration} outside the table horizon {table.horizon}")
+    if not np.all(gains > 0.0):
+        raise ValueError("all gains must be strictly positive")
+    if not np.all((beta >= 0.0) & (beta < np.inf)):
+        raise ValueError("residual bits must be finite and nonnegative")
     root = 1.0 / (table.m - 1)
     bits, energy = np.empty_like(gains), np.empty_like(gains)
-    residual = np.array(beta, dtype=float)
+    residual = beta.copy()
     for slot in range(duration):
         remaining = duration - slot
         g = gains[:, slot]

@@ -21,7 +21,6 @@ from scipy import integrate
 
 __all__ = [
     "Scenario",
-    "FetchSplit",
     "SlowFading",
     "FastGamma",
     "Channel",
@@ -138,24 +137,6 @@ class Scenario:
     def demand_slots(self) -> int:
         """Slots available after the next task is revealed."""
         return self.N - self.N_P
-
-
-@dataclass(frozen=True, eq=False)
-class FetchSplit:
-    """Per-task split of the input data into prefetched and demanded parts."""
-
-    alpha: np.ndarray  #: bits fetched before the task is known
-    beta: np.ndarray   #: bits left for the demand phase
-
-    @classmethod
-    def from_alpha(cls, s: Scenario, alpha: np.ndarray) -> "FetchSplit":
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.shape != s.gamma.shape:
-            raise ValueError("alpha must have one entry per candidate task")
-        if np.any(alpha < -POSITIVE_BITS_EPS) or np.any(alpha > s.gamma + POSITIVE_BITS_EPS):
-            raise ValueError("prefetched bits must lie in [0, gamma] for every task")
-        alpha = np.clip(alpha, 0.0, s.gamma)
-        return cls(alpha=_readonly(alpha), beta=_readonly(s.gamma - alpha))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Everything here recomputes optima by another route — grid search plus
 coordinate descent for the slow-fading stage problem, a discretized
-backward induction for small fast-fading instances, a Monte-Carlo
-benchmark for the noncausal policy, and the paper's fast-fading closed
-forms — sharing no arithmetic with the episode kernel they check.
+backward induction for small fast-fading instances, and the paper's
+fast-fading closed forms — sharing no arithmetic with the episode kernel
+they check.
 """
 
 from __future__ import annotations
@@ -13,31 +13,25 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import stats
 
-from .model import POSITIVE_BITS_EPS, Channel, FastGamma, Scenario, SlowFading, sample_gain
-from .demand import XiTable, build_xi_table, expected_demand_energy
+from .model import POSITIVE_BITS_EPS, Channel, FastGamma, Scenario, SlowFading
+from .demand import XiTable
 from .prefetch import (
-    PrefetchPolicy,
     ZetaTable,
-    build_prefix_tables,
     build_zeta_table,
     expected_total_energy_fast,
     no_prefetch_energy_fast,
-    run_prefetch_batch,
 )
 from .slow import priority_order
 
 __all__ = [
     "OracleResult",
     "InductionResult",
-    "BenchmarkResult",
     "slow_oracle",
     "p5_backward_induction",
-    "noncausal_benchmark_energy",
     "threshold_eta",
     "decision_vector",
     "noncausal_final_threshold",
@@ -73,15 +67,6 @@ class InductionResult:
     gain_values: np.ndarray
     gain_weights: np.ndarray
     demand_values: tuple     #: per-task arrays, final-horizon demand value on the grid
-
-
-@dataclass(frozen=True)
-class BenchmarkResult:
-    """Mean stage energy of a simulated policy with its standard error."""
-
-    mean: float
-    stderr: float
-    trials: int
 
 
 def _stage_objective(alpha, s: Scenario, g: float) -> float:
@@ -275,47 +260,6 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
                             gain_values, gain_weights)
     return InductionResult(value=float(value[-1]), bit_grids=grids, gain_values=gain_values,
                            gain_weights=gain_weights, demand_values=demand)
-
-
-def noncausal_benchmark_energy(s: Scenario, channel: Channel, trials: int = 10_000,
-                               rng: Optional[np.random.Generator] = None,
-                               xi: Optional[XiTable] = None,
-                               prefix_tables=None) -> BenchmarkResult:
-    """Mean stage energy of the noncausal-oracle policy, with standard error.
-
-    Slow fading is deterministic up to the task realization, which is
-    averaged analytically (standard error zero).  Fast fading runs a
-    Monte-Carlo batch of ``trials`` episodes.
-    """
-    if s.N == s.N_P:
-        raise ValueError("the benchmark requires a demand phase (N > N_P)")
-    d = s.N - s.N_P
-    if xi is None:
-        xi = build_xi_table(channel, s.m, d)
-    if prefix_tables is None:
-        prefix_tables = build_prefix_tables(s, channel, xi)
-    if isinstance(channel, SlowFading):
-        gains = np.full((1, s.N), channel.g)
-        batch = run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE,
-                                   gains, np.zeros(1, dtype=int),
-                                   xi=xi, prefix_tables=prefix_tables)
-        energy = float(batch.prefetch_energy[0])
-        for task in range(s.L):
-            beta = float(batch.final_rho[0, task])
-            energy += s.p[task] * expected_demand_energy(beta, xi, d, lam=s.lam)
-        return BenchmarkResult(mean=energy, stderr=0.0, trials=1)
-    if rng is None:
-        raise ValueError("rng is required for fast-fading benchmarks")
-    if trials < 2:
-        raise ValueError("at least two trials are needed for a standard error")
-    gains = sample_gain(channel, rng, (trials, s.N))
-    realized = rng.choice(s.L, size=trials, p=s.p)
-    batch = run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE,
-                               gains, realized, xi=xi, prefix_tables=prefix_tables)
-    total = batch.total_energy
-    mean = float(total.mean())
-    stderr = float(total.std(ddof=1) / math.sqrt(trials))
-    return BenchmarkResult(mean=mean, stderr=stderr, trials=trials)
 
 
 def _check_slot_state(rho: np.ndarray, slot: int, s: Scenario) -> None:

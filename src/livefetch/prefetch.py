@@ -70,12 +70,9 @@ class ZetaTable:
     """
 
     task_set: tuple
-    channel: Channel
-    m: int
     first_index: int
     zeta: tuple
     inv_root: tuple
-    inv_prob_mass: float
     xi: XiTable
 
     @property
@@ -139,11 +136,9 @@ def _zeta_tables(s: Scenario, channel: Channel, sets: list, xi: XiTable) -> list
     masses = [float(np.sum(s.p[list(members)] ** (-root))) for members in sets]
     entries, roots = coefficient_chain(channel, s.m, xi.inv_root[d] * np.array(masses),
                                        s.N_P)
-    return [ZetaTable(task_set=members, channel=channel, m=s.m, first_index=d + 1,
-                      zeta=tuple(zeta), inv_root=tuple(inv_root),
-                      inv_prob_mass=mass, xi=xi)
-            for members, mass, zeta, inv_root
-            in zip(sets, masses, entries.tolist(), roots.tolist())]
+    return [ZetaTable(task_set=members, first_index=d + 1, zeta=tuple(zeta),
+                      inv_root=tuple(inv_root), xi=xi)
+            for members, zeta, inv_root in zip(sets, entries.tolist(), roots.tolist())]
 
 
 def expected_total_energy_fast(s: Scenario, task_set,

@@ -11,7 +11,7 @@ random scenarios fed in by the harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .model import Scenario
 
 __all__ = [
     "PrefetchPlan",
-    "priority",
     "priorities",
     "priority_order",
     "total_prefetched_bits",
@@ -58,13 +57,6 @@ class PrefetchPlan:
 def priorities(s: Scenario) -> np.ndarray:
     """Prefetch priority ``gamma * p**(1/(m-1))`` of every task."""
     return s.gamma * s.p ** (1.0 / (s.m - 1))
-
-
-def priority(s: Scenario, task: int) -> float:
-    """Prefetch priority of a single task (0-based index)."""
-    if not 0 <= task < s.L:
-        raise IndexError(f"task index {task} out of range for L={s.L}")
-    return float(s.gamma[task] * s.p[task] ** (1.0 / (s.m - 1)))
 
 
 def priority_order(s: Scenario) -> list:

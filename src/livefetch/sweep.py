@@ -11,13 +11,12 @@ mean energy, averaged over scenarios, and is also reported in decibels.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, fields, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Channel, FastGamma, Scenario, SlowFading, sample_gain, to_db
+from .model import FastGamma, Scenario, sample_gain, to_db
 from .slow import (
     expected_fetch_energy_slow,
     no_prefetch_energy_slow,

@@ -17,7 +17,7 @@ from scipy import integrate, stats
 
 from livefetch.cli import main as cli_main
 from livefetch.demand import (build_xi_table, demand_energy_bounds,
-                              expected_demand_energy, simulate_demand_episode)
+                              expected_demand_energy, simulate_demand_batch)
 from livefetch.model import (FastGamma, Scenario, SlowFading, expect_over_gain,
                              sample_gain, to_db)
 from livefetch.oracles import p5_backward_induction, slow_oracle
@@ -214,10 +214,8 @@ def test_criterion_06_demand_simulation_matches_closed_form():
     worst_z = 0.0
     for duration in range(1, 6):
         gains = sample_gain(FastGamma(2), rng, (100_000, duration))
-        totals = np.fromiter(
-            (simulate_demand_episode(4.0, gains[e], table).total_energy
-             for e in range(gains.shape[0])), dtype=float,
-            count=gains.shape[0])
+        _, energy = simulate_demand_batch(np.full(gains.shape[0], 4.0), gains, table)
+        totals = energy.sum(axis=1)
         closed = expected_demand_energy(4.0, table, duration)
         se = totals.std(ddof=1) / np.sqrt(totals.size)
         worst_z = max(worst_z, abs(totals.mean() - closed) / se)

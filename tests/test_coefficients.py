@@ -107,7 +107,6 @@ class TestOnePath:
             assert table.task_set == single.task_set
             assert table.zeta == single.zeta
             assert table.inv_root == single.inv_root
-            assert table.inv_prob_mass == single.inv_prob_mass
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", [2, 3, 7, 200])

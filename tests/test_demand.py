@@ -9,10 +9,9 @@ from scipy.special import exp1
 from livefetch.demand import (
     XiTable,
     build_xi_table,
-    demand_bits,
     demand_energy_bounds,
     expected_demand_energy,
-    simulate_demand_episode,
+    simulate_demand_batch,
 )
 from livefetch.model import FastGamma, SlowFading, mean_gain, mean_inverse_gain, sample_gain
 
@@ -22,6 +21,19 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # E[1/(g+1/2)] under the unit-mean Gamma(2) density 4x e^(-2x) reduces to
 # 2 - 2e*E1(1) by splitting x/(x+1/2) = 1 - (1/2)/(x+1/2).
 XI2_K2_M2 = 2.0 - 2.0 * math.e * exp1(1.0)
+
+
+def first_slot_bits(rho, g, slots, table):
+    """Bits the xi-policy sends in the first of ``slots`` slots, per residual.
+
+    ``rho`` and ``g`` broadcast to one episode each; the later slots see a
+    unit gain, which does not affect the first decision.
+    """
+    rho, g = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(g, dtype=float))
+    gains = np.ones((rho.size, slots))
+    gains[:, 0] = g.ravel()
+    bits, _ = simulate_demand_batch(rho.ravel(), gains, table)
+    return bits[:, 0]
 
 
 def golden_min(fun, lo, hi, tol=1e-12):
@@ -90,25 +102,27 @@ class TestXiTable:
 
 
 class TestDemandBits:
+    """The per-slot rule, read off the first slot of a batch."""
+
     def test_last_slot_flushes(self):
         table = build_xi_table(FastGamma(k=2), m=2, horizon=3)
-        assert demand_bits(7.3, 0.01, 1, table) == 7.3
-        assert demand_bits(7.3, 100.0, 1, table) == 7.3
+        assert list(first_slot_bits(7.3, [0.01, 100.0], 1, table)) == [7.3, 7.3]
 
     def test_zero_residual(self):
         table = build_xi_table(FastGamma(k=2), m=2, horizon=3)
-        assert demand_bits(0.0, 1.0, 2, table) == 0.0
+        assert first_slot_bits(0.0, 1.0, 2, table)[0] == 0.0
 
     def test_two_slot_reference_value(self):
         table = build_xi_table(FastGamma(k=2), m=2, horizon=2)
-        assert demand_bits(10.0, 1.0, 2, table) == pytest.approx(10.0 / 1.5, rel=1e-9)
+        assert first_slot_bits(10.0, 1.0, 2, table)[0] == pytest.approx(10.0 / 1.5,
+                                                                         rel=1e-9)
 
     def test_monotone_in_gain(self):
         table = build_xi_table(FastGamma(k=3), m=3, horizon=4)
         gains = np.linspace(0.05, 6.0, 60)
         for j in (2, 3, 4):
-            sent = [demand_bits(5.0, g, j, table) for g in gains]
-            assert all(a <= b + 1e-12 for a, b in zip(sent, sent[1:]))
+            sent = first_slot_bits(5.0, gains, j, table)
+            assert np.all(sent[:-1] <= sent[1:] + 1e-12)
 
     def test_bellman_consistency_two_slots(self):
         """The closed-form split solves the 2-slot problem found by search."""
@@ -118,7 +132,7 @@ class TestDemandBits:
                 for rho in (1.0, 4.0, 9.0):
                     objective = lambda b: b ** m / g + table.xi[1] * (rho - b) ** m
                     b_search = golden_min(objective, 0.0, rho)
-                    b_rule = demand_bits(rho, g, 2, table)
+                    b_rule = first_slot_bits(rho, g, 2, table)[0]
                     assert objective(b_rule) == pytest.approx(
                         objective(b_search), rel=1e-6)
                     assert b_rule == pytest.approx(b_search, abs=1e-5 * rho)
@@ -172,24 +186,41 @@ class TestDemandEnergyBounds:
 class TestEpisodes:
     def test_constant_gains_split_equally(self):
         table = build_xi_table(SlowFading(g=1.5), m=2, horizon=4)
-        trace = simulate_demand_episode(8.0, np.full(4, 1.5), table)
-        np.testing.assert_allclose(trace.bits, np.full(4, 2.0), atol=1e-12)
+        bits, _ = simulate_demand_batch(np.array([8.0]), np.full((1, 4), 1.5), table)
+        np.testing.assert_allclose(bits[0], np.full(4, 2.0), atol=1e-12)
 
     def test_single_slot(self):
         table = build_xi_table(FastGamma(k=2), m=2, horizon=1)
-        trace = simulate_demand_episode(3.3, np.array([0.8]), table)
-        np.testing.assert_allclose(trace.bits, [3.3])
-        assert trace.total_energy == pytest.approx(3.3 ** 2 / 0.8, rel=1e-12)
+        bits, energy = simulate_demand_batch(np.array([3.3]), np.array([[0.8]]), table)
+        np.testing.assert_allclose(bits[0], [3.3])
+        assert energy[0].sum() == pytest.approx(3.3 ** 2 / 0.8, rel=1e-12)
 
     def test_exact_flush(self):
         rng = np.random.default_rng(21)
         table = build_xi_table(FastGamma(k=2), m=3, horizon=6)
-        for _ in range(200):
-            beta = float(rng.uniform(0.0, 12.0))
-            gains = sample_gain(FastGamma(k=2), rng, 6)
-            trace = simulate_demand_episode(beta, gains, table)
-            assert trace.bits.sum() == pytest.approx(beta, abs=1e-9)
-            assert np.all(trace.bits >= -1e-12)
+        beta = rng.uniform(0.0, 12.0, 200)
+        gains = sample_gain(FastGamma(k=2), rng, (200, 6))
+        bits, _ = simulate_demand_batch(beta, gains, table)
+        np.testing.assert_allclose(bits.sum(axis=1), beta, rtol=0.0, atol=1e-9)
+        assert np.all(bits >= -1e-12)
+
+    def test_input_validation(self):
+        table = build_xi_table(FastGamma(k=2), m=2, horizon=3)
+        beta, gains = np.array([1.0, 2.0]), np.ones((2, 3))
+        for bad in (0.0, -1.0, np.nan):
+            broken = gains.copy()
+            broken[1, 2] = bad
+            with pytest.raises(ValueError, match="gains"):
+                simulate_demand_batch(beta, broken, table)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="residual"):
+                simulate_demand_batch(np.array([1.0, bad]), gains, table)
+        for b, g in ((beta[:1], gains), (beta, gains[0]), (beta[:, None], gains)):
+            with pytest.raises(ValueError, match="shape"):
+                simulate_demand_batch(b, g, table)
+        for slots in (0, 4):
+            with pytest.raises(ValueError, match="horizon"):
+                simulate_demand_batch(beta, np.ones((2, slots)), table)
 
     @pytest.mark.parametrize("duration", [1, 2, 3, 5])
     def test_monte_carlo_matches_closed_form(self, duration):
@@ -215,6 +246,6 @@ class TestEpisodes:
             rho = rho - bits
         se = energy.std(ddof=1) / math.sqrt(episodes)
         assert abs(energy.mean() - exact) < 3.0 * se
-        # Spot-check the vectorized replay against the reference simulator.
-        trace = simulate_demand_episode(4.0, gains[0], table)
-        assert trace.total_energy == pytest.approx(energy[0], rel=1e-12)
+        # Check the vectorized replay against the library simulator.
+        _, simulated = simulate_demand_batch(np.full(episodes, 4.0), gains, table)
+        np.testing.assert_allclose(simulated.sum(axis=1), energy, rtol=1e-12)

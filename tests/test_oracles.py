@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from livefetch.demand import build_xi_table
+from livefetch.demand import build_xi_table, expected_demand_energy
 from livefetch.model import FastGamma, Scenario, SlowFading, sample_gain
-from livefetch.oracles import (
-    noncausal_benchmark_energy,
-    p5_backward_induction,
-    slow_oracle,
-)
+from livefetch.oracles import p5_backward_induction, slow_oracle
 from livefetch.prefetch import (
     PrefetchPolicy,
     build_prefix_tables,
@@ -318,33 +314,18 @@ class TestSparseStep:
 
 class TestNoncausalBenchmark:
     def test_slow_channel_matches_closed_form(self):
+        """At a constant gain the noncausal kernel plus the expected demand
+        energy of its residuals is the slow-fading optimum."""
         s = Scenario(m=2, N=5, N_P=3, p=np.array([0.45, 0.35, 0.2]),
                      gamma=np.array([7.0, 6.0, 5.0]))
         channel = SlowFading(1.7)
-        result = noncausal_benchmark_energy(s, channel)
+        xi = build_xi_table(channel, s.m, s.N - s.N_P)
+        batch = run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE,
+                                   np.full((1, s.N), 1.7), np.zeros(1, dtype=int), xi=xi)
+        demand = sum(p * expected_demand_energy(float(beta), xi, s.N - s.N_P, lam=s.lam)
+                     for p, beta in zip(s.p, batch.final_rho[0]))
         exact = expected_fetch_energy_slow(s, 1.7, optimal_prefetch_slow(s))
-        assert result.mean == pytest.approx(exact, rel=1e-9)
-        assert result.stderr == 0.0
-        assert result.trials == 1
-
-    def test_fast_bookkeeping_matches_raw_batch(self):
-        s = Scenario(m=2, N=5, N_P=3, p=np.array([0.45, 0.35, 0.2]),
-                     gamma=np.array([7.0, 6.0, 5.0]))
-        xi = build_xi_table(FAST2, s.m, s.N - s.N_P)
-        tables = build_prefix_tables(s, FAST2, xi)
-        trials = 4000
-        result = noncausal_benchmark_energy(s, FAST2, trials=trials,
-                                            rng=np.random.default_rng(99),
-                                            xi=xi, prefix_tables=tables)
-        rng = np.random.default_rng(99)
-        gains = sample_gain(FAST2, rng, (trials, s.N))
-        realized = rng.choice(s.L, size=trials, p=s.p)
-        batch = run_prefetch_batch(s, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
-                                   gains, realized, xi=xi, prefix_tables=tables)
-        total = batch.total_energy
-        assert result.mean == float(total.mean())
-        assert result.stderr == float(total.std(ddof=1) / np.sqrt(trials))
-        assert result.trials == trials
+        assert float(batch.prefetch_energy[0]) + demand == pytest.approx(exact, rel=1e-9)
 
     def test_benchmark_bounds_causal_and_no_prefetch_policies(self):
         s = Scenario(m=2, N=5, N_P=3, p=np.array([0.45, 0.35, 0.2]),
@@ -352,16 +333,12 @@ class TestNoncausalBenchmark:
         xi = build_xi_table(FAST2, s.m, s.N - s.N_P)
         tables = build_prefix_tables(s, FAST2, xi)
         trials = 8000
-        result = noncausal_benchmark_energy(s, FAST2, trials=trials,
-                                            rng=np.random.default_rng(42),
-                                            xi=xi, prefix_tables=tables)
         rng = np.random.default_rng(42)
         gains = sample_gain(FAST2, rng, (trials, s.N))
         realized = rng.choice(s.L, size=trials, p=s.p)
         reference = run_prefetch_batch(s, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
                                        gains, realized, xi=xi,
                                        prefix_tables=tables).total_energy
-        assert result.mean == float(reference.mean())
         for policy in (PrefetchPolicy.AGGRESSIVE, PrefetchPolicy.CONSERVATIVE,
                        PrefetchPolicy.NO_PREFETCH):
             other = run_prefetch_batch(s, FAST2, policy, gains, realized,
@@ -369,14 +346,3 @@ class TestNoncausalBenchmark:
             paired = other - reference
             stderr = float(paired.std(ddof=1)) / np.sqrt(trials)
             assert float(paired.mean()) >= -3.0 * stderr
-
-    def test_validation(self):
-        no_demand = Scenario(m=2, N=2, N_P=2, p=np.array([1.0]), gamma=np.array([2.0]))
-        with pytest.raises(ValueError):
-            noncausal_benchmark_energy(no_demand, FAST2,
-                                       rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            noncausal_benchmark_energy(S21, FAST2)     # fast fading needs an rng
-        with pytest.raises(ValueError):
-            noncausal_benchmark_energy(S21, FAST2, trials=1,
-                                       rng=np.random.default_rng(0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from livefetch.demand import build_xi_table, simulate_demand_episode
+from livefetch.demand import build_xi_table, simulate_demand_batch
 from livefetch.model import (
     POSITIVE_BITS_EPS,
     FastGamma,
@@ -545,10 +545,9 @@ class TestEpisodeRunner:
         assert np.all(result.decisions == 0.0)
         assert np.all(result.thresholds == 0.0)
         assert np.all(result.slot_set_size == 0)
-        replay = simulate_demand_episode(float(S3.gamma[1]), gains[0, S3.N_P:], XI3)
-        assert result.demand_energy[0] == pytest.approx(replay.total_energy,
-                                                        rel=1e-12)
-        assert result.total_energy[0] == pytest.approx(replay.total_energy, rel=1e-12)
+        _, replay = simulate_demand_batch(S3.gamma[1:2], gains[:, S3.N_P:], XI3)
+        assert result.demand_energy[0] == pytest.approx(replay[0].sum(), rel=1e-12)
+        assert result.total_energy[0] == pytest.approx(replay[0].sum(), rel=1e-12)
 
     def test_bit_conservation_and_nonnegative_residuals(self):
         rng = np.random.default_rng(13)
@@ -561,12 +560,9 @@ class TestEpisodeRunner:
             assert np.all(alpha <= S3.gamma + 1e-9)
             assert np.all(result.final_rho >= -1e-9)
             assert result.beta == pytest.approx(result.final_rho[rows, realized])
-            for i in rows:
-                demand = simulate_demand_episode(float(result.beta[i]),
-                                                 gains[i, S3.N_P:], XI3)
-                fetched = alpha[i, realized[i]] + demand.bits.sum()
-                assert fetched == pytest.approx(float(S3.gamma[realized[i]]),
-                                                abs=1e-9)
+            demand, _ = simulate_demand_batch(result.beta, gains[:, S3.N_P:], XI3)
+            fetched = alpha[rows, realized] + demand.sum(axis=1)
+            np.testing.assert_allclose(fetched, S3.gamma[realized], rtol=0.0, atol=1e-9)
 
     def test_status_identity_after_positive_decisions(self):
         # Whenever a task receives bits, its residual is pulled exactly onto

@@ -13,7 +13,6 @@ from livefetch.slow import (
     optimal_prefetch_slow,
     prefetch_gain_slow,
     priorities,
-    priority,
     priority_order,
     slot_allocation_slow,
     total_prefetched_bits,
@@ -37,24 +36,20 @@ def random_scenario(rng, L_max=5, m_choices=(2, 3, 4), N_max=10):
 class TestPriority:
     def test_direct_formula(self):
         s = Scenario(m=2, N=5, N_P=4, p=np.array([0.25, 0.75]), gamma=np.array([4.0, 1.0]))
-        assert priority(s, 0) == pytest.approx(1.0, abs=1e-12)
+        assert priorities(s)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_certainty_case(self):
         s = Scenario(m=2, N=5, N_P=4, p=np.array([1.0]), gamma=np.array([7.5]))
-        assert priority(s, 0) == pytest.approx(7.5, abs=1e-12)
+        assert priorities(s)[0] == pytest.approx(7.5, abs=1e-12)
 
     def test_cubic_order(self):
         s = Scenario(m=3, N=5, N_P=4, p=np.array([0.125, 0.875]), gamma=np.array([8.0, 1.0]))
-        assert priority(s, 0) == pytest.approx(8.0 * 0.125 ** 0.5, rel=1e-12)
+        assert priorities(s)[0] == pytest.approx(8.0 * 0.125 ** 0.5, rel=1e-12)
 
     def test_order_sorts_descending_with_index_ties(self):
         s = Scenario(m=2, N=5, N_P=4, p=np.array([0.25, 0.25, 0.25, 0.25]),
                      gamma=np.array([5.0, 7.0, 5.0, 6.0]))
         assert priority_order(s) == [1, 3, 0, 2]
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            priority(UNIFORM2, 2)
 
 
 class TestTotalPrefetchedBits:
