@@ -25,7 +25,7 @@ from .prefetch import (
     expected_total_energy_fast,
     no_prefetch_energy_fast,
 )
-from .slow import priority_order
+from .slow import _task_members, priority_order
 
 __all__ = [
     "OracleResult",
@@ -271,15 +271,6 @@ def _check_slot_state(rho: np.ndarray, slot: int, s: Scenario) -> None:
         raise ValueError("residual bits must be nonnegative")
 
 
-def _members_array(s: Scenario, task_set) -> np.ndarray:
-    members = sorted({int(i) for i in task_set})
-    if not members:
-        raise ValueError("task_set must be nonempty")
-    if members[0] < 0 or members[-1] >= s.L:
-        raise IndexError(f"task indices {members} out of range for L={s.L}")
-    return np.array(members, dtype=int)
-
-
 def threshold_eta(rho: np.ndarray, slot: int, g: float, s: Scenario, task_set,
                   zeta: ZetaTable, xi: XiTable) -> float:
     """Closed-form prefetch threshold at prefetch slot ``slot`` (1-based).
@@ -299,7 +290,7 @@ def threshold_eta(rho: np.ndarray, slot: int, g: float, s: Scenario, task_set,
     _check_slot_state(rho, slot, s)
     if not (np.isfinite(g) and g > 0.0):
         raise ValueError(f"channel gain must be strictly positive, got {g!r}")
-    idx = _members_array(s, task_set)
+    idx = np.array(_task_members(s, task_set), dtype=int)
     root = 1.0 / (s.m - 1)
     mass = float(np.sum(s.p[idx] ** (-root)))
     residual = float(np.sum(rho[idx]))
@@ -346,7 +337,7 @@ def noncausal_final_threshold(rho: np.ndarray, slot: int, future_gains, s: Scena
         raise ValueError(f"need gains for slots {slot}..{s.N_P} ({expected} values)")
     if np.any(gains <= 0.0):
         raise ValueError("all gains must be strictly positive")
-    idx = _members_array(s, task_set)
+    idx = np.array(_task_members(s, task_set), dtype=int)
     root = 1.0 / (s.m - 1)
     mass = float(np.sum(s.p[idx] ** (-root)))
     residual = float(np.sum(rho[idx]))

@@ -35,7 +35,7 @@ import numpy as np
 # smoke test look for it on this module.
 from .model import Channel, Scenario, coefficient_chain, expect_over_gain  # noqa: F401
 from .demand import XiTable, build_xi_table, simulate_demand_batch
-from .slow import priorities, priority_order
+from .slow import _task_members, priorities, priority_order
 
 __all__ = [
     "PrefetchPolicy",
@@ -107,12 +107,7 @@ def build_zeta_table(s: Scenario, channel: Channel, task_set: Iterable[int],
     zeta in place of xi: one :func:`~livefetch.model.coefficient_chain`
     from ``u_xi * A``.
     """
-    members = tuple(sorted({int(i) for i in task_set}))
-    if not members:
-        raise ValueError("task_set must be nonempty")
-    if members[0] < 0 or members[-1] >= s.L:
-        raise IndexError(f"task indices {members} out of range for L={s.L}")
-    return _zeta_tables(s, channel, [members], xi)[0]
+    return _zeta_tables(s, channel, [tuple(_task_members(s, task_set))], xi)[0]
 
 
 def build_prefix_tables(s: Scenario, channel: Channel, xi: XiTable) -> list:
@@ -152,9 +147,7 @@ def expected_total_energy_fast(s: Scenario, task_set,
     Tasks outside the set are fetched purely on demand.  With an empty set
     this is the pure no-prefetch energy (pass ``xi`` explicitly then).
     """
-    members = sorted({int(i) for i in task_set})
-    if members and (members[0] < 0 or members[-1] >= s.L):
-        raise IndexError(f"task indices {members} out of range for L={s.L}")
+    members = _task_members(s, task_set, allow_empty=True)
     if members:
         if zeta is None:
             raise ValueError("a zeta table for the target set is required")
@@ -307,7 +300,7 @@ class _Kernel:
             spare = 0.0
         lo = np.minimum(np.maximum(c, 1), k)
         active = np.maximum(lo, k)
-        for _ in range(int((active - lo).max()).bit_length()):
+        for _ in range(int((active - lo).max(initial=0)).bit_length()):
             mid = (lo + active) // 2
             eta = (self.totals(level, c, mid) - total) / (self.cum_w[mid] + spare)
             reached = eta >= np.minimum(self.delta[mid], level)
@@ -444,7 +437,7 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         raise ValueError(f"gains must have shape (episodes, {s.N})")
     if realized.shape != (gains.shape[0],):
         raise ValueError("realized must hold one task index per episode")
-    if np.any(gains <= 0.0):
+    if not np.all(gains > 0.0):
         raise ValueError("all gains must be strictly positive")
     if np.any((realized < 0) | (realized >= s.L)):
         raise IndexError("realized task index out of range")

@@ -65,6 +65,20 @@ def priority_order(s: Scenario) -> list:
     return sorted(range(s.L), key=lambda i: (-delta[i], i))
 
 
+def _task_members(s: Scenario, task_set: Iterable[int], allow_empty: bool = False) -> list:
+    """The distinct task indices of ``task_set`` in ascending order.
+
+    Raises ``ValueError`` on an empty set unless ``allow_empty``, and
+    ``IndexError`` on an index outside ``0 .. L-1``.
+    """
+    members = sorted({int(i) for i in task_set})
+    if not members and not allow_empty:
+        raise ValueError("task_set must be nonempty")
+    if members and (members[0] < 0 or members[-1] >= s.L):
+        raise IndexError(f"task indices {members} out of range for L={s.L}")
+    return members
+
+
 def total_prefetched_bits(s: Scenario, task_set: Iterable[int]) -> float:
     """Total prefetched bits implied by a candidate target set.
 
@@ -76,11 +90,7 @@ def total_prefetched_bits(s: Scenario, task_set: Iterable[int]) -> float:
     Requires ``N > N_P``; with ``N == N_P`` everything is prefetched and the
     caller should short-circuit to ``alpha = gamma``.
     """
-    members = sorted({int(i) for i in task_set})
-    if not members:
-        raise ValueError("task_set must be nonempty")
-    if members[0] < 0 or members[-1] >= s.L:
-        raise IndexError(f"task indices {members} out of range for L={s.L}")
+    members = _task_members(s, task_set)
     if s.N == s.N_P:
         raise ValueError("N == N_P leaves no demand phase; prefetch everything instead")
     idx = np.array(members)

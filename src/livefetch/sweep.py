@@ -1,17 +1,18 @@
 """Monte-Carlo experiment harness: parameter sweeps over random scenarios.
 
-A sweep varies one system parameter, draws a fresh population of random
-scenarios for every sweep point from per-scenario seeded substreams (so
-that points share scenario shapes and episode noise — paired comparisons),
-and reports per-policy mean energies and prefetching gains.  The gain of a
-policy is the ratio of the closed-form no-prefetch energy to the policy's
-mean energy, averaged over scenarios, and is also reported in decibels.
+A sweep varies one system parameter over a population of random
+scenarios, each drawn from per-scenario seeded substreams and evaluated at
+every sweep point (so that points share scenario shapes and episode noise —
+paired comparisons), and reports per-policy mean energies and prefetching
+gains.  The gain of a policy is the ratio of the closed-form no-prefetch
+energy to the policy's mean energy, averaged over scenarios, and is also
+reported in decibels.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,7 +22,6 @@ from .slow import (
     expected_fetch_energy_slow,
     no_prefetch_energy_slow,
     optimal_prefetch_slow,
-    prefetch_gain_slow,
 )
 from .demand import build_xi_table
 from .prefetch import (
@@ -50,13 +50,6 @@ SWEEP_PARAMS = ("gamma", "L", "N", "Np", "k")
 
 SLOW_POLICIES = ("slow-opt", "no-prefetch")
 FAST_POLICIES = ("no-prefetch", "aggressive", "conservative", "noncausal")
-
-_FAST_POLICY_MAP = {
-    "no-prefetch": PrefetchPolicy.NO_PREFETCH,
-    "aggressive": PrefetchPolicy.AGGRESSIVE,
-    "conservative": PrefetchPolicy.CONSERVATIVE,
-    "noncausal": PrefetchPolicy.NONCAUSAL_ORACLE,
-}
 
 # Seed-stream tags: scenario shapes, episode gains, task realizations.
 _TAG_SCENARIO = 11
@@ -203,40 +196,66 @@ def _aggregate(cfg: SweepConfig, value: float, policy: str,
                     trials=episodes)
 
 
-def _scenario_rng(cfg: SweepConfig, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((cfg.seed, _TAG_SCENARIO, index)))
+def _scenario_rng(cfg: SweepConfig, index: int,
+                  tag: int = _TAG_SCENARIO) -> np.random.Generator:
+    """Substream ``tag`` of scenario ``index``: its shape, gains or tasks."""
+    return np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, index)))
 
 
 def run_sweep(cfg: SweepConfig) -> list:
     """Execute a sweep and return one row per (sweep point, policy).
 
-    Scenario substreams are keyed by the scenario index alone, so every
-    sweep point sees the same family of random shapes; fast-fading episodes
-    likewise share gain and task-realization draws across points and
-    policies (paired sampling).  Slow-fading rows are fully closed-form
+    Scenarios form the outer loop and every sweep point is evaluated on
+    each scenario's substreams, which are keyed by the scenario index
+    alone: all points see the same family of random shapes, and
+    fast-fading episodes share gain and task-realization draws across
+    points and policies (paired sampling).  A ``k`` sweep couples its
+    gains too: a unit-mean Gamma(k) gain is the mean of ``k`` unit
+    exponentials, so one ``(trials, N, max k)`` exponential draw per
+    scenario feeds every ``k`` through nested partial sums, and the gain
+    curve is smooth in ``k``.  Slow-fading rows are fully closed-form
     (zero episodes); fast-fading rows run ``cfg.trials`` episodes per
     scenario.  Rows come back sorted by (sweep value, policy name).
     """
-    rows = []
-    for value in cfg.values:
-        dims = cfg._dims(value)
-        per_policy_energy = {pol: [] for pol in cfg.policies}
-        per_policy_gain = {pol: [] for pol in cfg.policies}
-        for index in range(cfg.scenarios):
+    points = [cfg._dims(value) for value in cfg.values]
+    energies = [{policy: [] for policy in cfg.policies} for _ in points]
+    gains = [{policy: [] for policy in cfg.policies} for _ in points]
+    for index in range(cfg.scenarios):
+        if cfg.param == "k":
+            k_max = max(dims["k"] for dims in points)
+            partial_sums = np.cumsum(_scenario_rng(cfg, index, _TAG_GAINS).exponential(
+                size=(cfg.trials, cfg.N, k_max)), axis=2)
+        for dims, point_energies, point_gains in zip(points, energies, gains):
             s = generate_scenario(_scenario_rng(cfg, index), L=dims["L"],
                                   gamma_total=dims["gamma_total"], m=cfg.m,
                                   N=dims["N"], N_P=dims["N_P"], lam=cfg.lam,
                                   uniform=cfg.uniform)
             if cfg.fading == "slow":
-                _accumulate_slow(cfg, s, per_policy_energy, per_policy_gain)
+                _accumulate_slow(cfg, s, point_energies, point_gains)
+                continue
+            channel = FastGamma(dims["k"])
+            xi = build_xi_table(channel, s.m, s.N - s.N_P)
+            prefix_tables = build_prefix_tables(s, channel, xi)
+            base = no_prefetch_energy_fast(s, xi)
+            if cfg.param == "k":
+                episode_gains = partial_sums[:, :, channel.k - 1] / channel.k
             else:
-                _accumulate_fast(cfg, s, dims, index,
-                                 per_policy_energy, per_policy_gain)
-        episodes = 0 if cfg.fading == "slow" else cfg.trials
-        for policy in cfg.policies:
-            rows.append(_aggregate(cfg, value, policy,
-                                   per_policy_energy[policy],
-                                   per_policy_gain[policy], episodes))
+                episode_gains = sample_gain(channel, _scenario_rng(cfg, index, _TAG_GAINS),
+                                            (cfg.trials, s.N))
+            realized = _scenario_rng(cfg, index, _TAG_TASKS).choice(
+                s.L, size=cfg.trials, p=s.p)
+            for policy in cfg.policies:
+                batch = run_prefetch_batch(s, channel, PrefetchPolicy(policy),
+                                           episode_gains, realized, xi=xi,
+                                           prefix_tables=prefix_tables)
+                energy = float(batch.total_energy.mean())
+                point_energies[policy].append(energy)
+                point_gains[policy].append(base / energy)
+    episodes = 0 if cfg.fading == "slow" else cfg.trials
+    rows = [_aggregate(cfg, value, policy, point_energies[policy], point_gains[policy],
+                       episodes)
+            for value, point_energies, point_gains in zip(cfg.values, energies, gains)
+            for policy in cfg.policies]
     rows.sort(key=lambda row: (row.param_value, row.policy))
     return rows
 
@@ -255,76 +274,23 @@ def _accumulate_slow(cfg: SweepConfig, s: Scenario, energies: dict, gains: dict)
         gains[policy].append(base / energy if s.N > s.N_P else 1.0)
 
 
-def _accumulate_fast(cfg: SweepConfig, s: Scenario, dims: dict, index: int,
-                     energies: dict, gains: dict):
-    channel = FastGamma(dims["k"])
-    xi = build_xi_table(channel, s.m, s.N - s.N_P)
-    prefix_tables = build_prefix_tables(s, channel, xi)
-    base = no_prefetch_energy_fast(s, xi)
-    gain_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _TAG_GAINS, index)))
-    task_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _TAG_TASKS, index)))
-    gains_draw = sample_gain(channel, gain_rng, (cfg.trials, s.N))
-    realized = task_rng.choice(s.L, size=cfg.trials, p=s.p)
-    for policy in cfg.policies:
-        batch = run_prefetch_batch(s, channel, _FAST_POLICY_MAP[policy],
-                                   gains_draw, realized, xi=xi,
-                                   prefix_tables=prefix_tables)
-        energy = float(batch.total_energy.mean())
-        energies[policy].append(energy)
-        gains[policy].append(base / energy)
-
-
 def gain_vs_shape(cfg: SweepConfig) -> list:
     """Prefetching gain versus the fast-fading shape parameter.
 
-    For each ``k`` the optimal (noncausal) policy is simulated per scenario
-    and its gain reported under the ``fast-optimal`` label; a slow-fading
-    reference line at the same scenarios (``slow-opt``, constant across
-    ``k``) is emitted alongside.  Episodes are paired across ``k`` by
-    common random numbers: a unit-mean Gamma(k) gain is the mean of ``k``
-    unit exponentials, so one exponential draw per (episode, slot) feeds
-    every sweep point through nested partial sums, making the gain curve
-    smooth in ``k``.
+    The ``fast-optimal`` rows are the noncausal rows of the ``k`` sweep
+    itself, paired across ``k`` as every ``k`` sweep of :func:`run_sweep`
+    is.  The ``slow-opt`` reference is the single row of a one-point
+    slow-fading sweep at ``gamma_total`` over the same scenarios, repeated
+    at every ``k``.
     """
     if cfg.param != "k" or cfg.fading != "fast":
         raise ConfigError("gain_vs_shape requires a fast-fading k sweep")
-    k_values = [int(v) for v in cfg.values]
-    k_max = max(k_values)
+    (slow,) = run_sweep(replace(cfg, param="gamma", values=(cfg.gamma_total,),
+                                fading="slow", policies=("slow-opt",)))
     rows = []
-    slow_e, slow_g_ratio = [], []
-    fast_e = {k: [] for k in k_values}
-    fast_g = {k: [] for k in k_values}
-    for index in range(cfg.scenarios):
-        s = generate_scenario(_scenario_rng(cfg, index), L=cfg.L,
-                              gamma_total=cfg.gamma_total, m=cfg.m,
-                              N=cfg.N, N_P=cfg.N_P, lam=cfg.lam,
-                              uniform=cfg.uniform)
-        plan = optimal_prefetch_slow(s)
-        slow_e.append(expected_fetch_energy_slow(s, cfg.slow_g, plan))
-        slow_g_ratio.append(prefetch_gain_slow(s, cfg.slow_g))
-        gain_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _TAG_GAINS, index)))
-        task_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _TAG_TASKS, index)))
-        partial_sums = np.cumsum(gain_rng.exponential(size=(cfg.trials, s.N, k_max)),
-                                 axis=2)
-        realized = task_rng.choice(s.L, size=cfg.trials, p=s.p)
-        for k in k_values:
-            channel = FastGamma(k)
-            xi = build_xi_table(channel, s.m, s.N - s.N_P)
-            prefix_tables = build_prefix_tables(s, channel, xi)
-            gains_draw = partial_sums[:, :, k - 1] / k
-            batch = run_prefetch_batch(s, channel,
-                                       PrefetchPolicy.NONCAUSAL_ORACLE,
-                                       gains_draw, realized, xi=xi,
-                                       prefix_tables=prefix_tables)
-            energy = float(batch.total_energy.mean())
-            fast_e[k].append(energy)
-            fast_g[k].append(no_prefetch_energy_fast(s, xi) / energy)
-    for value in cfg.values:
-        k = int(value)
-        rows.append(_aggregate(cfg, value, "fast-optimal", fast_e[k], fast_g[k],
-                               cfg.trials))
-        rows.append(_aggregate(cfg, value, "slow-opt", slow_e, slow_g_ratio, 0))
-    rows.sort(key=lambda row: (row.param_value, row.policy))
+    for row in run_sweep(replace(cfg, policies=("noncausal",))):
+        rows.append(replace(row, policy="fast-optimal"))
+        rows.append(replace(slow, param=row.param, param_value=row.param_value))
     return rows
 
 

@@ -1,8 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports or keeps private is used in that module.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library's ``ast``.  The package ``__init__`` re-exports names and
-is exempt, as is an import statement marked ``# noqa: F401``.
+is exempt, as is an import statement marked ``# noqa: F401``.  A private
+module-level function, class or constant (one leading underscore) must be
+read somewhere in its module besides its definition.
 """
 
 import ast
@@ -33,6 +35,23 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def dead_private_names(source: str) -> list:
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -41,3 +60,14 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(tau)\n"
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_dead_private_names(path):
+    assert dead_private_names(path.read_text()) == []
+
+
+def test_a_dead_private_name_is_reported():
+    source = ("__all__ = []\n_USED = 1\n_DEAD = 2\n\n\ndef _helper():\n    return _USED\n\n\n"
+              "class _Gone:\n    pass\n\n\ndef public():\n    return _helper()\n")
+    assert dead_private_names(source) == ["_DEAD (line 3)", "_Gone (line 10)"]

@@ -671,6 +671,21 @@ class TestEpisodeRunner:
             run_prefetch_batch(degenerate, FAST2, PrefetchPolicy.AGGRESSIVE,
                                np.ones((1, 3)), np.array([0]))
 
+    @pytest.mark.parametrize("policy", PrefetchPolicy)
+    def test_nan_prefetch_gain_rejected(self, policy):
+        gains = np.ones((2, S3.N))
+        gains[1, S3.N_P - 1] = np.nan
+        with pytest.raises(ValueError):
+            run_prefetch_batch(S3, FAST2, policy, gains, np.array([0, 1]), xi=XI3,
+                               prefix_tables=TABLES3)
+
+    @pytest.mark.parametrize("policy", PrefetchPolicy)
+    def test_empty_batch(self, policy):
+        batch = run_prefetch_batch(S3, FAST2, policy, np.empty((0, S3.N)),
+                                   np.empty(0, dtype=int), xi=XI3, prefix_tables=TABLES3)
+        assert batch.total_energy.shape == (0,)
+        assert batch.final_rho.shape == (0, S3.L)
+
 
 class TestBatchRunner:
     def test_locked_prefix_matches_closed_forms(self):

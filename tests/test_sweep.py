@@ -1,6 +1,7 @@
 """Sweep harness: config validation, pairing, aggregation, CSV boundary."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,6 +209,13 @@ class TestGainVsShape:
             energies.append(expected_fetch_energy_slow(
                 s, 1.0, optimal_prefetch_slow(s)))
         assert slow.mean_energy == pytest.approx(float(np.mean(energies)), rel=1e-12)
+
+    def test_k_sweep_rows_are_the_shape_sweep_rows(self):
+        cfg = replace(self.CFG, policies=("no-prefetch", "noncausal"))
+        swept = [row for row in run_sweep(cfg) if row.policy == "noncausal"]
+        shape = [row for row in gain_vs_shape(cfg) if row.policy == "fast-optimal"]
+        assert [(row.param_value, row.mean_energy, row.stderr, row.gain) for row in swept] \
+            == [(row.param_value, row.mean_energy, row.stderr, row.gain) for row in shape]
 
 
 class TestCsvBoundary:
