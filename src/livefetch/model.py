@@ -108,7 +108,7 @@ class Scenario:
         gamma = _readonly(self.gamma)
         if p.ndim != 1 or gamma.shape != p.shape or p.size == 0:
             raise ValueError("p and gamma must be 1-d arrays of equal, nonzero length")
-        if np.any(p <= 0.0):
+        if not np.all(p > 0.0):
             raise ValueError("all task probabilities must be strictly positive")
         if abs(float(p.sum()) - 1.0) > PROB_TOL:
             raise ValueError(f"task probabilities must sum to 1, got {float(p.sum())!r}")
@@ -323,10 +323,11 @@ def coefficient_chain(channel: Channel, m: int, start, steps: int) -> tuple:
 def to_db(energy_ratio: float) -> float:
     """Express a positive energy ratio in decibels (``10*log10``).
 
-    A non-finite ratio (an upstream overflow) raises ``FloatingPointError``.
+    The ratio is always computed, so one that is not both finite and
+    strictly positive (an upstream overflow or underflow) raises
+    ``FloatingPointError``.
     """
-    if not np.isfinite(energy_ratio):
-        raise FloatingPointError(f"ratio must be finite, got {energy_ratio!r}")
-    if not energy_ratio > 0.0:
-        raise ValueError(f"ratio must be strictly positive, got {energy_ratio!r}")
+    if not (np.isfinite(energy_ratio) and energy_ratio > 0.0):
+        raise FloatingPointError(f"ratio must be finite and strictly positive, "
+                                 f"got {energy_ratio!r}")
     return 10.0 * math.log10(energy_ratio)

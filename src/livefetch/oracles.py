@@ -25,7 +25,7 @@ from .prefetch import (
     expected_total_energy_fast,
     no_prefetch_energy_fast,
 )
-from .slow import _task_members, priority_order
+from .slow import priority_order
 
 __all__ = [
     "OracleResult",
@@ -262,23 +262,31 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
                            gain_weights=gain_weights, demand_values=demand)
 
 
-def _check_slot_state(rho: np.ndarray, slot: int, s: Scenario) -> None:
-    if not 1 <= slot <= s.N_P:
-        raise ValueError(f"slot {slot} outside the prefetch phase 1..{s.N_P}")
+def _check_residuals(rho: np.ndarray, s: Scenario) -> None:
     if rho.shape != s.gamma.shape:
         raise ValueError("rho must have one entry per candidate task")
     if np.any(rho < -POSITIVE_BITS_EPS):
         raise ValueError("residual bits must be nonnegative")
 
 
-def threshold_eta(rho: np.ndarray, slot: int, g: float, s: Scenario, task_set,
-                  zeta: ZetaTable, xi: XiTable) -> float:
+def _set_sums(rho: np.ndarray, slot: int, zeta: ZetaTable) -> tuple:
+    """Check a slot state; the table set's inverse-probability mass and residual total."""
+    s = zeta.scenario
+    if not 1 <= slot <= s.N_P:
+        raise ValueError(f"slot {slot} outside the prefetch phase 1..{s.N_P}")
+    _check_residuals(rho, s)
+    idx = np.array(zeta.task_set)
+    return float(np.sum(s.p[idx] ** (-1.0 / (s.m - 1)))), float(np.sum(rho[idx]))
+
+
+def threshold_eta(rho: np.ndarray, slot: int, g: float, zeta: ZetaTable) -> float:
     """Closed-form prefetch threshold at prefetch slot ``slot`` (1-based).
 
-    ``rho`` holds the residual bits per task.  Before the final prefetch
-    slot the continuation runs through the zeta coefficient at ``N - n``
-    slots-to-deadline; at the final prefetch slot (``n == N_P``) it couples
-    directly into the demand table:
+    ``rho`` holds the residual bits per task; the scenario, the target set
+    ``S`` and the demand table come from ``zeta``.  Before the final
+    prefetch slot the continuation runs through the zeta coefficient at
+    ``N - n`` slots-to-deadline; at the final prefetch slot (``n == N_P``)
+    it couples directly into the demand table:
 
         n < N_P:  eta = sum_S rho * u_z / ((g**(1/(m-1)) + u_z) * A)
         n == N_P: eta = sum_S rho * u_xi / (g**(1/(m-1)) + u_xi * A).
@@ -287,37 +295,34 @@ def threshold_eta(rho: np.ndarray, slot: int, g: float, s: Scenario, task_set,
     decision); the episode kernel switches to an active-prefix solve when
     that fails.
     """
-    _check_slot_state(rho, slot, s)
+    mass, residual = _set_sums(rho, slot, zeta)
     if not (np.isfinite(g) and g > 0.0):
         raise ValueError(f"channel gain must be strictly positive, got {g!r}")
-    idx = np.array(_task_members(s, task_set), dtype=int)
-    root = 1.0 / (s.m - 1)
-    mass = float(np.sum(s.p[idx] ** (-root)))
-    residual = float(np.sum(rho[idx]))
-    u_g = g ** root
+    s = zeta.scenario
+    u_g = g ** (1.0 / (s.m - 1))
     if slot < s.N_P:
         u_z = zeta.u(s.N - slot)
         return residual * u_z / ((u_g + u_z) * mass)
-    u_xi = xi.inv_root[s.N - s.N_P]
+    u_xi = zeta.xi.inv_root[s.N - s.N_P]
     return residual * u_xi / (u_g + u_xi * mass)
 
 
-def decision_vector(rho: np.ndarray, slot: int, eta: float, s: Scenario) -> np.ndarray:
-    """Per-task bits to prefetch in ``slot`` under threshold ``eta``.
+def decision_vector(rho: np.ndarray, eta: float, s: Scenario) -> np.ndarray:
+    """Per-task bits to prefetch in a slot under threshold ``eta``.
 
     Applies ``[rho - eta * p**(-1/(m-1))]+`` to *every* task; tasks whose
     priority falls below the threshold get zero on their own.  Decisions
     never exceed the residual.
     """
-    _check_slot_state(rho, slot, s)
+    _check_residuals(rho, s)
     if eta < 0.0 or not np.isfinite(eta):
         raise ValueError(f"threshold must be nonnegative and finite, got {eta!r}")
     w = s.p ** (-1.0 / (s.m - 1))
     return np.clip(rho - eta * w, 0.0, np.maximum(rho, 0.0))
 
 
-def noncausal_final_threshold(rho: np.ndarray, slot: int, future_gains, s: Scenario,
-                              task_set, zeta: ZetaTable, xi: XiTable) -> float:
+def noncausal_final_threshold(rho: np.ndarray, slot: int, future_gains,
+                              zeta: ZetaTable) -> float:
     """Final-slot threshold computed with the remaining gains revealed.
 
     Given the gains of slots ``n..N_P``, the threshold the policy will end
@@ -330,18 +335,16 @@ def noncausal_final_threshold(rho: np.ndarray, slot: int, future_gains, s: Scena
 
     At ``n == N_P`` the product is empty and this is the exact threshold.
     """
-    _check_slot_state(rho, slot, s)
+    mass, residual = _set_sums(rho, slot, zeta)
+    s = zeta.scenario
     gains = np.asarray(future_gains, dtype=float)
     expected = s.N_P - slot + 1
     if gains.ndim != 1 or gains.size != expected:
         raise ValueError(f"need gains for slots {slot}..{s.N_P} ({expected} values)")
-    if np.any(gains <= 0.0):
+    if not np.all(gains > 0.0):
         raise ValueError("all gains must be strictly positive")
-    idx = np.array(_task_members(s, task_set), dtype=int)
     root = 1.0 / (s.m - 1)
-    mass = float(np.sum(s.p[idx] ** (-root)))
-    residual = float(np.sum(rho[idx]))
-    u_xi = xi.inv_root[s.N - s.N_P]
+    u_xi = zeta.xi.inv_root[s.N - s.N_P]
     value = residual * u_xi / (gains[-1] ** root + u_xi * mass)
     for offset, k in enumerate(range(slot, s.N_P)):
         u_z = zeta.u(s.N - k)
@@ -385,7 +388,7 @@ def best_prefix_set(s: Scenario, channel: Channel, xi: XiTable,
         candidates = [tuple(order[:k]) for k in range(1, s.L + 1)]
     for members in candidates:
         zeta = build_zeta_table(s, channel, members, xi)
-        energy = expected_total_energy_fast(s, members, zeta)
+        energy = expected_total_energy_fast(zeta)
         if energy < best[1]:
             best = (frozenset(members), energy, zeta)
     return best

@@ -62,34 +62,40 @@ class PrefetchPolicy(enum.Enum):
 class ZetaTable:
     """Backward coefficients of the prefetch phase for one target set.
 
-    ``value(j)`` is the coefficient with ``j`` slots remaining before the
-    deadline, tabulated for ``j = N-N_P+1 .. N`` (the prefetch phase);
-    ``u(j)`` caches ``(1/value(j))**(1/(m-1))``.  The boundary entry couples
-    into the demand table through the set's inverse-probability mass
+    The table owns what it was built from: its ``scenario``, its sorted
+    ``task_set`` and the demand table ``xi`` it continues.  ``value(j)`` is
+    the coefficient with ``j`` slots remaining before the deadline,
+    tabulated for ``j = N-N_P+1 .. N`` (the prefetch phase); ``u(j)``
+    caches ``(1/value(j))**(1/(m-1))``.  The boundary entry couples into
+    the demand table through the set's inverse-probability mass
     ``A = sum_S p**(-1/(m-1))``.
     """
 
+    scenario: Scenario
     task_set: tuple
-    first_index: int
     zeta: tuple
     inv_root: tuple
     xi: XiTable
 
     @property
+    def first_index(self) -> int:
+        return self.scenario.N - self.scenario.N_P + 1
+
+    @property
     def last_index(self) -> int:
-        return self.first_index + len(self.zeta) - 1
+        return self.scenario.N
 
     def value(self, slots_to_deadline: int) -> float:
-        if not self.first_index <= slots_to_deadline <= self.last_index:
-            raise ValueError(
-                f"zeta index {slots_to_deadline} outside [{self.first_index}, {self.last_index}]")
-        return self.zeta[slots_to_deadline - self.first_index]
+        return self.zeta[self._offset(slots_to_deadline)]
 
     def u(self, slots_to_deadline: int) -> float:
+        return self.inv_root[self._offset(slots_to_deadline)]
+
+    def _offset(self, slots_to_deadline: int) -> int:
         if not self.first_index <= slots_to_deadline <= self.last_index:
             raise ValueError(
                 f"zeta index {slots_to_deadline} outside [{self.first_index}, {self.last_index}]")
-        return self.inv_root[slots_to_deadline - self.first_index]
+        return slots_to_deadline - self.first_index
 
 
 def build_zeta_table(s: Scenario, channel: Channel, task_set: Iterable[int],
@@ -116,59 +122,57 @@ def build_prefix_tables(s: Scenario, channel: Channel, xi: XiTable) -> list:
     All ``L`` chains advance together, one vectorized step per slot; each
     table equals :func:`build_zeta_table` on its prefix bit for bit.
     """
+    return _zeta_tables(s, channel, _prefix_sets(s), xi)
+
+
+def _prefix_sets(s: Scenario) -> list:
+    """The priority prefixes of sizes ``1..L``, each a sorted tuple."""
     order = priority_order(s)
-    return _zeta_tables(s, channel, [tuple(sorted(order[:k])) for k in range(1, s.L + 1)], xi)
+    return [tuple(sorted(order[:k])) for k in range(1, s.L + 1)]
+
+
+def _check_xi(s: Scenario, channel: Channel, xi: XiTable) -> None:
+    """Raise ``ValueError`` unless ``xi`` is a demand table of ``s`` under ``channel``."""
+    if s.N == s.N_P:
+        raise ValueError("the fast-fading prefetch phase requires a demand phase (N > N_P)")
+    if xi.channel != channel or xi.m != s.m or xi.horizon < s.N - s.N_P:
+        raise ValueError("xi table does not match the scenario/channel")
 
 
 def _zeta_tables(s: Scenario, channel: Channel, sets: list, xi: XiTable) -> list:
     """Zeta tables of the given sorted, valid target sets."""
-    if s.N == s.N_P:
-        raise ValueError("zeta coefficients require a demand phase (N > N_P)")
-    d = s.N - s.N_P
-    if xi.horizon < d or xi.m != s.m or xi.channel != channel:
-        raise ValueError("xi table does not match the scenario/channel")
+    _check_xi(s, channel, xi)
     root = 1.0 / (s.m - 1)
     masses = [float(np.sum(s.p[list(members)] ** (-root))) for members in sets]
-    entries, roots = coefficient_chain(channel, s.m, xi.inv_root[d] * np.array(masses),
+    entries, roots = coefficient_chain(channel, s.m, xi.inv_root[s.N - s.N_P] * np.array(masses),
                                        s.N_P)
-    return [ZetaTable(task_set=members, first_index=d + 1, zeta=tuple(zeta),
+    return [ZetaTable(scenario=s, task_set=members, zeta=tuple(zeta),
                       inv_root=tuple(inv_root), xi=xi)
             for members, zeta, inv_root in zip(sets, entries.tolist(), roots.tolist())]
 
 
-def expected_total_energy_fast(s: Scenario, task_set,
-                               zeta: Optional[ZetaTable] = None,
-                               xi: Optional[XiTable] = None) -> float:
-    """Expected stage energy of the threshold policy locked to a target set.
+def expected_total_energy_fast(zeta: ZetaTable) -> float:
+    """Expected stage energy of the threshold policy locked to the table's set ``S``.
 
         lam * (sum_S gamma)**m * zeta_N(S)
             + lam * xi[N-N_P] * sum_{l not in S} p(l) * gamma(l)**m.
 
-    Tasks outside the set are fetched purely on demand.  With an empty set
-    this is the pure no-prefetch energy (pass ``xi`` explicitly then).
+    Tasks outside the set are fetched purely on demand.
     """
-    members = _task_members(s, task_set, allow_empty=True)
-    if members:
-        if zeta is None:
-            raise ValueError("a zeta table for the target set is required")
-        if tuple(members) != zeta.task_set:
-            raise ValueError("zeta table was built for a different target set")
-        xi = zeta.xi
-    if xi is None:
-        raise ValueError("an xi table is required when the target set is empty")
-    d = s.N - s.N_P
-    outside = np.setdiff1d(np.arange(s.L), np.array(members, dtype=int))
-    demand = float(np.sum(s.p[outside] * s.gamma[outside] ** s.m)) if outside.size else 0.0
-    energy = s.lam * xi.xi[d] * demand
-    if members:
-        prefetched = float(np.sum(s.gamma[members]))
-        energy += s.lam * prefetched ** s.m * zeta.value(s.N)
-    return energy
+    s, members = zeta.scenario, list(zeta.task_set)
+    outside = np.setdiff1d(np.arange(s.L), members)
+    demand = float(np.sum(s.p[outside] * s.gamma[outside] ** s.m))
+    energy = s.lam * zeta.xi.xi[s.N - s.N_P] * demand
+    return energy + s.lam * float(np.sum(s.gamma[members])) ** s.m * zeta.value(s.N)
 
 
 def no_prefetch_energy_fast(s: Scenario, xi: XiTable) -> float:
-    """Expected stage energy when all fetching waits for the demand phase."""
-    return expected_total_energy_fast(s, (), xi=xi)
+    """Expected stage energy when all fetching waits for the demand phase.
+
+        lam * xi[N-N_P] * sum_l p(l) * gamma(l)**m.
+    """
+    _check_xi(s, xi.channel, xi)
+    return s.lam * xi.xi[s.N - s.N_P] * float(np.sum(s.p * s.gamma ** s.m))
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,6 @@ class BatchResult:
     demand_energy: np.ndarray
     realized: np.ndarray
     set_size: np.ndarray            #: final working-set size (0 for no-prefetch)
-    beta: np.ndarray                #: residual bits of the realized task
     final_rho: np.ndarray           #: (E, L) residual bits per task, original order
     thresholds: Optional[np.ndarray] = None     #: (E, N_P) if traced
     decisions: Optional[np.ndarray] = None      #: (E, N_P, L) if traced, original order
@@ -189,6 +192,11 @@ class BatchResult:
     @property
     def total_energy(self) -> np.ndarray:
         return self.prefetch_energy + self.demand_energy
+
+    @property
+    def beta(self) -> np.ndarray:
+        """Residual bits of the realized task."""
+        return self.final_rho[np.arange(self.realized.size), self.realized]
 
 
 @dataclass
@@ -427,10 +435,20 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     to the priority prefix of that size for every episode instead.  The
     demand phase always runs the xi-policy.  ``trace`` fills the per-slot
     thresholds, decisions and working-set sizes.
+
+    ``xi`` (built when omitted) must be the demand table of ``channel`` and
+    ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``
+    (built when omitted and needed) the ``L`` priority prefixes of this
+    very ``s`` under this ``xi``; otherwise ``ValueError``.
     """
     policy = PrefetchPolicy(policy)
-    if s.N == s.N_P:
-        raise ValueError("fast-fading episodes require a demand phase (N > N_P)")
+    if xi is None:
+        xi = build_xi_table(channel, s.m, s.N - s.N_P)
+    _check_xi(s, channel, xi)
+    if prefix_tables is not None:
+        built = [(table.scenario, table.task_set, table.xi) for table in prefix_tables]
+        if built != [(s, members, xi) for members in _prefix_sets(s)]:
+            raise ValueError("prefix_tables are not the priority prefixes of s under xi")
     gains = np.asarray(gains, dtype=float)
     realized = np.asarray(realized, dtype=int)
     if gains.ndim != 2 or gains.shape[1] != s.N:
@@ -443,8 +461,6 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         raise IndexError("realized task index out of range")
     if forced_prefix is not None and not 1 <= forced_prefix <= s.L:
         raise ValueError(f"forced_prefix must lie in 1..{s.L}")
-    if xi is None:
-        xi = build_xi_table(channel, s.m, s.N - s.N_P)
     if policy is PrefetchPolicy.NO_PREFETCH:
         prefix_tables = None
     elif prefix_tables is None:
@@ -469,10 +485,10 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         held = kernel.residuals(np.pad(phase.thresholds, pad, constant_values=kernel.delta[0]),
                                 np.maximum.accumulate(np.pad(phase.slot_set_size, pad), axis=1))
         decisions = (held[:, :-1] - held[:, 1:])[:, :, inv_order]
-    beta = final_rho[np.arange(episodes), realized]
-    _, demand = simulate_demand_batch(beta, gains[:, s.N_P:], xi, lam=s.lam)
+    _, demand = simulate_demand_batch(final_rho[np.arange(episodes), realized],
+                                      gains[:, s.N_P:], xi, lam=s.lam)
     return BatchResult(policy=policy, prefetch_energy=phase.energy,
                        demand_energy=np.cumsum(demand, axis=1)[:, -1],
-                       realized=realized, set_size=phase.set_size, beta=beta,
+                       realized=realized, set_size=phase.set_size,
                        final_rho=final_rho, thresholds=phase.thresholds,
                        decisions=decisions, slot_set_size=phase.slot_set_size)

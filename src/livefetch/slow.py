@@ -36,22 +36,20 @@ class PrefetchPlan:
     """Solution of the slow-fading prefetch problem.
 
     ``alpha[l]`` is the number of bits of task ``l`` pushed during the
-    prefetch phase, ``task_set`` exactly the tasks with positive ``alpha``
-    and ``alpha_sigma`` their total.
+    prefetch phase.
     """
 
     alpha: np.ndarray
-    task_set: frozenset
-    alpha_sigma: float
 
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        positive = {int(i) for i in np.flatnonzero(alpha > 0.0)}
-        if positive != set(self.task_set):
-            raise ValueError("task_set must contain exactly the tasks with positive alpha")
-        total = float(alpha.sum())
-        if abs(total - self.alpha_sigma) > 1e-9 * max(abs(total), abs(self.alpha_sigma)):
-            raise ValueError("alpha_sigma is inconsistent with alpha")
+    @property
+    def task_set(self) -> frozenset:
+        """Exactly the tasks with positive ``alpha``."""
+        return frozenset(int(i) for i in np.flatnonzero(self.alpha > 0.0))
+
+    @property
+    def alpha_sigma(self) -> float:
+        """Total prefetched bits."""
+        return float(self.alpha.sum())
 
 
 def priorities(s: Scenario) -> np.ndarray:
@@ -65,16 +63,16 @@ def priority_order(s: Scenario) -> list:
     return sorted(range(s.L), key=lambda i: (-delta[i], i))
 
 
-def _task_members(s: Scenario, task_set: Iterable[int], allow_empty: bool = False) -> list:
+def _task_members(s: Scenario, task_set: Iterable[int]) -> list:
     """The distinct task indices of ``task_set`` in ascending order.
 
-    Raises ``ValueError`` on an empty set unless ``allow_empty``, and
-    ``IndexError`` on an index outside ``0 .. L-1``.
+    Raises ``ValueError`` on an empty set and ``IndexError`` on an index
+    outside ``0 .. L-1``.
     """
     members = sorted({int(i) for i in task_set})
-    if not members and not allow_empty:
+    if not members:
         raise ValueError("task_set must be nonempty")
-    if members and (members[0] < 0 or members[-1] >= s.L):
+    if members[0] < 0 or members[-1] >= s.L:
         raise IndexError(f"task indices {members} out of range for L={s.L}")
     return members
 
@@ -111,9 +109,7 @@ def optimal_prefetch_slow(s: Scenario) -> PrefetchPlan:
     not depend on the gain or on ``lam``.
     """
     if s.N == s.N_P:
-        alpha = s.gamma.copy()
-        return PrefetchPlan(alpha=alpha, task_set=frozenset(range(s.L)),
-                            alpha_sigma=float(alpha.sum()))
+        return PrefetchPlan(alpha=s.gamma.copy())
     order = priority_order(s)
     delta = priorities(s)
     w = s.p ** (-1.0 / (s.m - 1))
@@ -123,9 +119,8 @@ def optimal_prefetch_slow(s: Scenario) -> PrefetchPlan:
         member = delta > ratio * alpha_sigma
         if int(np.count_nonzero(member)) == rank:
             break
-    alpha = np.where(member, np.maximum(s.gamma - w * ratio * alpha_sigma, 0.0), 0.0)
-    task_set = frozenset(int(i) for i in np.flatnonzero(alpha > 0.0))
-    return PrefetchPlan(alpha=alpha, task_set=task_set, alpha_sigma=float(alpha.sum()))
+    return PrefetchPlan(alpha=np.where(member, np.maximum(s.gamma - w * ratio * alpha_sigma, 0.0),
+                                       0.0))
 
 
 def slot_allocation_slow(plan: PrefetchPlan, s: Scenario, realized: int) -> np.ndarray:

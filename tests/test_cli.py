@@ -165,6 +165,14 @@ class TestExitCodes:
         assert "numerical failure" in err
         assert "overflow" in err
 
+    def test_real_underflow_exits_three(self, tmp_path, capsys):
+        # gamma**m underflows to zero, so the computed energy ratio is 0.
+        code = main(["sweep", "--param", "gamma", "--values", "1e-70", "--m", "5",
+                     "--N", "4", "--Np", "4", "--policies", "slow-opt", "--scenarios", "2",
+                     "--out", str(tmp_path / "tiny.csv")])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestSingleCommand:
     def test_slow_stage_report(self, capsys):

@@ -4,13 +4,18 @@ No linter ships with the project, so this walks the syntax tree with the
 standard library's ``ast``.  The package ``__init__`` re-exports names and
 is exempt, as is an import statement marked ``# noqa: F401``.  A private
 module-level function, class or constant (one leading underscore) must be
-read somewhere in its module besides its definition.
+read somewhere in its module besides its definition.  The package exports
+exactly the union of its modules' ``__all__``, each bound in its module.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
+
+import livefetch
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "livefetch"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -71,3 +76,19 @@ def test_a_dead_private_name_is_reported():
     source = ("__all__ = []\n_USED = 1\n_DEAD = 2\n\n\ndef _helper():\n    return _USED\n\n\n"
               "class _Gone:\n    pass\n\n\ndef public():\n    return _helper()\n")
     assert dead_private_names(source) == ["_DEAD (line 3)", "_Gone (line 10)"]
+
+
+def public_modules() -> list:
+    modules = [importlib.import_module(f"livefetch.{path.stem}") for path in MODULES]
+    return [module for module in modules if hasattr(module, "__all__")]
+
+
+def test_package_exports_the_union_of_module_exports():
+    exported = {name for name, value in vars(livefetch).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == {name for module in public_modules() for name in module.__all__}
+
+
+@pytest.mark.parametrize("module", public_modules(), ids=lambda module: module.__name__)
+def test_every_export_is_bound_in_its_module(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

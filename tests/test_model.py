@@ -41,6 +41,8 @@ class TestScenario:
     def test_probabilities_must_be_positive(self):
         with pytest.raises(ValueError):
             make_scenario(p=np.array([0.5, 0.5, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            Scenario(m=2, N=5, N_P=3, p=[np.nan, 0.5, 0.5], gamma=[3.0, 2.0, 1.0])
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -173,8 +175,10 @@ class TestDecibels:
         assert to_db(0.5) == pytest.approx(-3.0102999566398120, abs=1e-12)
 
     def test_requires_positive(self):
-        with pytest.raises(ValueError):
-            to_db(0.0)
+        # Ratios are computed, so an underflow to zero is a numerical failure.
+        for ratio in (0.0, -1.0):
+            with pytest.raises(FloatingPointError):
+                to_db(ratio)
 
     @pytest.mark.parametrize("ratio", [np.inf, np.nan])
     def test_non_finite_is_a_numerical_failure(self, ratio):

@@ -148,7 +148,7 @@ class TestThresholdEta:
     def test_final_slot_reference_value(self):
         # Single prefetch slot, m=2, Gamma shape 2, both residuals 4, g=1:
         # 1/xi_1 = 1/2 and sum(1/p) = 4, so eta = 8*(1/2)/(1 + (1/2)*4) = 4/3.
-        eta = threshold_eta(self.RHO2, 1, 1.0, S2, (0, 1), ZETA2, XI2)
+        eta = threshold_eta(self.RHO2, 1, 1.0, ZETA2)
         assert eta == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert eta == pytest.approx(1.3333, abs=1e-4)
 
@@ -160,34 +160,32 @@ class TestThresholdEta:
         channel = SlowFading(2.0)
         xi = build_xi_table(channel, 2, 1)
         table = build_zeta_table(s, channel, (0, 1), xi)
-        eta = threshold_eta(self.RHO2, 1, 2.0, s, (0, 1), table, xi)
+        eta = threshold_eta(self.RHO2, 1, 2.0, table)
         assert eta == pytest.approx(5.0 / 3.0, rel=1e-12)
 
     def test_large_gain_prefetches_everything(self):
-        assert threshold_eta(self.RHO2, 1, 1e12, S2, (0, 1), ZETA2, XI2) < 1e-9
+        assert threshold_eta(self.RHO2, 1, 1e12, ZETA2) < 1e-9
 
     def test_small_gain_limit_at_final_slot(self):
         # g -> 0+ at the last prefetch slot: eta -> sum(rho)/sum(p**(-1/(m-1))).
-        eta = threshold_eta(self.RHO2, 1, 1e-30, S2, (0, 1), ZETA2, XI2)
+        eta = threshold_eta(self.RHO2, 1, 1e-30, ZETA2)
         assert eta == pytest.approx(8.0 / 4.0, rel=1e-9)
 
     def test_validation(self):
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
-                threshold_eta(self.RHO2, 1, bad, S2, (0, 1), ZETA2, XI2)
+                threshold_eta(self.RHO2, 1, bad, ZETA2)
         with pytest.raises(ValueError):
-            threshold_eta(self.RHO2, 2, 1.0, S2, (0, 1), ZETA2, XI2)
+            threshold_eta(self.RHO2, 2, 1.0, ZETA2)
         with pytest.raises(ValueError):
-            threshold_eta(np.array([-1.0, 4.0]), 1, 1.0, S2, (0, 1), ZETA2, XI2)
-        with pytest.raises(ValueError):
-            threshold_eta(self.RHO2, 1, 1.0, S2, (), ZETA2, XI2)
+            threshold_eta(np.array([-1.0, 4.0]), 1, 1.0, ZETA2)
 
 
 class TestDecisionVector:
     def test_zero_threshold_sends_all_residuals(self):
         s = Scenario(m=2, N=4, N_P=2, p=np.array([0.5, 0.3, 0.2]),
                      gamma=np.array([3.0, 1.0, 2.0]))
-        bits = decision_vector(np.array([3.0, 1.0, 0.0]), 1, 0.0, s)
+        bits = decision_vector(np.array([3.0, 1.0, 0.0]), 0.0, s)
         assert bits == pytest.approx([3.0, 1.0, 0.0])
 
     def test_threshold_above_every_ratio_sends_nothing(self):
@@ -195,10 +193,10 @@ class TestDecisionVector:
         s = Scenario(m=2, N=4, N_P=2, p=np.array([0.5, 0.5]),
                      gamma=np.array([3.0, 1.0]))
         cap = float(np.max(rho * s.p)) + 1e-9
-        assert decision_vector(rho, 1, cap, s) == pytest.approx([0.0, 0.0])
+        assert decision_vector(rho, cap, s) == pytest.approx([0.0, 0.0])
 
     def test_reference_continuation(self):
-        bits = decision_vector(np.array([4.0, 4.0]), 1, 4.0 / 3.0, S2)
+        bits = decision_vector(np.array([4.0, 4.0]), 4.0 / 3.0, S2)
         assert bits == pytest.approx([4.0 / 3.0, 4.0 / 3.0], rel=1e-12)
         assert bits == pytest.approx([1.3333, 1.3333], abs=1e-4)
 
@@ -208,23 +206,22 @@ class TestDecisionVector:
                      gamma=np.array([5.0, 4.0, 3.0]))
         for _ in range(50):
             rho = rng.uniform(0.0, 5.0, 3)
-            bits = decision_vector(rho, 1, float(rng.uniform(0.0, 3.0)), s)
+            bits = decision_vector(rho, float(rng.uniform(0.0, 3.0)), s)
             assert np.all(bits >= 0.0)
             assert np.all(bits <= rho + 1e-12)
 
     def test_validation(self):
         for bad in (-0.5, np.nan, np.inf):
             with pytest.raises(ValueError):
-                decision_vector(np.array([4.0, 4.0]), 1, bad, S2)
+                decision_vector(np.array([4.0, 4.0]), bad, S2)
 
 
 class TestNoncausalFinalThreshold:
     def test_empty_cascade_is_the_exact_final_formula(self):
         rho = np.array([2.0, 1.5, 1.0])
         for g in (0.4, 1.0, 2.7):
-            cascade = noncausal_final_threshold(rho, 3, [g], S3, (0, 1, 2),
-                                                TABLES3[2], XI3)
-            exact = threshold_eta(rho, 3, g, S3, (0, 1, 2), TABLES3[2], XI3)
+            cascade = noncausal_final_threshold(rho, 3, [g], TABLES3[2])
+            exact = threshold_eta(rho, 3, g, TABLES3[2])
             assert cascade == pytest.approx(exact, rel=1e-12)
 
     def test_zero_future_gains_match_conservative(self):
@@ -232,12 +229,9 @@ class TestNoncausalFinalThreshold:
         # pessimistic estimator, which is the current slot's closed-form
         # threshold, for any target prefix.
         rho = np.array([6.5, 5.0, 4.5])
-        order = priority_order(S3)
-        for k in (1, 2, 3):
-            members = tuple(order[:k])
-            cons = threshold_eta(rho, 1, 1.3, S3, members, TABLES3[k - 1], XI3)
-            cascade = noncausal_final_threshold(
-                rho, 1, [1.3, 1e-300, 1e-300], S3, members, TABLES3[k - 1], XI3)
+        for table in TABLES3:
+            cons = threshold_eta(rho, 1, 1.3, table)
+            cascade = noncausal_final_threshold(rho, 1, [1.3, 1e-300, 1e-300], table)
             assert cascade == pytest.approx(cons, rel=1e-9)
 
     def test_constant_gain_cascade_telescopes_to_aggressive(self):
@@ -250,8 +244,7 @@ class TestNoncausalFinalThreshold:
         xi = build_xi_table(channel, 3, 3)
         table = build_zeta_table(s, channel, (0, 1, 2), xi)
         rho = np.array([6.0, 5.0, 4.0])
-        cascade = noncausal_final_threshold(rho, 1, [1.7, 1.7, 1.7], s,
-                                            (0, 1, 2), table, xi)
+        cascade = noncausal_final_threshold(rho, 1, [1.7, 1.7, 1.7], table)
         aggressive = (rho.sum() * xi.inv_root[s.N - s.N_P]
                       / (1.7 ** 0.5 + table.u(s.N - 1)))
         assert cascade == pytest.approx(aggressive, rel=1e-12)
@@ -259,10 +252,10 @@ class TestNoncausalFinalThreshold:
     def test_validation(self):
         rho = np.array([2.0, 2.0, 2.0])
         with pytest.raises(ValueError):
-            noncausal_final_threshold(rho, 2, [1.0], S3, (0, 1), TABLES3[1], XI3)
-        with pytest.raises(ValueError):
-            noncausal_final_threshold(rho, 2, [1.0, -1.0], S3, (0, 1),
-                                      TABLES3[1], XI3)
+            noncausal_final_threshold(rho, 2, [1.0], TABLES3[1])
+        for gains in ([1.0, -1.0], [1.0, np.nan]):
+            with pytest.raises(ValueError):
+                noncausal_final_threshold(rho, 2, gains, TABLES3[1])
 
 
 class TestAlphaFromFinalThreshold:
@@ -322,15 +315,13 @@ class TestApproximateTaskSet:
         # causal growth must reproduce the count fixed point of the exact
         # threshold formula.
         s = S1
-        order = priority_order(s)
         w = s.p ** (-1.0 / (s.m - 1))
         rng = np.random.default_rng(7)
         gains = sample_gain(FAST2, rng, (100, s.N))
         expected = np.full(100, s.L)
         for i in range(100):
             for k in range(1, s.L + 1):
-                eta = threshold_eta(s.gamma, 1, float(gains[i, 0]), s, order[:k],
-                                    TABLES1[k - 1], XI1)
+                eta = threshold_eta(s.gamma, 1, float(gains[i, 0]), TABLES1[k - 1])
                 if int(np.count_nonzero(s.gamma - eta * w > POSITIVE_BITS_EPS)) == k:
                     expected[i] = k
                     break
@@ -469,25 +460,19 @@ class TestSetEnergy:
     def test_empty_set_is_pure_demand(self):
         expected = float(np.sum(S3.p * S3.gamma ** S3.m)) * XI3.xi[2]
         assert no_prefetch_energy_fast(S3, XI3) == pytest.approx(expected, rel=1e-12)
-        assert expected_total_energy_fast(S3, (), xi=XI3) == pytest.approx(
-            expected, rel=1e-12)
 
     def test_full_set_single_candidate(self):
         s = Scenario(m=2, N=4, N_P=2, p=np.array([1.0]), gamma=np.array([6.0]))
         xi = build_xi_table(FAST2, 2, 2)
         table = build_zeta_table(s, FAST2, (0,), xi)
-        assert expected_total_energy_fast(s, (0,), table) == pytest.approx(
+        assert expected_total_energy_fast(table) == pytest.approx(
             36.0 * table.value(4), rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            expected_total_energy_fast(S3, (0,))
-        with pytest.raises(ValueError):
-            expected_total_energy_fast(S3, (), xi=None)
-        with pytest.raises(ValueError):
-            expected_total_energy_fast(S3, (0, 1), TABLES3[2])
-        with pytest.raises(IndexError):
-            expected_total_energy_fast(S3, (0, 5), TABLES3[1])
+        # The no-prefetch energy reads xi at N - N_P slots to go.
+        for xi in (build_xi_table(FAST2, 3, 2), build_xi_table(FAST2, 2, 1)):
+            with pytest.raises(ValueError):
+                no_prefetch_energy_fast(S3, xi)
 
     def test_exhaustive_search_confirms_prefix_restriction(self):
         rng = np.random.default_rng(11)
@@ -531,8 +516,7 @@ class TestSetEnergy:
         total = result.total_energy
         mean = float(total.mean())
         se = float(total.std(ddof=1)) / np.sqrt(episodes)
-        members = tuple(sorted(priority_order(S3)[:modal_k]))
-        formula = expected_total_energy_fast(S3, members, TABLES3[modal_k - 1])
+        formula = expected_total_energy_fast(TABLES3[modal_k - 1])
         assert abs(mean - formula) <= 3.0 * se
 
 
@@ -687,6 +671,64 @@ class TestEpisodeRunner:
         assert batch.final_rho.shape == (0, S3.L)
 
 
+class TestTableOwnership:
+    """Tables carry what they were built from, and a table of another build is an error."""
+
+    GAINS, REALIZED = draw_episodes(S3, FAST2, np.random.default_rng(40), 10)
+
+    def run(self, policy, s=S3, channel=FAST2, **tables):
+        return run_prefetch_batch(s, channel, policy, self.GAINS, self.REALIZED, **tables)
+
+    def test_zeta_table_carries_its_build(self):
+        assert ZETA2.scenario is S2 and ZETA2.xi is XI2
+        assert (ZETA2.first_index, ZETA2.last_index) == (S2.N - S2.N_P + 1, S2.N)
+        assert all(table.scenario is S3 and table.xi is XI3 for table in TABLES3)
+
+    @pytest.mark.parametrize("xi", [build_xi_table(FAST2, 3, 2),
+                                    build_xi_table(FastGamma(8), 2, 2)], ids=["m3", "k8"])
+    @pytest.mark.parametrize("policy", PrefetchPolicy)
+    def test_xi_of_another_m_or_channel(self, policy, xi):
+        for tables in (None, TABLES3):
+            with pytest.raises(ValueError):
+                self.run(policy, xi=xi, prefix_tables=tables)
+
+    @pytest.mark.parametrize("policy", PrefetchPolicy)
+    def test_prefix_tables_of_another_scenario_or_channel(self, policy):
+        twin = Scenario(m=S3.m, N=S3.N, N_P=S3.N_P, p=S3.p, gamma=S3.gamma)
+        other = Scenario(m=S3.m, N=S3.N, N_P=S3.N_P, p=S3.p, gamma=S3.gamma[::-1])
+        for s in (twin, other):
+            with pytest.raises(ValueError):
+                self.run(policy, s=s, xi=XI3, prefix_tables=TABLES3)
+        fast8 = FastGamma(8)
+        xi8 = build_xi_table(fast8, S3.m, 2)
+        for channel, xi, tables in ((FAST2, XI3, build_prefix_tables(S3, fast8, xi8)),
+                                    (FAST2, None, build_prefix_tables(S3, fast8, xi8)),
+                                    (fast8, xi8, TABLES3)):
+            with pytest.raises(ValueError):
+                self.run(policy, channel=channel, xi=xi, prefix_tables=tables)
+
+    @pytest.mark.parametrize("policy", PrefetchPolicy)
+    def test_xi_and_prefix_tables_disagree(self, policy):
+        longer = build_xi_table(FAST2, S3.m, 4)
+        for xi, tables in ((longer, TABLES3), (XI3, build_prefix_tables(S3, FAST2, longer))):
+            with pytest.raises(ValueError):
+                self.run(policy, xi=xi, prefix_tables=tables)
+
+    @pytest.mark.parametrize("policy", PrefetchPolicy)
+    def test_prefix_tables_must_be_the_priority_prefixes(self, policy):
+        singles = [build_zeta_table(S3, FAST2, (i,), XI3) for i in range(S3.L)]
+        for tables in (TABLES3[:2], TABLES3[::-1], singles):
+            with pytest.raises(ValueError):
+                self.run(policy, xi=XI3, prefix_tables=tables)
+
+    def test_matching_tables_of_a_longer_xi(self):
+        longer = build_xi_table(FAST2, S3.m, 4)
+        given = self.run(PrefetchPolicy.AGGRESSIVE, xi=longer,
+                         prefix_tables=build_prefix_tables(S3, FAST2, longer))
+        built = self.run(PrefetchPolicy.AGGRESSIVE, xi=longer)
+        assert np.array_equal(given.total_energy, built.total_energy)
+
+
 class TestBatchRunner:
     def test_locked_prefix_matches_closed_forms(self):
         # On episodes where every member of the locked prefix receives bits
@@ -716,16 +758,16 @@ class TestBatchRunner:
                     rho = s.gamma.copy()
                     for n in range(1, s.N_P + 1):
                         g = float(gains[i, n - 1])
-                        eta = threshold_eta(rho, n, g, s, members, tables[k - 1], xi)
+                        eta = threshold_eta(rho, n, g, tables[k - 1])
                         assert result.thresholds[i, n - 1] == pytest.approx(eta, rel=1e-12)
                         bits = result.decisions[i, n - 1]
-                        expected = decision_vector(rho, n, eta, s)
+                        expected = decision_vector(rho, eta, s)
                         assert bits[members] == pytest.approx(expected[members],
                                                               rel=1e-12)
                         assert np.all(bits[outside] == 0.0)
                         rho = rho - bits
-                    eta_final = noncausal_final_threshold(
-                        s.gamma, 1, gains[i, :s.N_P], s, members, tables[k - 1], xi)
+                    eta_final = noncausal_final_threshold(s.gamma, 1, gains[i, :s.N_P],
+                                                          tables[k - 1])
                     assert result.thresholds[i, -1] == pytest.approx(eta_final, rel=1e-12)
                     alpha = alpha_from_final_threshold(s, eta_final)
                     sent = s.gamma - result.final_rho[i]
@@ -880,7 +922,7 @@ class TestCausalClosedForms:
                 rho = s.gamma.copy()
                 for n in range(1, N_P + 1):
                     bits = result.decisions[i, n - 1]
-                    expected = decision_vector(rho, n, result.thresholds[i, n - 1], s)
+                    expected = decision_vector(rho, result.thresholds[i, n - 1], s)
                     np.testing.assert_allclose(bits, expected, rtol=0.0, atol=tol)
                     rho = rho - bits
                 alpha = alpha_from_final_threshold(s, result.thresholds[i, -1])

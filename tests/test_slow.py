@@ -149,17 +149,6 @@ class TestOptimalPrefetch:
                 implied = total_prefetched_bits(s, plan.task_set)
                 assert implied == pytest.approx(plan.alpha_sigma, abs=1e-9)
 
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            PrefetchPlan(alpha=np.array([1.0, 0.0]), task_set=frozenset({0, 1}),
-                         alpha_sigma=1.0)
-        with pytest.raises(ValueError):
-            PrefetchPlan(alpha=np.array([1.0, 1.0]), task_set=frozenset({0, 1}),
-                         alpha_sigma=3.0)
-        with pytest.raises(ValueError):
-            PrefetchPlan(alpha=np.array([1e-14, 1e-14]), task_set=frozenset({0, 1}),
-                         alpha_sigma=3e-14)
-
     def test_plan_does_not_depend_on_data_scale(self):
         # The plan is homogeneous of degree 1 in the data sizes and the gain
         # of degree 0, so membership may not compare bits to a fixed cutoff.
@@ -177,12 +166,9 @@ class TestOptimalPrefetch:
 
     def test_task_set_is_exactly_the_positive_amounts(self):
         tiny = 1e-13
-        plan = PrefetchPlan(alpha=np.array([tiny, 0.0]), task_set=frozenset({0}),
-                            alpha_sigma=tiny)
+        plan = PrefetchPlan(alpha=np.array([tiny, 0.0]))
         assert plan.task_set == {0}
-        with pytest.raises(ValueError):
-            PrefetchPlan(alpha=np.array([tiny, 0.0]), task_set=frozenset(),
-                         alpha_sigma=tiny)
+        assert plan.alpha_sigma == tiny
 
 
 class TestSlotAllocation:
@@ -199,7 +185,7 @@ class TestSlotAllocation:
 
     def test_fully_prefetched_task_has_empty_demand(self):
         s = Scenario(m=2, N=4, N_P=2, p=np.array([1.0]), gamma=np.array([6.0]))
-        plan = PrefetchPlan(alpha=np.array([6.0]), task_set=frozenset({0}), alpha_sigma=6.0)
+        plan = PrefetchPlan(alpha=np.array([6.0]))
         loads = slot_allocation_slow(plan, s, realized=0)
         np.testing.assert_allclose(loads[2:], [0.0, 0.0], atol=1e-12)
 
@@ -208,8 +194,7 @@ class TestEnergies:
     def test_unfetched_bits_rejected_without_a_demand_phase(self):
         for c in (1.0, 1e-14):
             s = Scenario(m=2, N=3, N_P=3, p=np.array([0.5, 0.5]), gamma=c * np.array([4.0, 4.0]))
-            short = PrefetchPlan(alpha=c * np.array([4.0, 2.0]), task_set=frozenset({0, 1}),
-                                 alpha_sigma=c * 6.0)
+            short = PrefetchPlan(alpha=c * np.array([4.0, 2.0]))
             with pytest.raises(ValueError):
                 expected_fetch_energy_slow(s, 1.0, short)
             assert expected_fetch_energy_slow(s, 1.0, optimal_prefetch_slow(s)) > 0.0
@@ -224,7 +209,7 @@ class TestEnergies:
 
     def test_degenerate_plan_is_pure_demand(self):
         s = Scenario(m=2, N=5, N_P=4, p=np.array([0.5, 0.5]), gamma=np.array([4.0, 2.0]))
-        plan = PrefetchPlan(alpha=np.zeros(2), task_set=frozenset(), alpha_sigma=0.0)
+        plan = PrefetchPlan(alpha=np.zeros(2))
         assert expected_fetch_energy_slow(s, 1.0, plan) == pytest.approx(
             no_prefetch_energy_slow(s, 1.0), rel=1e-12)
 
