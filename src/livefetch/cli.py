@@ -30,6 +30,7 @@ from .sweep import (
     SLOW_POLICIES,
     ConfigError,
     SweepConfig,
+    _check_scales,
     emit_csv,
     gain_vs_shape,
     generate_scenario,
@@ -191,12 +192,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_single(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
+    _check_scales(settings)
     fading = settings["fading"] or "slow"
     rng = np.random.default_rng(np.random.SeedSequence((settings["seed"], 7)))
     s = generate_scenario(rng, L=settings["L"], gamma_total=settings["gamma_total"],
                           m=settings["m"], N=settings["N"], N_P=settings["Np"],
-                          lam=settings["lam"], uniform=bool(settings["uniform"]))
-    print(f"scenario: L={s.L} N={s.N} N_P={s.N_P} m={s.m} lam={s.lam} "
+                          uniform=bool(settings["uniform"]))
+    print(f"scenario: L={s.L} N={s.N} N_P={s.N_P} m={s.m} lam={settings['lam']} "
           f"gamma_total={s.gamma_total:.6g}")
     with np.printoptions(precision=5, suppress=True):
         print(f"  p        = {s.p}")
@@ -211,21 +213,23 @@ def _cmd_single(args: argparse.Namespace) -> int:
 
 def _print_slow_single(s, settings) -> None:
     g = settings["slow_g"]
+    unit = settings["lam"] / g
     plan = optimal_prefetch_slow(s)
     with np.printoptions(precision=5, suppress=True):
         print(f"slow fading, g={g}")
         print(f"  optimal alpha = {plan.alpha} (targets {sorted(plan.task_set)})")
         print(f"  alpha_sigma   = {plan.alpha_sigma:.6g}")
-    energy = expected_fetch_energy_slow(s, g, plan)
-    print(f"  expected energy           = {energy:.6g}")
+    energy = expected_fetch_energy_slow(plan)
+    print(f"  expected energy           = {unit * energy:.6g}")
     if s.N > s.N_P:
-        base = no_prefetch_energy_slow(s, g)
-        print(f"  no-prefetch energy        = {base:.6g}")
+        base = no_prefetch_energy_slow(s)
+        print(f"  no-prefetch energy        = {unit * base:.6g}")
         print(f"  prefetching gain          = {base / energy:.6g} "
               f"({to_db(base / energy):.3f} dB)")
 
 
 def _print_fast_single(s, settings, rng) -> None:
+    lam = settings["lam"]
     channel = FastGamma(settings["k"])
     policy = PrefetchPolicy(settings["policy"])
     xi = build_xi_table(channel, s.m, s.N - s.N_P)
@@ -238,14 +242,14 @@ def _print_fast_single(s, settings, rng) -> None:
         members = ",".join(str(i) for i in sorted(order[:result.slot_set_size[0, n]])) or "-"
         print(f"  slot {n + 1}: g={gains[0, n]:.4f} eta={result.thresholds[0, n]:.5g} "
               f"bits={result.decisions[0, n].sum():.5g} set={{{members}}}")
-    bits, _ = simulate_demand_batch(result.beta, gains[:, s.N_P:], xi, lam=s.lam)
+    bits, _ = simulate_demand_batch(result.beta, gains[:, s.N_P:], xi)
     print(f"  realized task  = {realized[0]}")
     with np.printoptions(precision=5, suppress=True):
         print(f"  demand bits    = {bits[0]}")
-    print(f"  prefetch energy = {result.prefetch_energy[0]:.6g}")
-    print(f"  demand energy   = {result.demand_energy[0]:.6g}")
-    print(f"  total energy    = {result.total_energy[0]:.6g}")
-    print(f"  no-prefetch reference = {no_prefetch_energy_fast(s, xi):.6g}")
+    print(f"  prefetch energy = {lam * result.prefetch_energy[0]:.6g}")
+    print(f"  demand energy   = {lam * result.demand_energy[0]:.6g}")
+    print(f"  total energy    = {lam * result.total_energy[0]:.6g}")
+    print(f"  no-prefetch reference = {lam * no_prefetch_energy_fast(s, xi):.6g}")
 
 
 _FIGURE_SPECS = [

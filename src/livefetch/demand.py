@@ -9,7 +9,7 @@ with ``j`` slots to go and gain ``g``, send
 
 where the coefficients ``xi[j]`` obey a backward recursion in the number of
 remaining slots and also give the optimal expected energy in closed form,
-``lam * xi[j] * beta**m``.
+``xi[j] * beta**m`` per unit ``lam``.
 """
 
 from __future__ import annotations
@@ -86,9 +86,8 @@ def build_xi_table(channel: Channel, m: int, horizon: int) -> XiTable:
     return _xi_cached(channel, int(m), int(horizon))
 
 
-def expected_demand_energy(beta: float, table: XiTable, duration: int,
-                           lam: float = 1.0) -> float:
-    """Optimal expected demand energy ``lam * xi[duration] * beta**m``."""
+def expected_demand_energy(beta: float, table: XiTable, duration: int) -> float:
+    """Optimal expected demand energy per unit ``lam``: ``xi[duration] * beta**m``."""
     if beta < 0.0 or not np.isfinite(beta):
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
     if duration == 0:
@@ -97,17 +96,16 @@ def expected_demand_energy(beta: float, table: XiTable, duration: int,
         return 0.0
     if not 1 <= duration <= table.horizon:
         raise ValueError(f"duration={duration} outside the table horizon {table.horizon}")
-    return lam * table.xi[duration] * beta ** table.m
+    return table.xi[duration] * beta ** table.m
 
 
-def demand_energy_bounds(beta: float, channel: Channel, m: int, duration: int,
-                         lam: float = 1.0) -> tuple:
-    """Closed-form sandwich for the optimal expected demand energy.
+def demand_energy_bounds(beta: float, channel: Channel, m: int, duration: int) -> tuple:
+    """Closed-form sandwich for the optimal expected demand energy per unit ``lam``.
 
     Jensen arguments in the two directions give
 
-        lam * beta**m / (E[g] * duration**(m-1))
-            <= E*  <= lam * E[1/g] * beta**m / duration**(m-1),
+        beta**m / (E[g] * duration**(m-1))
+            <= E*  <= E[1/g] * beta**m / duration**(m-1),
 
     with the upper bound tight at ``duration == 1``.
     """
@@ -115,20 +113,20 @@ def demand_energy_bounds(beta: float, channel: Channel, m: int, duration: int,
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
     if not isinstance(duration, (int, np.integer)) or duration < 1:
         raise ValueError(f"duration must be a positive integer, got {duration!r}")
-    scale = lam * beta ** m / duration ** (m - 1)
+    scale = beta ** m / duration ** (m - 1)
     return (scale / mean_gain(channel), scale * mean_inverse_gain(channel))
 
 
-def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable,
-                          lam: float = 1.0) -> tuple:
+def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable) -> tuple:
     """Run the xi-policy on many episodes at once: ``(bits, energy)``.
 
     ``beta`` holds one residual per episode and ``gains`` the demand-phase
     gains in slot order, shape ``(episodes, duration)``, which both outputs
-    share.  The final slot flushes the whole residual, so each episode's
-    bits sum to its ``beta``.  Raises ``ValueError`` unless the shapes
-    agree, every gain is positive, every ``beta`` is finite and
-    nonnegative, and ``1 <= duration <= table.horizon``.
+    share; energies are ``bits**m / g`` per unit ``lam``.  The final slot
+    flushes the whole residual, so each episode's bits sum to its ``beta``.
+    Raises ``ValueError`` unless the shapes agree, every gain is positive,
+    every ``beta`` is finite and nonnegative, and ``1 <= duration <=
+    table.horizon``.
     """
     beta = np.asarray(beta, dtype=float)
     gains = np.asarray(gains, dtype=float)
@@ -153,6 +151,6 @@ def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable,
             u_g = g ** root
             sent = residual * u_g / (u_g + table.inv_root[remaining - 1])
         bits[:, slot] = sent
-        energy[:, slot] = lam * sent ** table.m / g
+        energy[:, slot] = sent ** table.m / g
         residual -= sent
     return bits, energy

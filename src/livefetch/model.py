@@ -6,7 +6,9 @@ current task is still computing, the device may prefetch input bits for the
 the remaining bits must be fetched within the ``N - N_P`` slots left before
 the deadline.  Transmitting ``b`` bits in a slot with channel power gain ``g``
 costs ``lam * b**m / g`` energy units, where ``m`` is the monomial order of
-the power-rate model.
+the power-rate model.  No decision depends on the energy coefficient
+``lam``, so the library computes every energy per unit ``lam``; the sweep
+harness and the command line scale their output by it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "FastGamma",
     "Channel",
     "QuadratureError",
-    "transmit_energy",
     "sample_gain",
     "mean_gain",
     "mean_inverse_gain",
@@ -86,8 +87,6 @@ class Scenario:
         Strictly positive, sums to one.
     gamma : array_like
         Input data size of each candidate task, strictly positive.
-    lam : float
-        Energy coefficient of the power-rate model.
     """
 
     m: int
@@ -95,7 +94,6 @@ class Scenario:
     N_P: int
     p: np.ndarray
     gamma: np.ndarray
-    lam: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.m, (int, np.integer)) or not 2 <= self.m <= 5:
@@ -114,14 +112,11 @@ class Scenario:
             raise ValueError(f"task probabilities must sum to 1, got {float(p.sum())!r}")
         if np.any(gamma <= 0.0) or not np.all(np.isfinite(gamma)):
             raise ValueError("all task data sizes must be strictly positive and finite")
-        if not (np.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be strictly positive, got {self.lam!r}")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "N_P", int(self.N_P))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "lam", float(self.lam))
 
     @property
     def L(self) -> int:
@@ -132,11 +127,6 @@ class Scenario:
     def gamma_total(self) -> float:
         """Total data size across candidates."""
         return float(self.gamma.sum())
-
-    @property
-    def demand_slots(self) -> int:
-        """Slots available after the next task is revealed."""
-        return self.N - self.N_P
 
 
 @dataclass(frozen=True)
@@ -175,19 +165,6 @@ class FastGamma:
 
 
 Channel = Union[SlowFading, FastGamma]
-
-
-def transmit_energy(b: float, g: float, s: Scenario) -> float:
-    """Energy to push ``b`` bits through one slot with gain ``g``.
-
-    Monomial law ``lam * b**m / g``: strictly convex and increasing in the
-    bit load, inversely proportional to the channel gain.
-    """
-    if not (np.isfinite(b) and b >= 0.0):
-        raise ValueError(f"bit load must be finite and nonnegative, got {b!r}")
-    if not (np.isfinite(g) and g > 0.0):
-        raise ValueError(f"channel gain must be strictly positive, got {g!r}")
-    return s.lam * b ** s.m / g
 
 
 def sample_gain(channel: Channel, rng: np.random.Generator, size=None):

@@ -46,7 +46,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 class OracleResult:
     """Brute-force solution of the slow-fading stage problem.
 
-    After refinement the stationarity ``residual`` stays below
+    The ``objective`` is per unit ``lam`` at unit gain.  After refinement
+    the stationarity ``residual`` stays below
     ``1e-6 * m * max(1, sum(gamma))**(m-1)`` (the golden-section interval
     width times the objective's gradient scale).
     """
@@ -69,7 +70,7 @@ class InductionResult:
     demand_values: tuple     #: per-task arrays, final-horizon demand value on the grid
 
 
-def _stage_objective(alpha, s: Scenario, g: float) -> float:
+def _stage_objective(alpha, s: Scenario) -> float:
     """P3-style objective, written out independently in plain Python."""
     total = 0.0
     for a in alpha:
@@ -79,7 +80,7 @@ def _stage_objective(alpha, s: Scenario, g: float) -> float:
     for i in range(s.L):
         demand += s.p[i] * (s.gamma[i] - alpha[i]) ** s.m
     demand /= (s.N - s.N_P) ** (s.m - 1)
-    return s.lam / g * (prefetch + demand)
+    return prefetch + demand
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float = 1e-8) -> float:
@@ -100,9 +101,8 @@ def _golden_section(fun, lo: float, hi: float, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def slow_oracle(s: Scenario, g: float = 1.0, resolution: int = 21,
-                refine: bool = True) -> OracleResult:
-    """Brute-force minimization of the slow-fading stage energy.
+def slow_oracle(s: Scenario, resolution: int = 21, refine: bool = True) -> OracleResult:
+    """Brute-force minimization of the slow-fading stage energy at unit gain.
 
     Vectorized dense grid over ``[0, gamma]^L`` (the per-axis resolution is
     capped so the grid stays below ~2e5 points), optionally refined by
@@ -114,7 +114,7 @@ def slow_oracle(s: Scenario, g: float = 1.0, resolution: int = 21,
         raise ValueError(f"resolution must be at least 2, got {resolution!r}")
     if s.N == s.N_P:
         alpha = s.gamma.copy()
-        value = s.lam / g * s.gamma_total ** s.m / s.N_P ** (s.m - 1)
+        value = s.gamma_total ** s.m / s.N_P ** (s.m - 1)
         return OracleResult(objective=value, alpha=alpha, residual=0.0,
                             grid_objective=value, resolution=resolution)
 
@@ -126,8 +126,7 @@ def slow_oracle(s: Scenario, g: float = 1.0, resolution: int = 21,
     for i in range(s.L):
         total = total + mesh[i]
         demand = demand + s.p[i] * (s.gamma[i] - mesh[i]) ** s.m
-    values = s.lam / g * (total ** s.m / s.N_P ** (s.m - 1)
-                          + demand / (s.N - s.N_P) ** (s.m - 1))
+    values = total ** s.m / s.N_P ** (s.m - 1) + demand / (s.N - s.N_P) ** (s.m - 1)
     flat_best = int(np.argmin(values))
     unravel = np.unravel_index(flat_best, values.shape)
     alpha = np.array([axes[i][unravel[i]] for i in range(s.L)])
@@ -142,9 +141,9 @@ def slow_oracle(s: Scenario, g: float = 1.0, resolution: int = 21,
                 def line(x, i=i):
                     trial = list(alpha)
                     trial[i] = x
-                    return _stage_objective(trial, s, g)
+                    return _stage_objective(trial, s)
                 alpha[i] = _golden_section(line, 0.0, float(s.gamma[i]))
-            best = _stage_objective(alpha, s, g)
+            best = _stage_objective(alpha, s)
             if previous - best <= 1e-13 * (1.0 + abs(best)):
                 break
         alpha = np.array(alpha)
@@ -153,9 +152,8 @@ def slow_oracle(s: Scenario, g: float = 1.0, resolution: int = 21,
     total = float(alpha.sum())
     residual = 0.0
     for i in range(s.L):
-        grad = s.lam / g * (s.m * total ** (s.m - 1) / s.N_P ** (s.m - 1)
-                            - s.m * s.p[i] * (s.gamma[i] - alpha[i]) ** (s.m - 1)
-                            / (s.N - s.N_P) ** (s.m - 1))
+        grad = (s.m * total ** (s.m - 1) / s.N_P ** (s.m - 1)
+                - s.m * s.p[i] * (s.gamma[i] - alpha[i]) ** (s.m - 1) / (s.N - s.N_P) ** (s.m - 1))
         edge = 1e-6 * max(1.0, float(s.gamma[i]))
         if alpha[i] <= edge:
             viol = max(0.0, -grad)
@@ -186,13 +184,13 @@ def _gain_support(channel: Channel, bins: int) -> tuple:
     return reps, weights
 
 
-def _backward_steps(grids: tuple, lam: float, m: int, value: np.ndarray, slots: int,
+def _backward_steps(grids: tuple, m: int, value: np.ndarray, slots: int,
                     gain_values: np.ndarray, gain_weights: np.ndarray) -> np.ndarray:
     """``slots`` steps of the gridded recursion backward from ``value``.
 
     States are the row-major flattened product of ``grids``.  A step may
     lower every task's residual to any grid point at or below it, at cost
-    ``lam * send**m / g`` for each gain ``g``, with ``send`` the bits sent.
+    ``send**m / g`` for each gain ``g``, with ``send`` the bits sent.
     Only those feasible ``(state, next)`` pairs are enumerated: the
     nonzeros of the Kronecker product of the per-task ``<=`` masks, which
     come grouped by state (every group holds at least the state itself),
@@ -209,7 +207,7 @@ def _backward_steps(grids: tuple, lam: float, m: int, value: np.ndarray, slots: 
     send = grids[0][here[0]] - grids[0][there[0]]
     for grid, a, b in zip(grids[1:], here[1:], there[1:]):
         send = send + grid[a] - grid[b]
-    cost = lam * send ** m
+    cost = send ** m
     value = value.reshape(-1)
     for _ in range(slots):
         ahead = value[following]
@@ -229,7 +227,7 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
     at most two tasks); fast-fading gains are discretized into
     equal-probability bins represented by their conditional means.  With
     ``no_prefetch=True`` the prefetch-phase decisions are pinned to zero.
-    The returned value is the expected stage energy from full residuals.
+    It returns the expected stage energy per unit ``lam`` from full residuals.
 
     The value is not a certified bound on the causal optimum.  The grid
     restricts the decisions, which raises it; the conditional-mean gains
@@ -251,12 +249,12 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
     gain_values, gain_weights = _gain_support(channel, gain_bins)
     grids = tuple(np.linspace(0.0, gi, bit_grid) for gi in s.gamma)
     # Demand phase per task, from "every bit fetched" at the deadline.
-    demand = tuple(_backward_steps((grid,), s.lam, s.m, np.where(grid > 0.0, np.inf, 0.0),
+    demand = tuple(_backward_steps((grid,), s.m, np.where(grid > 0.0, np.inf, 0.0),
                                    s.N - s.N_P, gain_values, gain_weights)
                    for grid in grids)
     # Terminal layer: the task realizes right after the last prefetch slot.
     boundary = functools.reduce(np.add.outer, [p * d for p, d in zip(s.p, demand)])
-    value = _backward_steps(grids, s.lam, s.m, boundary, 0 if no_prefetch else s.N_P,
+    value = _backward_steps(grids, s.m, boundary, 0 if no_prefetch else s.N_P,
                             gain_values, gain_weights)
     return InductionResult(value=float(value[-1]), bit_grids=grids, gain_values=gain_values,
                            gain_weights=gain_weights, demand_values=demand)

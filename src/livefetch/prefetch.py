@@ -18,9 +18,10 @@ forms in the water level; it coincides with the closed forms in
 policies differ only in the priority prefix the step works on: the
 noncausal oracle runs all ``L`` locked prefixes as one batch against the
 revealed gains and keeps the best-scoring one per episode,
-``forced_prefix`` locks one prefix, and the two causal estimators (an
-optimistic and a pessimistic guess of the final-slot threshold) regrow the
-set every slot.
+``forced_prefix`` locks one prefix for the noncausal oracle, and the two
+causal estimators (an optimistic and a pessimistic guess of the final-slot
+threshold) regrow the set every slot.  No threshold depends on the energy
+coefficient ``lam``, so every energy here is per unit ``lam``.
 """
 
 from __future__ import annotations
@@ -154,30 +155,30 @@ def _zeta_tables(s: Scenario, channel: Channel, sets: list, xi: XiTable) -> list
 def expected_total_energy_fast(zeta: ZetaTable) -> float:
     """Expected stage energy of the threshold policy locked to the table's set ``S``.
 
-        lam * (sum_S gamma)**m * zeta_N(S)
-            + lam * xi[N-N_P] * sum_{l not in S} p(l) * gamma(l)**m.
+        (sum_S gamma)**m * zeta_N(S)
+            + xi[N-N_P] * sum_{l not in S} p(l) * gamma(l)**m
 
-    Tasks outside the set are fetched purely on demand.
+    per unit ``lam``.  Tasks outside the set are fetched purely on demand.
     """
     s, members = zeta.scenario, list(zeta.task_set)
     outside = np.setdiff1d(np.arange(s.L), members)
     demand = float(np.sum(s.p[outside] * s.gamma[outside] ** s.m))
-    energy = s.lam * zeta.xi.xi[s.N - s.N_P] * demand
-    return energy + s.lam * float(np.sum(s.gamma[members])) ** s.m * zeta.value(s.N)
+    energy = zeta.xi.xi[s.N - s.N_P] * demand
+    return energy + float(np.sum(s.gamma[members])) ** s.m * zeta.value(s.N)
 
 
 def no_prefetch_energy_fast(s: Scenario, xi: XiTable) -> float:
     """Expected stage energy when all fetching waits for the demand phase.
 
-        lam * xi[N-N_P] * sum_l p(l) * gamma(l)**m.
+        xi[N-N_P] * sum_l p(l) * gamma(l)**m  per unit ``lam``.
     """
     _check_xi(s, xi.channel, xi)
-    return s.lam * xi.xi[s.N - s.N_P] * float(np.sum(s.p * s.gamma ** s.m))
+    return xi.xi[s.N - s.N_P] * float(np.sum(s.p * s.gamma ** s.m))
 
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Vectorized episode statistics (one entry per episode)."""
+    """Vectorized episode statistics per unit ``lam`` (one entry per episode)."""
 
     policy: PrefetchPolicy
     prefetch_energy: np.ndarray
@@ -254,7 +255,7 @@ class _Kernel:
     span: np.ndarray       #: (L+1, L+1): [c, j] = sum of gamma over c <= l < j
     u_zeta: np.ndarray     #: [k-1, n-1]: u of the size-k prefix table at N-n to go
     u_xi: float
-    demand_weight: float   #: lam * xi[N-N_P]
+    demand_weight: float   #: xi[N-N_P]
     gains: np.ndarray      #: (E, N) all gains
     u_gain: np.ndarray     #: (E, N_P) prefetch-phase gains**(1/(m-1))
     trace: bool
@@ -321,7 +322,7 @@ class _Kernel:
     def slot(self, phase: _Phase, n: int, k) -> np.ndarray:
         """Execute prefetch slot ``n`` on the size-``k`` prefixes; returns the threshold."""
         _, eta, sent = self.solve(phase.level, phase.bound, n, k)
-        phase.energy += self.s.lam * sent ** self.s.m / self.gains[:, n - 1]
+        phase.energy += sent ** self.s.m / self.gains[:, n - 1]
         phase.record(n, k, eta)
         return eta
 
@@ -339,7 +340,7 @@ class _Kernel:
         """Every locked prefix at once, keeping the best-scoring one per episode.
 
         A prefix scores its realized prefetch energy plus the expected
-        demand energy of its residuals, ``lam * xi * sum p * rho**m``.  The
+        demand energy of its residuals, ``xi * sum p * rho**m``.  The
         ``c`` clamped tasks hold ``w * level`` and ``p * w**m = w``, so the
         sum is ``level**m * W_c`` plus the tail sum of ``p * gamma**m``.
         ``argmin`` keeps the first minimum: ties go to the smaller prefix.
@@ -411,7 +412,7 @@ def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable
                    delta=np.append(priorities(s)[order], -np.inf),
                    cum_w=np.concatenate([[0.0], np.cumsum(w)]),
                    span=np.concatenate([np.zeros((s.L + 1, 1)), span], axis=1),
-                   u_zeta=u_zeta, u_xi=xi.inv_root[d], demand_weight=s.lam * xi.xi[d],
+                   u_zeta=u_zeta, u_xi=xi.inv_root[d], demand_weight=xi.xi[d],
                    gains=gains,
                    u_gain=gains[:, :s.N_P] ** root, trace=trace)
 
@@ -431,10 +432,11 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     revealed prefetch gains, all ``L`` of them as one ``(L, episodes)``
     batch, and keeps, per episode, the one with the lowest realized
     prefetch energy plus expected demand energy of its residuals (ties go
-    to the smaller prefix).  ``forced_prefix`` locks the target set
-    to the priority prefix of that size for every episode instead.  The
-    demand phase always runs the xi-policy.  ``trace`` fills the per-slot
-    thresholds, decisions and working-set sizes.
+    to the smaller prefix).  With ``forced_prefix`` it locks the target
+    set to the priority prefix of that size for every episode instead; any
+    other policy rejects ``forced_prefix``.  The demand phase always runs
+    the xi-policy.  ``trace`` fills the per-slot thresholds, decisions and
+    working-set sizes.  Energies are per unit ``lam``.
 
     ``xi`` (built when omitted) must be the demand table of ``channel`` and
     ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``
@@ -459,6 +461,8 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         raise ValueError("all gains must be strictly positive")
     if np.any((realized < 0) | (realized >= s.L)):
         raise IndexError("realized task index out of range")
+    if forced_prefix is not None and policy is not PrefetchPolicy.NONCAUSAL_ORACLE:
+        raise ValueError(f"only the noncausal policy takes forced_prefix, not {policy.value}")
     if forced_prefix is not None and not 1 <= forced_prefix <= s.L:
         raise ValueError(f"forced_prefix must lie in 1..{s.L}")
     if policy is PrefetchPolicy.NO_PREFETCH:
@@ -486,7 +490,7 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
                                 np.maximum.accumulate(np.pad(phase.slot_set_size, pad), axis=1))
         decisions = (held[:, :-1] - held[:, 1:])[:, :, inv_order]
     _, demand = simulate_demand_batch(final_rho[np.arange(episodes), realized],
-                                      gains[:, s.N_P:], xi, lam=s.lam)
+                                      gains[:, s.N_P:], xi)
     return BatchResult(policy=policy, prefetch_energy=phase.energy,
                        demand_energy=np.cumsum(demand, axis=1)[:, -1],
                        realized=realized, set_size=phase.set_size,

@@ -5,7 +5,9 @@ prefetched amounts have a closed form driven by each task's *priority*
 ``gamma * p**(1/(m-1))``, and the prefetch target set is found by growing a
 priority-ordered prefix until the implied amounts are consistent with it.
 All quantities here are deterministic; Monte-Carlo enters only through the
-random scenarios fed in by the harness.
+random scenarios fed in by the harness.  A stage costs ``lam / g`` times its
+energy at unit gain and the plan depends on neither, so every energy here
+is per unit ``lam`` at unit gain.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PrefetchPlan:
-    """Solution of the slow-fading prefetch problem.
+    """Solution of the slow-fading prefetch problem for its ``scenario``.
 
     ``alpha[l]`` is the number of bits of task ``l`` pushed during the
     prefetch phase.
     """
 
+    scenario: Scenario
     alpha: np.ndarray
 
     @property
@@ -109,7 +112,7 @@ def optimal_prefetch_slow(s: Scenario) -> PrefetchPlan:
     not depend on the gain or on ``lam``.
     """
     if s.N == s.N_P:
-        return PrefetchPlan(alpha=s.gamma.copy())
+        return PrefetchPlan(scenario=s, alpha=s.gamma.copy())
     order = priority_order(s)
     delta = priorities(s)
     w = s.p ** (-1.0 / (s.m - 1))
@@ -119,18 +122,19 @@ def optimal_prefetch_slow(s: Scenario) -> PrefetchPlan:
         member = delta > ratio * alpha_sigma
         if int(np.count_nonzero(member)) == rank:
             break
-    return PrefetchPlan(alpha=np.where(member, np.maximum(s.gamma - w * ratio * alpha_sigma, 0.0),
-                                       0.0))
+    return PrefetchPlan(scenario=s, alpha=np.where(
+        member, np.maximum(s.gamma - w * ratio * alpha_sigma, 0.0), 0.0))
 
 
-def slot_allocation_slow(plan: PrefetchPlan, s: Scenario, realized: int) -> np.ndarray:
-    """Per-slot bit loads once task ``realized`` turns out to run next.
+def slot_allocation_slow(plan: PrefetchPlan, realized: int) -> np.ndarray:
+    """Per-slot bit loads of the plan's scenario once task ``realized`` runs next.
 
     Under a constant gain, convexity makes equal splitting optimal in both
     phases: ``alpha_sigma / N_P`` bits in each prefetch slot, then
     ``beta / (N - N_P)`` in each demand slot.  Returns an array of length
     ``N``; the demand part is empty when ``N == N_P``.
     """
+    s = plan.scenario
     if not 0 <= realized < s.L:
         raise IndexError(f"realized task {realized} out of range for L={s.L}")
     loads = np.empty(s.N)
@@ -141,17 +145,16 @@ def slot_allocation_slow(plan: PrefetchPlan, s: Scenario, realized: int) -> np.n
     return loads
 
 
-def expected_fetch_energy_slow(s: Scenario, g: float, plan: PrefetchPlan) -> float:
-    """Expected stage energy of a plan under constant gain ``g``.
+def expected_fetch_energy_slow(plan: PrefetchPlan) -> float:
+    """Expected stage energy of a plan, per unit ``lam`` at unit gain.
 
     Sum of the prefetch-phase energy and the probability-weighted demand
-    energy, each phase equally split over its slots:
+    energy of the plan's scenario, each phase equally split over its slots:
 
-        (lam/g) * [alpha_sigma**m / N_P**(m-1)
-                   + sum_l p[l] * (gamma[l]-alpha[l])**m / (N-N_P)**(m-1)].
+        alpha_sigma**m / N_P**(m-1)
+            + sum_l p[l] * (gamma[l]-alpha[l])**m / (N-N_P)**(m-1).
     """
-    if not (np.isfinite(g) and g > 0.0):
-        raise ValueError(f"channel gain must be strictly positive, got {g!r}")
+    s = plan.scenario
     prefetch = plan.alpha_sigma ** s.m / s.N_P ** (s.m - 1)
     beta = s.gamma - plan.alpha
     if s.N > s.N_P:
@@ -160,16 +163,14 @@ def expected_fetch_energy_slow(s: Scenario, g: float, plan: PrefetchPlan) -> flo
         if np.any(beta > 1e-12 * s.gamma):
             raise ValueError("N == N_P leaves no demand phase, but the plan leaves bits unfetched")
         demand = 0.0
-    return s.lam / g * (prefetch + demand)
+    return prefetch + demand
 
 
-def no_prefetch_energy_slow(s: Scenario, g: float) -> float:
-    """Expected stage energy when all fetching waits for the demand phase."""
+def no_prefetch_energy_slow(s: Scenario) -> float:
+    """Expected stage energy per unit ``lam`` at unit gain without prefetching."""
     if s.N == s.N_P:
         raise ValueError("no-prefetch strategy is infeasible when N == N_P")
-    if not (np.isfinite(g) and g > 0.0):
-        raise ValueError(f"channel gain must be strictly positive, got {g!r}")
-    return s.lam / g * float(np.sum(s.p * s.gamma ** s.m)) / (s.N - s.N_P) ** (s.m - 1)
+    return float(np.sum(s.p * s.gamma ** s.m)) / (s.N - s.N_P) ** (s.m - 1)
 
 
 def gain_lower_bound(s: Scenario) -> float:
@@ -188,11 +189,9 @@ def gain_lower_bound(s: Scenario) -> float:
     return ((s.N - s.N_P * shrink) / (s.N - s.N_P)) ** (s.m - 1)
 
 
-def prefetch_gain_slow(s: Scenario, g: float) -> float:
+def prefetch_gain_slow(s: Scenario) -> float:
     """Ratio of no-prefetch to optimal expected energy (constant gain).
 
-    The gain is scale-free: ``g`` and ``lam`` cancel between numerator and
-    denominator.
+    Both energies scale with ``lam / g``, so the gain depends on neither.
     """
-    plan = optimal_prefetch_slow(s)
-    return no_prefetch_energy_slow(s, g) / expected_fetch_energy_slow(s, g, plan)
+    return no_prefetch_energy_slow(s) / expected_fetch_energy_slow(optimal_prefetch_slow(s))

@@ -6,12 +6,14 @@ every sweep point (so that points share scenario shapes and episode noise —
 paired comparisons), and reports per-policy mean energies and prefetching
 gains.  The gain of a policy is the ratio of the closed-form no-prefetch
 energy to the policy's mean energy, averaged over scenarios, and is also
-reported in decibels.
+reported in decibels.  Energies are scored per unit ``lam`` (at unit gain
+for slow fading) and scaled once per row.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -61,6 +63,14 @@ class ConfigError(ValueError):
     """Invalid sweep configuration or config file."""
 
 
+def _check_scales(settings) -> None:
+    """Raise ``ConfigError`` unless ``slow_g``, ``gamma_total`` and ``lam`` are finite and > 0."""
+    bad = [key for key in ("slow_g", "gamma_total", "lam")
+           if not (math.isfinite(settings[key]) and settings[key] > 0)]
+    if bad:
+        raise ConfigError(f"{', '.join(bad)} must be finite and strictly positive")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Declarative description of one sweep.
@@ -95,6 +105,8 @@ class SweepConfig:
         if not self.values:
             raise ConfigError("values must be nonempty")
         values = tuple(float(v) for v in self.values)
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{self.param} values must be finite, got {values!r}")
         if self.param in ("L", "N", "Np", "k"):
             if any(v != int(v) or v < 1 for v in values):
                 raise ConfigError(f"{self.param} values must be positive integers")
@@ -115,8 +127,7 @@ class SweepConfig:
             raise ConfigError(f"m must be an integer in [2, 5], got {self.m!r}")
         if not isinstance(self.k, int) or self.k < 2:
             raise ConfigError(f"k must be an integer >= 2, got {self.k!r}")
-        if self.slow_g <= 0 or self.gamma_total <= 0 or self.lam <= 0:
-            raise ConfigError("slow_g, gamma_total and lam must be strictly positive")
+        _check_scales(vars(self))
         if self.trials < 1 or self.scenarios < 1:
             raise ConfigError("trials and scenarios must be at least 1")
         for value in values:
@@ -156,8 +167,7 @@ class SweepRow:
 
 
 def generate_scenario(rng: np.random.Generator, L: int, gamma_total: float,
-                      m: int, N: int, N_P: int, lam: float = 1.0,
-                      uniform: bool = False) -> Scenario:
+                      m: int, N: int, N_P: int, uniform: bool = False) -> Scenario:
     """Draw a random scenario: normalized uniform probabilities and sizes.
 
     Task probabilities are i.i.d. uniforms normalized to sum to one, data
@@ -172,7 +182,7 @@ def generate_scenario(rng: np.random.Generator, L: int, gamma_total: float,
         p = p / p.sum()
         gamma = _positive_uniforms(rng, L)
         gamma = gamma * (gamma_total / gamma.sum())
-    return Scenario(m=m, N=N, N_P=N_P, p=p, gamma=gamma, lam=lam)
+    return Scenario(m=m, N=N, N_P=N_P, p=p, gamma=gamma)
 
 
 def _positive_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -185,14 +195,16 @@ def _positive_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
 def _aggregate(cfg: SweepConfig, value: float, policy: str,
                energies: Sequence[float], gains: Sequence[float],
                episodes: int) -> SweepRow:
+    """One row from per-scenario unit energies, scaled here by ``lam`` (over ``slow_g``)."""
+    unit = cfg.lam / cfg.slow_g if cfg.fading == "slow" else cfg.lam
     energies = np.asarray(energies, dtype=float)
     gains = np.asarray(gains, dtype=float)
-    mean_energy = float(energies.mean())
+    mean_energy = unit * float(energies.mean())
     stderr = float(energies.std(ddof=1) / np.sqrt(energies.size)) if energies.size > 1 else 0.0
     gain = float(gains.mean())
     return SweepRow(param=cfg.param, param_value=float(value), policy=policy,
                     mean_energy=mean_energy, mean_energy_db=to_db(mean_energy),
-                    stderr=stderr, gain=gain, gain_db=to_db(gain),
+                    stderr=unit * stderr, gain=gain, gain_db=to_db(gain),
                     trials=episodes)
 
 
@@ -215,7 +227,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     scenario feeds every ``k`` through nested partial sums, and the gain
     curve is smooth in ``k``.  Slow-fading rows are fully closed-form
     (zero episodes); fast-fading rows run ``cfg.trials`` episodes per
-    scenario.  Rows come back sorted by (sweep value, policy name).
+    scenario.  A row's energies are in units of ``cfg.lam`` (over
+    ``cfg.slow_g`` for slow fading); its gains are ratios of unit energies.
+    Rows come back sorted by (sweep value, policy name).
     """
     points = [cfg._dims(value) for value in cfg.values]
     energies = [{policy: [] for policy in cfg.policies} for _ in points]
@@ -228,10 +242,9 @@ def run_sweep(cfg: SweepConfig) -> list:
         for dims, point_energies, point_gains in zip(points, energies, gains):
             s = generate_scenario(_scenario_rng(cfg, index), L=dims["L"],
                                   gamma_total=dims["gamma_total"], m=cfg.m,
-                                  N=dims["N"], N_P=dims["N_P"], lam=cfg.lam,
-                                  uniform=cfg.uniform)
+                                  N=dims["N"], N_P=dims["N_P"], uniform=cfg.uniform)
             if cfg.fading == "slow":
-                _accumulate_slow(cfg, s, point_energies, point_gains)
+                _accumulate_slow(cfg.policies, s, point_energies, point_gains)
                 continue
             channel = FastGamma(dims["k"])
             xi = build_xi_table(channel, s.m, s.N - s.N_P)
@@ -260,14 +273,12 @@ def run_sweep(cfg: SweepConfig) -> list:
     return rows
 
 
-def _accumulate_slow(cfg: SweepConfig, s: Scenario, energies: dict, gains: dict):
-    g = cfg.slow_g
+def _accumulate_slow(policies: tuple, s: Scenario, energies: dict, gains: dict):
     if s.N > s.N_P:
-        base = no_prefetch_energy_slow(s, g)
-    for policy in cfg.policies:
+        base = no_prefetch_energy_slow(s)
+    for policy in policies:
         if policy == "slow-opt":
-            plan = optimal_prefetch_slow(s)
-            energy = expected_fetch_energy_slow(s, g, plan)
+            energy = expected_fetch_energy_slow(optimal_prefetch_slow(s))
         else:
             energy = base
         energies[policy].append(energy)

@@ -50,8 +50,8 @@ def _random_scenario(rng: np.random.Generator) -> Scenario:
                     gamma=rng.uniform(0.5, 10.0, L))
 
 
-def _plan_kkt_residual(s: Scenario, plan, g: float = 1.0) -> float:
-    """Box-constrained stationarity residual of a slow-fading plan.
+def _plan_kkt_residual(s: Scenario, plan) -> float:
+    """Box-constrained stationarity residual of a slow-fading plan at unit gain.
 
     Interior coordinates must zero the gradient; coordinates at the lower
     box face must have a nonnegative gradient.  (The upper face gamma is
@@ -59,9 +59,8 @@ def _plan_kkt_residual(s: Scenario, plan, g: float = 1.0) -> float:
     while the prefetch side stays positive.)
     """
     d = s.N - s.N_P
-    lead = s.m * s.lam / g
-    grad = lead * ((plan.alpha.sum() / s.N_P) ** (s.m - 1)
-                   - s.p * ((s.gamma - plan.alpha) / d) ** (s.m - 1))
+    grad = s.m * ((plan.alpha.sum() / s.N_P) ** (s.m - 1)
+                  - s.p * ((s.gamma - plan.alpha) / d) ** (s.m - 1))
     worst = 0.0
     for l in range(s.L):
         if plan.alpha[l] <= 1e-12:
@@ -93,8 +92,8 @@ def test_criterion_01_slow_policy_matches_brute_force():
     for _ in range(200):
         s = _random_scenario(rng)
         plan = optimal_prefetch_slow(s)
-        value = expected_fetch_energy_slow(s, 1.0, plan)
-        ref = slow_oracle(s, g=1.0)
+        value = expected_fetch_energy_slow(plan)
+        ref = slow_oracle(s)
         worst_obj = max(worst_obj, abs(value - ref.objective) / ref.objective)
         worst_kkt = max(worst_kkt, _plan_kkt_residual(s, plan))
     elapsed = time.perf_counter() - t0
@@ -120,7 +119,7 @@ def test_criterion_02_gain_identity_and_lower_bound():
             for m in (2, 3, 4):
                 s = Scenario(m=m, N=N, N_P=N_P, p=np.full(L, 1.0 / L),
                              gamma=np.full(L, 20.0 / L))
-                worst_eq = max(worst_eq, abs(prefetch_gain_slow(s, 1.0)
+                worst_eq = max(worst_eq, abs(prefetch_gain_slow(s)
                                              - gain_lower_bound(s)))
     rng = np.random.default_rng(202)
     worst_slack = np.inf
@@ -137,7 +136,7 @@ def test_criterion_02_gain_identity_and_lower_bound():
             gamma = rng.uniform(0.5, 10.0, L)
         s = Scenario(m=m, N=N, N_P=N_P, p=p, gamma=gamma)
         worst_slack = min(worst_slack,
-                          prefetch_gain_slow(s, 1.0) - gain_lower_bound(s))
+                          prefetch_gain_slow(s) - gain_lower_bound(s))
     elapsed = time.perf_counter() - t0
     ok = worst_eq <= 1e-9 and worst_slack >= -1e-9 and elapsed < 10.0
     assert _report(2, ok,
@@ -153,7 +152,7 @@ def test_criterion_03_mean_slow_gain_level():
     ratios = np.empty(10_000)
     for i in range(ratios.size):
         s = generate_scenario(rng, **BENCH)
-        ratios[i] = prefetch_gain_slow(s, 1.0)
+        ratios[i] = prefetch_gain_slow(s)
     mean_db = to_db(float(ratios.mean()))
     elapsed = time.perf_counter() - t0
     ok = abs(mean_db - 2.3) <= 0.4 and elapsed < 60.0
@@ -453,7 +452,7 @@ def test_criterion_10_backward_induction_cross_check():
     rel_slow = 0.0
     for s, g in ((uniform2, 1.0), (pair, 2.0)):
         res = p5_backward_induction(s, SlowFading(g), bit_grid=41)
-        exact = expected_fetch_energy_slow(s, g, optimal_prefetch_slow(s))
+        exact = expected_fetch_energy_slow(optimal_prefetch_slow(s)) / g
         rel_slow = max(rel_slow, abs(res.value - exact) / exact)
     elapsed = time.perf_counter() - t0
 

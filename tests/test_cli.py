@@ -174,6 +174,37 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--lam", "--slow-g", "--gamma-total"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--param", "gamma", "--values", "5", "--policies", "slow-opt",
+         "--scenarios", "1"],
+        ["single", "--seed", "1"],
+    ], ids=["sweep", "single"])
+    def test_non_finite_scales_exit_two(self, tmp_path, capsys, command, flag, value):
+        code = main(command + [flag, value] + (
+            ["--out", str(tmp_path / "rows.csv")] if command[0] == "sweep" else []))
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param,values", [("L", "2,inf"), ("gamma", "nan")])
+    def test_non_finite_values_exit_two(self, tmp_path, capsys, param, values):
+        code = main(["sweep", "--param", param, "--values", values, "--policies", "slow-opt",
+                     "--scenarios", "1", "--out", str(tmp_path / "rows.csv")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
+def is_energy_line(line: str) -> bool:
+    return "energy" in line or "reference" in line
+
+
+def energy_lines(out: str) -> dict:
+    """The printed energies of a ``single`` report, keyed by their label."""
+    return {line.split("=")[0].strip(): float(line.split("=")[1])
+            for line in out.splitlines() if is_energy_line(line)}
+
+
 class TestSingleCommand:
     def test_slow_stage_report(self, capsys):
         assert main(["single", "--seed", "1"]) == 0
@@ -191,6 +222,25 @@ class TestSingleCommand:
         assert "slot 4:" in out             # N_P = 4 by default
         assert "total energy" in out
         assert "no-prefetch reference" in out
+
+    @pytest.mark.parametrize("fading,extra,factor", [
+        ("slow", [], 2.5),
+        ("slow", ["--slow-g", "4"], 2.5 / 4.0),
+        ("fast", ["--slow-g", "4"], 2.5),
+    ])
+    def test_lam_scales_the_printed_energies(self, capsys, fading, extra, factor):
+        base = ["single", "--fading", fading, "--seed", "3"]
+        assert main(base) == 0
+        unit = capsys.readouterr().out
+        assert main(base + ["--lam", "2.5"] + extra) == 0
+        scaled = capsys.readouterr().out
+        energies = energy_lines(unit)
+        assert len(energies) == (2 if fading == "slow" else 4)
+        assert energy_lines(scaled) == pytest.approx(
+            {label: factor * value for label, value in energies.items()}, rel=1e-5)
+        others = [[line for line in out.splitlines()[1:] if not is_energy_line(line)
+                   and not line.startswith("slow fading, g=")] for out in (unit, scaled)]
+        assert others[0] == others[1]       # plans, gains, bits and thresholds
 
     def test_uniform_flag_reaches_the_scenario(self, capsys):
         assert main(["single", "--uniform", "--L", "2", "--seed", "0"]) == 0

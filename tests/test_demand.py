@@ -153,11 +153,6 @@ class TestExpectedDemandEnergy:
         with pytest.raises(ValueError):
             expected_demand_energy(1.0, table, 0)
 
-    def test_lambda_scaling(self):
-        table = build_xi_table(FastGamma(k=2), m=2, horizon=2)
-        assert expected_demand_energy(3.0, table, 2, lam=2.5) == pytest.approx(
-            2.5 * expected_demand_energy(3.0, table, 2), rel=1e-12)
-
 
 class TestDemandEnergyBounds:
     def test_reference_pair(self):

@@ -6,6 +6,8 @@ is exempt, as is an import statement marked ``# noqa: F401``.  A private
 module-level function, class or constant (one leading underscore) must be
 read somewhere in its module besides its definition.  The package exports
 exactly the union of its modules' ``__all__``, each bound in its module.
+The energy coefficient ``lam`` is an output unit: only the sweep harness
+and the command line bind it.
 """
 
 import ast
@@ -65,6 +67,32 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(tau)\n"
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
+
+
+def lam_bindings(source: str) -> list:
+    """Lines that bind ``lam`` as a parameter, keyword, class field or attribute."""
+    tree = ast.parse(source)
+    fields = [stmt for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for stmt in node.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))]
+    found = {stmt.lineno for stmt in fields
+             for target in getattr(stmt, "targets", [getattr(stmt, "target", None)])
+             if isinstance(target, ast.Name) and target.id == "lam"}
+    found |= {node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "lam"
+              or isinstance(node, ast.Attribute) and node.attr == "lam"}
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.stem not in ("sweep", "cli")],
+                         ids=lambda path: path.name)
+def test_only_the_harness_binds_lam(path):
+    assert lam_bindings(path.read_text()) == []
+
+
+def test_a_lam_binding_is_reported():
+    source = ("class A:\n    lam: float = 1.0\n\n\ndef f(x, lam=1.0):\n    return x.lam\n\n\n"
+              "g(lam=2.0)\nlam = 3.0\n# lam\n")
+    assert lam_bindings(source) == [2, 5, 6, 9]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -16,7 +16,6 @@ from livefetch.model import (
     mean_inverse_gain,
     sample_gain,
     to_db,
-    transmit_energy,
 )
 
 
@@ -32,7 +31,6 @@ class TestScenario:
         s = make_scenario()
         assert s.L == 4
         assert s.gamma_total == pytest.approx(20.0, abs=1e-12)
-        assert s.demand_slots == 1
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -62,11 +60,7 @@ class TestScenario:
         with pytest.raises(ValueError):
             make_scenario(N_P=6)
         # N_P == N is allowed (no demand phase)
-        assert make_scenario(N_P=5).demand_slots == 0
-
-    def test_lambda_positive(self):
-        with pytest.raises(ValueError):
-            make_scenario(lam=0.0)
+        assert make_scenario(N_P=5).N_P == 5
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -113,29 +107,6 @@ class TestChannels:
         rng = np.random.default_rng(0)
         g = sample_gain(SlowFading(g=0.7), rng, 5)
         np.testing.assert_array_equal(g, np.full(5, 0.7))
-
-
-class TestTransmitEnergy:
-    def test_monomial_law(self):
-        s = make_scenario(m=3, lam=1.5)
-        assert transmit_energy(2.0, 1.0, s) == pytest.approx(12.0)
-        assert transmit_energy(0.0, 0.5, make_scenario()) == 0.0
-
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    def test_strictly_convex_increasing(self, m):
-        s = make_scenario(m=m)
-        bs = np.linspace(0.1, 9.0, 25)
-        es = np.array([transmit_energy(b, 1.3, s) for b in bs])
-        diffs = np.diff(es)
-        assert np.all(diffs > 0.0)
-        assert np.all(np.diff(diffs) > 0.0)
-
-    def test_invalid_inputs(self):
-        s = make_scenario()
-        with pytest.raises(ValueError):
-            transmit_energy(-1.0, 1.0, s)
-        with pytest.raises(ValueError):
-            transmit_energy(1.0, 0.0, s)
 
 
 class TestExpectOverGain:

@@ -65,7 +65,7 @@ def quantized_support(k, bins):
 
 class TestSlowOracle:
     def test_symmetric_pair_reference(self):
-        result = slow_oracle(UNIFORM2, g=1.0)
+        result = slow_oracle(UNIFORM2)
         np.testing.assert_allclose(result.alpha, [0.8, 0.8], atol=1e-6)
         assert result.objective == pytest.approx(12.8, rel=1e-9)
         assert np.isfinite(result.objective)
@@ -74,7 +74,7 @@ class TestSlowOracle:
         rng = np.random.default_rng(3)
         for _ in range(40):
             s = random_scenario(rng)
-            result = slow_oracle(s, g=1.0)
+            result = slow_oracle(s)
             scale = s.m * max(1.0, float(s.gamma.sum())) ** (s.m - 1)
             assert result.residual <= 1e-6 * scale
 
@@ -85,18 +85,18 @@ class TestSlowOracle:
         for _ in range(100):
             s = random_scenario(rng)
             plan = optimal_prefetch_slow(s)
-            value = expected_fetch_energy_slow(s, 1.0, plan)
-            result = slow_oracle(s, g=1.0)
+            value = expected_fetch_energy_slow(plan)
+            result = slow_oracle(s)
             assert result.objective >= value - 1e-4 * value
             assert abs(result.objective - value) <= 1e-6 * value
 
     def test_grid_refinement_reduces_error(self):
         s = Scenario(m=2, N=4, N_P=2, p=np.array([0.55, 0.45]),
                      gamma=np.array([5.3, 2.9]))
-        exact = expected_fetch_energy_slow(s, 1.0, optimal_prefetch_slow(s))
+        exact = expected_fetch_energy_slow(optimal_prefetch_slow(s))
         errors = []
         for resolution in (5, 9, 17, 33):   # nested grids: 2x refinements
-            raw = slow_oracle(s, g=1.0, resolution=resolution, refine=False)
+            raw = slow_oracle(s, resolution=resolution, refine=False)
             errors.append(raw.grid_objective - exact)
         assert all(e >= -1e-12 for e in errors)
         assert all(a >= b for a, b in zip(errors, errors[1:]))
@@ -106,7 +106,7 @@ class TestSlowOracle:
         rng = np.random.default_rng(7)
         for _ in range(10):
             s = random_scenario(rng)
-            result = slow_oracle(s, g=1.0, resolution=7)
+            result = slow_oracle(s, resolution=7)
             assert result.objective <= result.grid_objective + 1e-12
 
     def test_all_prefetch_degenerate_case(self):
@@ -144,7 +144,7 @@ class TestBackwardInduction:
         s = Scenario(m=2, N=3, N_P=1, p=np.array([0.6, 0.4]),
                      gamma=np.array([5.0, 3.0]))
         channel = SlowFading(2.0)
-        exact = expected_fetch_energy_slow(s, 2.0, optimal_prefetch_slow(s))
+        exact = expected_fetch_energy_slow(optimal_prefetch_slow(s)) / 2.0
         result = p5_backward_induction(s, channel, bit_grid=41)
         assert result.value == pytest.approx(exact, rel=2e-2)
 
@@ -188,7 +188,7 @@ class TestBackwardInduction:
                      gamma=np.array([5.0, 3.0]))
         slow = p5_backward_induction(s, SlowFading(2.0), bit_grid=41,
                                      no_prefetch=True)
-        assert slow.value == pytest.approx(no_prefetch_energy_slow(s, 2.0), rel=2e-2)
+        assert slow.value == pytest.approx(no_prefetch_energy_slow(s) / 2.0, rel=2e-2)
 
         # Fast channel: the restricted value equals sum_l p gamma^m times
         # the two-slot demand coefficient of the quantized support, obtained
@@ -240,7 +240,7 @@ def dense_induction(s, grids, gain_values, gain_weights, no_prefetch):
     for grid in grids:
         send = grid[:, None] - grid[None, :]
         invalid = send < 0.0
-        cost = np.where(invalid, np.inf, s.lam * np.where(invalid, 0.0, send) ** s.m)
+        cost = np.where(invalid, np.inf, np.where(invalid, 0.0, send) ** s.m)
         tables = [np.where(grid > 0.0, np.inf, 0.0)]
         for _ in range(s.N - s.N_P):
             previous = tables[-1]
@@ -268,14 +268,14 @@ def dense_induction(s, grids, gain_values, gain_weights, no_prefetch):
         if s.L == 1:
             for g, wt in zip(gain_values, gain_weights):
                 new_value = new_value + wt * np.min(
-                    s.lam * power / g + value[None, :], axis=1)
+                    power / g + value[None, :], axis=1)
         else:
             n = grids[0].size
             flat = value.reshape(-1)
             shaped = power.reshape(n, n, -1)
             for g, wt in zip(gain_values, gain_weights):
                 new_value = new_value + wt * np.min(
-                    s.lam * shaped / g + flat[None, None, :], axis=2)
+                    shaped / g + flat[None, None, :], axis=2)
         value = new_value
     return float(value.reshape(-1)[-1]), demand
 
@@ -295,8 +295,7 @@ class TestSparseStep:
                     N = int(rng.integers(2, 7))
                     s = Scenario(m=m, N=N, N_P=int(rng.integers(1, N)),
                                  p=rng.dirichlet(np.ones(L)),
-                                 gamma=rng.uniform(0.5, 10.0, L),
-                                 lam=float(rng.uniform(0.5, 2.0)))
+                                 gamma=rng.uniform(0.5, 10.0, L))
                     result = p5_backward_induction(s, channel, bit_grid=bit_grid,
                                                    gain_bins=gain_bins,
                                                    no_prefetch=no_prefetch)
@@ -322,9 +321,9 @@ class TestNoncausalBenchmark:
         xi = build_xi_table(channel, s.m, s.N - s.N_P)
         batch = run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE,
                                    np.full((1, s.N), 1.7), np.zeros(1, dtype=int), xi=xi)
-        demand = sum(p * expected_demand_energy(float(beta), xi, s.N - s.N_P, lam=s.lam)
+        demand = sum(p * expected_demand_energy(float(beta), xi, s.N - s.N_P)
                      for p, beta in zip(s.p, batch.final_rho[0]))
-        exact = expected_fetch_energy_slow(s, 1.7, optimal_prefetch_slow(s))
+        exact = expected_fetch_energy_slow(optimal_prefetch_slow(s)) / 1.7
         assert float(batch.prefetch_energy[0]) + demand == pytest.approx(exact, rel=1e-9)
 
     def test_benchmark_bounds_causal_and_no_prefetch_policies(self):

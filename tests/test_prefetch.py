@@ -425,7 +425,7 @@ class TestSelectNoncausalSet:
             xi = build_xi_table(FAST2, s.m, s.N - s.N_P)
             tables = build_prefix_tables(s, FAST2, xi)
             gains, realized = draw_episodes(s, FAST2, rng, 400)
-            weight = s.lam * xi.xi[s.N - s.N_P]
+            weight = xi.xi[s.N - s.N_P]
             runs = [run_prefetch_batch(s, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE, gains,
                                        realized, xi=xi, prefix_tables=tables, forced_prefix=k)
                     for k in range(1, s.L + 1)]
@@ -797,6 +797,15 @@ class TestBatchRunner:
                                    gains, realized, xi=XI3,
                                    forced_prefix=bad_prefix)
 
+    @pytest.mark.parametrize("policy", ["aggressive", "conservative", "no-prefetch"])
+    def test_forced_prefix_is_the_noncausal_oracles_alone(self, policy):
+        # Locking a prefix is the oracle's one-prefix mode; any other policy
+        # would run it under its own name.
+        gains, realized = draw_episodes(S3, FAST2, np.random.default_rng(17), 10)
+        with pytest.raises(ValueError, match="forced_prefix"):
+            run_prefetch_batch(S3, FAST2, policy, gains, realized, xi=XI3,
+                               prefix_tables=TABLES3, forced_prefix=1)
+
 
 def dense_first_reached(kernel, level, bound, n, k):
     """Slot solve by scanning every prefix size: the search's reference.
@@ -853,12 +862,12 @@ class TestSlotSearch:
             np.testing.assert_allclose(eta, ref_eta, rtol=self.TOL, atol=0.0)
             # Both codes send ``R - eta * W``, a difference of the active
             # prefix's held bits ``R``, so the sent bits agree relative to
-            # ``R``, and the slot energies ``lam * sent**m / g`` as far as
+            # ``R``, and the slot energies ``sent**m / g`` as far as
             # the mean value theorem carries that error.
             held = kernel.residuals(level, bound).cumsum(axis=1)[rows, active - 1]
             gap = self.TOL * held
             assert np.all(np.abs(sent - ref_sent) <= gap)
-            scale = s.lam / gains[:, n - 1]
+            scale = 1.0 / gains[:, n - 1]
             slope = s.m * np.maximum(sent, ref_sent) ** (s.m - 1)
             assert np.all(np.abs(scale * sent ** s.m - scale * ref_sent ** s.m)
                           <= scale * slope * gap)

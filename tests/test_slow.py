@@ -161,12 +161,12 @@ class TestOptimalPrefetch:
             other = optimal_prefetch_slow(scaled)
             assert other.task_set == plan.task_set
             np.testing.assert_allclose(other.alpha / c, plan.alpha, rtol=1e-12, atol=0.0)
-            assert prefetch_gain_slow(scaled, 1.0) == pytest.approx(
-                prefetch_gain_slow(s, 1.0), rel=1e-12, abs=0.0)
+            assert prefetch_gain_slow(scaled) == pytest.approx(
+                prefetch_gain_slow(s), rel=1e-12, abs=0.0)
 
     def test_task_set_is_exactly_the_positive_amounts(self):
         tiny = 1e-13
-        plan = PrefetchPlan(alpha=np.array([tiny, 0.0]))
+        plan = PrefetchPlan(scenario=SKEWED2, alpha=np.array([tiny, 0.0]))
         assert plan.task_set == {0}
         assert plan.alpha_sigma == tiny
 
@@ -174,19 +174,19 @@ class TestOptimalPrefetch:
 class TestSlotAllocation:
     def test_reference_split(self):
         plan = optimal_prefetch_slow(UNIFORM2)
-        loads = slot_allocation_slow(plan, UNIFORM2, realized=0)
+        loads = slot_allocation_slow(plan, realized=0)
         np.testing.assert_allclose(loads, [1.6, 3.2], atol=1e-12)
 
     def test_no_demand_phase(self):
         s = Scenario(m=2, N=2, N_P=2, p=np.array([0.5, 0.5]), gamma=np.array([4.0, 4.0]))
         plan = optimal_prefetch_slow(s)
-        loads = slot_allocation_slow(plan, s, realized=1)
+        loads = slot_allocation_slow(plan, realized=1)
         np.testing.assert_allclose(loads, [4.0, 4.0], atol=1e-12)
 
     def test_fully_prefetched_task_has_empty_demand(self):
         s = Scenario(m=2, N=4, N_P=2, p=np.array([1.0]), gamma=np.array([6.0]))
-        plan = PrefetchPlan(alpha=np.array([6.0]))
-        loads = slot_allocation_slow(plan, s, realized=0)
+        plan = PrefetchPlan(scenario=s, alpha=np.array([6.0]))
+        loads = slot_allocation_slow(plan, realized=0)
         np.testing.assert_allclose(loads[2:], [0.0, 0.0], atol=1e-12)
 
 
@@ -194,30 +194,38 @@ class TestEnergies:
     def test_unfetched_bits_rejected_without_a_demand_phase(self):
         for c in (1.0, 1e-14):
             s = Scenario(m=2, N=3, N_P=3, p=np.array([0.5, 0.5]), gamma=c * np.array([4.0, 4.0]))
-            short = PrefetchPlan(alpha=c * np.array([4.0, 2.0]))
+            short = PrefetchPlan(scenario=s, alpha=c * np.array([4.0, 2.0]))
             with pytest.raises(ValueError):
-                expected_fetch_energy_slow(s, 1.0, short)
-            assert expected_fetch_energy_slow(s, 1.0, optimal_prefetch_slow(s)) > 0.0
+                expected_fetch_energy_slow(short)
+            assert expected_fetch_energy_slow(optimal_prefetch_slow(s)) > 0.0
 
     def test_reference_objective(self):
         """The optimal two-task plan's stage energy, oracle-confirmed."""
         plan = optimal_prefetch_slow(UNIFORM2)
-        energy = expected_fetch_energy_slow(UNIFORM2, 1.0, plan)
+        energy = expected_fetch_energy_slow(plan)
         assert energy == pytest.approx(12.8, rel=1e-12)
-        oracle = slow_oracle(UNIFORM2, g=1.0)
+        oracle = slow_oracle(UNIFORM2)
         assert oracle.objective == pytest.approx(12.8, rel=1e-6)
 
     def test_degenerate_plan_is_pure_demand(self):
         s = Scenario(m=2, N=5, N_P=4, p=np.array([0.5, 0.5]), gamma=np.array([4.0, 2.0]))
-        plan = PrefetchPlan(alpha=np.zeros(2))
-        assert expected_fetch_energy_slow(s, 1.0, plan) == pytest.approx(
-            no_prefetch_energy_slow(s, 1.0), rel=1e-12)
+        plan = PrefetchPlan(scenario=s, alpha=np.zeros(2))
+        assert expected_fetch_energy_slow(plan) == pytest.approx(
+            no_prefetch_energy_slow(s), rel=1e-12)
 
-    def test_gain_scaling(self):
-        plan = optimal_prefetch_slow(UNIFORM2)
-        e1 = expected_fetch_energy_slow(UNIFORM2, 1.0, plan)
-        e2 = expected_fetch_energy_slow(UNIFORM2, 2.0, plan)
-        assert e2 == pytest.approx(e1 / 2.0, rel=1e-12)
+
+    def test_a_plan_is_scored_on_its_own_scenario(self):
+        # The mirrored scenario holds the same tasks in reverse order, so a
+        # plan of one, read against the other's indices, would cost 36.39.
+        s = Scenario(m=2, N=5, N_P=4, p=np.array([0.45, 0.35, 0.2]),
+                     gamma=np.array([7.0, 6.0, 5.0]))
+        mirrored = Scenario(m=2, N=5, N_P=4, p=s.p[::-1], gamma=s.gamma[::-1])
+        plans = [optimal_prefetch_slow(scenario) for scenario in (s, mirrored)]
+        assert [plan.scenario for plan in plans] == [s, mirrored]
+        for plan in plans:
+            assert expected_fetch_energy_slow(plan) == pytest.approx(23.6136363636, rel=1e-10)
+        np.testing.assert_array_equal(slot_allocation_slow(plans[0], realized=2),
+                                      slot_allocation_slow(plans[1], realized=0))
 
 
 class TestGain:
@@ -237,7 +245,7 @@ class TestGain:
     def test_uniform_equality(self):
         for L, m in [(1, 2), (2, 2), (4, 2), (4, 3), (3, 5)]:
             s = Scenario(m=m, N=6, N_P=4, p=np.full(L, 1.0 / L), gamma=np.full(L, 20.0 / L))
-            assert prefetch_gain_slow(s, 1.0) == pytest.approx(
+            assert prefetch_gain_slow(s) == pytest.approx(
                 gain_lower_bound(s), abs=1e-9)
 
     def test_gain_floor_with_uniform_sizes(self):
@@ -253,7 +261,7 @@ class TestGain:
             p = rng.dirichlet(np.ones(L) * rng.uniform(0.5, 3.0))
             total = rng.uniform(2.0, 40.0)
             s = Scenario(m=m, N=N, N_P=N_P, p=p, gamma=np.full(L, total / L))
-            assert prefetch_gain_slow(s, 1.0) >= gain_lower_bound(s) - 1e-9
+            assert prefetch_gain_slow(s) >= gain_lower_bound(s) - 1e-9
 
     def test_gain_floor_with_uniform_probabilities(self):
         # Symmetrically, equally likely tasks keep the floor valid for any
@@ -266,7 +274,7 @@ class TestGain:
             m = int(rng.choice([2, 3, 4]))
             gamma = rng.uniform(0.5, 10.0, L)
             s = Scenario(m=m, N=N, N_P=N_P, p=np.full(L, 1.0 / L), gamma=gamma)
-            assert prefetch_gain_slow(s, 1.0) >= gain_lower_bound(s) - 1e-9
+            assert prefetch_gain_slow(s) >= gain_lower_bound(s) - 1e-9
 
     def test_gain_floor_counterexample_when_both_skewed(self):
         # The floor is not universal: concentrating probability on the small
@@ -280,17 +288,13 @@ class TestGain:
             p=np.array([0.81293359, 0.18706641]),
             gamma=np.array([2.5196087, 7.11286551]),
         )
-        gain = prefetch_gain_slow(s, 1.0)
+        gain = prefetch_gain_slow(s)
         assert gain < gain_lower_bound(s) - 1e-3
         plan = optimal_prefetch_slow(s)
-        ours = expected_fetch_energy_slow(s, 1.0, plan)
-        oracle = slow_oracle(s, g=1.0)
+        ours = expected_fetch_energy_slow(plan)
+        oracle = slow_oracle(s)
         assert ours == pytest.approx(oracle.objective, rel=1e-6)
         assert ours <= oracle.grid_objective + 1e-12
-
-    def test_gain_is_scale_free(self):
-        assert prefetch_gain_slow(SKEWED2, 1.0) == pytest.approx(
-            prefetch_gain_slow(SKEWED2, 10.0), rel=1e-12)
 
 
 class TestOracleEquivalence:
@@ -301,7 +305,7 @@ class TestOracleEquivalence:
             if s.N == s.N_P:
                 continue
             plan = optimal_prefetch_slow(s)
-            ours = expected_fetch_energy_slow(s, 1.0, plan)
-            oracle = slow_oracle(s, g=1.0)
+            ours = expected_fetch_energy_slow(plan)
+            oracle = slow_oracle(s)
             assert ours == pytest.approx(oracle.objective, rel=1e-6)
             assert ours <= oracle.grid_objective + 1e-12

@@ -2,9 +2,11 @@
 
 import io
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from livefetch.model import Scenario
 from livefetch.slow import (
@@ -14,6 +16,7 @@ from livefetch.slow import (
 )
 from livefetch.sweep import (
     CSV_HEADER,
+    FAST_POLICIES,
     ConfigError,
     SweepConfig,
     SweepRow,
@@ -62,6 +65,18 @@ class TestSweepConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SweepConfig(**kwargs)
+
+    @pytest.mark.parametrize("key", ["lam", "slow_g", "gamma_total"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scales_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            SweepConfig(param="gamma", values=(1,), policies=("slow-opt",), **{key: value})
+
+    @pytest.mark.parametrize("param", ["gamma", "L"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, param, value):
+        with pytest.raises(ConfigError):
+            SweepConfig(param=param, values=(2, value), policies=("slow-opt",))
 
     def test_all_prefetch_point_allowed_for_slow_opt_only(self):
         cfg = SweepConfig(param="Np", values=(4, 5), policies=("slow-opt",), N=5)
@@ -206,8 +221,7 @@ class TestGainVsShape:
         for index in range(self.CFG.scenarios):
             s = generate_scenario(_scenario_rng(self.CFG, index), L=4,
                                   gamma_total=20.0, m=2, N=5, N_P=4)
-            energies.append(expected_fetch_energy_slow(
-                s, 1.0, optimal_prefetch_slow(s)))
+            energies.append(expected_fetch_energy_slow(optimal_prefetch_slow(s)))
         assert slow.mean_energy == pytest.approx(float(np.mean(energies)), rel=1e-12)
 
     def test_k_sweep_rows_are_the_shape_sweep_rows(self):
@@ -216,6 +230,46 @@ class TestGainVsShape:
         shape = [row for row in gain_vs_shape(cfg) if row.policy == "fast-optimal"]
         assert [(row.param_value, row.mean_energy, row.stderr, row.gain) for row in swept] \
             == [(row.param_value, row.mean_energy, row.stderr, row.gain) for row in shape]
+
+
+@lru_cache(maxsize=None)
+def unit_rows(cfg: SweepConfig) -> list:
+    return run_sweep(cfg)
+
+
+class TestUnits:
+    """``lam`` and ``slow_g`` enter a sweep once, as the unit of its energies."""
+
+    FAST = SweepConfig(param="Np", values=(2, 3), fading="fast", policies=FAST_POLICIES,
+                       trials=40, scenarios=3, seed=9, N=5, L=3)
+    SLOW = SweepConfig(param="gamma", values=(5, 20), fading="slow",
+                       policies=("slow-opt", "no-prefetch"), scenarios=3, seed=9)
+
+    @staticmethod
+    def assert_scaled(rows, unit, factor):
+        assert len(rows) == len(unit)
+        for row, base in zip(rows, unit):
+            assert row.mean_energy == pytest.approx(factor * base.mean_energy, rel=1e-15, abs=0)
+            assert row.stderr == pytest.approx(factor * base.stderr, rel=1e-15, abs=0)
+            assert row.mean_energy_db == pytest.approx(
+                base.mean_energy_db + 10.0 * np.log10(factor), abs=1e-12)
+            assert replace(row, mean_energy=0.0, mean_energy_db=0.0, stderr=0.0) \
+                == replace(base, mean_energy=0.0, mean_energy_db=0.0, stderr=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(lam=st.floats(1e-3, 1e3), slow_g=st.floats(0.1, 10.0))
+    def test_energy_rows_scale_and_gain_rows_do_not(self, lam, slow_g):
+        for cfg, factor in ((self.FAST, lam), (self.SLOW, lam / slow_g)):
+            rows = run_sweep(replace(cfg, lam=lam, slow_g=slow_g))
+            self.assert_scaled(rows, unit_rows(cfg), factor)
+
+    def test_shape_rows_take_the_units_of_their_fading(self):
+        cfg = replace(TestGainVsShape.CFG, scenarios=2, trials=50)
+        rows = gain_vs_shape(replace(cfg, lam=2.5, slow_g=4.0))
+        unit = gain_vs_shape(cfg)
+        for policy, factor in (("fast-optimal", 2.5), ("slow-opt", 2.5 / 4.0)):
+            self.assert_scaled([row for row in rows if row.policy == policy],
+                               [row for row in unit if row.policy == policy], factor)
 
 
 class TestCsvBoundary:
