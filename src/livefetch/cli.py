@@ -1,9 +1,10 @@
 """Command-line interface: parameter sweeps, single-stage inspection, figures.
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags, bad
-config file, inconsistent geometry), 3 for numerical failures.  Commands run
-with numpy overflow, division by zero and invalid operations raising, so a
-numerical failure stops where it happens.
+config file, inconsistent geometry), 3 for numerical failures (any
+``ArithmeticError``: quadrature, floating-point, overflow and division
+errors).  Commands run with numpy overflow, division by zero and invalid
+operations raising, so a numerical failure stops where it happens.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .model import FastGamma, QuadratureError, sample_gain, to_db
+from .model import FastGamma, sample_gain, to_db
 from .slow import (
     expected_fetch_energy_slow,
     no_prefetch_energy_slow,
@@ -292,8 +293,8 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return handler(args)
-    except (QuadratureError, FloatingPointError, ZeroDivisionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -38,11 +38,21 @@ class PrefetchPlan:
     """Solution of the slow-fading prefetch problem for its ``scenario``.
 
     ``alpha[l]`` is the number of bits of task ``l`` pushed during the
-    prefetch phase.
+    prefetch phase: one finite amount per task with ``0 <= alpha <= gamma``,
+    else ``ValueError``.
     """
 
     scenario: Scenario
     alpha: np.ndarray
+
+    def __post_init__(self):
+        alpha = np.asarray(self.alpha, dtype=float)
+        gamma = self.scenario.gamma
+        if alpha.shape != gamma.shape:
+            raise ValueError(f"alpha must have shape {gamma.shape}, got {alpha.shape}")
+        if not (np.all(alpha >= 0.0) and np.all(alpha <= gamma)):
+            raise ValueError(f"alpha must be finite with 0 <= alpha <= gamma, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def task_set(self) -> frozenset:

@@ -6,8 +6,10 @@ every sweep point (so that points share scenario shapes and episode noise —
 paired comparisons), and reports per-policy mean energies and prefetching
 gains.  The gain of a policy is the ratio of the closed-form no-prefetch
 energy to the policy's mean energy, averaged over scenarios, and is also
-reported in decibels.  Energies are scored per unit ``lam`` (at unit gain
-for slow fading) and scaled once per row.
+reported in decibels.  Scenarios are drawn and simulated at unit total
+data and reused across the points of a ``gamma`` sweep; each scenario's
+energy is scaled by ``gamma_total ** m``.  Energies are scored per unit
+``lam`` (at unit gain for slow fading) and scaled once per row.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -171,8 +173,12 @@ def generate_scenario(rng: np.random.Generator, L: int, gamma_total: float,
     """Draw a random scenario: normalized uniform probabilities and sizes.
 
     Task probabilities are i.i.d. uniforms normalized to sum to one, data
-    sizes i.i.d. uniforms scaled to sum to ``gamma_total``; ``uniform=True``
-    forces the equal-task special case instead.
+    sizes i.i.d. uniforms divided by their sum and scaled to sum to
+    ``gamma_total``; ``uniform=True`` forces the equal-task special case
+    instead.  Dividing first makes a single task's size exactly
+    ``gamma_total``, and the sizes at any ``gamma_total`` are those at
+    ``gamma_total=1.0`` (which :func:`run_sweep` draws) times it, up to one
+    rounding.
     """
     if uniform:
         p = np.full(L, 1.0 / L)
@@ -181,7 +187,7 @@ def generate_scenario(rng: np.random.Generator, L: int, gamma_total: float,
         p = _positive_uniforms(rng, L)
         p = p / p.sum()
         gamma = _positive_uniforms(rng, L)
-        gamma = gamma * (gamma_total / gamma.sum())
+        gamma = gamma / gamma.sum() * gamma_total
     return Scenario(m=m, N=N, N_P=N_P, p=p, gamma=gamma)
 
 
@@ -200,7 +206,10 @@ def _aggregate(cfg: SweepConfig, value: float, policy: str,
     energies = np.asarray(energies, dtype=float)
     gains = np.asarray(gains, dtype=float)
     mean_energy = unit * float(energies.mean())
-    stderr = float(energies.std(ddof=1) / np.sqrt(energies.size)) if energies.size > 1 else 0.0
+    # The spread is taken about the first energy: equal energies then have
+    # exactly zero spread, which a rounded mean would not give.
+    spread = energies - energies[0]
+    stderr = float(spread.std(ddof=1) / np.sqrt(energies.size)) if energies.size > 1 else 0.0
     gain = float(gains.mean())
     return SweepRow(param=cfg.param, param_value=float(value), policy=policy,
                     mean_energy=mean_energy, mean_energy_db=to_db(mean_energy),
@@ -225,45 +234,41 @@ def run_sweep(cfg: SweepConfig) -> list:
     gains too: a unit-mean Gamma(k) gain is the mean of ``k`` unit
     exponentials, so one ``(trials, N, max k)`` exponential draw per
     scenario feeds every ``k`` through nested partial sums, and the gain
-    curve is smooth in ``k``.  Slow-fading rows are fully closed-form
-    (zero episodes); fast-fading rows run ``cfg.trials`` episodes per
-    scenario.  A row's energies are in units of ``cfg.lam`` (over
-    ``cfg.slow_g`` for slow fading); its gains are ratios of unit energies.
-    Rows come back sorted by (sweep value, policy name).
+    curve is smooth in ``k``.
+
+    Every scenario is drawn and simulated at unit total data: each
+    policy's energy is of degree ``m`` in the data sizes and no decision
+    depends on their scale, so a scenario's energy at a point is its unit
+    energy times ``gamma_total ** m``, scaled per scenario (in numpy
+    float64, so that an overflow raises under ``np.errstate``) before the
+    row is aggregated.  A scenario is simulated once per distinct
+    ``(L, N, N_P, k)``: all points of a ``gamma`` sweep share its unit
+    draws, tables and kernel runs, which are bitwise the ones each point
+    would draw.  Rows agree with simulating every point at its own scale to
+    about 1e-12 relative.  Slow-fading rows are fully closed-form (zero
+    episodes); fast-fading rows run ``cfg.trials`` episodes per scenario.
+    A row's energies are in units of ``cfg.lam`` (over ``cfg.slow_g`` for
+    slow fading); its gains are ratios of unit energies.  Rows come back
+    sorted by (sweep value, policy name).
     """
     points = [cfg._dims(value) for value in cfg.values]
     energies = [{policy: [] for policy in cfg.policies} for _ in points]
     gains = [{policy: [] for policy in cfg.policies} for _ in points]
     for index in range(cfg.scenarios):
+        partial_sums = None
         if cfg.param == "k":
             k_max = max(dims["k"] for dims in points)
             partial_sums = np.cumsum(_scenario_rng(cfg, index, _TAG_GAINS).exponential(
                 size=(cfg.trials, cfg.N, k_max)), axis=2)
+        unit = {}
         for dims, point_energies, point_gains in zip(points, energies, gains):
-            s = generate_scenario(_scenario_rng(cfg, index), L=dims["L"],
-                                  gamma_total=dims["gamma_total"], m=cfg.m,
-                                  N=dims["N"], N_P=dims["N_P"], uniform=cfg.uniform)
-            if cfg.fading == "slow":
-                _accumulate_slow(cfg.policies, s, point_energies, point_gains)
-                continue
-            channel = FastGamma(dims["k"])
-            xi = build_xi_table(channel, s.m, s.N - s.N_P)
-            prefix_tables = build_prefix_tables(s, channel, xi)
-            base = no_prefetch_energy_fast(s, xi)
-            if cfg.param == "k":
-                episode_gains = partial_sums[:, :, channel.k - 1] / channel.k
-            else:
-                episode_gains = sample_gain(channel, _scenario_rng(cfg, index, _TAG_GAINS),
-                                            (cfg.trials, s.N))
-            realized = _scenario_rng(cfg, index, _TAG_TASKS).choice(
-                s.L, size=cfg.trials, p=s.p)
-            for policy in cfg.policies:
-                batch = run_prefetch_batch(s, channel, PrefetchPolicy(policy),
-                                           episode_gains, realized, xi=xi,
-                                           prefix_tables=prefix_tables)
-                energy = float(batch.total_energy.mean())
-                point_energies[policy].append(energy)
-                point_gains[policy].append(base / energy)
+            key = (dims["L"], dims["N"], dims["N_P"], dims["k"])
+            if key not in unit:
+                unit[key] = _simulate_unit(cfg, index, dims, partial_sums)
+            scale = np.float64(dims["gamma_total"]) ** cfg.m
+            for policy, (energy, gain) in unit[key].items():
+                point_energies[policy].append(scale * energy)
+                point_gains[policy].append(gain)
     episodes = 0 if cfg.fading == "slow" else cfg.trials
     rows = [_aggregate(cfg, value, policy, point_energies[policy], point_gains[policy],
                        episodes)
@@ -273,16 +278,48 @@ def run_sweep(cfg: SweepConfig) -> list:
     return rows
 
 
-def _accumulate_slow(policies: tuple, s: Scenario, energies: dict, gains: dict):
+def _simulate_unit(cfg: SweepConfig, index: int, dims: dict,
+                   partial_sums: Optional[np.ndarray]) -> dict:
+    """Each policy's (energy, gain) on scenario ``index`` at unit total data.
+
+    Fast fading scores the mean energy of the scenario's episodes, whose
+    gains come from the ``k`` sweep's ``partial_sums`` when given.
+    """
+    s = generate_scenario(_scenario_rng(cfg, index), L=dims["L"], gamma_total=1.0,
+                          m=cfg.m, N=dims["N"], N_P=dims["N_P"], uniform=cfg.uniform)
+    if cfg.fading == "slow":
+        return _simulate_slow(cfg.policies, s)
+    channel = FastGamma(dims["k"])
+    xi = build_xi_table(channel, s.m, s.N - s.N_P)
+    prefix_tables = build_prefix_tables(s, channel, xi)
+    base = no_prefetch_energy_fast(s, xi)
+    if partial_sums is not None:
+        episode_gains = partial_sums[:, :, channel.k - 1] / channel.k
+    else:
+        episode_gains = sample_gain(channel, _scenario_rng(cfg, index, _TAG_GAINS),
+                                    (cfg.trials, s.N))
+    realized = _scenario_rng(cfg, index, _TAG_TASKS).choice(s.L, size=cfg.trials, p=s.p)
+    results = {}
+    for policy in cfg.policies:
+        batch = run_prefetch_batch(s, channel, PrefetchPolicy(policy), episode_gains,
+                                   realized, xi=xi, prefix_tables=prefix_tables)
+        energy = float(batch.total_energy.mean())
+        results[policy] = (energy, base / energy)
+    return results
+
+
+def _simulate_slow(policies: tuple, s: Scenario) -> dict:
+    """Each policy's closed-form (energy, gain) on ``s``."""
     if s.N > s.N_P:
         base = no_prefetch_energy_slow(s)
+    results = {}
     for policy in policies:
         if policy == "slow-opt":
             energy = expected_fetch_energy_slow(optimal_prefetch_slow(s))
         else:
             energy = base
-        energies[policy].append(energy)
-        gains[policy].append(base / energy if s.N > s.N_P else 1.0)
+        results[policy] = (energy, base / energy if s.N > s.N_P else 1.0)
+    return results
 
 
 def gain_vs_shape(cfg: SweepConfig) -> list:

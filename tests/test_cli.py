@@ -142,6 +142,7 @@ class TestExitCodes:
         QuadratureError("tolerance exceeded", residual=1.0),
         FloatingPointError("overflow"),
         ZeroDivisionError("float division by zero"),
+        OverflowError(34, "Numerical result out of range"),
     ])
     def test_numerical_failures_exit_three(self, monkeypatch, capsys, exc):
         def boom(cfg):
@@ -172,6 +173,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "tiny.csv")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_fast_underflow_exits_three(self, tmp_path, capsys):
+        # The unit energies are fine; their scale gamma**m underflows to 0.
+        code = main(["sweep", "--param", "gamma", "--values", "1e-70", "--m", "5",
+                     "--fading", "fast", "--trials", "20", "--scenarios", "1",
+                     "--out", str(tmp_path / "tiny.csv")])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_python_float_overflow_exits_three(self, capsys):
+        # The slow plan's alpha_sigma ** m is a Python float power, which
+        # raises OverflowError rather than numpy's FloatingPointError.
+        code = main(["single", "--fading", "slow", "--gamma-total", "1e70", "--m", "5"])
+        assert code == 3
+        assert "numerical failure (OverflowError)" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -904,6 +904,30 @@ class TestScaleHomogeneity:
             assert normalized[1:] == pytest.approx([normalized[0]] * 2, rel=1e-12, abs=0.0)
 
 
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(L=st.integers(1, 8), m=st.integers(2, 5), shape=st.sampled_from([2, 3, 8]),
+           window=st.integers(2, 10).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           gamma_total=st.sampled_from([1e-6, 1.0, 20.0, 1e6]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_policy_conserves_bits(self, L, m, shape, window, gamma_total, seed):
+        N, N_P = window
+        rng = np.random.default_rng(seed)
+        s = generate_scenario(rng, L=L, gamma_total=gamma_total, m=m, N=N, N_P=N_P)
+        channel = FastGamma(shape)
+        xi = build_xi_table(channel, m, N - N_P)
+        tables = build_prefix_tables(s, channel, xi)
+        gains, realized = draw_episodes(s, channel, rng, 20)
+        for policy in PrefetchPolicy:
+            result = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi,
+                                        prefix_tables=tables, trace=True)
+            np.testing.assert_allclose(result.final_rho + result.decisions.sum(axis=1),
+                                       np.broadcast_to(s.gamma, result.final_rho.shape),
+                                       rtol=0.0, atol=1e-12 * gamma_total)
+            assert np.all(result.final_rho >= 0.0)
+            assert np.all(result.final_rho <= s.gamma)
+
+
 class TestCausalClosedForms:
     @settings(derandomize=True, deadline=None)
     @given(L=st.integers(1, 8), m=st.integers(2, 5), shape=st.sampled_from([2, 3, 8]),

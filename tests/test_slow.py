@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from livefetch.model import Scenario
 from livefetch.oracles import slow_oracle
@@ -163,6 +164,38 @@ class TestOptimalPrefetch:
             np.testing.assert_allclose(other.alpha / c, plan.alpha, rtol=1e-12, atol=0.0)
             assert prefetch_gain_slow(scaled) == pytest.approx(
                 prefetch_gain_slow(s), rel=1e-12, abs=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.floats(1e-6, 1e6))
+    def test_plans_scale_with_the_data(self, seed, c):
+        s = random_scenario(np.random.default_rng(seed))
+        plan = optimal_prefetch_slow(s)
+        scaled = optimal_prefetch_slow(
+            Scenario(m=s.m, N=s.N, N_P=s.N_P, p=s.p, gamma=c * s.gamma))
+        assert scaled.task_set == plan.task_set
+        np.testing.assert_allclose(scaled.alpha, c * plan.alpha, rtol=1e-12,
+                                   atol=1e-12 * c * s.gamma_total)
+
+    @pytest.mark.parametrize("alpha", [
+        [2.0],                 # one amount for three tasks would broadcast
+        [9.0, 0.0, 0.0],       # more than task 0's 7 bits
+        [-1.0, 0.0, 0.0],
+        [np.nan, 0.0, 0.0],
+        [np.inf, 0.0, 0.0],
+        [[1.0, 0.0, 0.0]],
+    ])
+    def test_plan_must_fit_its_scenario(self, alpha):
+        s = Scenario(m=2, N=5, N_P=4, p=np.array([0.45, 0.35, 0.2]),
+                     gamma=np.array([7.0, 6.0, 5.0]))
+        with pytest.raises(ValueError):
+            PrefetchPlan(scenario=s, alpha=np.array(alpha))
+
+    def test_plan_keeps_amounts_on_the_box_edges(self):
+        s = Scenario(m=2, N=5, N_P=4, p=np.array([0.45, 0.35, 0.2]),
+                     gamma=np.array([7.0, 6.0, 5.0]))
+        plan = PrefetchPlan(scenario=s, alpha=[7, 0, 5])
+        np.testing.assert_array_equal(plan.alpha, [7.0, 0.0, 5.0])
+        assert plan.alpha.dtype == float and plan.task_set == {0, 2}
 
     def test_task_set_is_exactly_the_positive_amounts(self):
         tiny = 1e-13

@@ -8,15 +8,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from livefetch.model import Scenario
+from livefetch import sweep
+from livefetch.demand import build_xi_table
+from livefetch.model import FastGamma, Scenario, sample_gain
+from livefetch.prefetch import (
+    PrefetchPolicy,
+    build_prefix_tables,
+    no_prefetch_energy_fast,
+    run_prefetch_batch,
+)
 from livefetch.slow import (
     expected_fetch_energy_slow,
     gain_lower_bound,
+    no_prefetch_energy_slow,
     optimal_prefetch_slow,
 )
 from livefetch.sweep import (
     CSV_HEADER,
     FAST_POLICIES,
+    SLOW_POLICIES,
     ConfigError,
     SweepConfig,
     SweepRow,
@@ -270,6 +280,103 @@ class TestUnits:
         for policy, factor in (("fast-optimal", 2.5), ("slow-opt", 2.5 / 4.0)):
             self.assert_scaled([row for row in rows if row.policy == policy],
                                [row for row in unit if row.policy == policy], factor)
+
+
+def direct_rows(cfg: SweepConfig) -> list:
+    """The rows of a non-``k`` sweep with every point simulated at its own scale.
+
+    Each point draws its scenario at its own ``gamma_total`` from the same
+    substreams as :func:`run_sweep`, and runs the policies on it directly.
+    """
+    rows = []
+    for value in cfg.values:
+        dims = cfg._dims(value)
+        energies = {policy: [] for policy in cfg.policies}
+        gains = {policy: [] for policy in cfg.policies}
+        for index in range(cfg.scenarios):
+            s = generate_scenario(sweep._scenario_rng(cfg, index), L=dims["L"],
+                                  gamma_total=dims["gamma_total"], m=cfg.m,
+                                  N=dims["N"], N_P=dims["N_P"])
+            if cfg.fading == "slow":
+                base = no_prefetch_energy_slow(s)
+                scored = {"no-prefetch": base,
+                          "slow-opt": expected_fetch_energy_slow(optimal_prefetch_slow(s))}
+            else:
+                channel = FastGamma(dims["k"])
+                xi = build_xi_table(channel, s.m, s.N - s.N_P)
+                tables = build_prefix_tables(s, channel, xi)
+                base = no_prefetch_energy_fast(s, xi)
+                episode_gains = sample_gain(
+                    channel, sweep._scenario_rng(cfg, index, sweep._TAG_GAINS),
+                    (cfg.trials, s.N))
+                realized = sweep._scenario_rng(cfg, index, sweep._TAG_TASKS).choice(
+                    s.L, size=cfg.trials, p=s.p)
+                scored = {policy: float(run_prefetch_batch(
+                    s, channel, PrefetchPolicy(policy), episode_gains, realized, xi=xi,
+                    prefix_tables=tables).total_energy.mean()) for policy in cfg.policies}
+            for policy in cfg.policies:
+                energies[policy].append(scored[policy])
+                gains[policy].append(base / scored[policy])
+        rows += [(float(value), policy, float(np.mean(energies[policy])),
+                  float(np.mean(gains[policy]))) for policy in cfg.policies]
+    return sorted(rows)
+
+
+class TestUnitScale:
+    """Sweeps simulate at unit total data and scale each scenario by ``gamma_total**m``."""
+
+    @pytest.mark.parametrize("cfg", [
+        SweepConfig(param="gamma", values=(0.5, 5, 20, 80, 3e3), fading="fast",
+                    policies=FAST_POLICIES, trials=200, scenarios=3, seed=4,
+                    m=3, L=4, N=6, N_P=4),
+        SweepConfig(param="gamma", values=(1e-3, 5, 20, 1e4), fading="slow",
+                    policies=SLOW_POLICIES, scenarios=6, seed=4, m=4, L=5),
+        SweepConfig(param="L", values=(1, 2, 5, 8), fading="fast", gamma_total=7.5,
+                    policies=FAST_POLICIES, trials=200, scenarios=3, seed=5),
+    ], ids=["fast-gamma", "slow-gamma", "fast-L"])
+    def test_rows_match_simulating_every_point_at_its_own_scale(self, cfg):
+        rows = run_sweep(cfg)
+        direct = direct_rows(cfg)
+        assert [(row.param_value, row.policy) for row in rows] \
+            == [(value, policy) for value, policy, _, _ in direct]
+        for row, (_, _, energy, gain) in zip(rows, direct):
+            assert row.mean_energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+            assert row.gain == pytest.approx(gain, rel=1e-12, abs=0.0)
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The policies of every ``run_prefetch_batch`` call a sweep makes."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return run_prefetch_batch(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_prefetch_batch", counting)
+        return calls
+
+    def test_a_gamma_sweep_simulates_each_scenario_once(self, kernel_calls):
+        cfg = SweepConfig(param="gamma", values=(5, 10, 20, 40, 80), fading="fast",
+                          policies=FAST_POLICIES, trials=30, scenarios=3, seed=2)
+        rows = run_sweep(cfg)
+        assert len(kernel_calls) == cfg.scenarios * len(FAST_POLICIES)
+        assert len(rows) == len(cfg.values) * len(FAST_POLICIES)
+
+    def test_other_sweeps_simulate_every_point(self, kernel_calls):
+        cfg = SweepConfig(param="Np", values=(1, 2, 3), fading="fast",
+                          policies=("aggressive",), trials=30, scenarios=2, seed=2)
+        run_sweep(cfg)
+        assert len(kernel_calls) == cfg.scenarios * len(cfg.values)
+
+    @pytest.mark.parametrize("gamma_total", [20.0, 7.3, 1e-3])
+    def test_a_single_task_has_no_spread_under_slow_fading(self, gamma_total):
+        # Every scenario with one task is the same stage, so the standard
+        # error must be exactly zero, not a rounding residue.
+        cfg = SweepConfig(param="L", values=(1, 3), fading="slow", policies=SLOW_POLICIES,
+                          scenarios=7, seed=3, gamma_total=gamma_total, m=3)
+        for row in run_sweep(cfg):
+            if row.param_value == 1.0:
+                assert row.stderr == 0.0
 
 
 class TestCsvBoundary:
