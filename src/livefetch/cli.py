@@ -32,6 +32,7 @@ from .sweep import (
     ConfigError,
     SweepConfig,
     _check_scales,
+    _run_sweep,
     emit_csv,
     gain_vs_shape,
     generate_scenario,
@@ -273,12 +274,16 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     scenarios = args.scenarios if args.scenarios is not None else _DEFAULTS["scenarios"]
     seed = args.seed if args.seed is not None else _DEFAULTS["seed"]
     os.makedirs(out_dir, exist_ok=True)
+    # The panels share their baseline points (fig5a at gamma=20, fig5b at
+    # L=4 and fig5c at N=5 are one simulation), so one memo serves them;
+    # fig6's partial-sum draws meet no other panel's.
+    memo = {}
     for name, param, values, fading, overrides in _FIGURE_SPECS:
         policies = SLOW_POLICIES if fading == "slow" else FAST_POLICIES
         cfg = SweepConfig(param=param, values=values, policies=policies,
                           fading=fading, trials=trials, scenarios=scenarios,
                           seed=seed, **overrides)
-        rows = gain_vs_shape(cfg) if name == "fig6" else run_sweep(cfg)
+        rows = gain_vs_shape(cfg) if name == "fig6" else _run_sweep(cfg, memo)
         path = os.path.join(out_dir, f"{name}.csv")
         emit_csv(rows, path)
         print(f"wrote {path}")

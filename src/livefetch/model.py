@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "Scenario",
@@ -200,14 +199,17 @@ def expect_over_gain(f: Callable[[float], float], channel: Channel) -> float:
     """Expectation ``E[f(g)]`` under the channel's gain distribution.
 
     Slow fading evaluates ``f`` at the constant gain.  For the Gamma model
-    the integral is computed by adaptive quadrature on (0, inf); a
+    the integral is computed by scipy's adaptive quadrature on (0, inf); a
     :class:`QuadratureError` is raised if the reported absolute error
-    exceeds ``QUAD_ABS_TOL`` or the value is non-finite.
+    exceeds ``QUAD_ABS_TOL`` or the value is non-finite.  No library path
+    calls it: it is the independent scalar route the tables are checked
+    against, and it is the only place the package imports scipy.
     """
     if isinstance(channel, SlowFading):
         return float(f(channel.g))
     if not isinstance(channel, FastGamma):
         raise TypeError(f"unknown channel model: {channel!r}")
+    from scipy import integrate
 
     def integrand(x: float) -> float:
         return f(x) * channel.pdf(x)

@@ -15,9 +15,15 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-from .model import POSITIVE_BITS_EPS, Channel, FastGamma, Scenario, SlowFading
+from .model import (
+    POSITIVE_BITS_EPS,
+    Channel,
+    FastGamma,
+    QuadratureError,
+    Scenario,
+    SlowFading,
+)
 from .demand import XiTable
 from .prefetch import (
     ZetaTable,
@@ -40,6 +46,11 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: The gain quantiles take at most this many Newton steps and stop once a
+#: step moves every one by at most ``_QUANTILE_STEP_TOL`` relative (Newton's
+#: error then squares to rounding level).
+_QUANTILE_ITERATIONS, _QUANTILE_STEP_TOL = 100, 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,20 +179,85 @@ def slow_oracle(s: Scenario, resolution: int = 21, refine: bool = True) -> Oracl
                         resolution=res_eff)
 
 
+def _erlang_head(k: int, x: np.ndarray) -> np.ndarray:
+    """``e**(-k x) (k x)**k / k!`` at ``x > 0``, the gap ``F_k(x) - E[g 1{g <= x}]``.
+
+    Written as ``exp(k (log x - x + 1)) k**k e**-k / k!`` so that the large
+    terms of the plain logarithm do not cancel.
+    """
+    return np.exp(k * (np.log(x) - (x - 1.0)) + (k * math.log(k) - k - math.lgamma(k + 1)))
+
+
+def _erlang_cdf(k: int, x: np.ndarray) -> tuple:
+    """CDF and survival function of the unit-mean Gamma(k) gain at ``x > 0``, and the head.
+
+    With ``y = k x`` the CDF is the Poisson tail ``sum_{j>=k} e**-y y**j / j!``
+    and the survival function the finite rest.  Below ``y = k`` the CDF is
+    summed from its first term ``t_k`` upward, above it the survival function
+    from ``t_{k-1}`` downward; either holds at most about half the mass, its
+    term ratios stay below one, and the other function is its complement.
+    The terms are summed until they fall below 1e-18 of the first.
+    """
+    y = k * x
+    lower = y < k
+    terms, bound = 0, 1.0
+    while bound > 1e-18:
+        terms += 1
+        bound *= k / (k + terms)
+    n = np.arange(1, terms + 1)[:, None]
+    ratio = np.where(lower, y / (k + n), np.maximum(k - n, 0) / y)
+    head = _erlang_head(k, x)
+    tail = head * (1.0 + np.cumprod(ratio, axis=0).sum(axis=0)) * np.where(lower, 1.0, k / y)
+    return np.where(lower, tail, 1.0 - tail), np.where(lower, 1.0 - tail, tail), head
+
+
 def _gain_support(channel: Channel, bins: int) -> tuple:
     """Discrete gain support: equal-probability bins with conditional means."""
     if isinstance(channel, SlowFading):
         return np.array([channel.g]), np.array([1.0])
     if not isinstance(channel, FastGamma):
         raise TypeError(f"unknown channel model: {channel!r}")
-    k = channel.k
-    edges = stats.gamma.ppf(np.linspace(0.0, 1.0, bins + 1), a=k, scale=1.0 / k)
-    # E[X | bin] * P(bin) for a unit-mean Gamma(k, rate k) equals the CDF
-    # increment of the shape-(k+1) sibling distribution.
-    upper = stats.gamma.cdf(edges, a=k + 1, scale=1.0 / k)
-    reps = bins * np.diff(upper)
-    weights = np.full(bins, 1.0 / bins)
-    return reps, weights
+    return np.array(_erlang_bins(channel.k, bins)), np.full(bins, 1.0 / bins)
+
+
+@functools.lru_cache(maxsize=None)
+def _erlang_bins(k: int, bins: int) -> tuple:
+    """Conditional means of ``bins`` equal-probability bins of the unit-mean Gamma(k) gain.
+
+    The gain is an Erlang law, so no special function is needed.  The
+    inner bin edges solve ``F_k(x) = i / bins`` by Newton's method from the
+    mode, kept inside the bracket the residual signs give (``F_k`` is
+    convex below the mode and concave above it, so the steps approach each
+    root from one side).  The partial mean is ``E[g 1{g <= x}] = F_k(x) -
+    head(x)``, so a bin's conditional mean is ``1 - bins * (head(upper) -
+    head(lower))``, with ``head`` zero at both ends.  Raises
+    :class:`QuadratureError` if the edges do not settle within
+    ``_QUANTILE_ITERATIONS`` steps or are not finite.  Cached: the
+    induction asks for the same bins at every window.
+    """
+    i = np.arange(1, bins)
+    below, above = i / bins, (bins - i) / bins
+    x = np.full(i.size, (k - 1) / k)
+    lo, hi = np.zeros_like(x), np.full_like(x, np.inf)
+    for _ in range(_QUANTILE_ITERATIONS):
+        cdf, survival, head = _erlang_cdf(k, x)
+        residual = np.where(below <= 0.5, cdf - below, above - survival)
+        lo, hi = np.where(residual < 0.0, x, lo), np.where(residual < 0.0, hi, x)
+        step = x - residual * x / (k * head)
+        inside = (step >= lo) & (step <= hi)
+        step = np.where(inside, step, np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * x))
+        settled = np.abs(step - x) <= _QUANTILE_STEP_TOL * step
+        x = step
+        if np.all(settled):
+            break
+    else:
+        raise QuadratureError(f"Gamma({k}) quantiles for {bins} bins did not settle "
+                              f"in {_QUANTILE_ITERATIONS} steps", residual=float("nan"))
+    if not np.all(np.isfinite(x)):
+        raise QuadratureError(f"Gamma({k}) quantiles for {bins} bins are not finite",
+                              residual=float("nan"))
+    heads = np.concatenate([[0.0], _erlang_head(k, x), [0.0]])
+    return tuple((1.0 - bins * np.diff(heads)).tolist())
 
 
 def _backward_steps(grids: tuple, m: int, value: np.ndarray, slots: int,

@@ -17,7 +17,8 @@ forms in the water level; it coincides with the closed forms in
 :mod:`livefetch.oracles` whenever every member of ``S`` is active.  The
 policies differ only in the priority prefix the step works on: the
 noncausal oracle runs all ``L`` locked prefixes as one batch against the
-revealed gains and keeps the best-scoring one per episode,
+revealed gains and keeps the best-scoring one per episode (the batch runs
+in cache-sized blocks of episodes),
 ``forced_prefix`` locks one prefix for the noncausal oracle, and the two
 causal estimators (an optimistic and a pessimistic guess of the final-slot
 threshold) regrow the set every slot.  No threshold depends on the energy
@@ -27,7 +28,7 @@ coefficient ``lam``, so every energy here is per unit ``lam``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -48,6 +49,12 @@ __all__ = [
     "no_prefetch_energy_fast",
     "run_prefetch_batch",
 ]
+
+
+#: The prefetch phase runs in blocks of episodes whose ``(L, episodes)``
+#: arrays hold at most this many entries (128 KiB of float64), so that the
+#: temporaries of a large batch stay in cache and are reused block to block.
+_BLOCK_ENTRIES = 2 ** 14
 
 
 class PrefetchPolicy(enum.Enum):
@@ -240,6 +247,13 @@ class _Phase:
             if value is not None:
                 setattr(self, field.name, value[rows, episodes])
 
+    @staticmethod
+    def join(blocks: list) -> "_Phase":
+        """One ``(E,)`` state from the states of consecutive blocks of episodes."""
+        return _Phase(**{field.name: None if getattr(blocks[0], field.name) is None
+                         else np.concatenate([getattr(block, field.name) for block in blocks])
+                         for field in fields(_Phase)})
+
 
 @dataclass(frozen=True)
 class _Kernel:
@@ -318,6 +332,27 @@ class _Kernel:
         held = self.totals(level, c, active)
         eta = np.maximum((held - total) / (self.cum_w[active] + spare), 0.0)
         return active, eta, held - eta * self.cum_w[active]
+
+    def run(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> _Phase:
+        """The prefetch phase of every episode, in blocks of ``_BLOCK_ENTRIES // L``.
+
+        Every step works on each episode alone, so the blocks bound the
+        size of the temporaries without changing a bit of the result.
+        """
+        size = max(1, _BLOCK_ENTRIES // self.s.L)
+        return _Phase.join([
+            replace(self, gains=self.gains[start:start + size],
+                    u_gain=self.u_gain[start:start + size])._block(policy, forced_prefix)
+            for start in range(0, max(self.gains.shape[0], 1), size)])
+
+    def _block(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> _Phase:
+        if policy is PrefetchPolicy.NO_PREFETCH:
+            return self.start(self.gains.shape[:1])
+        if forced_prefix is not None:
+            return self.locked(forced_prefix)
+        if policy is PrefetchPolicy.NONCAUSAL_ORACLE:
+            return self.noncausal()
+        return self.causal(policy)
 
     def slot(self, phase: _Phase, n: int, k) -> np.ndarray:
         """Execute prefetch slot ``n`` on the size-``k`` prefixes; returns the threshold."""
@@ -430,7 +465,8 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     ``policy`` may also be given by its value (``"aggressive"``, ...).
     The noncausal oracle executes every priority prefix against the
     revealed prefetch gains, all ``L`` of them as one ``(L, episodes)``
-    batch, and keeps, per episode, the one with the lowest realized
+    batch (in blocks of at most ``2**14 // L`` episodes, which changes no
+    result), and keeps, per episode, the one with the lowest realized
     prefetch energy plus expected demand energy of its residuals (ties go
     to the smaller prefix).  With ``forced_prefix`` it locks the target
     set to the priority prefix of that size for every episode instead; any
@@ -470,17 +506,9 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     elif prefix_tables is None:
         prefix_tables = build_prefix_tables(s, channel, xi)
     kernel = _kernel(s, xi, prefix_tables, gains, trace)
+    phase = kernel.run(policy, forced_prefix)
 
     episodes = gains.shape[0]
-    if policy is PrefetchPolicy.NO_PREFETCH:
-        phase = kernel.start((episodes,))
-    elif forced_prefix is not None:
-        phase = kernel.locked(forced_prefix)
-    elif policy is PrefetchPolicy.NONCAUSAL_ORACLE:
-        phase = kernel.noncausal()
-    else:
-        phase = kernel.causal(policy)
-
     inv_order = np.argsort(kernel.order)
     final_rho = kernel.residuals(phase.level, phase.bound)[:, inv_order]
     decisions = None

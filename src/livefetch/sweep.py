@@ -20,6 +20,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+# numpy loads ``numpy.random`` lazily; importing it here keeps that cost
+# in the import rather than in the first sweep.
+from numpy.random import SeedSequence, default_rng
 
 from .model import FastGamma, Scenario, sample_gain, to_db
 from .slow import (
@@ -220,7 +223,7 @@ def _aggregate(cfg: SweepConfig, value: float, policy: str,
 def _scenario_rng(cfg: SweepConfig, index: int,
                   tag: int = _TAG_SCENARIO) -> np.random.Generator:
     """Substream ``tag`` of scenario ``index``: its shape, gains or tasks."""
-    return np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, index)))
+    return default_rng(SeedSequence((cfg.seed, tag, index)))
 
 
 def run_sweep(cfg: SweepConfig) -> list:
@@ -251,22 +254,31 @@ def run_sweep(cfg: SweepConfig) -> list:
     slow fading); its gains are ratios of unit energies.  Rows come back
     sorted by (sweep value, policy name).
     """
+    return _run_sweep(cfg, {})
+
+
+def _run_sweep(cfg: SweepConfig, memo: dict) -> list:
+    """:func:`run_sweep`, taking and storing unit simulations in ``memo``.
+
+    The key holds everything :func:`_simulate_unit` reads, so sweeps that
+    share a ``memo`` share every scenario point they have in common.
+    """
     points = [cfg._dims(value) for value in cfg.values]
     energies = [{policy: [] for policy in cfg.policies} for _ in points]
     gains = [{policy: [] for policy in cfg.policies} for _ in points]
     for index in range(cfg.scenarios):
-        partial_sums = None
+        partial_sums = k_max = None
         if cfg.param == "k":
             k_max = max(dims["k"] for dims in points)
             partial_sums = np.cumsum(_scenario_rng(cfg, index, _TAG_GAINS).exponential(
                 size=(cfg.trials, cfg.N, k_max)), axis=2)
-        unit = {}
         for dims, point_energies, point_gains in zip(points, energies, gains):
-            key = (dims["L"], dims["N"], dims["N_P"], dims["k"])
-            if key not in unit:
-                unit[key] = _simulate_unit(cfg, index, dims, partial_sums)
+            key = (cfg.seed, cfg.fading, cfg.m, cfg.trials, cfg.policies, cfg.uniform, k_max,
+                   index, dims["L"], dims["N"], dims["N_P"], dims["k"])
+            if key not in memo:
+                memo[key] = _simulate_unit(cfg, index, dims, partial_sums)
             scale = np.float64(dims["gamma_total"]) ** cfg.m
-            for policy, (energy, gain) in unit[key].items():
+            for policy, (energy, gain) in memo[key].items():
                 point_energies[policy].append(scale * energy)
                 point_gains[policy].append(gain)
     episodes = 0 if cfg.fading == "slow" else cfg.trials

@@ -1,12 +1,22 @@
 """Command-line interface: flag handling, config files, exit codes."""
 
+import io
 import warnings
 
 import pytest
 
-from livefetch.cli import main
+from livefetch import sweep
+from livefetch.cli import _FIGURE_SPECS, main
 from livefetch.model import QuadratureError
-from livefetch.sweep import FAST_POLICIES, SweepConfig, load_rows, run_sweep
+from livefetch.sweep import (
+    FAST_POLICIES,
+    SLOW_POLICIES,
+    SweepConfig,
+    emit_csv,
+    gain_vs_shape,
+    load_rows,
+    run_sweep,
+)
 
 FIGURE_NAMES = ("fig4a", "fig4b", "fig4c", "fig4d",
                 "fig5a", "fig5b", "fig5c", "fig5d", "fig6")
@@ -277,3 +287,27 @@ class TestFiguresCommand:
             assert rows
         shape_rows = load_rows(out_dir / "fig6.csv")
         assert {row.policy for row in shape_rows} == {"fast-optimal", "slow-opt"}
+
+    def test_panels_share_their_baseline_points(self, tmp_path, monkeypatch):
+        # fig5a at gamma=20, fig5b at L=4 and fig5c at N=5 are one simulation,
+        # and so are fig5c at N=10 and fig5d at N_P=4: 186 kernel runs become
+        # 150, and every CSV is still the panel's own sweep, byte for byte.
+        calls = []
+        kernel = sweep.run_prefetch_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_prefetch_batch", counted)
+        out_dir = tmp_path / "figs"
+        assert main(["figures", "--out", str(out_dir), "--trials", "20",
+                     "--scenarios", "3", "--seed", "1"]) == 0
+        assert len(calls) == 150
+        for name, param, values, fading, overrides in _FIGURE_SPECS:
+            cfg = SweepConfig(param=param, values=values, fading=fading, trials=20,
+                              scenarios=3, seed=1, **overrides,
+                              policies=SLOW_POLICIES if fading == "slow" else FAST_POLICIES)
+            expected = io.StringIO()
+            emit_csv(gain_vs_shape(cfg) if name == "fig6" else run_sweep(cfg), expected)
+            assert (out_dir / f"{name}.csv").read_bytes() == expected.getvalue().encode(), name

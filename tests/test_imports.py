@@ -7,11 +7,13 @@ module-level function, class or constant (one leading underscore) must be
 read somewhere in its module besides its definition.  The package exports
 exactly the union of its modules' ``__all__``, each bound in its module.
 The energy coefficient ``lam`` is an output unit: only the sweep harness
-and the command line bind it.
+and the command line bind it.  Importing the package loads no part of scipy.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -120,3 +122,14 @@ def test_package_exports_the_union_of_module_exports():
 @pytest.mark.parametrize("module", public_modules(), ids=lambda module: module.__name__)
 def test_every_export_is_bound_in_its_module(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is imported only inside ``model.expect_over_gain``; numpy's random
+    # module, which numpy loads lazily, is loaded with the package.
+    probe = ("import sys, livefetch, livefetch.cli; "
+             "print(sorted(name for name in sys.modules if name.startswith('scipy.'))); "
+             "print('numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, cwd=PACKAGE.parent, check=True)
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]

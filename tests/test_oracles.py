@@ -5,7 +5,8 @@ import pytest
 from scipy import integrate, stats
 
 from livefetch.demand import build_xi_table, expected_demand_energy
-from livefetch.model import FastGamma, Scenario, SlowFading, sample_gain
+from livefetch import oracles
+from livefetch.model import FastGamma, QuadratureError, Scenario, SlowFading, sample_gain
 from livefetch.oracles import p5_backward_induction, slow_oracle
 from livefetch.prefetch import (
     PrefetchPolicy,
@@ -208,6 +209,26 @@ class TestBackwardInduction:
         np.testing.assert_allclose(result.gain_weights, weights, rtol=1e-12)
         assert float(np.sum(result.gain_weights * result.gain_values)) == pytest.approx(
             1.0, rel=1e-9)    # unit-mean channel
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 16, 32, 64])
+    def test_gain_support_matches_scipy(self, k):
+        # The Erlang bins take no special function; scipy's Gamma quantiles
+        # and the shape-(k+1) CDF give the same conditional means.
+        single = Scenario(m=2, N=2, N_P=1, p=np.array([1.0]), gamma=np.array([1.0]))
+        for bins in (1, 2, 4, 16, 41, 64, 256):
+            result = p5_backward_induction(single, FastGamma(k), bit_grid=2, gain_bins=bins)
+            edges = stats.gamma.ppf(np.linspace(0.0, 1.0, bins + 1), a=k, scale=1.0 / k)
+            means = bins * np.diff(stats.gamma.cdf(edges, a=k + 1, scale=1.0 / k))
+            np.testing.assert_allclose(result.gain_values, means, rtol=1e-12, atol=0.0)
+            assert np.array_equal(result.gain_weights, np.full(bins, 1.0 / bins))
+
+    def test_unsettled_gain_quantiles_are_a_numerical_failure(self, monkeypatch):
+        oracles._erlang_bins.cache_clear()
+        monkeypatch.setattr(oracles, "_QUANTILE_ITERATIONS", 0)
+        with pytest.raises(QuadratureError) as failure:
+            p5_backward_induction(S21, FAST2, bit_grid=5, gain_bins=16)
+        assert not isinstance(failure.value, ValueError)
+        assert "did not settle" in str(failure.value)
 
     def test_validation(self):
         three = Scenario(m=2, N=3, N_P=1, p=np.full(3, 1 / 3), gamma=np.full(3, 2.0))

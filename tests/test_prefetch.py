@@ -961,3 +961,53 @@ class TestCausalClosedForms:
                 alpha = alpha_from_final_threshold(s, result.thresholds[i, -1])
                 np.testing.assert_allclose(s.gamma - result.final_rho[i], alpha,
                                            rtol=0.0, atol=tol)
+
+
+class TestEpisodeBlocks:
+    """The prefetch phase runs in blocks of episodes without changing a bit."""
+
+    FIELDS = ("prefetch_energy", "demand_energy", "realized", "set_size", "final_rho",
+              "thresholds", "decisions", "slot_set_size")
+
+    @staticmethod
+    def instance(L, episodes):
+        rng = np.random.default_rng(4 * L + episodes)
+        s = generate_scenario(rng, L=L, gamma_total=20.0, m=3, N=10, N_P=8)
+        xi = build_xi_table(FAST2, s.m, s.N - s.N_P)
+        gains, realized = draw_episodes(s, FAST2, rng, episodes)
+        return s, xi, build_prefix_tables(s, FAST2, xi), gains, realized
+
+    @pytest.mark.parametrize("L, episodes, blocks", [(64, 1000, [256, 256, 256, 232]),
+                                                     (4, 1000, [1000])])
+    @pytest.mark.parametrize("run", [*[{"policy": policy} for policy in PrefetchPolicy],
+                                     {"policy": PrefetchPolicy.NONCAUSAL_ORACLE,
+                                      "forced_prefix": 3}],
+                             ids=lambda run: "-".join(f"{value}" for value in run.values()))
+    def test_one_call_equals_calls_on_slices(self, monkeypatch, L, episodes, blocks, run):
+        s, xi, tables, gains, realized = self.instance(L, episodes)
+        sizes = []
+        block = prefetch._Kernel._block
+
+        def spy(kernel, *args):
+            sizes.append(kernel.gains.shape[0])
+            return block(kernel, *args)
+
+        monkeypatch.setattr(prefetch._Kernel, "_block", spy)
+        whole = run_prefetch_batch(s, FAST2, gains=gains, realized=realized, xi=xi,
+                                   prefix_tables=tables, trace=True, **run)
+        assert sizes == blocks
+        cuts = [0, 1, 301, 700, episodes]
+        parts = [run_prefetch_batch(s, FAST2, gains=gains[a:b], realized=realized[a:b], xi=xi,
+                                    prefix_tables=tables, trace=True, **run)
+                 for a, b in zip(cuts[:-1], cuts[1:])]
+        for name in self.FIELDS:
+            joined = np.concatenate([getattr(part, name) for part in parts])
+            assert np.array_equal(getattr(whole, name), joined), name
+
+    @pytest.mark.parametrize("policy", PrefetchPolicy)
+    def test_empty_batch_at_large_L(self, policy):
+        s, xi, tables, gains, realized = self.instance(64, 0)
+        batch = run_prefetch_batch(s, FAST2, policy, gains, realized, xi=xi,
+                                   prefix_tables=tables, trace=True)
+        assert batch.total_energy.shape == (0,)
+        assert batch.decisions.shape == (0, s.N_P, s.L)
