@@ -203,7 +203,10 @@ def expect_over_gain(f: Callable[[float], float], channel: Channel) -> float:
     :class:`QuadratureError` is raised if the reported absolute error
     exceeds ``QUAD_ABS_TOL`` or the value is non-finite.  No library path
     calls it: it is the independent scalar route the tables are checked
-    against, and it is the only place the package imports scipy.
+    against, and it is the only place the package imports scipy.  scipy
+    is not a dependency of the package; it comes with the ``test`` extra
+    (``pip install -e .[test]``), and without it this function raises
+    ``ImportError``.
     """
     if isinstance(channel, SlowFading):
         return float(f(channel.g))

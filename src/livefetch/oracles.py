@@ -267,11 +267,37 @@ def _backward_steps(grids: tuple, m: int, value: np.ndarray, slots: int,
     States are the row-major flattened product of ``grids``.  A step may
     lower every task's residual to any grid point at or below it, at cost
     ``send**m / g`` for each gain ``g``, with ``send`` the bits sent.
-    Only those feasible ``(state, next)`` pairs are enumerated: the
-    nonzeros of the Kronecker product of the per-task ``<=`` masks, which
-    come grouped by state (every group holds at least the state itself),
-    so one ``minimum.reduceat`` per gain takes every state's minimum.
+    Only the feasible ``(state, next)`` pairs of :func:`_transitions` are
+    visited, grouped by state, so one ``minimum.reduceat`` per gain takes
+    every state's minimum.  Every gain reuses one buffer.
     """
+    cost, following, starts = _transitions(m, *(grid.tobytes() for grid in grids))
+    step = np.empty_like(cost)
+    value = value.reshape(-1)
+    for _ in range(slots):
+        ahead = value[following]
+        new = np.zeros_like(value)
+        for g, wt in zip(gain_values, gain_weights):
+            np.divide(cost, g, out=step)
+            step += ahead
+            new = new + wt * np.minimum.reduceat(step, starts)
+        value = new
+    return value
+
+
+@functools.lru_cache(maxsize=4)
+def _transitions(m: int, *grids: bytes) -> tuple:
+    """Feasible ``(state, next)`` pairs of the product of ``grids`` (float64 bytes).
+
+    Returns the pairs' costs ``send**m``, their next states and the offset
+    of every state's group.  The pairs are the nonzeros of the Kronecker
+    product of the per-task ``<=`` masks, which come grouped by state
+    (every group holds at least the state itself).  Cached on the grids'
+    values and ``m``, as read-only arrays: the windows of one scenario
+    shape share them, and one induction asks for three (the two tasks'
+    demand grids and their product).
+    """
+    grids = [np.frombuffer(grid) for grid in grids]
     feasible = np.ones((1, 1), dtype=bool)
     for grid in grids:
         feasible = np.kron(feasible, grid[None, :] <= grid[:, None])
@@ -284,14 +310,9 @@ def _backward_steps(grids: tuple, m: int, value: np.ndarray, slots: int,
     for grid, a, b in zip(grids[1:], here[1:], there[1:]):
         send = send + grid[a] - grid[b]
     cost = send ** m
-    value = value.reshape(-1)
-    for _ in range(slots):
-        ahead = value[following]
-        new = np.zeros_like(value)
-        for g, wt in zip(gain_values, gain_weights):
-            new = new + wt * np.minimum.reduceat(cost / g + ahead, starts)
-        value = new
-    return value
+    for array in (cost, following, starts):
+        array.flags.writeable = False
+    return cost, following, starts
 
 
 def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
@@ -303,7 +324,9 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
     at most two tasks); fast-fading gains are discretized into
     equal-probability bins represented by their conditional means.  With
     ``no_prefetch=True`` the prefetch-phase decisions are pinned to zero.
-    It returns the expected stage energy per unit ``lam`` from full residuals.
+    It returns the expected stage energy per unit ``lam`` from full residuals
+    and raises ``FloatingPointError`` if that value is not finite (the
+    transition costs ``send**m`` overflow, for instance).
 
     The value is not a certified bound on the causal optimum.  The grid
     restricts the decisions, which raises it; the conditional-mean gains
@@ -330,9 +353,12 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
                    for grid in grids)
     # Terminal layer: the task realizes right after the last prefetch slot.
     boundary = functools.reduce(np.add.outer, [p * d for p, d in zip(s.p, demand)])
-    value = _backward_steps(grids, s.m, boundary, 0 if no_prefetch else s.N_P,
-                            gain_values, gain_weights)
-    return InductionResult(value=float(value[-1]), bit_grids=grids, gain_values=gain_values,
+    if not no_prefetch:
+        boundary = _backward_steps(grids, s.m, boundary, s.N_P, gain_values, gain_weights)
+    value = float(boundary.reshape(-1)[-1])
+    if not np.isfinite(value):
+        raise FloatingPointError(f"backward induction value is not finite: {value!r}")
+    return InductionResult(value=value, bit_grids=grids, gain_values=gain_values,
                            gain_weights=gain_weights, demand_values=demand)
 
 

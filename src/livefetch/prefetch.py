@@ -265,8 +265,10 @@ class _Kernel:
     prob: np.ndarray       #: (L,) task probabilities
     w: np.ndarray          #: (L,) probability weights p**(-1/(m-1))
     delta: np.ndarray      #: (L+1,) priorities gamma/w, non-increasing, then -inf
+    falling: np.ndarray    #: (L,) -delta[:-1], non-decreasing, for ``searchsorted``
     cum_w: np.ndarray      #: (L+1,) prefix sums of w, from 0
-    span: np.ndarray       #: (L+1, L+1): [c, j] = sum of gamma over c <= l < j
+    low_w: np.ndarray      #: ((L+1)**2,) [c*(L+1) + j] = cum_w[min(c, j)]
+    span: np.ndarray       #: ((L+1)**2,) [c*(L+1) + j] = sum of gamma over c <= l < j
     u_zeta: np.ndarray     #: [k-1, n-1]: u of the size-k prefix table at N-n to go
     u_xi: float
     demand_weight: float   #: xi[N-N_P]
@@ -289,18 +291,28 @@ class _Kernel:
 
     def above(self, level: np.ndarray) -> np.ndarray:
         """Number of tasks whose priority exceeds ``level``."""
-        return (-self.delta[:-1]).searchsorted(-level)
+        return self.falling.searchsorted(-level)
 
     def clamped(self, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
         """Count ``c`` of the leading tasks held at the water level."""
         return np.minimum(bound, self.above(level))
 
-    def totals(self, level, c, j) -> np.ndarray:
-        """Residual totals of the size-``j`` prefixes with ``c`` tasks at ``level``."""
-        return level * np.minimum(self.cum_w[j], self.cum_w[c]) + self.span[c, j]
+    def totals(self, level, row, j) -> np.ndarray:
+        """Residual totals of the size-``j`` prefixes with ``c`` tasks at ``level``.
+
+        ``row = c * (L+1)`` is the offset of ``c``'s row in the flat tables,
+        and ``level * cum_w[min(c, j)]`` equals the clamped tasks' share
+        ``level * min(cum_w[j], cum_w[c])`` because ``cum_w`` increases.
+        """
+        index = row + j
+        return level * self.low_w.take(index) + self.span.take(index)
 
     def solve(self, level: np.ndarray, bound: np.ndarray, n: int, k):
-        """Prefetch slot ``n`` on the size-``k`` prefixes: active count, threshold, sent bits.
+        """Prefetch slot ``n`` on the size-``k`` prefixes: active count, threshold, sent bits."""
+        return self.step(level, self.clamped(level, bound), n, k)
+
+    def step(self, level: np.ndarray, c: np.ndarray, n: int, k):
+        """:meth:`solve` with the clamped count ``c`` given.
 
         Before the final slot the continuation depends on the members'
         residual total ``R_k`` only, so the slot sends the stage-optimal total
@@ -314,24 +326,26 @@ class _Kernel:
         prefix is found by bisection over ``[c, k]``; below the clamped
         count ``c`` no prefix is reached while the members hold bits.
         """
-        c = self.clamped(level, bound)
+        row = c * (self.s.L + 1)
         u_g = self.u_gain[:, n - 1]
         if n == self.s.N_P:
             total, spare = 0.0, u_g / self.u_xi
         else:
-            total = self.totals(level, c, k) * u_g / (u_g + self.u_zeta[k - 1, n - 1])
+            total = self.totals(level, row, k) * u_g / (u_g + self.u_zeta[k - 1, n - 1])
             spare = 0.0
         lo = np.minimum(np.maximum(c, 1), k)
         active = np.maximum(lo, k)
         for _ in range(int((active - lo).max(initial=0)).bit_length()):
             mid = (lo + active) // 2
-            eta = (self.totals(level, c, mid) - total) / (self.cum_w[mid] + spare)
-            reached = eta >= np.minimum(self.delta[mid], level)
-            active = np.where(reached, mid, active)
-            lo = np.where(reached, lo, mid + 1)
-        held = self.totals(level, c, active)
-        eta = np.maximum((held - total) / (self.cum_w[active] + spare), 0.0)
-        return active, eta, held - eta * self.cum_w[active]
+            eta = (self.totals(level, row, mid) - total) / (self.cum_w.take(mid) + spare)
+            reached = eta >= np.minimum(self.delta.take(mid), level)
+            np.copyto(active, mid, where=reached)
+            mid += 1
+            np.copyto(lo, mid, where=~reached)
+        held = self.totals(level, row, active)
+        mass = self.cum_w.take(active)
+        eta = np.maximum((held - total) / (mass + spare), 0.0)
+        return active, eta, held - eta * mass
 
     def run(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> _Phase:
         """The prefetch phase of every episode, in blocks of ``_BLOCK_ENTRIES // L``.
@@ -354,9 +368,12 @@ class _Kernel:
             return self.noncausal()
         return self.causal(policy)
 
-    def slot(self, phase: _Phase, n: int, k) -> np.ndarray:
-        """Execute prefetch slot ``n`` on the size-``k`` prefixes; returns the threshold."""
-        _, eta, sent = self.solve(phase.level, phase.bound, n, k)
+    def slot(self, phase: _Phase, n: int, k, c: np.ndarray) -> np.ndarray:
+        """Execute prefetch slot ``n`` on the size-``k`` prefixes; returns the threshold.
+
+        ``c`` is the phase's clamped count.
+        """
+        _, eta, sent = self.step(phase.level, c, n, k)
         phase.energy += sent ** self.s.m / self.gains[:, n - 1]
         phase.record(n, k, eta)
         return eta
@@ -368,7 +385,7 @@ class _Kernel:
         """
         phase = self.start(np.broadcast_shapes(np.shape(k), self.gains.shape[:1]))
         for n in range(1, self.s.N_P + 1):
-            self.slot(phase, n, k)
+            self.slot(phase, n, k, self.clamped(phase.level, phase.bound))
         return phase
 
     def noncausal(self) -> _Phase:
@@ -401,17 +418,20 @@ class _Kernel:
 
         with ``A`` the prefix's inverse-probability mass; at the final slot
         both are the exact ``R * u_xi / (u_g + u_xi * A)``.  A threshold
-        admits the tasks whose priority exceeds it.
+        admits the tasks whose priority exceeds it.  The count above one
+        slot's threshold gives both that slot's positive count and the next
+        slot's clamped count.
         """
         s, u_xi, mass = self.s, self.u_xi, self.cum_w[1:]
         phase = self.start(self.gains.shape[:1])
         rows = np.arange(self.gains.shape[0])
         sizes = np.arange(1, s.L + 1)
+        above = self.above(phase.level)
         positive = np.zeros(rows.size, dtype=int)
         for n in range(1, s.N_P + 1):
             u_g = self.u_gain[:, n - 1, None]
-            clamped = self.clamped(phase.level, phase.bound)[:, None]
-            residual = self.totals(phase.level[:, None], clamped, sizes)
+            c = np.minimum(phase.bound, above)
+            residual = self.totals(phase.level[:, None], c[:, None] * (s.L + 1), sizes)
             if n == s.N_P:
                 eta_hat = residual * u_xi / (u_g + u_xi * mass)
             elif policy is PrefetchPolicy.AGGRESSIVE:
@@ -423,8 +443,9 @@ class _Kernel:
             match = (admitted == sizes) & (sizes >= positive[:, None])
             first = np.argmax(match, axis=1)
             k = np.where(match[rows, first], first + 1, s.L)
-            eta = self.slot(phase, n, k)
-            positive = np.minimum(k, self.above(eta))
+            eta = self.slot(phase, n, k, c)
+            above = self.above(eta)
+            positive = np.minimum(k, above)
         return phase
 
 
@@ -443,10 +464,13 @@ def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable
     u_zeta = np.zeros((s.L, max(s.N_P - 1, 1)))
     if prefix_tables is not None and s.N_P > 1:
         u_zeta[:] = [table.inv_root[s.N_P - 2::-1] for table in prefix_tables]
-    return _Kernel(s=s, order=order, gam=gam, prob=prob, w=w,
-                   delta=np.append(priorities(s)[order], -np.inf),
-                   cum_w=np.concatenate([[0.0], np.cumsum(w)]),
-                   span=np.concatenate([np.zeros((s.L + 1, 1)), span], axis=1),
+    cum_w = np.concatenate([[0.0], np.cumsum(w)])
+    counts = np.arange(s.L + 1)
+    delta = np.append(priorities(s)[order], -np.inf)
+    return _Kernel(s=s, order=order, gam=gam, prob=prob, w=w, delta=delta,
+                   falling=-delta[:-1], cum_w=cum_w,
+                   low_w=cum_w[np.minimum.outer(counts, counts)].ravel(),
+                   span=np.concatenate([np.zeros((s.L + 1, 1)), span], axis=1).ravel(),
                    u_zeta=u_zeta, u_xi=xi.inv_root[d], demand_weight=xi.xi[d],
                    gains=gains,
                    u_gain=gains[:, :s.N_P] ** root, trace=trace)

@@ -230,6 +230,15 @@ class TestBackwardInduction:
         assert not isinstance(failure.value, ValueError)
         assert "did not settle" in str(failure.value)
 
+    def test_overflowing_value_is_a_numerical_failure(self):
+        # (3e70)**5 overflows the transition costs, so the value would be inf.
+        s = Scenario(m=5, N=4, N_P=2, p=np.array([0.6, 0.4]), gamma=np.array([3e70, 2e70]))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as failure:
+            p5_backward_induction(s, FAST2, bit_grid=5, gain_bins=4)
+        assert isinstance(failure.value, ArithmeticError)
+        assert not isinstance(failure.value, ValueError)
+        assert "not finite" in str(failure.value)
+
     def test_validation(self):
         three = Scenario(m=2, N=3, N_P=1, p=np.full(3, 1 / 3), gamma=np.full(3, 2.0))
         with pytest.raises(ValueError):
@@ -330,6 +339,65 @@ class TestSparseStep:
                         assert np.array_equal(sparse, dense)
                     for grid, expected in zip(result.bit_grids, grids):
                         assert np.array_equal(grid, expected)
+
+
+def same_induction(a, b):
+    """Every field of two ``InductionResult``s is bitwise equal."""
+    assert a.value == b.value
+    for name in ("bit_grids", "demand_values"):
+        mine, theirs = getattr(a, name), getattr(b, name)
+        assert len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs)), name
+    assert np.array_equal(a.gain_values, b.gain_values)
+    assert np.array_equal(a.gain_weights, b.gain_weights)
+
+
+class TestTransitionCache:
+    """The feasible transitions are built once per grids and ``m``."""
+
+    @staticmethod
+    def scenario(gamma, N_P=3):
+        return Scenario(m=2, N=6, N_P=N_P, p=np.array([0.7, 0.3]), gamma=np.array(gamma))
+
+    def test_warm_and_cleared_calls_agree(self):
+        s = self.scenario([5.0, 3.0])
+        oracles._transitions.cache_clear()
+        cold = p5_backward_induction(s, FAST2, bit_grid=11, gain_bins=4)
+        assert oracles._transitions.cache_info().misses == 3    # two demand grids, one product
+        warm = p5_backward_induction(s, FAST2, bit_grid=11, gain_bins=4)
+        assert oracles._transitions.cache_info().hits == 3
+        oracles._transitions.cache_clear()
+        cleared = p5_backward_induction(s, FAST2, bit_grid=11, gain_bins=4)
+        same_induction(warm, cold)
+        same_induction(cleared, cold)
+
+    def test_windows_share_and_scenarios_do_not(self):
+        oracles._transitions.cache_clear()
+        first = p5_backward_induction(self.scenario([5.0, 3.0]), FAST2, bit_grid=7)
+        # Another window of the same shape reuses all three entries.
+        p5_backward_induction(self.scenario([5.0, 3.0], N_P=2), FAST2, bit_grid=7)
+        assert oracles._transitions.cache_info().misses == 3
+        other = self.scenario([5.0, 2.5])
+        warm = p5_backward_induction(other, FAST2, bit_grid=7)
+        # One task's grid is shared; the other grid and the product are new.
+        assert oracles._transitions.cache_info().misses == 5
+        assert warm.value != first.value
+        value, demand = dense_induction(other, warm.bit_grids, warm.gain_values,
+                                        warm.gain_weights, no_prefetch=False)
+        assert warm.value == value
+        assert all(np.array_equal(a, b) for a, b in zip(warm.demand_values, demand))
+        oracles._transitions.cache_clear()
+        same_induction(warm, p5_backward_induction(other, FAST2, bit_grid=7))
+
+    def test_no_prefetch_builds_only_the_demand_grids(self):
+        oracles._transitions.cache_clear()
+        p5_backward_induction(self.scenario([5.0, 3.0]), FAST2, bit_grid=7, no_prefetch=True)
+        assert oracles._transitions.cache_info().currsize == 2
+
+    def test_cached_arrays_are_read_only(self):
+        grids = [np.linspace(0.0, 4.0, 5), np.linspace(0.0, 2.0, 5)]
+        for array in oracles._transitions(3, *(grid.tobytes() for grid in grids)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
 
 class TestNoncausalBenchmark:

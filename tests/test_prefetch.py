@@ -890,6 +890,28 @@ class TestSlotSearch:
             self.check(s, FAST2, rng)
 
 
+class TestFlatTables:
+    """The slot step's flat ``(L+1)**2`` tables give the prefix totals bit for bit."""
+
+    @pytest.mark.parametrize("L", [1, 4, 16, 64])
+    def test_lookups_equal_the_two_dimensional_totals(self, L):
+        rng = np.random.default_rng(L)
+        s = generate_scenario(rng, L=L, gamma_total=20.0, m=3, N=10, N_P=8)
+        xi = build_xi_table(FAST2, s.m, s.N - s.N_P)
+        gains = sample_gain(FAST2, rng, (3, s.N))
+        kernel = prefetch._kernel(s, xi, build_prefix_tables(s, FAST2, xi), gains)
+        # span[c, j]: the data sizes c <= l < j, summed in order from c.
+        span = np.zeros((L + 1, L + 1))
+        for c in range(L + 1):
+            for j in range(c + 1, L + 1):
+                span[c, j] = span[c, j - 1] + kernel.gam[j - 1]
+        c, j = np.meshgrid(np.arange(L + 1), np.arange(L + 1), indexing="ij")
+        levels = np.array([0.0, kernel.delta[L // 2],
+                           *rng.uniform(0.0, 2.0 * kernel.delta[0], 6)])[:, None, None]
+        expected = levels * np.minimum(kernel.cum_w[j], kernel.cum_w[c]) + span[c, j]
+        assert np.array_equal(kernel.totals(levels, c * (L + 1), j), expected)
+
+
 class TestScaleHomogeneity:
     def test_normalized_energy_does_not_depend_on_data_scale(self):
         # Stage energy is homogeneous of degree m in the data sizes, so no
