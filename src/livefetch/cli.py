@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(single)
 
     figures = sub.add_parser("figures", help="emit the standard experiment CSVs")
-    figures.add_argument("--out", help="output directory", default=None)
+    figures.add_argument("--out", help="output directory", default="figures")
     figures.add_argument("--trials", type=int)
     figures.add_argument("--scenarios", type=int)
     figures.add_argument("--seed", type=int)
@@ -237,7 +237,7 @@ def _print_fast_single(s, settings, rng) -> None:
     xi = build_xi_table(channel, s.m, s.N - s.N_P)
     gains = sample_gain(channel, rng, (1, s.N))
     realized = rng.choice(s.L, size=1, p=s.p)
-    result = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi, trace=True)
+    result = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi)
     order = priority_order(s)
     print(f"fast fading, k={settings['k']}, policy={policy.value}")
     for n in range(s.N_P):
@@ -269,10 +269,8 @@ _FIGURE_SPECS = [
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    out_dir = args.out if args.out is not None else "figures"
-    trials = args.trials if args.trials is not None else _DEFAULTS["trials"]
-    scenarios = args.scenarios if args.scenarios is not None else _DEFAULTS["scenarios"]
-    seed = args.seed if args.seed is not None else _DEFAULTS["seed"]
+    settings = _merge_settings(args)
+    out_dir = settings["out"]
     os.makedirs(out_dir, exist_ok=True)
     # The panels share their baseline points (fig5a at gamma=20, fig5b at
     # L=4 and fig5c at N=5 are one simulation), so one memo serves them;
@@ -281,8 +279,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     for name, param, values, fading, overrides in _FIGURE_SPECS:
         policies = SLOW_POLICIES if fading == "slow" else FAST_POLICIES
         cfg = SweepConfig(param=param, values=values, policies=policies,
-                          fading=fading, trials=trials, scenarios=scenarios,
-                          seed=seed, **overrides)
+                          fading=fading, trials=settings["trials"],
+                          scenarios=settings["scenarios"], seed=settings["seed"], **overrides)
         rows = gain_vs_shape(cfg) if name == "fig6" else _run_sweep(cfg, memo)
         path = os.path.join(out_dir, f"{name}.csv")
         emit_csv(rows, path)

@@ -185,17 +185,21 @@ def no_prefetch_energy_fast(s: Scenario, xi: XiTable) -> float:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Vectorized episode statistics per unit ``lam`` (one entry per episode)."""
+    """Vectorized episode statistics per unit ``lam`` (one entry per episode).
 
+    The result owns its ``scenario`` and each slot's threshold and
+    working-set size, from which the final set size and the per-slot bits
+    follow.
+    """
+
+    scenario: Scenario
     policy: PrefetchPolicy
     prefetch_energy: np.ndarray
     demand_energy: np.ndarray
     realized: np.ndarray
-    set_size: np.ndarray            #: final working-set size (0 for no-prefetch)
-    final_rho: np.ndarray           #: (E, L) residual bits per task, original order
-    thresholds: Optional[np.ndarray] = None     #: (E, N_P) if traced
-    decisions: Optional[np.ndarray] = None      #: (E, N_P, L) if traced, original order
-    slot_set_size: Optional[np.ndarray] = None  #: (E, N_P) working-set sizes if traced
+    final_rho: np.ndarray           #: (E, L) residual bits per task
+    thresholds: np.ndarray          #: (E, N_P) each slot's threshold
+    slot_set_size: np.ndarray       #: (E, N_P) each slot's working-set size (0 for no-prefetch)
 
     @property
     def total_energy(self) -> np.ndarray:
@@ -205,6 +209,33 @@ class BatchResult:
     def beta(self) -> np.ndarray:
         """Residual bits of the realized task."""
         return self.final_rho[np.arange(self.realized.size), self.realized]
+
+    @property
+    def set_size(self) -> np.ndarray:
+        """Final working-set size."""
+        return self.slot_set_size[:, -1]
+
+    @property
+    def decisions(self) -> np.ndarray:
+        """``(E, N_P, L)`` bits each slot sends to each task."""
+        pad = ((0, 0), (1, 0))
+        held = _residuals(self.scenario, np.pad(self.thresholds, pad),
+                          np.maximum.accumulate(np.pad(self.slot_set_size, pad), axis=1))
+        return held[:, :-1] - held[:, 1:]
+
+
+def _residuals(s: Scenario, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Bits each task of ``s`` still holds at water ``level`` under set ``bound``.
+
+    A task holds ``level * p**(-1/(m-1))`` if it is among the ``bound``
+    first in priority order and its priority exceeds ``level``, and its
+    whole ``gamma`` otherwise (see :class:`_Phase`).
+    """
+    rank = np.empty(s.L, dtype=int)
+    rank[priority_order(s)] = np.arange(s.L)
+    level, bound = level[..., None], bound[..., None]
+    clamped = (rank < bound) & (priorities(s) > level)
+    return np.where(clamped, level * s.p ** -(1.0 / (s.m - 1)), s.gamma)
 
 
 @dataclass
@@ -220,38 +251,35 @@ class _Phase:
     lower bound once members clamp; the aggressive one lies below it since
     ``u_z > u_xi * A``): a task left out has ``delta <= eta_hat <= eta``.
     The arrays are ``(E,)``, or ``(L, E)`` while every locked prefix runs
-    at once (row ``k-1`` locks the size-``k`` prefix).
+    at once (row ``k-1`` locks the size-``k`` prefix); the per-slot records
+    put the slot first, ``(N_P, E)`` or ``(N_P, L, E)``, so that each slot
+    writes one contiguous row.
     """
 
-    level: np.ndarray                     #: last slot's threshold
-    bound: np.ndarray                     #: largest working set so far
-    energy: np.ndarray                    #: prefetch energy
-    set_size: np.ndarray                  #: final working-set size
-    thresholds: Optional[np.ndarray]      #: (..., N_P) when traced
-    slot_set_size: Optional[np.ndarray]   #: (..., N_P) when traced
+    level: np.ndarray              #: last slot's threshold
+    bound: np.ndarray              #: largest working set so far
+    energy: np.ndarray             #: prefetch energy
+    thresholds: np.ndarray         #: (N_P, ...) each slot's threshold
+    slot_set_size: np.ndarray      #: (N_P, ...) each slot's working-set size
 
     def record(self, n: int, k, eta: np.ndarray) -> None:
         """Move to slot ``n``'s threshold on the size-``k`` sets."""
         self.level = eta
         self.bound = np.maximum(self.bound, k)
-        self.set_size[:] = k
-        if self.thresholds is not None:
-            self.thresholds[..., n - 1] = eta
-            self.slot_set_size[..., n - 1] = k
+        self.thresholds[n - 1] = eta
+        self.slot_set_size[n - 1] = k
 
     def pick(self, rows: np.ndarray) -> None:
         """Keep, for episode ``e`` of an ``(L, E)`` state, row ``rows[e]``."""
         episodes = np.arange(rows.size)
         for field in fields(self):
-            value = getattr(self, field.name)
-            if value is not None:
-                setattr(self, field.name, value[rows, episodes])
+            setattr(self, field.name, getattr(self, field.name)[..., rows, episodes])
 
     @staticmethod
     def join(blocks: list) -> "_Phase":
         """One ``(E,)`` state from the states of consecutive blocks of episodes."""
-        return _Phase(**{field.name: None if getattr(blocks[0], field.name) is None
-                         else np.concatenate([getattr(block, field.name) for block in blocks])
+        return _Phase(**{field.name: np.concatenate([getattr(block, field.name)
+                                                     for block in blocks], axis=-1)
                          for field in fields(_Phase)})
 
 
@@ -260,10 +288,8 @@ class _Kernel:
     """Per-batch constants of the prefetch phase, tasks in priority order."""
 
     s: Scenario
-    order: np.ndarray      #: (L,) task indices in priority order
     gam: np.ndarray        #: (L,) data sizes
     prob: np.ndarray       #: (L,) task probabilities
-    w: np.ndarray          #: (L,) probability weights p**(-1/(m-1))
     delta: np.ndarray      #: (L+1,) priorities gamma/w, non-increasing, then -inf
     falling: np.ndarray    #: (L,) -delta[:-1], non-decreasing, for ``searchsorted``
     cum_w: np.ndarray      #: (L+1,) prefix sums of w, from 0
@@ -274,20 +300,12 @@ class _Kernel:
     demand_weight: float   #: xi[N-N_P]
     gains: np.ndarray      #: (E, N) all gains
     u_gain: np.ndarray     #: (E, N_P) prefetch-phase gains**(1/(m-1))
-    trace: bool
 
     def start(self, shape: tuple) -> _Phase:
-        traced = np.zeros(shape + (self.s.N_P,)) if self.trace else None
+        slots = (self.s.N_P,) + shape
         return _Phase(level=np.full(shape, self.delta[0]), bound=np.zeros(shape, dtype=int),
-                      energy=np.zeros(shape), set_size=np.zeros(shape, dtype=int),
-                      thresholds=traced,
-                      slot_set_size=None if traced is None else traced.astype(int))
-
-    def residuals(self, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """Bits each task still holds at water ``level`` under set ``bound``."""
-        level, bound = level[..., None], bound[..., None]
-        clamped = (np.arange(self.s.L) < bound) & (self.delta[:-1] > level)
-        return np.where(clamped, level * self.w, self.gam)
+                      energy=np.zeros(shape), thresholds=np.zeros(slots),
+                      slot_set_size=np.zeros(slots, dtype=int))
 
     def above(self, level: np.ndarray) -> np.ndarray:
         """Number of tasks whose priority exceeds ``level``."""
@@ -307,15 +325,12 @@ class _Kernel:
         index = row + j
         return level * self.low_w.take(index) + self.span.take(index)
 
-    def solve(self, level: np.ndarray, bound: np.ndarray, n: int, k):
-        """Prefetch slot ``n`` on the size-``k`` prefixes: active count, threshold, sent bits."""
-        return self.step(level, self.clamped(level, bound), n, k)
-
     def step(self, level: np.ndarray, c: np.ndarray, n: int, k):
-        """:meth:`solve` with the clamped count ``c`` given.
+        """Prefetch slot ``n`` on the size-``k`` prefixes: active count, threshold, sent bits.
 
-        Before the final slot the continuation depends on the members'
-        residual total ``R_k`` only, so the slot sends the stage-optimal total
+        ``c`` is the state's clamped count (:meth:`clamped`).  Before the
+        final slot the continuation depends on the members' residual total
+        ``R_k`` only, so the slot sends the stage-optimal total
         ``T = R_k * u_g / (u_g + u_c)`` and an active prefix of size ``j``
         has the threshold ``(R_j - T) / W_j``; the final slot's stage problem
         is exactly separable, its threshold ``R_j / (W_j + u_g / u_xi)``.
@@ -450,7 +465,7 @@ class _Kernel:
 
 
 def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable]],
-            gains: np.ndarray, trace: bool = False) -> _Kernel:
+            gains: np.ndarray) -> _Kernel:
     """The batch constants; ``prefix_tables`` may be ``None`` when no slot runs."""
     d = s.N - s.N_P
     root = 1.0 / (s.m - 1)
@@ -467,21 +482,19 @@ def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable
     cum_w = np.concatenate([[0.0], np.cumsum(w)])
     counts = np.arange(s.L + 1)
     delta = np.append(priorities(s)[order], -np.inf)
-    return _Kernel(s=s, order=order, gam=gam, prob=prob, w=w, delta=delta,
+    return _Kernel(s=s, gam=gam, prob=prob, delta=delta,
                    falling=-delta[:-1], cum_w=cum_w,
                    low_w=cum_w[np.minimum.outer(counts, counts)].ravel(),
                    span=np.concatenate([np.zeros((s.L + 1, 1)), span], axis=1).ravel(),
                    u_zeta=u_zeta, u_xi=xi.inv_root[d], demand_weight=xi.xi[d],
-                   gains=gains,
-                   u_gain=gains[:, :s.N_P] ** root, trace=trace)
+                   gains=gains, u_gain=gains[:, :s.N_P] ** root)
 
 
 def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
                        gains: np.ndarray, realized: np.ndarray, *,
                        xi: Optional[XiTable] = None,
                        prefix_tables: Optional[Sequence[ZetaTable]] = None,
-                       forced_prefix: Optional[int] = None,
-                       trace: bool = False) -> BatchResult:
+                       forced_prefix: Optional[int] = None) -> BatchResult:
     """Simulate whole stages: prefetch phase, realization, demand phase.
 
     ``gains`` has shape ``(episodes, N)`` and ``realized`` holds the task
@@ -495,8 +508,8 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     to the smaller prefix).  With ``forced_prefix`` it locks the target
     set to the priority prefix of that size for every episode instead; any
     other policy rejects ``forced_prefix``.  The demand phase always runs
-    the xi-policy.  ``trace`` fills the per-slot thresholds, decisions and
-    working-set sizes.  Energies are per unit ``lam``.
+    the xi-policy.  The result carries every slot's threshold and
+    working-set size.  Energies are per unit ``lam``.
 
     ``xi`` (built when omitted) must be the demand table of ``channel`` and
     ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``
@@ -529,22 +542,11 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         prefix_tables = None
     elif prefix_tables is None:
         prefix_tables = build_prefix_tables(s, channel, xi)
-    kernel = _kernel(s, xi, prefix_tables, gains, trace)
-    phase = kernel.run(policy, forced_prefix)
-
-    episodes = gains.shape[0]
-    inv_order = np.argsort(kernel.order)
-    final_rho = kernel.residuals(phase.level, phase.bound)[:, inv_order]
-    decisions = None
-    if trace:
-        pad = ((0, 0), (1, 0))
-        held = kernel.residuals(np.pad(phase.thresholds, pad, constant_values=kernel.delta[0]),
-                                np.maximum.accumulate(np.pad(phase.slot_set_size, pad), axis=1))
-        decisions = (held[:, :-1] - held[:, 1:])[:, :, inv_order]
-    _, demand = simulate_demand_batch(final_rho[np.arange(episodes), realized],
+    phase = _kernel(s, xi, prefix_tables, gains).run(policy, forced_prefix)
+    final_rho = _residuals(s, phase.level, phase.bound)
+    _, demand = simulate_demand_batch(final_rho[np.arange(gains.shape[0]), realized],
                                       gains[:, s.N_P:], xi)
-    return BatchResult(policy=policy, prefetch_energy=phase.energy,
-                       demand_energy=np.cumsum(demand, axis=1)[:, -1],
-                       realized=realized, set_size=phase.set_size,
-                       final_rho=final_rho, thresholds=phase.thresholds,
-                       decisions=decisions, slot_set_size=phase.slot_set_size)
+    return BatchResult(scenario=s, policy=policy, prefetch_energy=phase.energy,
+                       demand_energy=np.cumsum(demand, axis=1)[:, -1], realized=realized,
+                       final_rho=final_rho, thresholds=phase.thresholds.T,
+                       slot_set_size=phase.slot_set_size.T)

@@ -181,7 +181,8 @@ def generate_scenario(rng: np.random.Generator, L: int, gamma_total: float,
     instead.  Dividing first makes a single task's size exactly
     ``gamma_total``, and the sizes at any ``gamma_total`` are those at
     ``gamma_total=1.0`` (which :func:`run_sweep` draws) times it, up to one
-    rounding.
+    rounding.  A positive ``gamma_total`` whose sizes underflow to zero
+    raises ``FloatingPointError``.
     """
     if uniform:
         p = np.full(L, 1.0 / L)
@@ -191,6 +192,8 @@ def generate_scenario(rng: np.random.Generator, L: int, gamma_total: float,
         p = p / p.sum()
         gamma = _positive_uniforms(rng, L)
         gamma = gamma / gamma.sum() * gamma_total
+    if gamma_total > 0.0 and not np.all(gamma > 0.0):
+        raise FloatingPointError(f"task data sizes underflow at gamma_total={gamma_total:g}")
     return Scenario(m=m, N=N, N_P=N_P, p=p, gamma=gamma)
 
 

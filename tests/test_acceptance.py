@@ -254,7 +254,7 @@ def test_criterion_07_threshold_monotonicity():
         batch = run_prefetch_batch(s, FastGamma(2),
                                    PrefetchPolicy.NONCAUSAL_ORACLE,
                                    gains, realized, xi=xi,
-                                   prefix_tables=tables, trace=True)
+                                   prefix_tables=tables)
         diffs = np.diff(batch.thresholds, axis=1)
         violations += int(np.sum(diffs >= -1e-9))
         head_ok &= bool(np.all(batch.thresholds[:, 0]

@@ -2,6 +2,7 @@
 
 import io
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -192,6 +193,13 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fading", ["slow", "fast"])
+    def test_single_size_underflow_exits_three(self, capsys, fading):
+        # The scale passes the flag check, but the drawn sizes underflow to 0.
+        code = main(["single", "--fading", fading, "--gamma-total", "5e-324", "--seed", "1"])
+        assert code == 3
+        assert "numerical failure (FloatingPointError)" in capsys.readouterr().err
+
     def test_python_float_overflow_exits_three(self, capsys):
         # The slow plan's alpha_sigma ** m is a Python float power, which
         # raises OverflowError rather than numpy's FloatingPointError.
@@ -287,6 +295,23 @@ class TestFiguresCommand:
             assert rows
         shape_rows = load_rows(out_dir / "fig6.csv")
         assert {row.policy for row in shape_rows} == {"fast-optimal", "slow-opt"}
+
+    def test_defaults_come_from_the_sweep_config(self, tmp_path, monkeypatch):
+        configs = []
+
+        def record(cfg, *args):
+            configs.append(cfg)
+            return []
+
+        monkeypatch.setattr("livefetch.cli._run_sweep", record)
+        monkeypatch.setattr("livefetch.cli.gain_vs_shape", record)
+        monkeypatch.chdir(tmp_path)
+        assert main(["figures"]) == 0
+        assert sorted(path.name for path in (tmp_path / "figures").iterdir()) == \
+            [f"{name}.csv" for name in FIGURE_NAMES]
+        default = {field.name: field.default for field in fields(SweepConfig)}
+        assert {(cfg.trials, cfg.scenarios, cfg.seed) for cfg in configs} == \
+            {(default["trials"], default["scenarios"], default["seed"])}
 
     def test_panels_share_their_baseline_points(self, tmp_path, monkeypatch):
         # fig5a at gamma=20, fig5b at L=4 and fig5c at N=5 are one simulation,

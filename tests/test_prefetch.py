@@ -68,11 +68,11 @@ def draw_episodes(s, channel, rng, episodes):
     return gains, rng.choice(s.L, size=episodes, p=s.p)
 
 
-def traced(s, policy, gains, realized=None, xi=XI3, tables=TABLES3, **kwargs):
+def run_batch(s, policy, gains, realized=None, xi=XI3, tables=TABLES3, **kwargs):
     if realized is None:
         realized = np.zeros(gains.shape[0], dtype=int)
     return run_prefetch_batch(s, FAST2, policy, gains, realized, xi=xi,
-                              prefix_tables=tables, trace=True, **kwargs)
+                              prefix_tables=tables, **kwargs)
 
 
 class TestZetaTable:
@@ -292,7 +292,7 @@ class TestEstimateThreshold:
         # in a one-slot window the two causal policies coincide exactly.
         rng = np.random.default_rng(5)
         gains, realized = draw_episodes(S1, FAST2, rng, 100)
-        aggr, cons = (traced(S1, policy, gains, realized, xi=XI1, tables=TABLES1)
+        aggr, cons = (run_batch(S1, policy, gains, realized, xi=XI1, tables=TABLES1)
                       for policy in CAUSAL)
         assert np.array_equal(aggr.slot_set_size, cons.slot_set_size)
         assert np.array_equal(aggr.thresholds, cons.thresholds)
@@ -306,7 +306,7 @@ class TestApproximateTaskSet:
         xi = build_xi_table(FAST2, 2, 2)
         gains = sample_gain(FAST2, np.random.default_rng(4), (20, s.N))
         for kind in CAUSAL:
-            result = traced(s, kind, gains, xi=xi, tables=None)
+            result = run_batch(s, kind, gains, xi=xi, tables=None)
             assert np.all(result.slot_set_size == 1)
             assert np.all(result.set_size == 1)
 
@@ -326,7 +326,7 @@ class TestApproximateTaskSet:
                     expected[i] = k
                     break
         for kind in CAUSAL:
-            result = traced(s, kind, gains, xi=XI1, tables=TABLES1)
+            result = run_batch(s, kind, gains, xi=XI1, tables=TABLES1)
             assert np.array_equal(result.slot_set_size[:, 0], expected)
 
     def test_returns_priority_prefixes_only(self):
@@ -335,7 +335,7 @@ class TestApproximateTaskSet:
         gains, realized = draw_episodes(S3, FAST2, rng, 50)
         rank = np.argsort(priority_order(S3))
         for kind in CAUSAL:
-            result = traced(S3, kind, gains, realized)
+            result = run_batch(S3, kind, gains, realized)
             sizes = result.slot_set_size
             assert np.all((sizes >= 1) & (sizes <= S3.L))
             outside = rank[None, None, :] >= sizes[:, :, None]
@@ -350,7 +350,7 @@ class TestApproximateTaskSet:
         order = priority_order(s)
         gains = sample_gain(FAST2, np.random.default_rng(9), (50, s.N))
         for kind in CAUSAL:
-            result = traced(s, kind, gains, xi=xi, tables=tables)
+            result = run_batch(s, kind, gains, xi=xi, tables=tables)
             for size in np.unique(result.slot_set_size):
                 working = set(order[:size])
                 if 2 in working:
@@ -360,7 +360,7 @@ class TestApproximateTaskSet:
         rng = np.random.default_rng(10)
         gains, realized = draw_episodes(S3, FAST2, rng, 200)
         for kind in CAUSAL:
-            result = traced(S3, kind, gains, realized)
+            result = run_batch(S3, kind, gains, realized)
             positive = np.count_nonzero(result.decisions > POSITIVE_BITS_EPS, axis=2)
             assert np.all(result.slot_set_size[:, 1:] >= positive[:, :-1])
 
@@ -369,8 +369,8 @@ class TestSelectNoncausalSet:
     def test_single_candidate(self):
         s = Scenario(m=2, N=3, N_P=1, p=np.array([1.0]), gamma=np.array([5.0]))
         xi = build_xi_table(FAST2, 2, 2)
-        result = traced(s, PrefetchPolicy.NONCAUSAL_ORACLE, np.ones((1, s.N)),
-                        xi=xi, tables=None)
+        result = run_batch(s, PrefetchPolicy.NONCAUSAL_ORACLE, np.ones((1, s.N)),
+                           xi=xi, tables=None)
         assert result.set_size.tolist() == [1]
 
     def test_selection_minimizes_locked_prefix_score(self):
@@ -405,12 +405,12 @@ class TestSelectNoncausalSet:
         xi = build_xi_table(FAST2, 2, 2)
         tables = build_prefix_tables(s, FAST2, xi)
         gains, realized = draw_episodes(s, FAST2, np.random.default_rng(1), 500)
-        two, three = (traced(s, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized, xi=xi,
-                             tables=tables, forced_prefix=k) for k in (2, 3))
+        two, three = (run_batch(s, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized, xi=xi,
+                                tables=tables, forced_prefix=k) for k in (2, 3))
         assert np.array_equal(two.prefetch_energy, three.prefetch_energy)
         assert np.array_equal(two.final_rho, three.final_rho)
-        result = traced(s, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized, xi=xi,
-                        tables=tables)
+        result = run_batch(s, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized, xi=xi,
+                           tables=tables)
         positive = np.count_nonzero(result.decisions[:, -1] > 0.0, axis=1)
         assert np.array_equal(result.set_size, positive)
         assert set(np.unique(result.set_size)) == {1, 2}
@@ -453,7 +453,7 @@ class TestSelectNoncausalSet:
     def test_gain_count_validation(self):
         for gains in (np.ones((1, S3.N - 1)), np.array([[1.0, 1.0, -2.0, 1.0, 1.0]])):
             with pytest.raises(ValueError):
-                traced(S3, PrefetchPolicy.NONCAUSAL_ORACLE, gains)
+                run_batch(S3, PrefetchPolicy.NONCAUSAL_ORACLE, gains)
 
 
 class TestSetEnergy:
@@ -524,7 +524,7 @@ class TestEpisodeRunner:
     def test_no_prefetch_reduces_to_pure_demand(self):
         rng = np.random.default_rng(12)
         gains = sample_gain(FAST2, rng, (1, S3.N))
-        result = traced(S3, PrefetchPolicy.NO_PREFETCH, gains, np.array([1]))
+        result = run_batch(S3, PrefetchPolicy.NO_PREFETCH, gains, np.array([1]))
         assert result.prefetch_energy[0] == 0.0
         assert np.all(result.decisions == 0.0)
         assert np.all(result.thresholds == 0.0)
@@ -538,7 +538,7 @@ class TestEpisodeRunner:
         gains, realized = draw_episodes(S3, FAST2, rng, 30)
         rows = np.arange(30)
         for policy in SET_POLICIES:
-            result = traced(S3, policy, gains, realized)
+            result = run_batch(S3, policy, gains, realized)
             alpha = result.decisions.sum(axis=1)
             assert alpha == pytest.approx(S3.gamma - result.final_rho)
             assert np.all(alpha <= S3.gamma + 1e-9)
@@ -555,7 +555,7 @@ class TestEpisodeRunner:
         w = S3.p ** (-1.0 / (S3.m - 1))
         gains, realized = draw_episodes(S3, FAST2, rng, 30)
         for policy in SET_POLICIES:
-            result = traced(S3, policy, gains, realized)
+            result = run_batch(S3, policy, gains, realized)
             rho = np.tile(S3.gamma, (30, 1))
             for n in range(S3.N_P):
                 rho = rho - result.decisions[:, n]
@@ -566,8 +566,8 @@ class TestEpisodeRunner:
     def test_forced_prefix_masks_outside_tasks(self):
         rng = np.random.default_rng(15)
         gains, realized = draw_episodes(S3, FAST2, rng, 20)
-        result = traced(S3, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized,
-                        forced_prefix=1)
+        result = run_batch(S3, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized,
+                           forced_prefix=1)
         assert priority_order(S3)[0] == 0
         assert np.all(result.decisions[:, :, 1:] == 0.0)
         assert np.all(result.slot_set_size == 1)
@@ -575,7 +575,7 @@ class TestEpisodeRunner:
     def test_noncausal_thresholds_strictly_decrease_and_cap(self):
         rng = np.random.default_rng(16)
         gains, realized = draw_episodes(S3, FAST2, rng, 300)
-        th = traced(S3, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized).thresholds
+        th = run_batch(S3, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized).thresholds
         assert np.all(th[:, 1:] < th[:, :-1] + 1e-9)
         assert np.all(th[:, 0] < float(priorities(S3).max()) + 1e-9)
         assert np.all(th > 0.0)
@@ -590,10 +590,11 @@ class TestEpisodeRunner:
         order = priority_order(S3)
         gains, realized = draw_episodes(S3, FAST2, rng, 5)
         for policy in SET_POLICIES:
-            result = traced(S3, policy, gains, realized)
+            result = run_batch(S3, policy, gains, realized)
+            decisions = result.decisions
             for i in range(5):
                 members = sorted(order[:result.slot_set_size[i, -1]])
-                rho = S3.gamma - result.decisions[i, :-1].sum(axis=0)
+                rho = S3.gamma - decisions[i, :-1].sum(axis=0)
                 g = float(gains[i, S3.N_P - 1])
 
                 def objective(bits):
@@ -602,7 +603,7 @@ class TestEpisodeRunner:
                         S3.p[members] * remain ** S3.m)) * XI3.xi[d]
                     return float(bits.sum()) ** S3.m / g + demand
 
-                executed = result.decisions[i, -1][members]
+                executed = decisions[i, -1][members]
                 best = executed.copy()
                 for _ in range(60):
                     for j in range(len(members)):
@@ -749,9 +750,9 @@ class TestBatchRunner:
                 outside = sorted(order[k:])
                 result = run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE,
                                             gains, realized, xi=xi, prefix_tables=tables,
-                                            forced_prefix=k, trace=True)
-                active = np.all(result.decisions[:, :, members] > POSITIVE_BITS_EPS,
-                                axis=(1, 2))
+                                            forced_prefix=k)
+                decisions = result.decisions
+                active = np.all(decisions[:, :, members] > POSITIVE_BITS_EPS, axis=(1, 2))
                 checked += np.count_nonzero(active)
                 multi_member += np.count_nonzero(active) if k > 1 else 0
                 for i in np.flatnonzero(active):
@@ -760,7 +761,7 @@ class TestBatchRunner:
                         g = float(gains[i, n - 1])
                         eta = threshold_eta(rho, n, g, tables[k - 1])
                         assert result.thresholds[i, n - 1] == pytest.approx(eta, rel=1e-12)
-                        bits = result.decisions[i, n - 1]
+                        bits = decisions[i, n - 1]
                         expected = decision_vector(rho, eta, s)
                         assert bits[members] == pytest.approx(expected[members],
                                                               rel=1e-12)
@@ -817,7 +818,7 @@ def dense_first_reached(kernel, level, bound, n, k):
     """
     s = kernel.s
     rows = np.arange(level.size)
-    rho = kernel.residuals(level, bound)
+    rho = prefetch._residuals(s, level, bound)[:, priority_order(s)]
     cum_rho = np.concatenate([np.zeros((rows.size, 1)), np.cumsum(rho, axis=1)], axis=1)
     u_g = kernel.u_gain[:, n - 1]
     if n == s.N_P:
@@ -851,7 +852,7 @@ class TestSlotSearch:
             level[on_priority] = rng.choice(delta, np.count_nonzero(on_priority))
             bound = rng.integers(0, s.L + 1, episodes)
             k = rng.integers(1, s.L + 1, episodes)
-            active, eta, sent = kernel.solve(level, bound, n, k)
+            active, eta, sent = kernel.step(level, kernel.clamped(level, bound), n, k)
             ref_active, ref_eta, ref_sent, candidates = dense_first_reached(
                 kernel, level, bound, n, k)
             rows = np.arange(episodes)
@@ -864,7 +865,8 @@ class TestSlotSearch:
             # prefix's held bits ``R``, so the sent bits agree relative to
             # ``R``, and the slot energies ``sent**m / g`` as far as
             # the mean value theorem carries that error.
-            held = kernel.residuals(level, bound).cumsum(axis=1)[rows, active - 1]
+            rho = prefetch._residuals(s, level, bound)[:, priority_order(s)]
+            held = rho.cumsum(axis=1)[rows, active - 1]
             gap = self.TOL * held
             assert np.all(np.abs(sent - ref_sent) <= gap)
             scale = 1.0 / gains[:, n - 1]
@@ -942,7 +944,7 @@ class TestScaleHomogeneity:
         gains, realized = draw_episodes(s, channel, rng, 20)
         for policy in PrefetchPolicy:
             result = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi,
-                                        prefix_tables=tables, trace=True)
+                                        prefix_tables=tables)
             np.testing.assert_allclose(result.final_rho + result.decisions.sum(axis=1),
                                        np.broadcast_to(s.gamma, result.final_rho.shape),
                                        rtol=0.0, atol=1e-12 * gamma_total)
@@ -972,17 +974,46 @@ class TestCausalClosedForms:
         tol = 1e-12 * gamma_total
         for policy in CAUSAL:
             result = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi,
-                                        prefix_tables=tables, trace=True)
+                                        prefix_tables=tables)
+            decisions = result.decisions
             for i in range(gains.shape[0]):
                 rho = s.gamma.copy()
                 for n in range(1, N_P + 1):
-                    bits = result.decisions[i, n - 1]
+                    bits = decisions[i, n - 1]
                     expected = decision_vector(rho, result.thresholds[i, n - 1], s)
                     np.testing.assert_allclose(bits, expected, rtol=0.0, atol=tol)
                     rho = rho - bits
                 alpha = alpha_from_final_threshold(s, result.thresholds[i, -1])
                 np.testing.assert_allclose(s.gamma - result.final_rho[i], alpha,
                                            rtol=0.0, atol=tol)
+
+
+def run_id(run: dict) -> str:
+    return "-".join(f"{value}" for value in run.values())
+
+
+#: Each policy, and the noncausal oracle with a locked prefix.
+RUNS = [*[{"policy": policy} for policy in PrefetchPolicy],
+        {"policy": PrefetchPolicy.NONCAUSAL_ORACLE, "forced_prefix": 3}]
+
+
+class TestSlotRecord:
+    """Every batch carries each slot's threshold and working-set size."""
+
+    @pytest.mark.parametrize("run", [*RUNS, *[{"policy": PrefetchPolicy.NONCAUSAL_ORACLE,
+                                               "forced_prefix": k} for k in (1, 8)]],
+                             ids=run_id)
+    def test_a_sweep_batch_carries_the_slot_record(self, run):
+        # Called as ``run_sweep`` calls it: no option asks for the record.
+        s, xi, tables, gains, realized = TestEpisodeBlocks.instance(8, 50)
+        batch = run_prefetch_batch(s, FAST2, gains=gains, realized=realized, xi=xi,
+                                   prefix_tables=tables, **run)
+        assert batch.scenario is s
+        assert batch.thresholds.shape == batch.slot_set_size.shape == (50, s.N_P)
+        assert np.array_equal(batch.set_size, batch.slot_set_size[:, -1])
+        assert batch.decisions.shape == (50, s.N_P, s.L)
+        prefetching = run["policy"] is not PrefetchPolicy.NO_PREFETCH
+        assert np.all((batch.slot_set_size > 0) == prefetching)
 
 
 class TestEpisodeBlocks:
@@ -1001,10 +1032,7 @@ class TestEpisodeBlocks:
 
     @pytest.mark.parametrize("L, episodes, blocks", [(64, 1000, [256, 256, 256, 232]),
                                                      (4, 1000, [1000])])
-    @pytest.mark.parametrize("run", [*[{"policy": policy} for policy in PrefetchPolicy],
-                                     {"policy": PrefetchPolicy.NONCAUSAL_ORACLE,
-                                      "forced_prefix": 3}],
-                             ids=lambda run: "-".join(f"{value}" for value in run.values()))
+    @pytest.mark.parametrize("run", RUNS, ids=run_id)
     def test_one_call_equals_calls_on_slices(self, monkeypatch, L, episodes, blocks, run):
         s, xi, tables, gains, realized = self.instance(L, episodes)
         sizes = []
@@ -1016,11 +1044,11 @@ class TestEpisodeBlocks:
 
         monkeypatch.setattr(prefetch._Kernel, "_block", spy)
         whole = run_prefetch_batch(s, FAST2, gains=gains, realized=realized, xi=xi,
-                                   prefix_tables=tables, trace=True, **run)
+                                   prefix_tables=tables, **run)
         assert sizes == blocks
         cuts = [0, 1, 301, 700, episodes]
         parts = [run_prefetch_batch(s, FAST2, gains=gains[a:b], realized=realized[a:b], xi=xi,
-                                    prefix_tables=tables, trace=True, **run)
+                                    prefix_tables=tables, **run)
                  for a, b in zip(cuts[:-1], cuts[1:])]
         for name in self.FIELDS:
             joined = np.concatenate([getattr(part, name) for part in parts])
@@ -1030,6 +1058,6 @@ class TestEpisodeBlocks:
     def test_empty_batch_at_large_L(self, policy):
         s, xi, tables, gains, realized = self.instance(64, 0)
         batch = run_prefetch_batch(s, FAST2, policy, gains, realized, xi=xi,
-                                   prefix_tables=tables, trace=True)
+                                   prefix_tables=tables)
         assert batch.total_energy.shape == (0,)
         assert batch.decisions.shape == (0, s.N_P, s.L)
