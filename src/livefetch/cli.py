@@ -222,10 +222,10 @@ def _print_slow_single(s, settings) -> None:
         print(f"  optimal alpha = {plan.alpha} (targets {sorted(plan.task_set)})")
         print(f"  alpha_sigma   = {plan.alpha_sigma:.6g}")
     energy = expected_fetch_energy_slow(plan)
-    print(f"  expected energy           = {unit * energy:.6g}")
+    print(f"  expected energy           = {_positive('expected', unit * energy):.6g}")
     if s.N > s.N_P:
         base = no_prefetch_energy_slow(s)
-        print(f"  no-prefetch energy        = {unit * base:.6g}")
+        print(f"  no-prefetch energy        = {_positive('no-prefetch', unit * base):.6g}")
         print(f"  prefetching gain          = {base / energy:.6g} "
               f"({to_db(base / energy):.3f} dB)")
 
@@ -244,14 +244,23 @@ def _print_fast_single(s, settings, rng) -> None:
         members = ",".join(str(i) for i in sorted(order[:result.slot_set_size[0, n]])) or "-"
         print(f"  slot {n + 1}: g={gains[0, n]:.4f} eta={result.thresholds[0, n]:.5g} "
               f"bits={result.decisions[0, n].sum():.5g} set={{{members}}}")
+    total = _positive("total", lam * result.total_energy[0])
+    reference = _positive("no-prefetch", lam * no_prefetch_energy_fast(s, xi))
     bits, _ = simulate_demand_batch(result.beta, gains[:, s.N_P:], xi)
     print(f"  realized task  = {realized[0]}")
     with np.printoptions(precision=5, suppress=True):
         print(f"  demand bits    = {bits[0]}")
     print(f"  prefetch energy = {lam * result.prefetch_energy[0]:.6g}")
     print(f"  demand energy   = {lam * result.demand_energy[0]:.6g}")
-    print(f"  total energy    = {lam * result.total_energy[0]:.6g}")
-    print(f"  no-prefetch reference = {lam * no_prefetch_energy_fast(s, xi):.6g}")
+    print(f"  total energy    = {total:.6g}")
+    print(f"  no-prefetch reference = {reference:.6g}")
+
+
+def _positive(name: str, energy: float) -> float:
+    """An energy of positive task sizes; ``FloatingPointError`` if it underflowed to 0."""
+    if not energy > 0.0:
+        raise FloatingPointError(f"{name} energy underflowed to {energy:g}")
+    return energy
 
 
 _FIGURE_SPECS = [

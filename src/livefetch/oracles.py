@@ -268,21 +268,49 @@ def _backward_steps(grids: tuple, m: int, value: np.ndarray, slots: int,
     lower every task's residual to any grid point at or below it, at cost
     ``send**m / g`` for each gain ``g``, with ``send`` the bits sent.
     Only the feasible ``(state, next)`` pairs of :func:`_transitions` are
-    visited, grouped by state, so one ``minimum.reduceat`` per gain takes
-    every state's minimum.  Every gain reuses one buffer.
+    visited, grouped by state, so one ``minimum.reduceat`` takes every
+    state's minimum for every gain.
+
+    Every next state lies at or before its state in row-major order, so
+    the steps run as a wavefront: the blocks of :func:`_block_bounds` go in
+    order, and each runs all ``slots`` steps once the blocks before it are
+    done.  A block divides its costs by each gain once, for every slot,
+    and its buffers stay in cache.  Each entry sees the same float
+    operations as one slot at a time over all states, with the gain bins
+    summed in their order, so the result is bitwise the same.
     """
     cost, following, starts = _transitions(m, *(grid.tobytes() for grid in grids))
-    step = np.empty_like(cost)
-    value = value.reshape(-1)
-    for _ in range(slots):
-        ahead = value[following]
-        new = np.zeros_like(value)
-        for g, wt in zip(gain_values, gain_weights):
-            np.divide(cost, g, out=step)
-            step += ahead
-            new = new + wt * np.minimum.reduceat(step, starts)
-        value = new
-    return value
+    values = np.empty((slots + 1, starts.size))
+    values[0] = value.reshape(-1)
+    bounds = _block_bounds(starts, cost.size)
+    ends = np.append(starts, cost.size)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        a, b = ends[lo], ends[hi]
+        scaled = cost[a:b] / gain_values[:, None]
+        step, local = np.empty_like(scaled), starts[lo:hi] - a
+        for n in range(slots):
+            np.add(scaled, values[n].take(following[a:b]), out=step)
+            least = np.minimum.reduceat(step, local, axis=1)
+            least *= gain_weights[:, None]
+            values[n + 1, lo:hi] = np.add.accumulate(least)[-1]
+    return values[-1]
+
+
+#: The backward steps run in blocks of whole state groups of about this many
+#: feasible pairs (512 KiB of float64 per buffer at 16 gain bins), so that a
+#: block's scaled costs stay in cache through every slot.
+_BLOCK_PAIRS = 2 ** 12
+
+
+def _block_bounds(starts: np.ndarray, pairs: int) -> np.ndarray:
+    """State offsets that cut the groups at ``starts`` into consecutive blocks.
+
+    A block ends before the first group that starts at or after the next
+    multiple of ``_BLOCK_PAIRS``, so no group is split and every block's
+    groups but the last start within ``_BLOCK_PAIRS`` pairs of its first.
+    """
+    cuts = np.searchsorted(starts, np.arange(_BLOCK_PAIRS, pairs, _BLOCK_PAIRS))
+    return np.unique(np.concatenate([[0], cuts, [starts.size]]))
 
 
 @functools.lru_cache(maxsize=4)
@@ -291,24 +319,24 @@ def _transitions(m: int, *grids: bytes) -> tuple:
 
     Returns the pairs' costs ``send**m``, their next states and the offset
     of every state's group.  The pairs are the nonzeros of the Kronecker
-    product of the per-task ``<=`` masks, which come grouped by state
-    (every group holds at least the state itself).  Cached on the grids'
-    values and ``m``, as read-only arrays: the windows of one scenario
-    shape share them, and one induction asks for three (the two tasks'
-    demand grids and their product).
+    product of the per-task ``<=`` masks, in its order: grouped by state
+    (every group holds at least the state itself) and by next state within
+    a group.  They are built one task at a time, each pair so far with each
+    of the task's own, and stably sorted by state, so the product's dense
+    mask is never formed.  Cached on the grids' values and ``m``, as
+    read-only arrays: the windows of one scenario shape share them, and one
+    induction asks for three (the two tasks' demand grids and their
+    product).
     """
-    grids = [np.frombuffer(grid) for grid in grids]
-    feasible = np.ones((1, 1), dtype=bool)
-    for grid in grids:
-        feasible = np.kron(feasible, grid[None, :] <= grid[:, None])
-    state, following = np.nonzero(feasible)
-    starts = np.searchsorted(state, np.arange(feasible.shape[0]))
-    shape = tuple(grid.size for grid in grids)
-    here = np.unravel_index(state, shape)
-    there = np.unravel_index(following, shape)
-    send = grids[0][here[0]] - grids[0][there[0]]
-    for grid, a, b in zip(grids[1:], here[1:], there[1:]):
-        send = send + grid[a] - grid[b]
+    state, following, send = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.zeros(1)
+    for grid in (np.frombuffer(grid) for grid in grids):
+        here, there = np.nonzero(grid[None, :] <= grid[:, None])
+        state = (state[:, None] * grid.size + here).ravel()
+        order = np.argsort(state, kind="stable")
+        state = state[order]
+        following = (following[:, None] * grid.size + there).ravel()[order]
+        send = (send[:, None] + grid[here] - grid[there]).ravel()[order]
+    starts = np.searchsorted(state, np.arange(state[-1] + 1))
     cost = send ** m
     for array in (cost, following, starts):
         array.flags.writeable = False
@@ -327,6 +355,12 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
     It returns the expected stage energy per unit ``lam`` from full residuals
     and raises ``FloatingPointError`` if that value is not finite (the
     transition costs ``send**m`` overflow, for instance).
+
+    The steps run over cache-sized blocks of states in row-major order, all
+    slots of a block at a time; that is valid because no task's residual
+    rises, so every next state comes at or before its state.  Each block
+    divides its costs by each gain once per call, not once per slot, and
+    the result is bitwise the one of stepping slot by slot.
 
     The value is not a certified bound on the causal optimum.  The grid
     restricts the decisions, which raises it; the conditional-mean gains

@@ -514,7 +514,9 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     ``xi`` (built when omitted) must be the demand table of ``channel`` and
     ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``
     (built when omitted and needed) the ``L`` priority prefixes of this
-    very ``s`` under this ``xi``; otherwise ``ValueError``.
+    very ``s`` under this ``xi``; otherwise ``ValueError``.  Residual bits
+    that come out negative or not finite are a numerical failure
+    (``FloatingPointError``).
     """
     policy = PrefetchPolicy(policy)
     if xi is None:
@@ -544,6 +546,9 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         prefix_tables = build_prefix_tables(s, channel, xi)
     phase = _kernel(s, xi, prefix_tables, gains).run(policy, forced_prefix)
     final_rho = _residuals(s, phase.level, phase.bound)
+    if not np.all((final_rho >= 0.0) & (final_rho < np.inf)):
+        raise FloatingPointError("the prefetch phase left residual bits that are "
+                                 "negative or not finite")
     _, demand = simulate_demand_batch(final_rho[np.arange(gains.shape[0]), realized],
                                       gains[:, s.N_P:], xi)
     return BatchResult(scenario=s, policy=policy, prefetch_energy=phase.energy,

@@ -119,7 +119,9 @@ def optimal_prefetch_slow(s: Scenario) -> PrefetchPlan:
     prefix is accepted once exactly its members come out positive.  A task
     comes out positive iff its priority exceeds ``((N-N_P)/N_P) *
     alpha_sigma``, a test that scales with the data.  The optimal amounts do
-    not depend on the gain or on ``lam``.
+    not depend on the gain or on ``lam``.  Amounts that come out outside
+    ``[0, gamma]`` or not finite are a numerical failure
+    (``FloatingPointError``).
     """
     if s.N == s.N_P:
         return PrefetchPlan(scenario=s, alpha=s.gamma.copy())
@@ -132,8 +134,11 @@ def optimal_prefetch_slow(s: Scenario) -> PrefetchPlan:
         member = delta > ratio * alpha_sigma
         if int(np.count_nonzero(member)) == rank:
             break
-    return PrefetchPlan(scenario=s, alpha=np.where(
-        member, np.maximum(s.gamma - w * ratio * alpha_sigma, 0.0), 0.0))
+    alpha = np.where(member, np.maximum(s.gamma - w * ratio * alpha_sigma, 0.0), 0.0)
+    if not (np.isfinite(alpha_sigma) and np.all((alpha >= 0.0) & (alpha <= s.gamma))):
+        raise FloatingPointError(f"optimal prefetch amounts {alpha} (total {alpha_sigma!r}) "
+                                 f"are not finite or lie outside [0, gamma]")
+    return PrefetchPlan(scenario=s, alpha=alpha)
 
 
 def slot_allocation_slow(plan: PrefetchPlan, realized: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import warnings
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from livefetch import sweep
@@ -198,6 +199,28 @@ class TestExitCodes:
         # The scale passes the flag check, but the drawn sizes underflow to 0.
         code = main(["single", "--fading", fading, "--gamma-total", "5e-324", "--seed", "1"])
         assert code == 3
+        assert "numerical failure (FloatingPointError)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fading", ["slow", "fast"])
+    def test_single_energy_underflow_exits_three(self, capsys, fading):
+        # The sizes are positive, but every energy underflows to 0.
+        code = main(["single", "--fading", fading, "--gamma-total", "1e-200", "--m", "5",
+                     "--seed", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure (FloatingPointError)" in err
+        assert "underflowed" in err
+
+    @pytest.mark.parametrize("fading, target, broken", [
+        ("fast", "livefetch.prefetch._residuals",
+         lambda s, level, bound: np.full(level.shape + (s.L,), np.nan)),
+        ("slow", "livefetch.slow.total_prefetched_bits", lambda s, members: -np.inf),
+    ], ids=["fast-residuals", "slow-alpha"])
+    def test_single_computed_value_failure_exits_three(self, monkeypatch, capsys,
+                                                       fading, target, broken):
+        # A failed computation used to reach a check on caller input (exit 2).
+        monkeypatch.setattr(target, broken)
+        assert main(["single", "--fading", fading, "--seed", "1"]) == 3
         assert "numerical failure (FloatingPointError)" in capsys.readouterr().err
 
     def test_python_float_overflow_exits_three(self, capsys):

@@ -400,6 +400,88 @@ class TestTransitionCache:
                 array[0] = 1
 
 
+class TestWavefront:
+    """The backward steps run in blocks of whole state groups, bitwise unchanged."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_small_blocks_match_the_dense_recursion(self, monkeypatch, L, m):
+        # Blocks of a few dozen pairs cut every grid into many blocks, at
+        # varied states; the dense reference knows nothing of blocks.
+        rng = np.random.default_rng([L, m, 16])
+        for bit_grid in (2, 3, 7, 11, 31):
+            for gain_bins in (1, 4, 16):
+                for no_prefetch in (False, True):
+                    if L == 2 and bit_grid == 31 and (gain_bins != 16 or no_prefetch):
+                        continue        # the dense reference is slow here
+                    monkeypatch.setattr(oracles, "_BLOCK_PAIRS", int(rng.integers(20, 60)))
+                    N = int(rng.integers(2, 7))
+                    s = Scenario(m=m, N=N, N_P=int(rng.integers(1, N)),
+                                 p=rng.dirichlet(np.ones(L)),
+                                 gamma=rng.uniform(0.5, 10.0, L))
+                    channel = FastGamma(int(rng.integers(2, 5))) if gain_bins > 1 \
+                        else SlowFading(1.3)
+                    result = p5_backward_induction(s, channel, bit_grid=bit_grid,
+                                                   gain_bins=gain_bins,
+                                                   no_prefetch=no_prefetch)
+                    value, demand = dense_induction(s, result.bit_grids, result.gain_values,
+                                                    result.gain_weights, no_prefetch)
+                    assert result.value == value
+                    assert all(map(np.array_equal, result.demand_values, demand))
+
+    @pytest.mark.parametrize("block", [1, 7, 37, 64, 4096])
+    def test_blocks_hold_whole_groups(self, monkeypatch, block):
+        monkeypatch.setattr(oracles, "_BLOCK_PAIRS", block)
+        for sizes in ((2,), (31,), (3, 5), (11, 11), (31, 31)):
+            grids = [np.linspace(0.0, 1.0 + t, n).tobytes() for t, n in enumerate(sizes)]
+            cost, _, starts = oracles._transitions(2, *grids)
+            bounds = oracles._block_bounds(starts, cost.size)
+            assert bounds[0] == 0 and bounds[-1] == starts.size
+            assert np.all(np.diff(bounds) > 0)
+            ends = np.append(starts, cost.size)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                # Every group but the last starts within one block size of the
+                # first, and each block reaches past the next multiple of it.
+                assert starts[hi - 1] - starts[lo] < block
+                assert ends[hi] // block > ends[lo] // block or hi == starts.size
+
+
+def kronecker_transitions(m, grids):
+    """The feasible pairs as nonzeros of the Kronecker product of ``<=`` masks."""
+    feasible = np.ones((1, 1), dtype=bool)
+    for grid in grids:
+        feasible = np.kron(feasible, grid[None, :] <= grid[:, None])
+    state, following = np.nonzero(feasible)
+    starts = np.searchsorted(state, np.arange(feasible.shape[0]))
+    shape = tuple(grid.size for grid in grids)
+    here = np.unravel_index(state, shape)
+    there = np.unravel_index(following, shape)
+    send = grids[0][here[0]] - grids[0][there[0]]
+    for grid, a, b in zip(grids[1:], here[1:], there[1:]):
+        send = send + grid[a] - grid[b]
+    return send ** m, following, starts
+
+
+class TestTransitionBuild:
+    """The task-by-task build gives the Kronecker construction's arrays bitwise."""
+
+    @pytest.mark.parametrize("grids", [
+        [np.linspace(0.0, 5.0, 2)],
+        [np.linspace(0.0, 5.0, 41)],
+        [np.linspace(0.0, 5.0, 3), np.linspace(0.0, 3.3, 7)],
+        [np.linspace(0.0, 0.1, 11), np.linspace(0.0, 7.9, 5)],
+        [np.linspace(0.0, 5.0, 31), np.linspace(0.0, 3.3, 31)],
+        [np.array([0.0, 1.0, 1.0, 2.5]), np.array([0.0, 0.0, 3.0])],   # tied points
+        [np.linspace(0.0, 1.0, 3)] * 3,
+    ], ids=["2", "41", "3x7", "11x5", "31x31", "ties", "3x3x3"])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_matches_the_kronecker_construction(self, grids, m):
+        built = oracles._transitions.__wrapped__(m, *(grid.tobytes() for grid in grids))
+        for mine, theirs in zip(built, kronecker_transitions(m, grids)):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert np.array_equal(mine, theirs)
+
+
 class TestNoncausalBenchmark:
     def test_slow_channel_matches_closed_form(self):
         """At a constant gain the noncausal kernel plus the expected demand

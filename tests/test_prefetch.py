@@ -807,6 +807,24 @@ class TestBatchRunner:
             run_prefetch_batch(S3, FAST2, policy, gains, realized, xi=XI3,
                                prefix_tables=TABLES3, forced_prefix=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_failed_residuals_are_a_numerical_failure(self, monkeypatch, bad):
+        # The demand phase's check on its caller's residuals raises
+        # ValueError; residuals the library computed raise where computed.
+        gains, realized = draw_episodes(S3, FAST2, np.random.default_rng(19), 10)
+        computed = prefetch._residuals
+
+        def broken(s, level, bound):
+            rho = computed(s, level, bound)
+            rho[..., 0] = bad
+            return rho
+        monkeypatch.setattr(prefetch, "_residuals", broken)
+        with pytest.raises(FloatingPointError, match="residual bits"):
+            run_prefetch_batch(S3, FAST2, "aggressive", gains, realized, xi=XI3,
+                               prefix_tables=TABLES3)
+        with pytest.raises(ValueError, match="residual bits"):
+            simulate_demand_batch(np.full(gains.shape[0], bad), gains[:, S3.N_P:], XI3)
+
 
 def dense_first_reached(kernel, level, bound, n, k):
     """Slot solve by scanning every prefix size: the search's reference.

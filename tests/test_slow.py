@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from livefetch import slow
 from livefetch.model import Scenario
 from livefetch.oracles import slow_oracle
 from livefetch.slow import (
@@ -189,6 +190,16 @@ class TestOptimalPrefetch:
                      gamma=np.array([7.0, 6.0, 5.0]))
         with pytest.raises(ValueError):
             PrefetchPlan(scenario=s, alpha=np.array(alpha))
+
+    @pytest.mark.parametrize("total", [-np.inf, np.inf, np.nan])
+    def test_failed_amounts_are_a_numerical_failure(self, monkeypatch, total):
+        # A plan built by the caller rejects bad amounts with ValueError; a
+        # failed computation of the optimal amounts raises where it happens.
+        monkeypatch.setattr(slow, "total_prefetched_bits", lambda s, members: total)
+        s = Scenario(m=2, N=5, N_P=4, p=np.array([0.45, 0.35, 0.2]),
+                     gamma=np.array([7.0, 6.0, 5.0]))
+        with pytest.raises(FloatingPointError, match="not finite or lie outside"):
+            optimal_prefetch_slow(s)
 
     def test_plan_keeps_amounts_on_the_box_edges(self):
         s = Scenario(m=2, N=5, N_P=4, p=np.array([0.45, 0.35, 0.2]),
