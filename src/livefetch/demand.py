@@ -124,9 +124,9 @@ def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable) -
     gains in slot order, shape ``(episodes, duration)``, which both outputs
     share; energies are ``bits**m / g`` per unit ``lam``.  The final slot
     flushes the whole residual, so each episode's bits sum to its ``beta``.
-    Raises ``ValueError`` unless the shapes agree, every gain is positive,
-    every ``beta`` is finite and nonnegative, and ``1 <= duration <=
-    table.horizon``.
+    Raises ``ValueError`` unless the shapes agree, every gain is finite and
+    positive, every ``beta`` is finite and nonnegative, and ``1 <= duration
+    <= table.horizon``.
     """
     beta = np.asarray(beta, dtype=float)
     gains = np.asarray(gains, dtype=float)
@@ -135,8 +135,8 @@ def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable) -
     duration = gains.shape[1]
     if not 1 <= duration <= table.horizon:
         raise ValueError(f"duration={duration} outside the table horizon {table.horizon}")
-    if not np.all(gains > 0.0):
-        raise ValueError("all gains must be strictly positive")
+    if not np.all((gains > 0.0) & (gains < np.inf)):
+        raise ValueError("all gains must be finite and strictly positive")
     if not np.all((beta >= 0.0) & (beta < np.inf)):
         raise ValueError("residual bits must be finite and nonnegative")
     root = 1.0 / (table.m - 1)

@@ -11,9 +11,10 @@ the gain, the slot and a second family of backward coefficients ``zeta``
 (one table per candidate target set ``S``).  Thresholds only fall, so an
 episode's whole phase state is one water level and the largest working set
 so far.  One vectorized slot step executes every prefetch slot of every
-policy: it sends the stage-optimal slot total and finds the threshold by
-bisection over the priority prefixes, whose residual totals are closed
-forms in the water level; it coincides with the closed forms in
+policy: it sends the stage-optimal slot total and finds the threshold by a
+galloping search over the priority prefixes, up from the count of tasks
+held at the water level, whose residual totals are closed forms in the
+water level; it coincides with the closed forms in
 :mod:`livefetch.oracles` whenever every member of ``S`` is active.  The
 policies differ only in the priority prefix the step works on: the
 noncausal oracle runs all ``L`` locked prefixes as one batch against the
@@ -311,6 +312,16 @@ class _Kernel:
         """Number of tasks whose priority exceeds ``level``."""
         return self.falling.searchsorted(-level)
 
+    def admits_own_size(self, estimate: np.ndarray) -> np.ndarray:
+        """Whether ``estimate[..., j-1]`` admits exactly ``j`` tasks, for each size ``j``.
+
+        ``delta`` does not increase and ends in ``-inf``, so exactly ``j``
+        priorities exceed an estimate when ``delta[j-1]`` does and
+        ``delta[j]`` does not: the count test ``above(estimate) == j``
+        without a search.
+        """
+        return (self.delta[:-1] > estimate) & (self.delta[1:] <= estimate)
+
     def clamped(self, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
         """Count ``c`` of the leading tasks held at the water level."""
         return np.minimum(bound, self.above(level))
@@ -338,8 +349,16 @@ class _Kernel:
         member's ratio ``f_j = min(delta, level)``, i.e. ``R_j - f_j * W_j``
         reaches ``T`` (or ``f_j * u_g / u_xi``).  That left side never
         decreases in ``j`` and ``f_j`` never increases, so the first reached
-        prefix is found by bisection over ``[c, k]``; below the clamped
-        count ``c`` no prefix is reached while the members hold bits.
+        prefix is found by searching ``[max(c, 1), k]``; below the clamped
+        count ``c`` no prefix is reached while the members hold bits.  The
+        first reached prefix lies mostly just above ``c``, so the search
+        gallops up from there (Bentley and Yao's unbounded search): from
+        ``start = max(c, 1)`` it probes ``start + 1, start + 5, start + 13, ...``,
+        each probe at ``min(2 * lo - start + 1, (lo + active) // 2)``, so it
+        never passes the bisection's midpoint and a bracket of three or
+        fewer prefixes is plain bisection.  Every episode stops once its
+        bracket is one prefix; a stopped episode's probe re-tests that
+        prefix and changes nothing.
         """
         row = c * (self.s.L + 1)
         u_g = self.u_gain[:, n - 1]
@@ -349,9 +368,10 @@ class _Kernel:
             total = self.totals(level, row, k) * u_g / (u_g + self.u_zeta[k - 1, n - 1])
             spare = 0.0
         lo = np.minimum(np.maximum(c, 1), k)
+        start = lo.copy()
         active = np.maximum(lo, k)
-        for _ in range(int((active - lo).max(initial=0)).bit_length()):
-            mid = (lo + active) // 2
+        while (lo < active).any():
+            mid = np.minimum(2 * lo - start + 1, (lo + active) // 2)
             eta = (self.totals(level, row, mid) - total) / (self.cum_w.take(mid) + spare)
             reached = eta >= np.minimum(self.delta.take(mid), level)
             np.copyto(active, mid, where=reached)
@@ -433,9 +453,10 @@ class _Kernel:
 
         with ``A`` the prefix's inverse-probability mass; at the final slot
         both are the exact ``R * u_xi / (u_g + u_xi * A)``.  A threshold
-        admits the tasks whose priority exceeds it.  The count above one
-        slot's threshold gives both that slot's positive count and the next
-        slot's clamped count.
+        admits the tasks whose priority exceeds it (:meth:`admits_own_size`
+        tells, by two comparisons, whether that count is the prefix size).
+        The count above one slot's threshold gives both that slot's positive
+        count and the next slot's clamped count.
         """
         s, u_xi, mass = self.s, self.u_xi, self.cum_w[1:]
         phase = self.start(self.gains.shape[:1])
@@ -454,8 +475,7 @@ class _Kernel:
             else:
                 u_z = self.u_zeta[:, n - 1]
                 eta_hat = residual * u_z / ((u_g + u_z) * mass)
-            admitted = self.above(eta_hat)
-            match = (admitted == sizes) & (sizes >= positive[:, None])
+            match = self.admits_own_size(eta_hat) & (sizes >= positive[:, None])
             first = np.argmax(match, axis=1)
             k = np.where(match[rows, first], first + 1, s.L)
             eta = self.slot(phase, n, k, c)
@@ -514,7 +534,8 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     ``xi`` (built when omitted) must be the demand table of ``channel`` and
     ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``
     (built when omitted and needed) the ``L`` priority prefixes of this
-    very ``s`` under this ``xi``; otherwise ``ValueError``.  Residual bits
+    very ``s`` under this ``xi``, and every gain must be finite and
+    positive; otherwise ``ValueError``.  Residual bits
     that come out negative or not finite are a numerical failure
     (``FloatingPointError``).
     """
@@ -532,8 +553,8 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         raise ValueError(f"gains must have shape (episodes, {s.N})")
     if realized.shape != (gains.shape[0],):
         raise ValueError("realized must hold one task index per episode")
-    if not np.all(gains > 0.0):
-        raise ValueError("all gains must be strictly positive")
+    if not np.all((gains > 0.0) & (gains < np.inf)):
+        raise ValueError("all gains must be finite and strictly positive")
     if np.any((realized < 0) | (realized >= s.L)):
         raise IndexError("realized task index out of range")
     if forced_prefix is not None and policy is not PrefetchPolicy.NONCAUSAL_ORACLE:

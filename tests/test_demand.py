@@ -202,7 +202,7 @@ class TestEpisodes:
     def test_input_validation(self):
         table = build_xi_table(FastGamma(k=2), m=2, horizon=3)
         beta, gains = np.array([1.0, 2.0]), np.ones((2, 3))
-        for bad in (0.0, -1.0, np.nan):
+        for bad in (0.0, -1.0, np.nan, np.inf):
             broken = gains.copy()
             broken[1, 2] = bad
             with pytest.raises(ValueError, match="gains"):

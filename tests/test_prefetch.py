@@ -664,6 +664,15 @@ class TestEpisodeRunner:
             run_prefetch_batch(S3, FAST2, policy, gains, np.array([0, 1]), xi=XI3,
                                prefix_tables=TABLES3)
 
+    @pytest.mark.parametrize("slot", [S3.N_P - 1, S3.N_P], ids=["prefetch", "demand"])
+    @pytest.mark.parametrize("policy", PrefetchPolicy)
+    def test_infinite_gain_rejected(self, policy, slot):
+        gains = np.ones((2, S3.N))
+        gains[1, slot] = np.inf
+        with pytest.raises(ValueError, match="gains"):
+            run_prefetch_batch(S3, FAST2, policy, gains, np.array([0, 1]), xi=XI3,
+                               prefix_tables=TABLES3)
+
     @pytest.mark.parametrize("policy", PrefetchPolicy)
     def test_empty_batch(self, policy):
         batch = run_prefetch_batch(S3, FAST2, policy, np.empty((0, S3.N)),
@@ -852,15 +861,50 @@ def dense_first_reached(kernel, level, bound, n, k):
     return active, eta, sent, candidates
 
 
+def bisection_step(kernel, level, c, n, k):
+    """The slot step with a fixed-length bisection over ``[max(c, 1), k]``.
+
+    The search the galloping step replaced, kept as its bitwise reference:
+    both probe the same monotone test, so they must agree bit for bit.
+    """
+    row = c * (kernel.s.L + 1)
+    u_g = kernel.u_gain[:, n - 1]
+    if n == kernel.s.N_P:
+        total, spare = 0.0, u_g / kernel.u_xi
+    else:
+        total = kernel.totals(level, row, k) * u_g / (u_g + kernel.u_zeta[k - 1, n - 1])
+        spare = 0.0
+    lo = np.minimum(np.maximum(c, 1), k)
+    active = np.maximum(lo, k)
+    for _ in range(int((active - lo).max(initial=0)).bit_length()):
+        mid = (lo + active) // 2
+        eta = (kernel.totals(level, row, mid) - total) / (kernel.cum_w.take(mid) + spare)
+        reached = eta >= np.minimum(kernel.delta.take(mid), level)
+        np.copyto(active, mid, where=reached)
+        mid += 1
+        np.copyto(lo, mid, where=~reached)
+    held = kernel.totals(level, row, active)
+    mass = kernel.cum_w.take(active)
+    eta = np.maximum((held - total) / (mass + spare), 0.0)
+    return active, eta, held - eta * mass
+
+
 class TestSlotSearch:
     TOL = 1e-12
 
     def check(self, s, channel, rng, episodes=200):
+        """Compare the step with the dense scan and the bisection on random states.
+
+        Returns how far above ``max(c, 1)`` each state's first reached
+        prefix lies, so that callers can check that the gallop's brackets
+        grew.
+        """
         xi = build_xi_table(channel, s.m, s.N - s.N_P)
         tables = build_prefix_tables(s, channel, xi)
         gains = sample_gain(channel, rng, (episodes, s.N))
         kernel = prefetch._kernel(s, xi, tables, gains)
         delta = kernel.delta[:-1]
+        gaps = []
         for n in range(1, s.N_P + 1):
             # Arbitrary states: any level from zero to above the top
             # priority, levels equal to a priority, any bound and set size.
@@ -870,9 +914,13 @@ class TestSlotSearch:
             level[on_priority] = rng.choice(delta, np.count_nonzero(on_priority))
             bound = rng.integers(0, s.L + 1, episodes)
             k = rng.integers(1, s.L + 1, episodes)
-            active, eta, sent = kernel.step(level, kernel.clamped(level, bound), n, k)
+            c = kernel.clamped(level, bound)
+            active, eta, sent = kernel.step(level, c, n, k)
+            for got, want in zip((active, eta, sent), bisection_step(kernel, level, c, n, k)):
+                assert np.array_equal(got, want)
             ref_active, ref_eta, ref_sent, candidates = dense_first_reached(
                 kernel, level, bound, n, k)
+            gaps.append(active - np.minimum(np.maximum(c, 1), k))
             rows = np.arange(episodes)
             moved = active != ref_active
             np.testing.assert_allclose(candidates[rows, active - 1][moved],
@@ -891,6 +939,7 @@ class TestSlotSearch:
             slope = s.m * np.maximum(sent, ref_sent) ** (s.m - 1)
             assert np.all(np.abs(scale * sent ** s.m - scale * ref_sent ** s.m)
                           <= scale * slope * gap)
+        return np.concatenate(gaps)
 
     def test_matches_the_dense_scan_on_random_instances(self):
         rng = np.random.default_rng(30)
@@ -908,6 +957,106 @@ class TestSlotSearch:
                            gamma=np.array([5.0, 5.0, 2.0, 2.0]))):
             assert len(set(priorities(s))) < s.L
             self.check(s, FAST2, rng)
+
+
+    @pytest.mark.parametrize("L", [31, 64, 128, 256])
+    def test_matches_the_bisection_at_wide_L(self, L):
+        # Uniform scenarios tie every priority, so the first reached prefix
+        # spreads over the whole range above the clamped count and the
+        # gallop's brackets grow to their widest.
+        rng = np.random.default_rng(L)
+        for uniform in (False, True):
+            gaps = np.concatenate([
+                self.check(generate_scenario(rng, L=L, gamma_total=10.0 ** rng.uniform(-3, 4),
+                                             m=m, N=10, N_P=8, uniform=uniform),
+                           FastGamma(int(rng.choice([2, 3, 8]))), rng)
+                for m in range(2, 6)])
+            assert np.count_nonzero(gaps >= 3) >= 20
+        assert gaps.max() >= L // 2
+
+
+class TestSetRule:
+    """The causal set rule's count test by two comparisons equals the searched count."""
+
+    SCENARIOS = {
+        "L1": Scenario(m=2, N=4, N_P=2, p=np.array([1.0]), gamma=np.array([3.0])),
+        "L2": Scenario(m=3, N=4, N_P=2, p=np.array([0.7, 0.3]), gamma=np.array([1.0, 2.0])),
+        "tied": Scenario(m=3, N=8, N_P=5, p=np.array([0.3, 0.3, 0.2, 0.2]),
+                         gamma=np.array([5.0, 5.0, 2.0, 2.0])),
+        "uniform": generate_scenario(np.random.default_rng(0), L=16, gamma_total=20.0, m=2,
+                                     N=10, N_P=8, uniform=True),
+        "random": generate_scenario(np.random.default_rng(1), L=64, gamma_total=20.0, m=3,
+                                    N=10, N_P=8),
+    }
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_comparisons_equal_the_searched_count(self, name):
+        s = self.SCENARIOS[name]
+        rng = np.random.default_rng(len(name))
+        kernel = prefetch._kernel(s, build_xi_table(FAST2, s.m, s.N - s.N_P), None,
+                                  np.ones((1, s.N)))
+        delta, sizes = kernel.delta, np.arange(1, s.L + 1)
+        # Column j-1 holds estimates for size j: its own priority delta[j-1],
+        # the next one delta[j] (the sentinel -inf at j = L), a value between
+        # them, any value from zero to above the top priority, and the
+        # infinities.
+        lower = np.maximum(delta[1:], 0.0)
+        choices = np.stack(np.broadcast_arrays(
+            delta[:-1], delta[1:], rng.uniform(lower, delta[:-1]),
+            rng.uniform(0.0, 1.2 * delta[0], s.L), 0.0, np.inf, -np.inf))
+        estimate = choices[rng.integers(0, len(choices), (500, s.L)), sizes - 1]
+        expected = kernel.above(estimate) == sizes
+        assert np.array_equal(kernel.admits_own_size(estimate), expected)
+        assert expected.any() and not expected.all()
+        # Below every priority, an estimate admits the whole set through the
+        # sentinel.
+        assert np.all(kernel.admits_own_size(np.full(s.L, delta[s.L - 1] / 2))
+                      == (sizes == s.L))
+
+
+class TestProbeCount:
+    """The galloping slot step probes no more prefix totals than the bisection.
+
+    Counted as calls of ``_Kernel.totals`` on the noncausal oracle, whose
+    ``(L, episodes)`` searches are where the probes cost (each probe reads
+    ``L`` times more totals than a causal one).  A causal ``(episodes,)``
+    search can take a few more probes when one episode's bracket grows
+    far, a gallop's worst case of about twice the bisection's.
+    """
+
+    @staticmethod
+    def probes(monkeypatch, step, s, xi, tables, gains, realized):
+        calls = []
+        totals = prefetch._Kernel.totals
+
+        def counted(kernel, *args):
+            calls.append(None)
+            return totals(kernel, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(prefetch._Kernel, "totals", counted)
+            patch.setattr(prefetch._Kernel, "step", step)
+            batch = run_prefetch_batch(s, FAST2, "noncausal", gains, realized, xi=xi,
+                                       prefix_tables=tables)
+        return len(calls), batch
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("L", [2, 4, 8, 16, 64])
+    def test_no_more_probes_than_the_bisection(self, monkeypatch, L, m):
+        rng = np.random.default_rng(100 * L + m)
+        s = generate_scenario(rng, L=L, gamma_total=20.0, m=m, N=10, N_P=8)
+        xi = build_xi_table(FAST2, m, s.N - s.N_P)
+        tables = build_prefix_tables(s, FAST2, xi)
+        gains, realized = draw_episodes(s, FAST2, rng, 1000)
+        gallop, batch = self.probes(monkeypatch, prefetch._Kernel.step, s, xi, tables,
+                                    gains, realized)
+        bisection, reference = self.probes(monkeypatch, bisection_step, s, xi, tables,
+                                           gains, realized)
+        for name in ("thresholds", "slot_set_size", "prefetch_energy"):
+            assert np.array_equal(getattr(batch, name), getattr(reference, name))
+        assert gallop <= bisection
+        if (L, m) == (64, 2):
+            assert gallop <= 0.6 * bisection
 
 
 class TestFlatTables:
