@@ -1,10 +1,11 @@
 """Command-line interface: parameter sweeps, single-stage inspection, figures.
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags, bad
-config file, inconsistent geometry), 3 for numerical failures (any
-``ArithmeticError``: quadrature, floating-point, overflow and division
-errors).  Commands run with numpy overflow, division by zero and invalid
-operations raising, so a numerical failure stops where it happens.
+or unreadable config file, unwritable output, inconsistent geometry), 3
+for numerical failures (any ``ArithmeticError``: quadrature,
+floating-point, overflow and division errors).  Commands run with numpy
+overflow, division by zero and invalid operations raising, so a
+numerical failure stops where it happens.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _read_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     settings = {}
-    with open(path) as handle:
+    with _on_disk("read config file", path, open, path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -117,6 +118,14 @@ def _read_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key.strip()!r}")
             settings[key] = value.strip()
     return settings
+
+
+def _on_disk(action: str, path: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, with an ``OSError`` on ``path`` a configuration error."""
+    try:
+        return call(*args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot {action} {path}: {exc.strerror}") from None
 
 
 def _coerce(key: str, value):
@@ -187,7 +196,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     cfg = _sweep_config(settings)
     rows = run_sweep(cfg)
-    emit_csv(rows, settings["out"])
+    _on_disk("write", settings["out"], emit_csv, rows, settings["out"])
     print(f"wrote {len(rows)} rows to {settings['out']}")
     return 0
 
@@ -239,11 +248,12 @@ def _print_fast_single(s, settings, rng) -> None:
     realized = rng.choice(s.L, size=1, p=s.p)
     result = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi)
     order = priority_order(s)
+    decisions = result.decisions
     print(f"fast fading, k={settings['k']}, policy={policy.value}")
     for n in range(s.N_P):
         members = ",".join(str(i) for i in sorted(order[:result.slot_set_size[0, n]])) or "-"
         print(f"  slot {n + 1}: g={gains[0, n]:.4f} eta={result.thresholds[0, n]:.5g} "
-              f"bits={result.decisions[0, n].sum():.5g} set={{{members}}}")
+              f"bits={decisions[0, n].sum():.5g} set={{{members}}}")
     total = _positive("total", lam * result.total_energy[0])
     reference = _positive("no-prefetch", lam * no_prefetch_energy_fast(s, xi))
     bits, _ = simulate_demand_batch(result.beta, gains[:, s.N_P:], xi)
@@ -280,7 +290,7 @@ _FIGURE_SPECS = [
 def _cmd_figures(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     out_dir = settings["out"]
-    os.makedirs(out_dir, exist_ok=True)
+    _on_disk("create output directory", out_dir, os.makedirs, out_dir, exist_ok=True)
     # The panels share their baseline points (fig5a at gamma=20, fig5b at
     # L=4 and fig5c at N=5 are one simulation), so one memo serves them;
     # fig6's partial-sum draws meet no other panel's.
@@ -292,7 +302,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
                           scenarios=settings["scenarios"], seed=settings["seed"], **overrides)
         rows = gain_vs_shape(cfg) if name == "fig6" else _run_sweep(cfg, memo)
         path = os.path.join(out_dir, f"{name}.csv")
-        emit_csv(rows, path)
+        _on_disk("write", path, emit_csv, rows, path)
         print(f"wrote {path}")
     return 0
 

@@ -41,11 +41,13 @@ __all__ = [
     "threshold_eta",
     "decision_vector",
     "noncausal_final_threshold",
-    "alpha_from_final_threshold",
     "best_prefix_set",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: The slow oracle's grid holds at most this many points.
+_GRID_CAP = 2e5
 
 #: The gain quantiles take at most this many Newton steps and stop once a
 #: step moves every one by at most ``_QUANTILE_STEP_TOL`` relative (Newton's
@@ -112,14 +114,16 @@ def _golden_section(fun, lo: float, hi: float, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def slow_oracle(s: Scenario, resolution: int = 21, refine: bool = True) -> OracleResult:
+def slow_oracle(s: Scenario, resolution: int = 21) -> OracleResult:
     """Brute-force minimization of the slow-fading stage energy at unit gain.
 
     Vectorized dense grid over ``[0, gamma]^L`` (the per-axis resolution is
-    capped so the grid stays below ~2e5 points), optionally refined by
-    cyclic coordinate descent with golden-section line searches — the
-    objective is smooth and strictly convex, so the refinement converges to
-    the global optimum regardless of the starting point.
+    capped so the grid stays below ``_GRID_CAP`` points), refined by cyclic
+    coordinate descent with golden-section line searches — the objective is
+    smooth and strictly convex, so the refinement converges to the global
+    optimum regardless of the starting point.  A grid needs two points per
+    axis, so ``L >= 18`` tasks (``2**18 > _GRID_CAP``) raise ``ValueError``
+    unless ``N == N_P``, where the plan is prefetching everything.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution!r}")
@@ -129,7 +133,10 @@ def slow_oracle(s: Scenario, resolution: int = 21, refine: bool = True) -> Oracl
         return OracleResult(objective=value, alpha=alpha, residual=0.0,
                             grid_objective=value, resolution=resolution)
 
-    res_eff = max(2, min(resolution, int(2e5 ** (1.0 / s.L))))
+    if 2 ** s.L > _GRID_CAP:
+        raise ValueError(f"a grid over {s.L} tasks has at least 2**{s.L} points, "
+                         f"more than {_GRID_CAP:g}")
+    res_eff = min(resolution, int(_GRID_CAP ** (1.0 / s.L)))
     axes = [np.linspace(0.0, gi, res_eff) for gi in s.gamma]
     mesh = np.meshgrid(*axes, indexing="ij")
     total = np.zeros_like(mesh[0])
@@ -140,24 +147,22 @@ def slow_oracle(s: Scenario, resolution: int = 21, refine: bool = True) -> Oracl
     values = total ** s.m / s.N_P ** (s.m - 1) + demand / (s.N - s.N_P) ** (s.m - 1)
     flat_best = int(np.argmin(values))
     unravel = np.unravel_index(flat_best, values.shape)
-    alpha = np.array([axes[i][unravel[i]] for i in range(s.L)])
+    alpha = [axes[i][unravel[i]] for i in range(s.L)]
     grid_objective = float(values[unravel])
 
     best = grid_objective
-    if refine:
-        alpha = list(alpha)
-        for _ in range(200):
-            previous = best
-            for i in range(s.L):
-                def line(x, i=i):
-                    trial = list(alpha)
-                    trial[i] = x
-                    return _stage_objective(trial, s)
-                alpha[i] = _golden_section(line, 0.0, float(s.gamma[i]))
-            best = _stage_objective(alpha, s)
-            if previous - best <= 1e-13 * (1.0 + abs(best)):
-                break
-        alpha = np.array(alpha)
+    for _ in range(200):
+        previous = best
+        for i in range(s.L):
+            def line(x, i=i):
+                trial = list(alpha)
+                trial[i] = x
+                return _stage_objective(trial, s)
+            alpha[i] = _golden_section(line, 0.0, float(s.gamma[i]))
+        best = _stage_objective(alpha, s)
+        if previous - best <= 1e-13 * (1.0 + abs(best)):
+            break
+    alpha = np.array(alpha)
 
     # Stationarity violation of the box-constrained problem at the solution.
     total = float(alpha.sum())
@@ -174,9 +179,8 @@ def slow_oracle(s: Scenario, resolution: int = 21, refine: bool = True) -> Oracl
             viol = abs(grad)
         residual = max(residual, viol)
 
-    return OracleResult(objective=best, alpha=np.asarray(alpha, dtype=float),
-                        residual=residual, grid_objective=grid_objective,
-                        resolution=res_eff)
+    return OracleResult(objective=best, alpha=alpha, residual=residual,
+                        grid_objective=grid_objective, resolution=res_eff)
 
 
 def _erlang_head(k: int, x: np.ndarray) -> np.ndarray:
@@ -344,14 +348,14 @@ def _transitions(m: int, *grids: bytes) -> tuple:
 
 
 def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
-                          gain_bins: int = 16,
-                          no_prefetch: bool = False) -> InductionResult:
+                          gain_bins: int = 16) -> InductionResult:
     """Discretized backward induction over the whole stage.
 
     States are per-task residual bits on uniform grids (at most 41 points,
     at most two tasks); fast-fading gains are discretized into
-    equal-probability bins represented by their conditional means.  With
-    ``no_prefetch=True`` the prefetch-phase decisions are pinned to zero.
+    equal-probability bins represented by their conditional means.  The
+    value with no prefetching is ``sum(p * demand[-1] for p, demand in
+    zip(s.p, result.demand_values))``, the demand values at full residuals.
     It returns the expected stage energy per unit ``lam`` from full residuals
     and raises ``FloatingPointError`` if that value is not finite (the
     transition costs ``send**m`` overflow, for instance).
@@ -387,8 +391,7 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
                    for grid in grids)
     # Terminal layer: the task realizes right after the last prefetch slot.
     boundary = functools.reduce(np.add.outer, [p * d for p, d in zip(s.p, demand)])
-    if not no_prefetch:
-        boundary = _backward_steps(grids, s.m, boundary, s.N_P, gain_values, gain_weights)
+    boundary = _backward_steps(grids, s.m, boundary, s.N_P, gain_values, gain_weights)
     value = float(boundary.reshape(-1)[-1])
     if not np.isfinite(value):
         raise FloatingPointError(f"backward induction value is not finite: {value!r}")
@@ -446,7 +449,9 @@ def decision_vector(rho: np.ndarray, eta: float, s: Scenario) -> np.ndarray:
 
     Applies ``[rho - eta * p**(-1/(m-1))]+`` to *every* task; tasks whose
     priority falls below the threshold get zero on their own.  Decisions
-    never exceed the residual.
+    never exceed the residual.  The slot thresholds telescope, so at the
+    full residuals ``s.gamma`` and the final threshold this gives the bits
+    each task is sent over the whole phase.
     """
     _check_residuals(rho, s)
     if eta < 0.0 or not np.isfinite(eta):
@@ -486,24 +491,10 @@ def noncausal_final_threshold(rho: np.ndarray, slot: int, future_gains,
     return value
 
 
-def alpha_from_final_threshold(s: Scenario, eta_final: float) -> np.ndarray:
-    """Total bits each task ends up prefetching over the whole phase.
-
-    The slot thresholds telescope, so only the final one matters:
-    ``alpha = [gamma - eta_final * p**(-1/(m-1))]+``.
-    """
-    if eta_final < 0.0 or not np.isfinite(eta_final):
-        raise ValueError(f"threshold must be nonnegative and finite, got {eta_final!r}")
-    w = s.p ** (-1.0 / (s.m - 1))
-    return np.maximum(s.gamma - eta_final * w, 0.0)
-
-
-def best_prefix_set(s: Scenario, channel: Channel, xi: XiTable,
-                    exhaustive: bool = False) -> tuple:
+def best_prefix_set(s: Scenario, channel: Channel, xi: XiTable) -> tuple:
     """Minimize the locked-set energy *formula* over candidate target sets.
 
-    Searches the priority-ordered prefixes (plus the empty set); with
-    ``exhaustive=True`` every subset is scanned instead (L <= 10).  Returns
+    Searches the priority-ordered prefixes (plus the empty set).  Returns
     ``(task_set, energy, zeta_or_none)``.
 
     The formula assumes every member stays active in every prefetch slot,
@@ -512,15 +503,9 @@ def best_prefix_set(s: Scenario, channel: Channel, xi: XiTable,
     policy of ``run_prefetch_batch`` scores realized executions instead.
     """
     best = (frozenset(), no_prefetch_energy_fast(s, xi), None)
-    if exhaustive:
-        if s.L > 10:
-            raise ValueError("exhaustive subset search is limited to L <= 10")
-        candidates = [tuple(i for i in range(s.L) if mask >> i & 1)
-                      for mask in range(1, 1 << s.L)]
-    else:
-        order = priority_order(s)
-        candidates = [tuple(order[:k]) for k in range(1, s.L + 1)]
-    for members in candidates:
+    order = priority_order(s)
+    for k in range(1, s.L + 1):
+        members = tuple(order[:k])
         zeta = build_zeta_table(s, channel, members, xi)
         energy = expected_total_energy_fast(zeta)
         if energy < best[1]:

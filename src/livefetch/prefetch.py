@@ -534,10 +534,10 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     ``xi`` (built when omitted) must be the demand table of ``channel`` and
     ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``
     (built when omitted and needed) the ``L`` priority prefixes of this
-    very ``s`` under this ``xi``, and every gain must be finite and
-    positive; otherwise ``ValueError``.  Residual bits
-    that come out negative or not finite are a numerical failure
-    (``FloatingPointError``).
+    very ``s`` under this ``xi``, every gain must be finite and positive
+    and every task index a whole number; otherwise ``ValueError``.
+    Residual bits that come out negative or not finite are a numerical
+    failure (``FloatingPointError``).
     """
     policy = PrefetchPolicy(policy)
     if xi is None:
@@ -548,15 +548,18 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         if built != [(s, members, xi) for members in _prefix_sets(s)]:
             raise ValueError("prefix_tables are not the priority prefixes of s under xi")
     gains = np.asarray(gains, dtype=float)
-    realized = np.asarray(realized, dtype=int)
+    realized = np.asarray(realized)
     if gains.ndim != 2 or gains.shape[1] != s.N:
         raise ValueError(f"gains must have shape (episodes, {s.N})")
     if realized.shape != (gains.shape[0],):
         raise ValueError("realized must hold one task index per episode")
     if not np.all((gains > 0.0) & (gains < np.inf)):
         raise ValueError("all gains must be finite and strictly positive")
+    if not np.all(np.floor(realized) == realized):
+        raise ValueError("realized task indices must be whole numbers")
     if np.any((realized < 0) | (realized >= s.L)):
         raise IndexError("realized task index out of range")
+    realized = realized.astype(int)
     if forced_prefix is not None and policy is not PrefetchPolicy.NONCAUSAL_ORACLE:
         raise ValueError(f"only the noncausal policy takes forced_prefix, not {policy.value}")
     if forced_prefix is not None and not 1 <= forced_prefix <= s.L:

@@ -124,6 +124,25 @@ class TestConfigFile:
         assert main(["sweep", "--config", missing]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_config_directory_exits_two(self, tmp_path, capsys):
+        assert main(["sweep", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config file")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--param", "gamma", "--values", "5", "--policies", "slow-opt",
+         "--scenarios", "1"],
+        ["figures", "--trials", "5", "--scenarios", "1"],
+    ], ids=["sweep", "figures"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(command + ["--out", str(blocker / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot ")
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     def test_missing_required_setting_exits_two(self, capsys):

@@ -4,7 +4,9 @@ No linter ships with the project, so this walks the syntax tree with the
 standard library's ``ast``.  The package ``__init__`` re-exports names and
 is exempt, as is an import statement marked ``# noqa: F401``.  A private
 module-level function, class or constant (one leading underscore) must be
-read somewhere in its module besides its definition.  The package exports
+read somewhere in its module besides its definition.  Every parameter of a
+library function is read in its body, so a mode whose branch is gone
+cannot keep its parameter.  The package exports
 exactly the union of its modules' ``__all__``, each bound in its module.
 The energy coefficient ``lam`` is an output unit: only the sweep harness
 and the command line bind it.  Importing the package loads no part of scipy.
@@ -106,6 +108,36 @@ def test_a_dead_private_name_is_reported():
     source = ("__all__ = []\n_USED = 1\n_DEAD = 2\n\n\ndef _helper():\n    return _USED\n\n\n"
               "class _Gone:\n    pass\n\n\ndef public():\n    return _helper()\n")
     assert dead_private_names(source) == ["_DEAD (line 3)", "_Gone (line 10)"]
+
+
+def unread_parameters(source: str) -> list:
+    """Parameters that their function's body never reads (defaults and decorators aside)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        arguments = node.args
+        read = {name.id for statement in node.body for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [f"{node.name}.{argument.arg} (line {argument.lineno})"
+                  for argument in (*arguments.posonlyargs, *arguments.args,
+                                   arguments.vararg, *arguments.kwonlyargs, arguments.kwarg)
+                  if argument is not None and argument.arg not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_an_unread_parameter_is_reported():
+    source = ("def f(a, b, *rest, c=1, **extra):\n    return a + c\n\n\n"
+              "class A:\n    def g(self, x=None):\n        def h(y, z=x):\n"
+              "            return self.y\n        return h\n")
+    # ``self`` is read in the nested body and ``x`` in its default.
+    assert unread_parameters(source) == ["f.b (line 1)", "f.rest (line 1)", "f.extra (line 1)",
+                                         "h.y (line 7)", "h.z (line 7)"]
 
 
 def public_modules() -> list:

@@ -37,6 +37,11 @@ def random_scenario(rng, L_max=3):
                     gamma=rng.uniform(0.5, 10.0, L))
 
 
+def no_prefetch_value(s, result):
+    """The induction's value with no prefetching: each task's demand value at full residuals."""
+    return sum(p * demand[-1] for p, demand in zip(s.p, result.demand_values))
+
+
 def golden_min(f, lo, hi, tol=1e-10):
     inv = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -97,7 +102,7 @@ class TestSlowOracle:
         exact = expected_fetch_energy_slow(optimal_prefetch_slow(s))
         errors = []
         for resolution in (5, 9, 17, 33):   # nested grids: 2x refinements
-            raw = slow_oracle(s, resolution=resolution, refine=False)
+            raw = slow_oracle(s, resolution=resolution)
             errors.append(raw.grid_objective - exact)
         assert all(e >= -1e-12 for e in errors)
         assert all(a >= b for a, b in zip(errors, errors[1:]))
@@ -123,6 +128,14 @@ class TestSlowOracle:
         result = slow_oracle(s, resolution=21)
         assert result.resolution == 7          # 7**6 < 2e5 < 8**6
         assert result.resolution ** 6 <= 2e5
+
+    def test_two_points_per_axis_over_the_cap_are_rejected(self):
+        # 2**17 grid points fit under the cap, 2**18 do not.
+        s = Scenario(m=2, N=8, N_P=5, p=np.full(17, 1 / 17), gamma=np.full(17, 1.0))
+        assert slow_oracle(s).resolution == 2
+        s = Scenario(m=2, N=8, N_P=5, p=np.full(18, 1 / 18), gamma=np.full(18, 1.0))
+        with pytest.raises(ValueError, match="2\\*\\*18 points"):
+            slow_oracle(s)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -187,9 +200,9 @@ class TestBackwardInduction:
     def test_no_prefetch_restriction_is_pure_demand(self):
         s = Scenario(m=2, N=3, N_P=1, p=np.array([0.6, 0.4]),
                      gamma=np.array([5.0, 3.0]))
-        slow = p5_backward_induction(s, SlowFading(2.0), bit_grid=41,
-                                     no_prefetch=True)
-        assert slow.value == pytest.approx(no_prefetch_energy_slow(s) / 2.0, rel=2e-2)
+        slow = p5_backward_induction(s, SlowFading(2.0), bit_grid=41)
+        assert no_prefetch_value(s, slow) == pytest.approx(no_prefetch_energy_slow(s) / 2.0,
+                                                           rel=2e-2)
 
         # Fast channel: the restricted value equals sum_l p gamma^m times
         # the two-slot demand coefficient of the quantized support, obtained
@@ -198,9 +211,8 @@ class TestBackwardInduction:
         xi1 = float(np.sum(weights / reps))
         xi2 = float(np.sum(weights * xi1 / (1.0 + xi1 * reps)))
         exact = float(np.sum(s.p * s.gamma ** 2)) * xi2
-        fast = p5_backward_induction(s, FAST2, bit_grid=41, gain_bins=16,
-                                     no_prefetch=True)
-        assert fast.value == pytest.approx(exact, rel=2e-2)
+        fast = p5_backward_induction(s, FAST2, bit_grid=41, gain_bins=16)
+        assert no_prefetch_value(s, fast) == pytest.approx(exact, rel=2e-2)
 
     def test_gain_support_matches_independent_reconstruction(self):
         reps, weights = quantized_support(2, 16)
@@ -327,12 +339,12 @@ class TestSparseStep:
                                  p=rng.dirichlet(np.ones(L)),
                                  gamma=rng.uniform(0.5, 10.0, L))
                     result = p5_backward_induction(s, channel, bit_grid=bit_grid,
-                                                   gain_bins=gain_bins,
-                                                   no_prefetch=no_prefetch)
+                                                   gain_bins=gain_bins)
                     grids = tuple(np.linspace(0.0, gi, bit_grid) for gi in s.gamma)
                     value, demand = dense_induction(s, grids, result.gain_values,
                                                     result.gain_weights, no_prefetch)
-                    assert result.value == value
+                    assert (no_prefetch_value(s, result) if no_prefetch
+                            else result.value) == value
                     assert len(result.demand_values) == L
                     for sparse, dense in zip(result.demand_values, demand):
                         assert sparse.shape == dense.shape
@@ -388,11 +400,6 @@ class TestTransitionCache:
         oracles._transitions.cache_clear()
         same_induction(warm, p5_backward_induction(other, FAST2, bit_grid=7))
 
-    def test_no_prefetch_builds_only_the_demand_grids(self):
-        oracles._transitions.cache_clear()
-        p5_backward_induction(self.scenario([5.0, 3.0]), FAST2, bit_grid=7, no_prefetch=True)
-        assert oracles._transitions.cache_info().currsize == 2
-
     def test_cached_arrays_are_read_only(self):
         grids = [np.linspace(0.0, 4.0, 5), np.linspace(0.0, 2.0, 5)]
         for array in oracles._transitions(3, *(grid.tobytes() for grid in grids)):
@@ -422,11 +429,11 @@ class TestWavefront:
                     channel = FastGamma(int(rng.integers(2, 5))) if gain_bins > 1 \
                         else SlowFading(1.3)
                     result = p5_backward_induction(s, channel, bit_grid=bit_grid,
-                                                   gain_bins=gain_bins,
-                                                   no_prefetch=no_prefetch)
+                                                   gain_bins=gain_bins)
                     value, demand = dense_induction(s, result.bit_grids, result.gain_values,
                                                     result.gain_weights, no_prefetch)
-                    assert result.value == value
+                    assert (no_prefetch_value(s, result) if no_prefetch
+                            else result.value) == value
                     assert all(map(np.array_equal, result.demand_values, demand))
 
     @pytest.mark.parametrize("block", [1, 7, 37, 64, 4096])

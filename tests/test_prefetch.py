@@ -13,7 +13,6 @@ from livefetch.model import (
     sample_gain,
 )
 from livefetch.oracles import (
-    alpha_from_final_threshold,
     best_prefix_set,
     decision_vector,
     noncausal_final_threshold,
@@ -258,24 +257,26 @@ class TestNoncausalFinalThreshold:
                 noncausal_final_threshold(rho, 2, gains, TABLES3[1])
 
 
-class TestAlphaFromFinalThreshold:
+class TestPhaseTotal:
+    """The decision vector at full residuals and the final threshold: the phase's bits."""
+
     def test_zero_threshold_prefetches_everything(self):
-        assert alpha_from_final_threshold(S3, 0.0) == pytest.approx(S3.gamma)
+        assert decision_vector(S3.gamma, 0.0, S3) == pytest.approx(S3.gamma)
 
     def test_huge_threshold_prefetches_nothing(self):
-        assert alpha_from_final_threshold(S3, 1e9) == pytest.approx([0.0] * 3)
+        assert decision_vector(S3.gamma, 1e9, S3) == pytest.approx([0.0] * 3)
 
     def test_reference_value(self):
         s = Scenario(m=2, N=3, N_P=1, p=np.array([0.9, 0.1]),
                      gamma=np.array([4.0, 4.0]))
-        alpha = alpha_from_final_threshold(s, 1.0)
+        alpha = decision_vector(s.gamma, 1.0, s)
         assert alpha == pytest.approx([4.0 - 1.0 / 0.9, 0.0], abs=1e-12)
         assert alpha[0] == pytest.approx(2.8889, abs=1e-4)
 
     def test_validation(self):
         for bad in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
-                alpha_from_final_threshold(S3, bad)
+                decision_vector(S3.gamma, bad, S3)
 
 
 # One-prefetch-slot instance: no future estimation is involved.
@@ -482,17 +483,14 @@ class TestSetEnergy:
             s = Scenario(m=2, N=5, N_P=2, p=p, gamma=gamma)
             xi = build_xi_table(FAST2, 2, 3)
             prefix_set, prefix_energy, _ = best_prefix_set(s, FAST2, xi)
-            full_set, full_energy, _ = best_prefix_set(s, FAST2, xi,
-                                                       exhaustive=True)
+            full_set, full_energy = frozenset(), no_prefetch_energy_fast(s, xi)
+            for mask in range(1, 1 << s.L):
+                members = tuple(i for i in range(s.L) if mask >> i & 1)
+                energy = expected_total_energy_fast(build_zeta_table(s, FAST2, members, xi))
+                if energy < full_energy:
+                    full_set, full_energy = frozenset(members), energy
             assert full_energy == pytest.approx(prefix_energy, rel=1e-12)
             assert full_set == prefix_set
-
-    def test_exhaustive_search_size_limit(self):
-        s = Scenario(m=2, N=5, N_P=2, p=np.full(11, 1.0 / 11),
-                     gamma=np.full(11, 2.0))
-        with pytest.raises(ValueError):
-            best_prefix_set(s, FAST2, build_xi_table(FAST2, 2, 3),
-                            exhaustive=True)
 
     def test_monte_carlo_matches_formula_for_converged_set(self):
         # Lock the episode runner to the modal revealed-gain selection; the
@@ -779,7 +777,7 @@ class TestBatchRunner:
                     eta_final = noncausal_final_threshold(s.gamma, 1, gains[i, :s.N_P],
                                                           tables[k - 1])
                     assert result.thresholds[i, -1] == pytest.approx(eta_final, rel=1e-12)
-                    alpha = alpha_from_final_threshold(s, eta_final)
+                    alpha = decision_vector(s.gamma, eta_final, s)
                     sent = s.gamma - result.final_rho[i]
                     assert sent[members] == pytest.approx(alpha[members], rel=1e-12)
             assert checked > 0
@@ -806,6 +804,19 @@ class TestBatchRunner:
                 run_prefetch_batch(S3, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
                                    gains, realized, xi=XI3,
                                    forced_prefix=bad_prefix)
+
+    def test_task_indices_must_be_whole_numbers(self):
+        gains, realized = draw_episodes(S3, FAST2, np.random.default_rng(23), 10)
+        for bad in (realized + 0.5, np.where(realized == 0, 0.7, realized),
+                    np.full(10, np.nan)):
+            with pytest.raises(ValueError, match="whole numbers"):
+                run_prefetch_batch(S3, FAST2, "aggressive", gains, bad, xi=XI3)
+        whole = run_prefetch_batch(S3, FAST2, "aggressive", gains, realized.astype(float),
+                                   xi=XI3)
+        exact = run_prefetch_batch(S3, FAST2, "aggressive", gains, realized, xi=XI3)
+        assert whole.realized.dtype == exact.realized.dtype
+        assert np.array_equal(whole.realized, realized)
+        assert np.array_equal(whole.total_energy, exact.total_energy)
 
     @pytest.mark.parametrize("policy", ["aggressive", "conservative", "no-prefetch"])
     def test_forced_prefix_is_the_noncausal_oracles_alone(self, policy):
@@ -1150,7 +1161,7 @@ class TestCausalClosedForms:
                     expected = decision_vector(rho, result.thresholds[i, n - 1], s)
                     np.testing.assert_allclose(bits, expected, rtol=0.0, atol=tol)
                     rho = rho - bits
-                alpha = alpha_from_final_threshold(s, result.thresholds[i, -1])
+                alpha = decision_vector(s.gamma, result.thresholds[i, -1], s)
                 np.testing.assert_allclose(s.gamma - result.final_rho[i], alpha,
                                            rtol=0.0, atol=tol)
 
