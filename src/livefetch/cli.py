@@ -1,6 +1,7 @@
 """Command-line interface: parameter sweeps, single-stage inspection, figures.
 
-Exit codes: 0 on success, 2 for configuration problems (bad flags, bad
+Exit codes: 0 on success (also when standard output closes early: every
+file is still written), 2 for configuration problems (bad flags, bad
 or unreadable config file, unwritable output, inconsistent geometry), 3
 for numerical failures (any ``ArithmeticError``: quadrature,
 floating-point, overflow and division errors).  Commands run with numpy
@@ -128,6 +129,21 @@ def _on_disk(action: str, path: str, call, *args, **kwargs):
         raise ConfigError(f"cannot {action} {path}: {exc.strerror}") from None
 
 
+def _say(line: str) -> None:
+    """Print ``line`` to standard output; once that is closed, print nothing more.
+
+    A reader that stops early (``livefetch figures | head -1``) must not
+    stop the command before it has written its files.  Each line is
+    flushed, so a closed pipe fails here; standard output then turns to
+    ``os.devnull``, so that neither a later line nor the flush at exit
+    fails again.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")
+
+
 def _coerce(key: str, value):
     """Convert a config-file string to the type of the key's default."""
     if not isinstance(value, str):
@@ -197,7 +213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _sweep_config(settings)
     rows = run_sweep(cfg)
     _on_disk("write", settings["out"], emit_csv, rows, settings["out"])
-    print(f"wrote {len(rows)} rows to {settings['out']}")
+    _say(f"wrote {len(rows)} rows to {settings['out']}")
     return 0
 
 
@@ -209,12 +225,12 @@ def _cmd_single(args: argparse.Namespace) -> int:
     s = generate_scenario(rng, L=settings["L"], gamma_total=settings["gamma_total"],
                           m=settings["m"], N=settings["N"], N_P=settings["Np"],
                           uniform=bool(settings["uniform"]))
-    print(f"scenario: L={s.L} N={s.N} N_P={s.N_P} m={s.m} lam={settings['lam']} "
-          f"gamma_total={s.gamma_total:.6g}")
+    _say(f"scenario: L={s.L} N={s.N} N_P={s.N_P} m={s.m} lam={settings['lam']} "
+         f"gamma_total={s.gamma_total:.6g}")
     with np.printoptions(precision=5, suppress=True):
-        print(f"  p        = {s.p}")
-        print(f"  gamma    = {s.gamma}")
-        print(f"  priority = {priorities(s)}")
+        _say(f"  p        = {s.p}")
+        _say(f"  gamma    = {s.gamma}")
+        _say(f"  priority = {priorities(s)}")
     if fading == "slow":
         _print_slow_single(s, settings)
     else:
@@ -227,16 +243,16 @@ def _print_slow_single(s, settings) -> None:
     unit = settings["lam"] / g
     plan = optimal_prefetch_slow(s)
     with np.printoptions(precision=5, suppress=True):
-        print(f"slow fading, g={g}")
-        print(f"  optimal alpha = {plan.alpha} (targets {sorted(plan.task_set)})")
-        print(f"  alpha_sigma   = {plan.alpha_sigma:.6g}")
+        _say(f"slow fading, g={g}")
+        _say(f"  optimal alpha = {plan.alpha} (targets {sorted(plan.task_set)})")
+        _say(f"  alpha_sigma   = {plan.alpha_sigma:.6g}")
     energy = expected_fetch_energy_slow(plan)
-    print(f"  expected energy           = {_positive('expected', unit * energy):.6g}")
+    _say(f"  expected energy           = {_positive('expected', unit * energy):.6g}")
     if s.N > s.N_P:
         base = no_prefetch_energy_slow(s)
-        print(f"  no-prefetch energy        = {_positive('no-prefetch', unit * base):.6g}")
-        print(f"  prefetching gain          = {base / energy:.6g} "
-              f"({to_db(base / energy):.3f} dB)")
+        _say(f"  no-prefetch energy        = {_positive('no-prefetch', unit * base):.6g}")
+        _say(f"  prefetching gain          = {base / energy:.6g} "
+             f"({to_db(base / energy):.3f} dB)")
 
 
 def _print_fast_single(s, settings, rng) -> None:
@@ -249,21 +265,21 @@ def _print_fast_single(s, settings, rng) -> None:
     result = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi)
     order = priority_order(s)
     decisions = result.decisions
-    print(f"fast fading, k={settings['k']}, policy={policy.value}")
+    _say(f"fast fading, k={settings['k']}, policy={policy.value}")
     for n in range(s.N_P):
         members = ",".join(str(i) for i in sorted(order[:result.slot_set_size[0, n]])) or "-"
-        print(f"  slot {n + 1}: g={gains[0, n]:.4f} eta={result.thresholds[0, n]:.5g} "
-              f"bits={decisions[0, n].sum():.5g} set={{{members}}}")
+        _say(f"  slot {n + 1}: g={gains[0, n]:.4f} eta={result.thresholds[0, n]:.5g} "
+             f"bits={decisions[0, n].sum():.5g} set={{{members}}}")
     total = _positive("total", lam * result.total_energy[0])
     reference = _positive("no-prefetch", lam * no_prefetch_energy_fast(s, xi))
     bits, _ = simulate_demand_batch(result.beta, gains[:, s.N_P:], xi)
-    print(f"  realized task  = {realized[0]}")
+    _say(f"  realized task  = {realized[0]}")
     with np.printoptions(precision=5, suppress=True):
-        print(f"  demand bits    = {bits[0]}")
-    print(f"  prefetch energy = {lam * result.prefetch_energy[0]:.6g}")
-    print(f"  demand energy   = {lam * result.demand_energy[0]:.6g}")
-    print(f"  total energy    = {total:.6g}")
-    print(f"  no-prefetch reference = {reference:.6g}")
+        _say(f"  demand bits    = {bits[0]}")
+    _say(f"  prefetch energy = {lam * result.prefetch_energy[0]:.6g}")
+    _say(f"  demand energy   = {lam * result.demand_energy[0]:.6g}")
+    _say(f"  total energy    = {total:.6g}")
+    _say(f"  no-prefetch reference = {reference:.6g}")
 
 
 def _positive(name: str, energy: float) -> float:
@@ -303,7 +319,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         rows = gain_vs_shape(cfg) if name == "fig6" else _run_sweep(cfg, memo)
         path = os.path.join(out_dir, f"{name}.csv")
         _on_disk("write", path, emit_csv, rows, path)
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
     return 0
 
 

@@ -122,7 +122,8 @@ def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable) -
 
     ``beta`` holds one residual per episode and ``gains`` the demand-phase
     gains in slot order, shape ``(episodes, duration)``, which both outputs
-    share; energies are ``bits**m / g`` per unit ``lam``.  The final slot
+    share (as transposes of slot-major arrays); energies are ``bits**m / g``
+    per unit ``lam``.  The final slot
     flushes the whole residual, so each episode's bits sum to its ``beta``.
     Raises ``ValueError`` unless the shapes agree, every gain is finite and
     positive, every ``beta`` is finite and nonnegative, and ``1 <= duration
@@ -140,7 +141,8 @@ def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable) -
     if not np.all((beta >= 0.0) & (beta < np.inf)):
         raise ValueError("residual bits must be finite and nonnegative")
     root = 1.0 / (table.m - 1)
-    bits, energy = np.empty_like(gains), np.empty_like(gains)
+    # Slot-major buffers: each slot writes one contiguous row.
+    bits, energy = np.empty((duration, beta.size)), np.empty((duration, beta.size))
     residual = beta.copy()
     for slot in range(duration):
         remaining = duration - slot
@@ -150,7 +152,7 @@ def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable) -
         else:
             u_g = g ** root
             sent = residual * u_g / (u_g + table.inv_root[remaining - 1])
-        bits[:, slot] = sent
-        energy[:, slot] = sent ** table.m / g
+        bits[slot] = sent
+        energy[slot] = sent ** table.m / g
         residual -= sent
-    return bits, energy
+    return bits.T, energy.T

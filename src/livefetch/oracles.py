@@ -282,22 +282,65 @@ def _backward_steps(grids: tuple, m: int, value: np.ndarray, slots: int,
     and its buffers stay in cache.  Each entry sees the same float
     operations as one slot at a time over all states, with the gain bins
     summed in their order, so the result is bitwise the same.
+
+    Each block first drops every pair that can never beat staying put
+    (:func:`_stay_bound_prune`), bitwise without effect on any minimum.
+    Write ``V_n`` for ``values[n]`` and ``fl`` for rounding to nearest.
+
+    - Rounded division and the rounded addition of a value ``V >= 0`` are
+      monotone, and ``g <= max(gain_values)``, so at every gain bin a
+      pair's step ``fl(fl(cost / g) + V_n(next))`` is at least
+      ``fl(cost / max(gain_values))``.
+    - The stay pair (``next == state``, cost 0) is worth exactly
+      ``V_n(state)`` at every gain bin, so every minimum is at most that.
+    - ``V_{n+1}`` weighs the ``B`` bins' minima and sums them in order.
+      With ``u = 2**-53``, the weights (each bin's share ``1/B``, rounded)
+      sum to at most ``1 + u``, and each product and each of the ``B - 1``
+      additions rounds up by a factor of at most ``1 + u``, so
+      ``V_{n+1} <= (1 + u)**(B+1) * V_n <= (1 + (B+2) u) * V_n``.  Hence
+      ``V_n <= U = V_0 * (1 + (B+2) u)**slots``; the code bounds ``U`` from
+      above with a margin of two (``(1 + 2 (B+2) u)**slots``, exact but for
+      the power, then rounded up to the next float).
+    - A pair with ``fl(cost / max(gain_values)) > U(state)`` therefore lies
+      strictly above the stay pair at every gain bin and slot: no minimum
+      changes a bit.  ``U = inf`` (the demand grids' terminal values)
+      keeps every pair.
     """
     cost, following, starts = _transitions(m, *(grid.tobytes() for grid in grids))
     values = np.empty((slots + 1, starts.size))
     values[0] = value.reshape(-1)
     bounds = _block_bounds(starts, cost.size)
     ends = np.append(starts, cost.size)
+    growth = (1.0 + 2.0 * (gain_values.size + 2) * 2.0 ** -53) ** slots
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         a, b = ends[lo], ends[hi]
-        scaled = cost[a:b] / gain_values[:, None]
-        step, local = np.empty_like(scaled), starts[lo:hi] - a
+        with np.errstate(over="ignore"):
+            stay_bound = np.nextafter(values[0, lo:hi] * growth, np.inf)
+        kept, next_kept, local = _stay_bound_prune(
+            cost[a:b], following[a:b], starts[lo:hi] - a, stay_bound, gain_values.max())
+        scaled = kept / gain_values[:, None]
+        step = np.empty_like(scaled)
         for n in range(slots):
-            np.add(scaled, values[n].take(following[a:b]), out=step)
+            np.add(scaled, values[n].take(next_kept), out=step)
             least = np.minimum.reduceat(step, local, axis=1)
             least *= gain_weights[:, None]
             values[n + 1, lo:hi] = np.add.accumulate(least)[-1]
     return values[-1]
+
+
+def _stay_bound_prune(cost: np.ndarray, following: np.ndarray, local: np.ndarray,
+                      stay_bound: np.ndarray, top_gain: float) -> tuple:
+    """One block's pairs that may beat staying put, and the offsets of their groups.
+
+    ``local`` holds the offset of each state's first pair and ``stay_bound``
+    its bound ``U`` on every value the steps reach (see
+    :func:`_backward_steps`).  A pair is dropped when ``cost / top_gain``
+    exceeds its state's ``U``.  The stay pair costs nothing, so every state
+    keeps at least it and no group is empty.
+    """
+    keep = cost / top_gain <= np.repeat(stay_bound, np.diff(np.append(local, cost.size)))
+    before = np.concatenate([[0], np.cumsum(keep)])
+    return cost[keep], following[keep], before[local]
 
 
 #: The backward steps run in blocks of whole state groups of about this many
@@ -364,7 +407,10 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
     slots of a block at a time; that is valid because no task's residual
     rises, so every next state comes at or before its state.  Each block
     divides its costs by each gain once per call, not once per slot, and
-    the result is bitwise the one of stepping slot by slot.
+    the result is bitwise the one of stepping slot by slot.  Each block
+    also drops, once, the transitions whose cost at the best gain already
+    exceeds a bound on the value of sending nothing; they can never be a
+    minimum, so that too changes no bit.
 
     The value is not a certified bound on the causal optimum.  The grid
     restricts the decisions, which raises it; the conditional-mean gains

@@ -230,13 +230,17 @@ def _residuals(s: Scenario, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
     A task holds ``level * p**(-1/(m-1))`` if it is among the ``bound``
     first in priority order and its priority exceeds ``level``, and its
-    whole ``gamma`` otherwise (see :class:`_Phase`).
+    whole ``gamma`` otherwise (see :class:`_Phase`).  The tasks run on the
+    first axis, so each comparison broadcasts a task column against a row
+    of episodes; the result is the ``(..., L)`` view of that array.
     """
+    column = (s.L,) + (1,) * np.ndim(level)
     rank = np.empty(s.L, dtype=int)
     rank[priority_order(s)] = np.arange(s.L)
-    level, bound = level[..., None], bound[..., None]
-    clamped = (rank < bound) & (priorities(s) > level)
-    return np.where(clamped, level * s.p ** -(1.0 / (s.m - 1)), s.gamma)
+    clamped = (rank.reshape(column) < bound) & (priorities(s).reshape(column) > level)
+    held = np.where(clamped, level * (s.p ** -(1.0 / (s.m - 1))).reshape(column),
+                    s.gamma.reshape(column))
+    return np.moveaxis(held, 0, -1)
 
 
 @dataclass
@@ -254,7 +258,9 @@ class _Phase:
     The arrays are ``(E,)``, or ``(L, E)`` while every locked prefix runs
     at once (row ``k-1`` locks the size-``k`` prefix); the per-slot records
     put the slot first, ``(N_P, E)`` or ``(N_P, L, E)``, so that each slot
-    writes one contiguous row.
+    writes one contiguous row.  The causal set rule's per-size residual
+    totals and estimates are ``(L, E)`` too: episodes always run on the
+    last axis.
     """
 
     level: np.ndarray              #: last slot's threshold
@@ -286,7 +292,12 @@ class _Phase:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Per-batch constants of the prefetch phase, tasks in priority order."""
+    """Per-batch constants of the prefetch phase, tasks in priority order.
+
+    Every array that crosses episodes with sizes keeps the episodes on the
+    last axis: the noncausal batch's locked prefixes and the causal set
+    rule's residual totals, estimates and matches are ``(L, E)``.
+    """
 
     s: Scenario
     gam: np.ndarray        #: (L,) data sizes
@@ -313,14 +324,24 @@ class _Kernel:
         return self.falling.searchsorted(-level)
 
     def admits_own_size(self, estimate: np.ndarray) -> np.ndarray:
-        """Whether ``estimate[..., j-1]`` admits exactly ``j`` tasks, for each size ``j``.
+        """Whether ``estimate[j-1]`` admits exactly ``j`` tasks, for each size ``j``.
 
-        ``delta`` does not increase and ends in ``-inf``, so exactly ``j``
-        priorities exceed an estimate when ``delta[j-1]`` does and
-        ``delta[j]`` does not: the count test ``above(estimate) == j``
-        without a search.
+        ``estimate`` is ``(L, E)``, one row per size.  ``delta`` does not
+        increase and ends in ``-inf``, so exactly ``j`` priorities exceed an
+        estimate when ``delta[j-1]`` does and ``delta[j]`` does not: the
+        count test ``above(estimate) == j`` without a search.
         """
-        return (self.delta[:-1] > estimate) & (self.delta[1:] <= estimate)
+        return (self.delta[:-1, None] > estimate) & (self.delta[1:, None] <= estimate)
+
+    def least_admitting(self, estimate: np.ndarray, positive: np.ndarray) -> np.ndarray:
+        """Per episode, the least size ``j >= positive`` that ``estimate[j-1]`` admits.
+
+        ``estimate`` is ``(L, E)`` as in :meth:`admits_own_size`; an episode
+        with no such size gets ``L``.
+        """
+        sizes = np.arange(1, self.s.L + 1)[:, None]
+        match = self.admits_own_size(estimate) & (sizes >= positive)
+        return np.where(match, sizes, self.s.L).min(axis=0)
 
     def clamped(self, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
         """Count ``c`` of the leading tasks held at the water level."""
@@ -455,29 +476,28 @@ class _Kernel:
         both are the exact ``R * u_xi / (u_g + u_xi * A)``.  A threshold
         admits the tasks whose priority exceeds it (:meth:`admits_own_size`
         tells, by two comparisons, whether that count is the prefix size).
-        The count above one slot's threshold gives both that slot's positive
-        count and the next slot's clamped count.
+        The residual totals and both estimates are ``(L, E)``, so each
+        operation broadcasts a column of sizes against a row of episodes,
+        and :meth:`least_admitting` picks the size.  The count above one slot's threshold gives both that
+        slot's positive count and the next slot's clamped count.
         """
-        s, u_xi, mass = self.s, self.u_xi, self.cum_w[1:]
+        s, u_xi, mass = self.s, self.u_xi, self.cum_w[1:, None]
         phase = self.start(self.gains.shape[:1])
-        rows = np.arange(self.gains.shape[0])
-        sizes = np.arange(1, s.L + 1)
+        sizes = np.arange(1, s.L + 1)[:, None]
         above = self.above(phase.level)
-        positive = np.zeros(rows.size, dtype=int)
+        positive = np.zeros(self.gains.shape[0], dtype=int)
         for n in range(1, s.N_P + 1):
-            u_g = self.u_gain[:, n - 1, None]
+            u_g = self.u_gain[:, n - 1]
             c = np.minimum(phase.bound, above)
-            residual = self.totals(phase.level[:, None], c[:, None] * (s.L + 1), sizes)
+            residual = self.totals(phase.level, c * (s.L + 1), sizes)
             if n == s.N_P:
                 eta_hat = residual * u_xi / (u_g + u_xi * mass)
             elif policy is PrefetchPolicy.AGGRESSIVE:
-                eta_hat = residual * u_xi / (u_g + self.u_zeta[:, n - 1])
+                eta_hat = residual * u_xi / (u_g + self.u_zeta[:, n - 1, None])
             else:
-                u_z = self.u_zeta[:, n - 1]
+                u_z = self.u_zeta[:, n - 1, None]
                 eta_hat = residual * u_z / ((u_g + u_z) * mass)
-            match = self.admits_own_size(eta_hat) & (sizes >= positive[:, None])
-            first = np.argmax(match, axis=1)
-            k = np.where(match[rows, first], first + 1, s.L)
+            k = self.least_admitting(eta_hat, positive)
             eta = self.slot(phase, n, k, c)
             above = self.above(eta)
             positive = np.minimum(k, above)
@@ -575,7 +595,11 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
                                  "negative or not finite")
     _, demand = simulate_demand_batch(final_rho[np.arange(gains.shape[0]), realized],
                                       gains[:, s.N_P:], xi)
+    # Summed slot by slot, in the order of ``np.cumsum(demand, axis=1)``.
+    demand_energy = demand[:, 0].copy()
+    for energy in demand.T[1:]:
+        demand_energy += energy
     return BatchResult(scenario=s, policy=policy, prefetch_energy=phase.energy,
-                       demand_energy=np.cumsum(demand, axis=1)[:, -1], realized=realized,
+                       demand_energy=demand_energy, realized=realized,
                        final_rho=final_rho, thresholds=phase.thresholds.T,
                        slot_set_size=phase.slot_set_size.T)

@@ -1,6 +1,7 @@
 """Command-line interface: flag handling, config files, exit codes."""
 
 import io
+import sys
 import warnings
 from dataclasses import fields
 
@@ -378,3 +379,41 @@ class TestFiguresCommand:
             expected = io.StringIO()
             emit_csv(gain_vs_shape(cfg) if name == "fig6" else run_sweep(cfg), expected)
             assert (out_dir / f"{name}.csv").read_bytes() == expected.getvalue().encode(), name
+
+
+class ClosedStdout(io.StringIO):
+    """A standard output whose reader has gone: every write raises ``BrokenPipeError``."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A closed standard output stops no command before its files are written."""
+
+    @pytest.mark.parametrize("command, written", [
+        (["figures", "--trials", "5", "--scenarios", "1"],
+         [f"{name}.csv" for name in FIGURE_NAMES]),
+        (["sweep", "--param", "L", "--values", "2,4", "--fading", "fast",
+          "--trials", "20", "--scenarios", "1"], ["out.csv"]),
+        (["single", "--fading", "fast", "--seed", "3"], []),
+        (["single", "--fading", "slow", "--seed", "3"], []),
+    ], ids=["figures", "sweep", "single-fast", "single-slow"])
+    def test_finishes_and_exits_zero(self, tmp_path, monkeypatch, capsys, command, written):
+        closed = ClosedStdout()
+        monkeypatch.setattr("sys.stdout", closed)
+        out = ["--out", str(tmp_path / ("." if command[0] == "figures" else "out.csv"))]
+        code = main(command + (out if written else []))
+        replacement = sys.stdout
+        monkeypatch.undo()
+        replacement.close()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        # The first line met the closed pipe and no later line tried it.
+        assert closed.writes == 1 and replacement is not closed
+        assert sorted(path.name for path in tmp_path.iterdir()) == written

@@ -244,3 +244,44 @@ class TestEpisodes:
         # Check the vectorized replay against the library simulator.
         _, simulated = simulate_demand_batch(np.full(episodes, 4.0), gains, table)
         np.testing.assert_allclose(simulated.sum(axis=1), energy, rtol=1e-12)
+
+
+def column_demand_batch(beta, gains, table):
+    """The xi-policy filling ``(E, d)`` buffers column by column, the layout it replaced.
+
+    Kept as the bitwise reference of the slot-major ``simulate_demand_batch``.
+    """
+    root = 1.0 / (table.m - 1)
+    duration = gains.shape[1]
+    bits, energy = np.empty_like(gains), np.empty_like(gains)
+    residual = beta.copy()
+    for slot in range(duration):
+        remaining = duration - slot
+        g = gains[:, slot]
+        if remaining == 1:
+            sent = residual.copy()
+        else:
+            u_g = g ** root
+            sent = residual * u_g / (u_g + table.inv_root[remaining - 1])
+        bits[:, slot] = sent
+        energy[:, slot] = sent ** table.m / g
+        residual -= sent
+    return bits, energy
+
+
+class TestSlotMajor:
+    """Slot-major buffers return the column-major loop's ``(E, d)`` values bit for bit."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_the_column_major_loop(self, m):
+        rng = np.random.default_rng(m + 40)
+        for channel in (FastGamma(k=2), FastGamma(k=5), SlowFading(g=0.7)):
+            for duration in range(1, 10):
+                table = build_xi_table(channel, m=m, horizon=duration)
+                for episodes in (0, 1, 257):
+                    beta = rng.uniform(0.0, 30.0, episodes)
+                    gains = sample_gain(channel, rng, (episodes, duration))
+                    got = simulate_demand_batch(beta, gains, table)
+                    for mine, theirs in zip(got, column_demand_batch(beta, gains, table)):
+                        assert mine.shape == theirs.shape == (episodes, duration)
+                        assert mine.tobytes() == theirs.tobytes()

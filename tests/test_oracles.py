@@ -18,6 +18,7 @@ from livefetch.slow import (
     no_prefetch_energy_slow,
     optimal_prefetch_slow,
 )
+from livefetch.sweep import generate_scenario
 
 UNIFORM2 = Scenario(m=2, N=2, N_P=1, p=np.array([0.5, 0.5]), gamma=np.array([4.0, 4.0]))
 
@@ -451,6 +452,70 @@ class TestWavefront:
                 # first, and each block reaches past the next multiple of it.
                 assert starts[hi - 1] - starts[lo] < block
                 assert ends[hi] // block > ends[lo] // block or hi == starts.size
+
+
+class TestStayBoundPrune:
+    """Dropping the pairs that cannot beat staying put changes no bit of the induction."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count the pairs each block offers to the prune and the pairs it keeps."""
+        prune, counts = oracles._stay_bound_prune, {"offered": 0, "kept": 0}
+
+        def counting(cost, *args):
+            kept = prune(cost, *args)
+            counts["offered"] += cost.size
+            counts["kept"] += kept[0].size
+            return kept
+        monkeypatch.setattr(oracles, "_stay_bound_prune", counting)
+        return counts
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_wide_bins_and_long_horizons_match_the_dense_recursion(self, monkeypatch, L, m):
+        # 64 gain bins and up to 40 slots raise the margin of the stay bound
+        # to its widest; small blocks put the states of one grid in many.
+        counts = self.counted(monkeypatch)
+        rng = np.random.default_rng([L, m, 19])
+        for gain_bins, N, bit_grid in ((64, 6, 11), (16, 40, 5), (64, 24, 7)):
+            if L == 1:
+                bit_grid = 31
+            monkeypatch.setattr(oracles, "_BLOCK_PAIRS", int(rng.integers(20, 300)))
+            s = Scenario(m=m, N=N, N_P=int(rng.integers(N // 2, N)),
+                         p=rng.dirichlet(np.ones(L)), gamma=rng.uniform(0.5, 10.0, L))
+            result = p5_backward_induction(s, FastGamma(int(rng.integers(2, 5))),
+                                           bit_grid=bit_grid, gain_bins=gain_bins)
+            value, demand = dense_induction(s, result.bit_grids, result.gain_values,
+                                            result.gain_weights, no_prefetch=False)
+            assert result.value == value
+            assert all(map(np.array_equal, result.demand_values, demand))
+        assert counts["kept"] < counts["offered"]
+
+    def test_infinite_terminal_values_keep_every_pair(self, monkeypatch):
+        # A demand grid ends at +inf off its zero state, whose only pair is
+        # the stay pair: the prune must keep every pair.
+        counts = self.counted(monkeypatch)
+        grid = np.linspace(0.0, 7.5, 31)
+        gain_values, gain_weights = oracles._gain_support(FastGamma(3), 16)
+        values = oracles._backward_steps((grid,), 3, np.where(grid > 0.0, np.inf, 0.0), 6,
+                                         gain_values, gain_weights)
+        assert counts["kept"] == counts["offered"] == grid.size * (grid.size + 1) // 2
+        s = Scenario(m=3, N=7, N_P=1, p=np.array([1.0]), gamma=np.array([7.5]))
+        _, demand = dense_induction(s, (grid,), gain_values, gain_weights, no_prefetch=True)
+        assert np.array_equal(values, demand[0])
+
+    def test_prunes_a_third_of_the_oracle_c8_pairs(self, monkeypatch):
+        # The criterion-8 instance at N_P = 2, as the benchmark runs it: the
+        # prune drops at least a third of the pairs, and the result equals
+        # the one with nothing pruned, field for field.
+        rng = np.random.default_rng(np.random.SeedSequence((1, 11, 0)))
+        s = generate_scenario(rng, L=2, gamma_total=20.0, m=2, N=10, N_P=2)
+        counts = self.counted(monkeypatch)
+        pruned = p5_backward_induction(s, FAST2, bit_grid=31, gain_bins=16)
+        assert counts["kept"] <= 2 * counts["offered"] / 3
+        monkeypatch.setattr(oracles, "_stay_bound_prune",
+                            lambda cost, following, local, *_: (cost, following, local))
+        same_induction(pruned, p5_backward_induction(s, FAST2, bit_grid=31, gain_bins=16))
 
 
 def kronecker_transitions(m, grids):

@@ -846,6 +846,21 @@ class TestBatchRunner:
             simulate_demand_batch(np.full(gains.shape[0], bad), gains[:, S3.N_P:], XI3)
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+def test_demand_energy_is_the_slot_ordered_sum(d):
+    # The running sum adds the slots in cumsum's order; from eight slots on,
+    # numpy's pairwise ``sum`` over contiguous rows groups them differently.
+    rng = np.random.default_rng(d + 70)
+    s = generate_scenario(rng, L=3, gamma_total=20.0, m=int(rng.integers(2, 6)),
+                          N=d + 3, N_P=3)
+    xi = build_xi_table(FAST2, s.m, d)
+    gains, realized = draw_episodes(s, FAST2, rng, 500)
+    for policy in PrefetchPolicy:
+        result = run_prefetch_batch(s, FAST2, policy, gains, realized, xi=xi)
+        _, energy = simulate_demand_batch(result.beta, gains[:, s.N_P:], xi)
+        assert result.demand_energy.tobytes() == np.cumsum(energy, axis=1)[:, -1].tobytes()
+
+
 def dense_first_reached(kernel, level, bound, n, k):
     """Slot solve by scanning every prefix size: the search's reference.
 
@@ -1017,12 +1032,76 @@ class TestSetRule:
             rng.uniform(0.0, 1.2 * delta[0], s.L), 0.0, np.inf, -np.inf))
         estimate = choices[rng.integers(0, len(choices), (500, s.L)), sizes - 1]
         expected = kernel.above(estimate) == sizes
-        assert np.array_equal(kernel.admits_own_size(estimate), expected)
+        assert np.array_equal(kernel.admits_own_size(estimate.T), expected.T)
         assert expected.any() and not expected.all()
         # Below every priority, an estimate admits the whole set through the
         # sentinel.
-        assert np.all(kernel.admits_own_size(np.full(s.L, delta[s.L - 1] / 2))
+        assert np.all(kernel.admits_own_size(np.full((s.L, 1), delta[s.L - 1] / 2))[:, 0]
                       == (sizes == s.L))
+
+
+def argmax_set_rule(kernel, estimate, positive):
+    """The causal set rule on ``(E, L)`` estimates by ``argmax``, the layout it replaced.
+
+    Kept as the reference of ``_Kernel.least_admitting``, which takes
+    ``(L, E)`` estimates and must pick the same size for every episode.
+    """
+    rows = np.arange(estimate.shape[0])
+    sizes = np.arange(1, kernel.s.L + 1)
+    match = ((kernel.delta[:-1] > estimate) & (kernel.delta[1:] <= estimate)
+             & (sizes >= positive[:, None]))
+    first = np.argmax(match, axis=1)
+    return np.where(match[rows, first], first + 1, kernel.s.L)
+
+
+class TestLeastAdmitting:
+    """The episode-minor set rule picks the size of the ``(E, L)`` argmax rule."""
+
+    @staticmethod
+    def kernel(L, rng):
+        s = generate_scenario(rng, L=L, gamma_total=20.0, m=int(rng.integers(2, 6)),
+                              N=10, N_P=8)
+        return prefetch._kernel(s, build_xi_table(FAST2, s.m, s.N - s.N_P), None,
+                                np.ones((1, s.N)))
+
+    @pytest.mark.parametrize("L", [1, 2, 4, 8, 64])
+    def test_random_estimates(self, L):
+        rng = np.random.default_rng(L + 500)
+        kernel = self.kernel(L, rng)
+        delta, sizes = kernel.delta, np.arange(1, L + 1)
+        # As in TestSetRule: each size's own priority, the next one, values
+        # between them, anything from zero to above the top, the infinities.
+        choices = np.stack(np.broadcast_arrays(
+            delta[:-1], delta[1:], rng.uniform(np.maximum(delta[1:], 0.0), delta[:-1]),
+            rng.uniform(0.0, 1.2 * delta[0], L), 0.0, np.inf, -np.inf))
+        estimate = choices[rng.integers(0, len(choices), (2000, L)), sizes - 1]
+        positive = rng.integers(0, L + 1, 2000)
+        k = kernel.least_admitting(estimate.T, positive)
+        assert np.array_equal(k, argmax_set_rule(kernel, estimate, positive))
+        # The draws hold rows that no size matches and, from two tasks on,
+        # rows whose positive floor skips a smaller admitting size.
+        admits = kernel.above(estimate) == sizes
+        assert np.any(~(admits & (sizes >= positive[:, None])).any(axis=1))
+        unfloored = argmax_set_rule(kernel, estimate, np.zeros_like(positive))
+        assert L == 1 or np.any(admits.any(axis=1) & (unfloored < k))
+
+    @pytest.mark.parametrize("policy", ["aggressive", "conservative"])
+    @pytest.mark.parametrize("L", [1, 2, 4, 8, 64])
+    def test_causal_batches(self, monkeypatch, policy, L):
+        rng = np.random.default_rng(L + 600)
+        s = self.kernel(L, rng).s
+        rule, seen = prefetch._Kernel.least_admitting, []
+
+        def checked(kernel, estimate, positive):
+            k = rule(kernel, estimate, positive)
+            assert estimate.shape == (L, positive.size)
+            assert np.array_equal(k, argmax_set_rule(kernel, estimate.T, positive))
+            seen.append(k)
+            return k
+        monkeypatch.setattr(prefetch._Kernel, "least_admitting", checked)
+        gains, realized = draw_episodes(s, FAST2, rng, 400)
+        run_prefetch_batch(s, FAST2, policy, gains, realized)
+        assert sum(k.size for k in seen) == s.N_P * gains.shape[0]
 
 
 class TestProbeCount:
