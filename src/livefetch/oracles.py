@@ -448,8 +448,8 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
 def _check_residuals(rho: np.ndarray, s: Scenario) -> None:
     if rho.shape != s.gamma.shape:
         raise ValueError("rho must have one entry per candidate task")
-    if np.any(rho < -POSITIVE_BITS_EPS):
-        raise ValueError("residual bits must be nonnegative")
+    if not np.all((rho >= -POSITIVE_BITS_EPS) & (rho < np.inf)):
+        raise ValueError("residual bits must be finite and nonnegative")
 
 
 def _set_sums(rho: np.ndarray, slot: int, zeta: ZetaTable) -> tuple:
@@ -526,8 +526,8 @@ def noncausal_final_threshold(rho: np.ndarray, slot: int, future_gains,
     expected = s.N_P - slot + 1
     if gains.ndim != 1 or gains.size != expected:
         raise ValueError(f"need gains for slots {slot}..{s.N_P} ({expected} values)")
-    if not np.all(gains > 0.0):
-        raise ValueError("all gains must be strictly positive")
+    if not np.all((gains > 0.0) & (gains < np.inf)):
+        raise ValueError("all gains must be finite and strictly positive")
     root = 1.0 / (s.m - 1)
     u_xi = zeta.xi.inv_root[s.N - s.N_P]
     value = residual * u_xi / (gains[-1] ** root + u_xi * mass)

@@ -16,19 +16,21 @@ galloping search over the priority prefixes, up from the count of tasks
 held at the water level, whose residual totals are closed forms in the
 water level; it coincides with the closed forms in
 :mod:`livefetch.oracles` whenever every member of ``S`` is active.  The
-policies differ only in the priority prefix the step works on: the
-noncausal oracle runs all ``L`` locked prefixes as one batch against the
-revealed gains and keeps the best-scoring one per episode (the batch runs
-in cache-sized blocks of episodes),
-``forced_prefix`` locks one prefix for the noncausal oracle, and the two
-causal estimators (an optimistic and a pessimistic guess of the final-slot
-threshold) regrow the set every slot.  No threshold depends on the energy
-coefficient ``lam``, so every energy here is per unit ``lam``.
+policies differ only in the priority prefix the step works on, so one slot
+loop runs them all, each policy a rule for the prefix size: the noncausal
+oracle locks each of its candidate prefixes (all ``L`` of them, or
+``forced_prefix`` alone) in one batch against the revealed gains and keeps
+the best-scoring one per episode, and the two causal estimators (an
+optimistic and a pessimistic guess of the final-slot threshold) regrow the
+set every slot.  The loop runs in cache-sized blocks of episodes.  No
+threshold depends on the energy coefficient ``lam``, so every energy here
+is per unit ``lam``.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
@@ -255,12 +257,13 @@ class _Phase:
     executed threshold (the conservative one is the all-active formula, a
     lower bound once members clamp; the aggressive one lies below it since
     ``u_z > u_xi * A``): a task left out has ``delta <= eta_hat <= eta``.
-    The arrays are ``(E,)``, or ``(L, E)`` while every locked prefix runs
-    at once (row ``k-1`` locks the size-``k`` prefix); the per-slot records
-    put the slot first, ``(N_P, E)`` or ``(N_P, L, E)``, so that each slot
-    writes one contiguous row.  The causal set rule's per-size residual
-    totals and estimates are ``(L, E)`` too: episodes always run on the
-    last axis.
+    The arrays are ``(E,)``, or ``(candidates, E)`` while the noncausal
+    oracle runs its candidate prefixes at once (one row each: row ``k-1``
+    locks the size-``k`` prefix, or the single row ``forced_prefix``); the
+    per-slot records put the slot first, ``(N_P, E)`` or
+    ``(N_P, candidates, E)``, so that each slot writes one contiguous row.
+    The causal set rule's per-size residual totals and estimates are
+    ``(L, E)`` too: episodes always run on the last axis.
     """
 
     level: np.ndarray              #: last slot's threshold
@@ -277,7 +280,7 @@ class _Phase:
         self.slot_set_size[n - 1] = k
 
     def pick(self, rows: np.ndarray) -> None:
-        """Keep, for episode ``e`` of an ``(L, E)`` state, row ``rows[e]``."""
+        """Keep, for episode ``e`` of a ``(candidates, E)`` state, row ``rows[e]``."""
         episodes = np.arange(rows.size)
         for field in fields(self):
             setattr(self, field.name, getattr(self, field.name)[..., rows, episodes])
@@ -294,14 +297,15 @@ class _Phase:
 class _Kernel:
     """Per-batch constants of the prefetch phase, tasks in priority order.
 
-    Every array that crosses episodes with sizes keeps the episodes on the
-    last axis: the noncausal batch's locked prefixes and the causal set
-    rule's residual totals, estimates and matches are ``(L, E)``.
+    :meth:`phase` holds the one slot loop; a policy only chooses each
+    slot's prefix size, and :meth:`step` executes the slot.  Every array
+    that crosses episodes with sizes keeps the episodes on the last axis:
+    the noncausal oracle's candidate prefixes and the causal set rule's
+    residual totals, estimates and matches are ``(L, E)``.
     """
 
     s: Scenario
-    gam: np.ndarray        #: (L,) data sizes
-    prob: np.ndarray       #: (L,) task probabilities
+    tail: np.ndarray       #: (L+1,) suffix sums of p * gamma**m, then 0
     delta: np.ndarray      #: (L+1,) priorities gamma/w, non-increasing, then -inf
     falling: np.ndarray    #: (L,) -delta[:-1], non-decreasing, for ``searchsorted``
     cum_w: np.ndarray      #: (L+1,) prefix sums of w, from 0
@@ -343,10 +347,6 @@ class _Kernel:
         match = self.admits_own_size(estimate) & (sizes >= positive)
         return np.where(match, sizes, self.s.L).min(axis=0)
 
-    def clamped(self, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """Count ``c`` of the leading tasks held at the water level."""
-        return np.minimum(bound, self.above(level))
-
     def totals(self, level, row, j) -> np.ndarray:
         """Residual totals of the size-``j`` prefixes with ``c`` tasks at ``level``.
 
@@ -360,9 +360,9 @@ class _Kernel:
     def step(self, level: np.ndarray, c: np.ndarray, n: int, k):
         """Prefetch slot ``n`` on the size-``k`` prefixes: active count, threshold, sent bits.
 
-        ``c`` is the state's clamped count (:meth:`clamped`).  Before the
-        final slot the continuation depends on the members' residual total
-        ``R_k`` only, so the slot sends the stage-optimal total
+        ``c`` is the state's clamped count ``min(bound, above(level))``.
+        Before the final slot the continuation depends on the members'
+        residual total ``R_k`` only, so the slot sends the stage-optimal total
         ``T = R_k * u_g / (u_g + u_c)`` and an active prefix of size ``j``
         has the threshold ``(R_j - T) / W_j``; the final slot's stage problem
         is exactly separable, its threshold ``R_j / (W_j + u_g / u_xi)``.
@@ -412,40 +412,48 @@ class _Kernel:
         size = max(1, _BLOCK_ENTRIES // self.s.L)
         return _Phase.join([
             replace(self, gains=self.gains[start:start + size],
-                    u_gain=self.u_gain[start:start + size])._block(policy, forced_prefix)
+                    u_gain=self.u_gain[start:start + size]).phase(policy, forced_prefix)
             for start in range(0, max(self.gains.shape[0], 1), size)])
 
-    def _block(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> _Phase:
+    def phase(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> _Phase:
+        """The prefetch phase of this block under ``policy``: the one slot loop.
+
+        Each slot takes its clamped count ``c``, the policy's prefix size
+        ``k`` and one :meth:`step`; no-prefetch runs no slot.  The
+        noncausal oracle's sizes are its candidates, one row each: every
+        prefix as an ``(L, 1)`` column, or ``forced_prefix`` alone; it keeps
+        the best-scoring row per episode (:meth:`best_prefix`), which with
+        one candidate is that row.  The causal policies regrow the size
+        every slot (:meth:`regrown`) from the tasks that got positive bits
+        in the previous slot, the leading ``min(k, above)``: the count
+        above this slot's water level is the count above the last slot's
+        threshold.
+        """
+        s, episodes = self.s, self.gains.shape[:1]
         if policy is PrefetchPolicy.NO_PREFETCH:
-            return self.start(self.gains.shape[:1])
-        if forced_prefix is not None:
-            return self.locked(forced_prefix)
-        if policy is PrefetchPolicy.NONCAUSAL_ORACLE:
-            return self.noncausal()
-        return self.causal(policy)
-
-    def slot(self, phase: _Phase, n: int, k, c: np.ndarray) -> np.ndarray:
-        """Execute prefetch slot ``n`` on the size-``k`` prefixes; returns the threshold.
-
-        ``c`` is the phase's clamped count.
-        """
-        _, eta, sent = self.step(phase.level, c, n, k)
-        phase.energy += sent ** self.s.m / self.gains[:, n - 1]
-        phase.record(n, k, eta)
-        return eta
-
-    def locked(self, k) -> _Phase:
-        """The prefetch phase with the size-``k`` priority prefix locked.
-
-        ``k`` is a size or an ``(L, 1)`` column of sizes, one row each.
-        """
-        phase = self.start(np.broadcast_shapes(np.shape(k), self.gains.shape[:1]))
-        for n in range(1, self.s.N_P + 1):
-            self.slot(phase, n, k, self.clamped(phase.level, phase.bound))
+            return self.start(episodes)
+        causal = policy is not PrefetchPolicy.NONCAUSAL_ORACLE
+        if causal:
+            k = np.zeros(episodes, dtype=int)
+        elif forced_prefix is None:
+            k = np.arange(1, s.L + 1)[:, None]
+        else:
+            k = np.array([[forced_prefix]])
+        phase = self.start(episodes if causal else k.shape[:1] + episodes)
+        for n in range(1, s.N_P + 1):
+            above = self.above(phase.level)
+            c = np.minimum(phase.bound, above)
+            if causal:
+                k = self.regrown(policy, phase.level, c, n, np.minimum(k, above))
+            _, eta, sent = self.step(phase.level, c, n, k)
+            phase.energy += sent ** s.m / self.gains[:, n - 1]
+            phase.record(n, k, eta)
+        if not causal:
+            phase.pick(self.best_prefix(phase))
         return phase
 
-    def noncausal(self) -> _Phase:
-        """Every locked prefix at once, keeping the best-scoring one per episode.
+    def best_prefix(self, phase: _Phase) -> np.ndarray:
+        """Per episode, the row of a ``(candidates, E)`` phase with the least score.
 
         A prefix scores its realized prefetch energy plus the expected
         demand energy of its residuals, ``xi * sum p * rho**m``.  The
@@ -453,55 +461,41 @@ class _Kernel:
         sum is ``level**m * W_c`` plus the tail sum of ``p * gamma**m``.
         ``argmin`` keeps the first minimum: ties go to the smaller prefix.
         """
-        s = self.s
-        phase = self.locked(np.arange(1, s.L + 1)[:, None])
-        tail = np.append(np.cumsum((self.prob * self.gam ** s.m)[::-1])[::-1], 0.0)
-        c = self.clamped(phase.level, phase.bound)
-        score = phase.energy + self.demand_weight * (phase.level ** s.m * self.cum_w[c] + tail[c])
-        phase.pick(np.argmin(score, axis=0))
-        return phase
+        c = np.minimum(phase.bound, self.above(phase.level))
+        score = phase.energy + self.demand_weight * (phase.level ** self.s.m * self.cum_w[c]
+                                                     + self.tail[c])
+        return np.argmin(score, axis=0)
 
-    def causal(self, policy: PrefetchPolicy) -> _Phase:
-        """The prefetch phase with the working set regrown every slot.
+    def regrown(self, policy: PrefetchPolicy, level, c, n: int, positive) -> np.ndarray:
+        """The causal set rule: slot ``n``'s prefix size for each episode.
 
-        Each slot starts from the tasks that got positive bits in the
-        previous slot and takes the smallest priority prefix, at least that
-        large, whose estimated final threshold admits exactly as many tasks
-        as it holds (the full set if none does).  The estimates are
+        The size is the smallest, at least ``positive``, whose estimated
+        final threshold admits exactly as many tasks as the prefix holds
+        (the full set if none does).  The estimates are
 
             aggressive:   R * u_xi / (u_g + u_z(N-n))
             conservative: R * u_z(N-n) / ((u_g + u_z(N-n)) * A)
 
-        with ``A`` the prefix's inverse-probability mass; at the final slot
+        with ``R`` the prefix's residual total at ``level`` with ``c`` tasks
+        clamped and ``A`` its inverse-probability mass; at the final slot
         both are the exact ``R * u_xi / (u_g + u_xi * A)``.  A threshold
         admits the tasks whose priority exceeds it (:meth:`admits_own_size`
         tells, by two comparisons, whether that count is the prefix size).
         The residual totals and both estimates are ``(L, E)``, so each
         operation broadcasts a column of sizes against a row of episodes,
-        and :meth:`least_admitting` picks the size.  The count above one slot's threshold gives both that
-        slot's positive count and the next slot's clamped count.
+        and :meth:`least_admitting` picks the size.
         """
         s, u_xi, mass = self.s, self.u_xi, self.cum_w[1:, None]
-        phase = self.start(self.gains.shape[:1])
-        sizes = np.arange(1, s.L + 1)[:, None]
-        above = self.above(phase.level)
-        positive = np.zeros(self.gains.shape[0], dtype=int)
-        for n in range(1, s.N_P + 1):
-            u_g = self.u_gain[:, n - 1]
-            c = np.minimum(phase.bound, above)
-            residual = self.totals(phase.level, c * (s.L + 1), sizes)
-            if n == s.N_P:
-                eta_hat = residual * u_xi / (u_g + u_xi * mass)
-            elif policy is PrefetchPolicy.AGGRESSIVE:
-                eta_hat = residual * u_xi / (u_g + self.u_zeta[:, n - 1, None])
-            else:
-                u_z = self.u_zeta[:, n - 1, None]
-                eta_hat = residual * u_z / ((u_g + u_z) * mass)
-            k = self.least_admitting(eta_hat, positive)
-            eta = self.slot(phase, n, k, c)
-            above = self.above(eta)
-            positive = np.minimum(k, above)
-        return phase
+        u_g = self.u_gain[:, n - 1]
+        residual = self.totals(level, c * (s.L + 1), np.arange(1, s.L + 1)[:, None])
+        if n == s.N_P:
+            eta_hat = residual * u_xi / (u_g + u_xi * mass)
+        elif policy is PrefetchPolicy.AGGRESSIVE:
+            eta_hat = residual * u_xi / (u_g + self.u_zeta[:, n - 1, None])
+        else:
+            u_z = self.u_zeta[:, n - 1, None]
+            eta_hat = residual * u_z / ((u_g + u_z) * mass)
+        return self.least_admitting(eta_hat, positive)
 
 
 def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable]],
@@ -522,7 +516,8 @@ def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable
     cum_w = np.concatenate([[0.0], np.cumsum(w)])
     counts = np.arange(s.L + 1)
     delta = np.append(priorities(s)[order], -np.inf)
-    return _Kernel(s=s, gam=gam, prob=prob, delta=delta,
+    tail = np.append(np.cumsum((prob * gam ** s.m)[::-1])[::-1], 0.0)
+    return _Kernel(s=s, tail=tail, delta=delta,
                    falling=-delta[:-1], cum_w=cum_w,
                    low_w=cum_w[np.minimum.outer(counts, counts)].ravel(),
                    span=np.concatenate([np.zeros((s.L + 1, 1)), span], axis=1).ravel(),
@@ -545,17 +540,18 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     batch (in blocks of at most ``2**14 // L`` episodes, which changes no
     result), and keeps, per episode, the one with the lowest realized
     prefetch energy plus expected demand energy of its residuals (ties go
-    to the smaller prefix).  With ``forced_prefix`` it locks the target
-    set to the priority prefix of that size for every episode instead; any
-    other policy rejects ``forced_prefix``.  The demand phase always runs
+    to the smaller prefix).  With ``forced_prefix`` the priority prefix of
+    that size is its one candidate, so every episode locks it; any other
+    policy rejects ``forced_prefix``.  The demand phase always runs
     the xi-policy.  The result carries every slot's threshold and
     working-set size.  Energies are per unit ``lam``.
 
     ``xi`` (built when omitted) must be the demand table of ``channel`` and
     ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``
     (built when omitted and needed) the ``L`` priority prefixes of this
-    very ``s`` under this ``xi``, every gain must be finite and positive
-    and every task index a whole number; otherwise ``ValueError``.
+    very ``s`` under this ``xi``, every gain must be finite and positive,
+    every task index a whole number and ``forced_prefix`` an integer in
+    ``1..L``; otherwise ``ValueError``.
     Residual bits that come out negative or not finite are a numerical
     failure (``FloatingPointError``).
     """
@@ -582,8 +578,9 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     realized = realized.astype(int)
     if forced_prefix is not None and policy is not PrefetchPolicy.NONCAUSAL_ORACLE:
         raise ValueError(f"only the noncausal policy takes forced_prefix, not {policy.value}")
-    if forced_prefix is not None and not 1 <= forced_prefix <= s.L:
-        raise ValueError(f"forced_prefix must lie in 1..{s.L}")
+    if forced_prefix is not None and (isinstance(forced_prefix, bool) or not (
+            isinstance(forced_prefix, numbers.Integral) and 1 <= forced_prefix <= s.L)):
+        raise ValueError(f"forced_prefix must be an integer in 1..{s.L}, got {forced_prefix!r}")
     if policy is PrefetchPolicy.NO_PREFETCH:
         prefix_tables = None
     elif prefix_tables is None:

@@ -132,6 +132,12 @@ class SweepConfig:
             raise ConfigError(f"m must be an integer in [2, 5], got {self.m!r}")
         if not isinstance(self.k, int) or self.k < 2:
             raise ConfigError(f"k must be an integer >= 2, got {self.k!r}")
+        if not isinstance(self.uniform, bool):
+            raise ConfigError(f"uniform must be True or False, got {self.uniform!r}")
+        counts = {key: getattr(self, key)
+                  for key in ("L", "N", "N_P", "trials", "scenarios", "seed")}
+        if any(type(value) is not int for value in counts.values()) or self.seed < 0:
+            raise ConfigError(f"{', '.join(counts)} must be integers and seed >= 0, got {counts}")
         _check_scales(vars(self))
         if self.trials < 1 or self.scenarios < 1:
             raise ConfigError("trials and scenarios must be at least 1")

@@ -4,7 +4,8 @@ No linter ships with the project, so this walks the syntax tree with the
 standard library's ``ast``.  The package ``__init__`` re-exports names and
 is exempt, as is an import statement marked ``# noqa: F401``.  A private
 module-level function, class or constant (one leading underscore) must be
-read somewhere in its module besides its definition.  Every parameter of a
+read somewhere in its module besides its definition, and so must every
+method of a private class, as an attribute.  Every parameter of a
 library function is read in its body, so a mode whose branch is gone
 cannot keep its parameter.  The package exports
 exactly the union of its modules' ``__all__``, each bound in its module.
@@ -108,6 +109,35 @@ def test_a_dead_private_name_is_reported():
     source = ("__all__ = []\n_USED = 1\n_DEAD = 2\n\n\ndef _helper():\n    return _USED\n\n\n"
               "class _Gone:\n    pass\n\n\ndef public():\n    return _helper()\n")
     assert dead_private_names(source) == ["_DEAD (line 3)", "_Gone (line 10)"]
+
+
+def dead_private_methods(source: str) -> list:
+    """Non-dunder methods of module-level private classes that no attribute read names."""
+    tree = ast.parse(source)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{node.name} (line {node.lineno})"
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+            and not cls.name.startswith("__")
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_dead_private_methods(path):
+    assert dead_private_methods(path.read_text()) == []
+
+
+def test_a_dead_private_method_is_reported():
+    source = ("class _Kernel:\n    def __post_init__(self):\n        self.clamped = self.step\n\n"
+              "    def step(self):\n        return _Kernel.join()\n\n    @staticmethod\n"
+              "    def join():\n        pass\n\n    def clamped(self):\n        pass\n\n\n"
+              "class Public:\n    def unused(self):\n        pass\n")
+    # ``clamped`` is only stored, never read; a public class's methods are exempt.
+    assert dead_private_methods(source) == ["_Kernel.clamped (line 12)"]
 
 
 def unread_parameters(source: str) -> list:

@@ -176,8 +176,9 @@ class TestThresholdEta:
                 threshold_eta(self.RHO2, 1, bad, ZETA2)
         with pytest.raises(ValueError):
             threshold_eta(self.RHO2, 2, 1.0, ZETA2)
-        with pytest.raises(ValueError):
-            threshold_eta(np.array([-1.0, 4.0]), 1, 1.0, ZETA2)
+        for rho in ([-1.0, 4.0], [np.nan, 4.0], [4.0, np.inf]):
+            with pytest.raises(ValueError):
+                threshold_eta(np.array(rho), 1, 1.0, ZETA2)
 
 
 class TestDecisionVector:
@@ -213,6 +214,9 @@ class TestDecisionVector:
         for bad in (-0.5, np.nan, np.inf):
             with pytest.raises(ValueError):
                 decision_vector(np.array([4.0, 4.0]), bad, S2)
+        for rho in ([np.nan, 4.0], [4.0, np.inf], [-np.inf, 4.0]):
+            with pytest.raises(ValueError):
+                decision_vector(np.array(rho), 1.0, S2)
 
 
 class TestNoncausalFinalThreshold:
@@ -252,9 +256,12 @@ class TestNoncausalFinalThreshold:
         rho = np.array([2.0, 2.0, 2.0])
         with pytest.raises(ValueError):
             noncausal_final_threshold(rho, 2, [1.0], TABLES3[1])
-        for gains in ([1.0, -1.0], [1.0, np.nan]):
+        for gains in ([1.0, -1.0], [1.0, np.nan], [np.inf, 1.0], [1.0, np.inf]):
             with pytest.raises(ValueError):
                 noncausal_final_threshold(rho, 2, gains, TABLES3[1])
+        for bad in ([np.nan, 2.0, 2.0], [2.0, np.inf, 2.0]):
+            with pytest.raises(ValueError):
+                noncausal_final_threshold(np.array(bad), 2, [1.0, 1.0], TABLES3[1])
 
 
 class TestPhaseTotal:
@@ -799,7 +806,7 @@ class TestBatchRunner:
         with pytest.raises(IndexError):
             run_prefetch_batch(S3, FAST2, PrefetchPolicy.AGGRESSIVE, gains,
                                realized + 10, xi=XI3)
-        for bad_prefix in (0, S3.L + 1):
+        for bad_prefix in (0, S3.L + 1, 2.0, 2.5, True, np.float64(2.0)):
             with pytest.raises(ValueError):
                 run_prefetch_batch(S3, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
                                    gains, realized, xi=XI3,
@@ -940,7 +947,7 @@ class TestSlotSearch:
             level[on_priority] = rng.choice(delta, np.count_nonzero(on_priority))
             bound = rng.integers(0, s.L + 1, episodes)
             k = rng.integers(1, s.L + 1, episodes)
-            c = kernel.clamped(level, bound)
+            c = np.minimum(bound, kernel.above(level))
             active, eta, sent = kernel.step(level, c, n, k)
             for got, want in zip((active, eta, sent), bisection_step(kernel, level, c, n, k)):
                 assert np.array_equal(got, want)
@@ -1090,18 +1097,25 @@ class TestLeastAdmitting:
     def test_causal_batches(self, monkeypatch, policy, L):
         rng = np.random.default_rng(L + 600)
         s = self.kernel(L, rng).s
-        rule, seen = prefetch._Kernel.least_admitting, []
+        rule, seen, floors = prefetch._Kernel.least_admitting, [], []
 
         def checked(kernel, estimate, positive):
             k = rule(kernel, estimate, positive)
             assert estimate.shape == (L, positive.size)
             assert np.array_equal(k, argmax_set_rule(kernel, estimate.T, positive))
             seen.append(k)
+            floors.append(positive)
             return k
         monkeypatch.setattr(prefetch._Kernel, "least_admitting", checked)
         gains, realized = draw_episodes(s, FAST2, rng, 400)
-        run_prefetch_batch(s, FAST2, policy, gains, realized)
+        batch = run_prefetch_batch(s, FAST2, policy, gains, realized)
         assert sum(k.size for k in seen) == s.N_P * gains.shape[0]
+        # Each slot's floor is the number of tasks that got bits in the
+        # previous slot (none before the first), not the previous set size.
+        floors = np.concatenate([np.stack(floors[start:start + s.N_P], axis=1)
+                                 for start in range(0, len(floors), s.N_P)])
+        sent = np.count_nonzero(batch.decisions > 0.0, axis=2)
+        assert np.array_equal(floors, np.pad(sent[:, :-1], ((0, 0), (1, 0))))
 
 
 class TestProbeCount:
@@ -1160,10 +1174,11 @@ class TestFlatTables:
         gains = sample_gain(FAST2, rng, (3, s.N))
         kernel = prefetch._kernel(s, xi, build_prefix_tables(s, FAST2, xi), gains)
         # span[c, j]: the data sizes c <= l < j, summed in order from c.
+        gam = s.gamma[priority_order(s)]
         span = np.zeros((L + 1, L + 1))
         for c in range(L + 1):
             for j in range(c + 1, L + 1):
-                span[c, j] = span[c, j - 1] + kernel.gam[j - 1]
+                span[c, j] = span[c, j - 1] + gam[j - 1]
         c, j = np.meshgrid(np.arange(L + 1), np.arange(L + 1), indexing="ij")
         levels = np.array([0.0, kernel.delta[L // 2],
                            *rng.uniform(0.0, 2.0 * kernel.delta[0], 6)])[:, None, None]
@@ -1293,13 +1308,13 @@ class TestEpisodeBlocks:
     def test_one_call_equals_calls_on_slices(self, monkeypatch, L, episodes, blocks, run):
         s, xi, tables, gains, realized = self.instance(L, episodes)
         sizes = []
-        block = prefetch._Kernel._block
+        phase = prefetch._Kernel.phase
 
         def spy(kernel, *args):
             sizes.append(kernel.gains.shape[0])
-            return block(kernel, *args)
+            return phase(kernel, *args)
 
-        monkeypatch.setattr(prefetch._Kernel, "_block", spy)
+        monkeypatch.setattr(prefetch._Kernel, "phase", spy)
         whole = run_prefetch_batch(s, FAST2, gains=gains, realized=realized, xi=xi,
                                    prefix_tables=tables, **run)
         assert sizes == blocks

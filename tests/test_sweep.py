@@ -68,6 +68,17 @@ class TestSweepConfig:
         dict(param="gamma", values=(1,), policies=("slow-opt",), lam=0.0),
         dict(param="gamma", values=(1,), policies=("slow-opt",), trials=0),
         dict(param="gamma", values=(1,), policies=("slow-opt",), scenarios=0),
+        dict(param="L", values=(3,), policies=("slow-opt",), uniform="no"),
+        dict(param="L", values=(3,), policies=("slow-opt",), uniform="false"),
+        dict(param="L", values=(3,), policies=("slow-opt",), uniform=1),
+        dict(param="gamma", values=(1,), policies=("slow-opt",), trials=2.5),
+        dict(param="gamma", values=(1,), policies=("slow-opt",), scenarios=2.5),
+        dict(param="gamma", values=(1,), policies=("slow-opt",), L=2.5),
+        dict(param="gamma", values=(1,), policies=("slow-opt",), L=True),
+        dict(param="gamma", values=(1,), policies=("slow-opt",), N=5.5),
+        dict(param="gamma", values=(1,), policies=("slow-opt",), N_P=2.0),
+        dict(param="gamma", values=(1,), policies=("slow-opt",), seed=1.5),
+        dict(param="gamma", values=(1,), policies=("slow-opt",), seed=-1),
         dict(param="Np", values=(6,), policies=("slow-opt",), N=5),      # N_P > N
         dict(param="Np", values=(5,), policies=("no-prefetch",), N=5),   # no demand phase
         dict(param="Np", values=(5,), policies=("noncausal",), N=5, fading="fast"),
