@@ -144,10 +144,8 @@ def _say(line: str) -> None:
         sys.stdout = open(os.devnull, "w")
 
 
-def _coerce(key: str, value):
+def _coerce(key: str, value: str):
     """Convert a config-file string to the type of the key's default."""
-    if not isinstance(value, str):
-        return value
     default = _DEFAULTS[key]
     try:
         if isinstance(default, bool):

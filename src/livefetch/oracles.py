@@ -83,8 +83,12 @@ class InductionResult:
     demand_values: tuple     #: per-task arrays, final-horizon demand value on the grid
 
 
-def _stage_objective(alpha, s: Scenario) -> float:
-    """P3-style objective, written out independently in plain Python."""
+def _stage_objective(alpha, s: Scenario):
+    """P3-style objective, written out independently in plain Python.
+
+    ``alpha`` holds one amount per task, each a float or, for a whole grid
+    at once, an array of the grid's shape.
+    """
     total = 0.0
     for a in alpha:
         total += a
@@ -138,13 +142,7 @@ def slow_oracle(s: Scenario, resolution: int = 21) -> OracleResult:
                          f"more than {_GRID_CAP:g}")
     res_eff = min(resolution, int(_GRID_CAP ** (1.0 / s.L)))
     axes = [np.linspace(0.0, gi, res_eff) for gi in s.gamma]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    total = np.zeros_like(mesh[0])
-    demand = np.zeros_like(mesh[0])
-    for i in range(s.L):
-        total = total + mesh[i]
-        demand = demand + s.p[i] * (s.gamma[i] - mesh[i]) ** s.m
-    values = total ** s.m / s.N_P ** (s.m - 1) + demand / (s.N - s.N_P) ** (s.m - 1)
+    values = _stage_objective(np.meshgrid(*axes, indexing="ij"), s)
     flat_best = int(np.argmin(values))
     unravel = np.unravel_index(flat_best, values.shape)
     alpha = [axes[i][unravel[i]] for i in range(s.L)]
@@ -445,11 +443,14 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
                            gain_weights=gain_weights, demand_values=demand)
 
 
-def _check_residuals(rho: np.ndarray, s: Scenario) -> None:
+def _check_residuals(rho, s: Scenario) -> np.ndarray:
+    """``rho`` as a float array, after checking it holds valid residual bits of ``s``."""
+    rho = np.asarray(rho, dtype=float)
     if rho.shape != s.gamma.shape:
         raise ValueError("rho must have one entry per candidate task")
     if not np.all((rho >= -POSITIVE_BITS_EPS) & (rho < np.inf)):
         raise ValueError("residual bits must be finite and nonnegative")
+    return rho
 
 
 def _set_sums(rho: np.ndarray, slot: int, zeta: ZetaTable) -> tuple:
@@ -457,7 +458,7 @@ def _set_sums(rho: np.ndarray, slot: int, zeta: ZetaTable) -> tuple:
     s = zeta.scenario
     if not 1 <= slot <= s.N_P:
         raise ValueError(f"slot {slot} outside the prefetch phase 1..{s.N_P}")
-    _check_residuals(rho, s)
+    rho = _check_residuals(rho, s)
     idx = np.array(zeta.task_set)
     return float(np.sum(s.p[idx] ** (-1.0 / (s.m - 1)))), float(np.sum(rho[idx]))
 
@@ -499,7 +500,7 @@ def decision_vector(rho: np.ndarray, eta: float, s: Scenario) -> np.ndarray:
     full residuals ``s.gamma`` and the final threshold this gives the bits
     each task is sent over the whole phase.
     """
-    _check_residuals(rho, s)
+    rho = _check_residuals(rho, s)
     if eta < 0.0 or not np.isfinite(eta):
         raise ValueError(f"threshold must be nonnegative and finite, got {eta!r}")
     w = s.p ** (-1.0 / (s.m - 1))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -232,7 +232,7 @@ def _residuals(s: Scenario, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
     A task holds ``level * p**(-1/(m-1))`` if it is among the ``bound``
     first in priority order and its priority exceeds ``level``, and its
-    whole ``gamma`` otherwise (see :class:`_Phase`).  The tasks run on the
+    whole ``gamma`` otherwise (see :meth:`_Kernel.phase`).  The tasks run on the
     first axis, so each comparison broadcasts a task column against a row
     of episodes; the result is the ``(..., L)`` view of that array.
     """
@@ -243,54 +243,6 @@ def _residuals(s: Scenario, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
     held = np.where(clamped, level * (s.p ** -(1.0 / (s.m - 1))).reshape(column),
                     s.gamma.reshape(column))
     return np.moveaxis(held, 0, -1)
-
-
-@dataclass
-class _Phase:
-    """Prefetch-phase state per episode: the water level and the set bound.
-
-    In priority order, task ``l`` holds ``w(l) * level`` if ``l < bound``
-    and ``delta(l) > level``, and exactly ``gamma(l)`` otherwise.  This
-    holds because thresholds only fall: each slot sends a positive total
-    below the members' residual.  A causal set rule leaves out only tasks
-    that would get no bits, because both causal estimates are at most the
-    executed threshold (the conservative one is the all-active formula, a
-    lower bound once members clamp; the aggressive one lies below it since
-    ``u_z > u_xi * A``): a task left out has ``delta <= eta_hat <= eta``.
-    The arrays are ``(E,)``, or ``(candidates, E)`` while the noncausal
-    oracle runs its candidate prefixes at once (one row each: row ``k-1``
-    locks the size-``k`` prefix, or the single row ``forced_prefix``); the
-    per-slot records put the slot first, ``(N_P, E)`` or
-    ``(N_P, candidates, E)``, so that each slot writes one contiguous row.
-    The causal set rule's per-size residual totals and estimates are
-    ``(L, E)`` too: episodes always run on the last axis.
-    """
-
-    level: np.ndarray              #: last slot's threshold
-    bound: np.ndarray              #: largest working set so far
-    energy: np.ndarray             #: prefetch energy
-    thresholds: np.ndarray         #: (N_P, ...) each slot's threshold
-    slot_set_size: np.ndarray      #: (N_P, ...) each slot's working-set size
-
-    def record(self, n: int, k, eta: np.ndarray) -> None:
-        """Move to slot ``n``'s threshold on the size-``k`` sets."""
-        self.level = eta
-        self.bound = np.maximum(self.bound, k)
-        self.thresholds[n - 1] = eta
-        self.slot_set_size[n - 1] = k
-
-    def pick(self, rows: np.ndarray) -> None:
-        """Keep, for episode ``e`` of a ``(candidates, E)`` state, row ``rows[e]``."""
-        episodes = np.arange(rows.size)
-        for field in fields(self):
-            setattr(self, field.name, getattr(self, field.name)[..., rows, episodes])
-
-    @staticmethod
-    def join(blocks: list) -> "_Phase":
-        """One ``(E,)`` state from the states of consecutive blocks of episodes."""
-        return _Phase(**{field.name: np.concatenate([getattr(block, field.name)
-                                                     for block in blocks], axis=-1)
-                         for field in fields(_Phase)})
 
 
 @dataclass(frozen=True)
@@ -316,12 +268,6 @@ class _Kernel:
     demand_weight: float   #: xi[N-N_P]
     gains: np.ndarray      #: (E, N) all gains
     u_gain: np.ndarray     #: (E, N_P) prefetch-phase gains**(1/(m-1))
-
-    def start(self, shape: tuple) -> _Phase:
-        slots = (self.s.N_P,) + shape
-        return _Phase(level=np.full(shape, self.delta[0]), bound=np.zeros(shape, dtype=int),
-                      energy=np.zeros(shape), thresholds=np.zeros(slots),
-                      slot_set_size=np.zeros(slots, dtype=int))
 
     def above(self, level: np.ndarray) -> np.ndarray:
         """Number of tasks whose priority exceeds ``level``."""
@@ -403,35 +349,47 @@ class _Kernel:
         eta = np.maximum((held - total) / (mass + spare), 0.0)
         return active, eta, held - eta * mass
 
-    def run(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> _Phase:
+    def run(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> tuple:
         """The prefetch phase of every episode, in blocks of ``_BLOCK_ENTRIES // L``.
 
         Every step works on each episode alone, so the blocks bound the
         size of the temporaries without changing a bit of the result.
         """
         size = max(1, _BLOCK_ENTRIES // self.s.L)
-        return _Phase.join([
-            replace(self, gains=self.gains[start:start + size],
-                    u_gain=self.u_gain[start:start + size]).phase(policy, forced_prefix)
-            for start in range(0, max(self.gains.shape[0], 1), size)])
+        blocks = [replace(self, gains=self.gains[start:start + size],
+                          u_gain=self.u_gain[start:start + size]).phase(policy, forced_prefix)
+                  for start in range(0, max(self.gains.shape[0], 1), size)]
+        return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*blocks))
 
-    def phase(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> _Phase:
+    def phase(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> tuple:
         """The prefetch phase of this block under ``policy``: the one slot loop.
+
+        Returns the prefetch energy ``(E,)`` and each slot's threshold and
+        prefix size ``(N_P, E)``.  Within the loop an episode's state is its
+        water level (the last threshold) and its set bound (the largest
+        size so far): in priority order, task ``l`` holds ``w(l) * level``
+        if ``l < bound`` and ``delta(l) > level``, and exactly ``gamma(l)``
+        otherwise.  This holds because thresholds only fall: each slot
+        sends a positive total below the members' residual.  A causal set
+        rule leaves out only tasks that would get no bits, because both
+        causal estimates are at most the executed threshold (the
+        conservative one is the all-active formula, a lower bound once
+        members clamp; the aggressive one lies below it since
+        ``u_z > u_xi * A``): a task left out has ``delta <= eta_hat <= eta``.
 
         Each slot takes its clamped count ``c``, the policy's prefix size
         ``k`` and one :meth:`step`; no-prefetch runs no slot.  The
         noncausal oracle's sizes are its candidates, one row each: every
-        prefix as an ``(L, 1)`` column, or ``forced_prefix`` alone; it keeps
-        the best-scoring row per episode (:meth:`best_prefix`), which with
-        one candidate is that row.  The causal policies regrow the size
-        every slot (:meth:`regrown`) from the tasks that got positive bits
-        in the previous slot, the leading ``min(k, above)``: the count
-        above this slot's water level is the count above the last slot's
-        threshold.
+        prefix as an ``(L, 1)`` column, or ``forced_prefix`` alone, so its
+        state is ``(candidates, E)`` and its record ``(N_P, candidates, E)``;
+        it keeps the best-scoring row per episode (:meth:`best_prefix`),
+        which with one candidate is that row.  The causal policies regrow
+        the size every slot (:meth:`regrown`) from the tasks that got
+        positive bits in the previous slot, the leading ``min(k, above)``:
+        the count above this slot's water level is the count above the
+        last slot's threshold.
         """
         s, episodes = self.s, self.gains.shape[:1]
-        if policy is PrefetchPolicy.NO_PREFETCH:
-            return self.start(episodes)
         causal = policy is not PrefetchPolicy.NONCAUSAL_ORACLE
         if causal:
             k = np.zeros(episodes, dtype=int)
@@ -439,31 +397,37 @@ class _Kernel:
             k = np.arange(1, s.L + 1)[:, None]
         else:
             k = np.array([[forced_prefix]])
-        phase = self.start(episodes if causal else k.shape[:1] + episodes)
-        for n in range(1, s.N_P + 1):
-            above = self.above(phase.level)
-            c = np.minimum(phase.bound, above)
+        shape = episodes if causal else k.shape[:1] + episodes
+        level, energy = np.full(shape, self.delta[0]), np.zeros(shape)
+        bound, sizes = np.zeros(shape, dtype=int), np.zeros((s.N_P,) + shape, dtype=int)
+        thresholds = np.zeros((s.N_P,) + shape)
+        slots = 0 if policy is PrefetchPolicy.NO_PREFETCH else s.N_P
+        for n in range(1, slots + 1):
+            above = self.above(level)
+            c = np.minimum(bound, above)
             if causal:
-                k = self.regrown(policy, phase.level, c, n, np.minimum(k, above))
-            _, eta, sent = self.step(phase.level, c, n, k)
-            phase.energy += sent ** s.m / self.gains[:, n - 1]
-            phase.record(n, k, eta)
-        if not causal:
-            phase.pick(self.best_prefix(phase))
-        return phase
+                k = self.regrown(policy, level, c, n, np.minimum(k, above))
+            _, level, sent = self.step(level, c, n, k)
+            bound = np.maximum(bound, k)
+            energy += sent ** s.m / self.gains[:, n - 1]
+            thresholds[n - 1], sizes[n - 1] = level, k
+        if causal:
+            return energy, thresholds, sizes
+        rows = self.best_prefix(level, bound, energy)
+        picked = np.arange(rows.size)
+        return tuple(array[..., rows, picked] for array in (energy, thresholds, sizes))
 
-    def best_prefix(self, phase: _Phase) -> np.ndarray:
-        """Per episode, the row of a ``(candidates, E)`` phase with the least score.
+    def best_prefix(self, level: np.ndarray, bound: np.ndarray, energy: np.ndarray) -> np.ndarray:
+        """Per episode, the row of a ``(candidates, E)`` state with the least score.
 
-        A prefix scores its realized prefetch energy plus the expected
+        A prefix scores its realized prefetch ``energy`` plus the expected
         demand energy of its residuals, ``xi * sum p * rho**m``.  The
         ``c`` clamped tasks hold ``w * level`` and ``p * w**m = w``, so the
         sum is ``level**m * W_c`` plus the tail sum of ``p * gamma**m``.
         ``argmin`` keeps the first minimum: ties go to the smaller prefix.
         """
-        c = np.minimum(phase.bound, self.above(phase.level))
-        score = phase.energy + self.demand_weight * (phase.level ** self.s.m * self.cum_w[c]
-                                                     + self.tail[c])
+        c = np.minimum(bound, self.above(level))
+        score = energy + self.demand_weight * (level ** self.s.m * self.cum_w[c] + self.tail[c])
         return np.argmin(score, axis=0)
 
     def regrown(self, policy: PrefetchPolicy, level, c, n: int, positive) -> np.ndarray:
@@ -585,8 +549,8 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         prefix_tables = None
     elif prefix_tables is None:
         prefix_tables = build_prefix_tables(s, channel, xi)
-    phase = _kernel(s, xi, prefix_tables, gains).run(policy, forced_prefix)
-    final_rho = _residuals(s, phase.level, phase.bound)
+    prefetch, thresholds, sizes = _kernel(s, xi, prefix_tables, gains).run(policy, forced_prefix)
+    final_rho = _residuals(s, thresholds[-1], sizes.max(axis=0))
     if not np.all((final_rho >= 0.0) & (final_rho < np.inf)):
         raise FloatingPointError("the prefetch phase left residual bits that are "
                                  "negative or not finite")
@@ -596,7 +560,6 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     demand_energy = demand[:, 0].copy()
     for energy in demand.T[1:]:
         demand_energy += energy
-    return BatchResult(scenario=s, policy=policy, prefetch_energy=phase.energy,
+    return BatchResult(scenario=s, policy=policy, prefetch_energy=prefetch,
                        demand_energy=demand_energy, realized=realized,
-                       final_rho=final_rho, thresholds=phase.thresholds.T,
-                       slot_set_size=phase.slot_set_size.T)
+                       final_rho=final_rho, thresholds=thresholds.T, slot_set_size=sizes.T)

@@ -417,3 +417,10 @@ class TestClosedStdout:
         # The first line met the closed pipe and no later line tried it.
         assert closed.writes == 1 and replacement is not closed
         assert sorted(path.name for path in tmp_path.iterdir()) == written
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--values", "5"],
+                                  ["sweep", "--values", "5", "--policies", "slow-opt"]])
+def test_sweep_without_param_exits_two(argv, capsys):
+    assert main(argv) == 2
+    assert "--param is required" in capsys.readouterr().err

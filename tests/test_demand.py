@@ -285,3 +285,17 @@ class TestSlotMajor:
                     for mine, theirs in zip(got, column_demand_batch(beta, gains, table)):
                         assert mine.shape == theirs.shape == (episodes, duration)
                         assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_xi_table(FastGamma(k=2), m=6, horizon=2),
+    lambda: build_xi_table(FastGamma(k=2), m=2, horizon=-1),
+    lambda: expected_demand_energy(-1.0, build_xi_table(FastGamma(k=2), m=2, horizon=2), 1),
+    lambda: expected_demand_energy(1.0, build_xi_table(FastGamma(k=2), m=2, horizon=2), 3),
+    lambda: demand_energy_bounds(-1.0, FastGamma(k=2), m=2, duration=1),
+    lambda: demand_energy_bounds(1.0, FastGamma(k=2), m=2, duration=0),
+], ids=["m6", "negative-horizon", "expected-negative-beta", "expected-past-horizon",
+        "bounds-negative-beta", "bounds-zero-duration"])
+def test_input_checks(call):
+    with pytest.raises(ValueError):
+        call()

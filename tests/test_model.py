@@ -11,6 +11,7 @@ from livefetch.model import (
     QuadratureError,
     Scenario,
     SlowFading,
+    coefficient_chain,
     expect_over_gain,
     mean_gain,
     mean_inverse_gain,
@@ -155,3 +156,27 @@ class TestDecibels:
     def test_non_finite_is_a_numerical_failure(self, ratio):
         with pytest.raises(FloatingPointError):
             to_db(ratio)
+
+
+class UnknownChannel:
+    """Neither channel model."""
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: make_scenario(N=0), ValueError),
+    (lambda: sample_gain(UnknownChannel(), np.random.default_rng(0)), TypeError),
+    (lambda: mean_gain(UnknownChannel()), TypeError),
+    (lambda: mean_inverse_gain(UnknownChannel()), TypeError),
+    (lambda: expect_over_gain(lambda g: g, UnknownChannel()), TypeError),
+    (lambda: coefficient_chain(UnknownChannel(), 2, [1.0], 1), TypeError),
+], ids=["N0", "sample_gain", "mean_gain", "mean_inverse_gain", "expect_over_gain",
+        "coefficient_chain"])
+def test_input_checks(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_edge_values():
+    assert FastGamma(k=2).pdf(0.0) == 0.0
+    assert FastGamma(k=3).pdf(-1.0) == 0.0
+    assert sample_gain(SlowFading(g=0.7), np.random.default_rng(0)) == 0.7

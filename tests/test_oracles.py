@@ -588,3 +588,17 @@ class TestNoncausalBenchmark:
             paired = other - reference
             stderr = float(paired.std(ddof=1)) / np.sqrt(trials)
             assert float(paired.mean()) >= -3.0 * stderr
+
+
+class UnknownChannel:
+    """Neither channel model."""
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: p5_backward_induction(S21, UnknownChannel()), TypeError),
+    (lambda: oracles._check_residuals(np.ones(3), S21), ValueError),
+    (lambda: oracles._check_residuals([[5.0, 3.0]], S21), ValueError),
+], ids=["unknown-channel", "three-residuals", "row-of-residuals"])
+def test_input_checks(call, error):
+    with pytest.raises(error):
+        call()

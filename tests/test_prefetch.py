@@ -27,7 +27,13 @@ from livefetch.prefetch import (
     no_prefetch_energy_fast,
     run_prefetch_batch,
 )
-from livefetch.slow import priorities, priority_order
+from livefetch.slow import (
+    expected_fetch_energy_slow,
+    no_prefetch_energy_slow,
+    optimal_prefetch_slow,
+    priorities,
+    priority_order,
+)
 from livefetch.sweep import generate_scenario
 
 FAST2 = FastGamma(2)
@@ -179,6 +185,11 @@ class TestThresholdEta:
         for rho in ([-1.0, 4.0], [np.nan, 4.0], [4.0, np.inf]):
             with pytest.raises(ValueError):
                 threshold_eta(np.array(rho), 1, 1.0, ZETA2)
+        # A list is residual bits too: checked, not an ``AttributeError``.
+        assert threshold_eta([4.0, 4.0], 1, 1.0, ZETA2) == threshold_eta(self.RHO2, 1, 1.0, ZETA2)
+        for rho in ([-1.0, 4.0], [np.nan, 4.0], [4.0]):
+            with pytest.raises(ValueError):
+                threshold_eta(rho, 1, 1.0, ZETA2)
 
 
 class TestDecisionVector:
@@ -217,6 +228,12 @@ class TestDecisionVector:
         for rho in ([np.nan, 4.0], [4.0, np.inf], [-np.inf, 4.0]):
             with pytest.raises(ValueError):
                 decision_vector(np.array(rho), 1.0, S2)
+            with pytest.raises(ValueError):
+                decision_vector(rho, 1.0, S2)
+        with pytest.raises(ValueError):
+            decision_vector([4.0, 4.0, 4.0], 1.0, S2)
+        assert np.array_equal(decision_vector([4.0, 4], 0.5, S2),
+                              decision_vector(np.array([4.0, 4.0]), 0.5, S2))
 
 
 class TestNoncausalFinalThreshold:
@@ -262,6 +279,12 @@ class TestNoncausalFinalThreshold:
         for bad in ([np.nan, 2.0, 2.0], [2.0, np.inf, 2.0]):
             with pytest.raises(ValueError):
                 noncausal_final_threshold(np.array(bad), 2, [1.0, 1.0], TABLES3[1])
+            with pytest.raises(ValueError):
+                noncausal_final_threshold(bad, 2, [1.0, 1.0], TABLES3[1])
+        with pytest.raises(ValueError):
+            noncausal_final_threshold([2.0, 2.0], 2, [1.0, 1.0], TABLES3[1])
+        assert (noncausal_final_threshold([2.0, 2.0, 2.0], 2, [1.0, 1.0], TABLES3[1])
+                == noncausal_final_threshold(rho, 2, [1.0, 1.0], TABLES3[1]))
 
 
 class TestPhaseTotal:
@@ -1287,6 +1310,16 @@ class TestSlotRecord:
         prefetching = run["policy"] is not PrefetchPolicy.NO_PREFETCH
         assert np.all((batch.slot_set_size > 0) == prefetching)
 
+    @pytest.mark.parametrize("run", RUNS, ids=run_id)
+    def test_final_residuals_follow_from_the_record(self, run):
+        # The water level is the last threshold and the set bound the largest
+        # size: the same residual rule that derives ``decisions``.
+        s, xi, tables, gains, realized = TestEpisodeBlocks.instance(8, 300)
+        batch = run_prefetch_batch(s, FAST2, gains=gains, realized=realized, xi=xi,
+                                   prefix_tables=tables, **run)
+        held = prefetch._residuals(s, batch.thresholds[:, -1], batch.slot_set_size.max(axis=1))
+        assert np.array_equal(batch.final_rho, held)
+
 
 class TestEpisodeBlocks:
     """The prefetch phase runs in blocks of episodes without changing a bit."""
@@ -1333,3 +1366,57 @@ class TestEpisodeBlocks:
                                    prefix_tables=tables)
         assert batch.total_energy.shape == (0,)
         assert batch.decisions.shape == (0, s.N_P, s.L)
+
+
+class TestTaskOrder:
+    """Permuting a scenario's tasks permutes the residuals and keeps every energy."""
+
+    RTOL = 1e-12
+
+    @staticmethod
+    def permuted(rng, s):
+        order = rng.permutation(s.L)
+        return order, Scenario(m=s.m, N=s.N, N_P=s.N_P, p=s.p[order], gamma=s.gamma[order])
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(L=st.integers(1, 16), m=st.integers(2, 5), shape=st.sampled_from([2, 3, 8]),
+           window=st.integers(2, 10).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           gamma_total=st.sampled_from([1e-2, 20.0, 1e3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fast_policies(self, L, m, shape, window, gamma_total, seed):
+        N, N_P = window
+        rng = np.random.default_rng(seed)
+        s = generate_scenario(rng, L=L, gamma_total=gamma_total, m=m, N=N, N_P=N_P)
+        order, t = self.permuted(rng, s)
+        channel = FastGamma(shape)
+        xi = build_xi_table(channel, m, N - N_P)
+        gains, realized = draw_episodes(s, channel, rng, 30)
+        for policy in PrefetchPolicy:
+            before = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi)
+            after = run_prefetch_batch(t, channel, policy, gains, np.argsort(order)[realized],
+                                       xi=xi)
+            np.testing.assert_allclose(after.final_rho, before.final_rho[:, order],
+                                       rtol=self.RTOL, atol=0.0)
+            for name in ("prefetch_energy", "demand_energy", "total_energy"):
+                np.testing.assert_allclose(getattr(after, name), getattr(before, name),
+                                           rtol=self.RTOL, atol=0.0, err_msg=name)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(L=st.integers(1, 16), m=st.integers(2, 5),
+           window=st.integers(2, 10).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           gamma_total=st.sampled_from([1e-2, 20.0, 1e3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_slow_plan(self, L, m, window, gamma_total, seed):
+        N, N_P = window
+        rng = np.random.default_rng(seed)
+        s = generate_scenario(rng, L=L, gamma_total=gamma_total, m=m, N=N, N_P=N_P)
+        order, t = self.permuted(rng, s)
+        before, after = optimal_prefetch_slow(s), optimal_prefetch_slow(t)
+        np.testing.assert_allclose(t.gamma - after.alpha, (s.gamma - before.alpha)[order],
+                                   rtol=self.RTOL, atol=0.0)
+        assert expected_fetch_energy_slow(after) == pytest.approx(
+            expected_fetch_energy_slow(before), rel=self.RTOL, abs=0.0)
+        assert no_prefetch_energy_slow(t) == pytest.approx(
+            no_prefetch_energy_slow(s), rel=self.RTOL, abs=0.0)

@@ -430,3 +430,10 @@ class TestCsvBoundary:
     def test_header_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             load_rows(io.StringIO("a,b,c\n1,2,3\n"))
+
+
+@pytest.mark.parametrize("L", [0, -2])
+def test_no_task_config_rejected(L):
+    # Reaches the geometry check of every sweep point: no sweep runs with no task.
+    with pytest.raises(ConfigError, match="L="):
+        SweepConfig(param="gamma", values=(20,), policies=("slow-opt",), L=L)
