@@ -21,6 +21,7 @@ import numpy as np
 
 from .model import (
     Channel,
+    _integer_in,
     coefficient_chain,
     mean_gain,
     mean_inverse_gain,
@@ -79,9 +80,9 @@ def build_xi_table(channel: Channel, m: int, horizon: int) -> XiTable:
     For a constant gain it collapses to ``xi[j] = 1 / (g * j**(m-1))``,
     i.e. equal splitting over the remaining slots.
     """
-    if not isinstance(m, (int, np.integer)) or not 2 <= m <= 5:
+    if not _integer_in(m, 2, 5):
         raise ValueError(f"monomial order m must be an integer in [2, 5], got {m!r}")
-    if not isinstance(horizon, (int, np.integer)) or horizon < 0:
+    if not _integer_in(horizon, 0):
         raise ValueError(f"horizon must be a nonnegative integer, got {horizon!r}")
     return _xi_cached(channel, int(m), int(horizon))
 
@@ -90,12 +91,12 @@ def expected_demand_energy(beta: float, table: XiTable, duration: int) -> float:
     """Optimal expected demand energy per unit ``lam``: ``xi[duration] * beta**m``."""
     if beta < 0.0 or not np.isfinite(beta):
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    if not _integer_in(duration, 0, table.horizon):
+        raise ValueError(f"duration must be an integer in 0..{table.horizon}, got {duration!r}")
     if duration == 0:
         if beta > 0.0:
             raise ValueError("positive residual with zero demand slots is infeasible")
         return 0.0
-    if not 1 <= duration <= table.horizon:
-        raise ValueError(f"duration={duration} outside the table horizon {table.horizon}")
     return table.xi[duration] * beta ** table.m
 
 
@@ -111,7 +112,7 @@ def demand_energy_bounds(beta: float, channel: Channel, m: int, duration: int) -
     """
     if beta < 0.0 or not np.isfinite(beta):
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
-    if not isinstance(duration, (int, np.integer)) or duration < 1:
+    if not _integer_in(duration, 1):
         raise ValueError(f"duration must be a positive integer, got {duration!r}")
     scale = beta ** m / duration ** (m - 1)
     return (scale / mean_gain(channel), scale * mean_inverse_gain(channel))

@@ -14,6 +14,7 @@ harness and the command line scale their output by it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
@@ -62,6 +63,12 @@ class QuadratureError(ArithmeticError):
         self.residual = residual
 
 
+def _integer_in(value, low: int, high: float = math.inf) -> bool:
+    """Whether ``value`` is an integer, not a bool, in ``low..high``."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value <= high)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
@@ -95,11 +102,11 @@ class Scenario:
     gamma: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or not 2 <= self.m <= 5:
+        if not _integer_in(self.m, 2, 5):
             raise ValueError(f"monomial order m must be an integer in [2, 5], got {self.m!r}")
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+        if not _integer_in(self.N, 1):
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
-        if not isinstance(self.N_P, (int, np.integer)) or not 1 <= self.N_P <= self.N:
+        if not _integer_in(self.N_P, 1, self.N):
             raise ValueError(f"N_P must satisfy 1 <= N_P <= N, got N_P={self.N_P!r}, N={self.N!r}")
         p = _readonly(self.p)
         gamma = _readonly(self.gamma)
@@ -151,7 +158,7 @@ class FastGamma:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 2:
+        if not _integer_in(self.k, 2):
             raise ValueError(f"shape parameter k must be an integer >= 2, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .model import (
     QuadratureError,
     Scenario,
     SlowFading,
+    _integer_in,
 )
 from .demand import XiTable
 from .prefetch import (
@@ -129,8 +129,8 @@ def slow_oracle(s: Scenario, resolution: int = 21) -> OracleResult:
     axis, so ``L >= 18`` tasks (``2**18 > _GRID_CAP``) raise ``ValueError``
     unless ``N == N_P``, where the plan is prefetching everything.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution!r}")
+    if not _integer_in(resolution, 2):
+        raise ValueError(f"resolution must be an integer of at least 2, got {resolution!r}")
     if s.N == s.N_P:
         alpha = s.gamma.copy()
         value = s.gamma_total ** s.m / s.N_P ** (s.m - 1)
@@ -418,13 +418,10 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
     """
     if s.L > 2:
         raise ValueError("backward induction supports at most two candidate tasks")
-    for name, count in (("bit_grid", bit_grid), ("gain_bins", gain_bins)):
-        if not isinstance(count, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if not 2 <= bit_grid <= 41:
-        raise ValueError("bit_grid must lie in [2, 41]")
-    if gain_bins < 1:
-        raise ValueError(f"gain_bins must be at least 1, got {gain_bins!r}")
+    if not _integer_in(bit_grid, 2, 41):
+        raise ValueError(f"bit_grid must be an integer in [2, 41], got {bit_grid!r}")
+    if not _integer_in(gain_bins, 1):
+        raise ValueError(f"gain_bins must be an integer of at least 1, got {gain_bins!r}")
     if s.N == s.N_P:
         raise ValueError("backward induction requires a demand phase (N > N_P)")
     gain_values, gain_weights = _gain_support(channel, gain_bins)
@@ -456,8 +453,8 @@ def _check_residuals(rho, s: Scenario) -> np.ndarray:
 def _set_sums(rho: np.ndarray, slot: int, zeta: ZetaTable) -> tuple:
     """Check a slot state; the table set's inverse-probability mass and residual total."""
     s = zeta.scenario
-    if not 1 <= slot <= s.N_P:
-        raise ValueError(f"slot {slot} outside the prefetch phase 1..{s.N_P}")
+    if not _integer_in(slot, 1, s.N_P):
+        raise ValueError(f"slot must be an integer in 1..{s.N_P}, got {slot!r}")
     rho = _check_residuals(rho, s)
     idx = np.array(zeta.task_set)
     return float(np.sum(s.p[idx] ** (-1.0 / (s.m - 1)))), float(np.sum(rho[idx]))

@@ -8,13 +8,13 @@ policy is a soft water-filling: task ``l`` receives
 
 where ``rho_n`` are the residual bits and the threshold ``eta_n`` depends on
 the gain, the slot and a second family of backward coefficients ``zeta``
-(one table per candidate target set ``S``).  Thresholds only fall, so an
-episode's whole phase state is one water level and the largest working set
-so far.  One vectorized slot step executes every prefetch slot of every
-policy: it sends the stage-optimal slot total and finds the threshold by a
-galloping search over the priority prefixes, up from the count of tasks
-held at the water level, whose residual totals are closed forms in the
-water level; it coincides with the closed forms in
+(one table per candidate target set ``S``).  Thresholds only fall and a
+causal set leaves out only tasks at or below them, so an episode's whole
+phase state is its water level.  One vectorized slot step executes every
+prefetch slot of every policy: it sends the stage-optimal slot total and
+finds the threshold by a galloping search over the priority prefixes, up
+from the count of tasks held at the water level, whose residual totals are
+closed forms in the water level; it coincides with the closed forms in
 :mod:`livefetch.oracles` whenever every member of ``S`` is active.  The
 policies differ only in the priority prefix the step works on, so one slot
 loop runs them all, each policy a rule for the prefix size: the noncausal
@@ -30,7 +30,6 @@ is per unit ``lam``.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -38,7 +37,8 @@ import numpy as np
 
 # ``expect_over_gain`` stays importable here: perfbench's tracer and its
 # smoke test look for it on this module.
-from .model import Channel, Scenario, coefficient_chain, expect_over_gain  # noqa: F401
+from .model import (  # noqa: F401
+    Channel, Scenario, _integer_in, coefficient_chain, expect_over_gain)
 from .demand import XiTable, build_xi_table, simulate_demand_batch
 from .slow import _task_members, priorities, priority_order
 
@@ -103,9 +103,9 @@ class ZetaTable:
         return self.inv_root[self._offset(slots_to_deadline)]
 
     def _offset(self, slots_to_deadline: int) -> int:
-        if not self.first_index <= slots_to_deadline <= self.last_index:
-            raise ValueError(
-                f"zeta index {slots_to_deadline} outside [{self.first_index}, {self.last_index}]")
+        if not _integer_in(slots_to_deadline, self.first_index, self.last_index):
+            raise ValueError(f"zeta index must be an integer in "
+                             f"{self.first_index}..{self.last_index}, got {slots_to_deadline!r}")
         return slots_to_deadline - self.first_index
 
 
@@ -223,14 +223,14 @@ class BatchResult:
         """``(E, N_P, L)`` bits each slot sends to each task."""
         pad = ((0, 0), (1, 0))
         held = _residuals(self.scenario, np.pad(self.thresholds, pad),
-                          np.maximum.accumulate(np.pad(self.slot_set_size, pad), axis=1))
+                          np.pad(self.slot_set_size, pad))
         return held[:, :-1] - held[:, 1:]
 
 
-def _residuals(s: Scenario, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Bits each task of ``s`` still holds at water ``level`` under set ``bound``.
+def _residuals(s: Scenario, level: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Bits each task of ``s`` holds at water ``level`` after a slot on ``size`` tasks.
 
-    A task holds ``level * p**(-1/(m-1))`` if it is among the ``bound``
+    A task holds ``level * p**(-1/(m-1))`` if it is among the ``size``
     first in priority order and its priority exceeds ``level``, and its
     whole ``gamma`` otherwise (see :meth:`_Kernel.phase`).  The tasks run on the
     first axis, so each comparison broadcasts a task column against a row
@@ -239,7 +239,7 @@ def _residuals(s: Scenario, level: np.ndarray, bound: np.ndarray) -> np.ndarray:
     column = (s.L,) + (1,) * np.ndim(level)
     rank = np.empty(s.L, dtype=int)
     rank[priority_order(s)] = np.arange(s.L)
-    clamped = (rank.reshape(column) < bound) & (priorities(s).reshape(column) > level)
+    clamped = (rank.reshape(column) < size) & (priorities(s).reshape(column) > level)
     held = np.where(clamped, level * (s.p ** -(1.0 / (s.m - 1))).reshape(column),
                     s.gamma.reshape(column))
     return np.moveaxis(held, 0, -1)
@@ -306,7 +306,8 @@ class _Kernel:
     def step(self, level: np.ndarray, c: np.ndarray, n: int, k):
         """Prefetch slot ``n`` on the size-``k`` prefixes: active count, threshold, sent bits.
 
-        ``c`` is the state's clamped count ``min(bound, above(level))``.
+        ``c`` is the state's clamped count ``min(k', above(level))``, ``k'``
+        the previous slot's size.
         Before the final slot the continuation depends on the members'
         residual total ``R_k`` only, so the slot sends the stage-optimal total
         ``T = R_k * u_g / (u_g + u_c)`` and an active prefix of size ``j``
@@ -366,16 +367,24 @@ class _Kernel:
 
         Returns the prefetch energy ``(E,)`` and each slot's threshold and
         prefix size ``(N_P, E)``.  Within the loop an episode's state is its
-        water level (the last threshold) and its set bound (the largest
-        size so far): in priority order, task ``l`` holds ``w(l) * level``
-        if ``l < bound`` and ``delta(l) > level``, and exactly ``gamma(l)``
-        otherwise.  This holds because thresholds only fall: each slot
-        sends a positive total below the members' residual.  A causal set
-        rule leaves out only tasks that would get no bits, because both
-        causal estimates are at most the executed threshold (the
-        conservative one is the all-active formula, a lower bound once
-        members clamp; the aggressive one lies below it since
-        ``u_z > u_xi * A``): a task left out has ``delta <= eta_hat <= eta``.
+        water level (the last threshold) alone.  After a slot on the
+        size-``k`` prefix, task ``l`` in priority order holds
+        ``w(l) * level`` if ``l < k`` and ``delta(l) > level``, and exactly
+        ``gamma(l)`` otherwise, so the next slot's clamped count is
+        ``c = min(k, above(level))`` (``k = 0`` before the first slot).
+        This holds because thresholds only fall (each slot sends a positive
+        total below the members' residual), because no size drops a clamped
+        task (every size is at least ``c``) and because no task left out of
+        the prefix is above the new level.  The noncausal candidates never
+        change size.  A causal rule picks the least size ``k_n >= c`` whose
+        estimate ``eta_hat`` admits exactly ``k_n`` tasks (``L`` if none
+        does), so every task outside the prefix has
+        ``delta <= delta[k_n] <= eta_hat <= eta_n``: both causal estimates
+        are at most the executed threshold (the conservative one is the
+        all-active formula, a lower bound once members clamp; the
+        aggressive one lies below it since ``u_z > u_xi * A``).  So
+        ``above(eta_n) <= k_n``, and a bound on the largest size so far
+        would clamp no other task.
 
         Each slot takes its clamped count ``c``, the policy's prefix size
         ``k`` and one :meth:`step`; no-prefetch runs no slot.  The
@@ -385,9 +394,9 @@ class _Kernel:
         it keeps the best-scoring row per episode (:meth:`best_prefix`),
         which with one candidate is that row.  The causal policies regrow
         the size every slot (:meth:`regrown`) from the tasks that got
-        positive bits in the previous slot, the leading ``min(k, above)``:
-        the count above this slot's water level is the count above the
-        last slot's threshold.
+        positive bits in the previous slot, the leading ``c``: the count
+        above this slot's water level is the count above the last slot's
+        threshold.
         """
         s, episodes = self.s, self.gains.shape[:1]
         causal = policy is not PrefetchPolicy.NONCAUSAL_ORACLE
@@ -399,25 +408,22 @@ class _Kernel:
             k = np.array([[forced_prefix]])
         shape = episodes if causal else k.shape[:1] + episodes
         level, energy = np.full(shape, self.delta[0]), np.zeros(shape)
-        bound, sizes = np.zeros(shape, dtype=int), np.zeros((s.N_P,) + shape, dtype=int)
-        thresholds = np.zeros((s.N_P,) + shape)
+        sizes, thresholds = np.zeros((s.N_P,) + shape, dtype=int), np.zeros((s.N_P,) + shape)
         slots = 0 if policy is PrefetchPolicy.NO_PREFETCH else s.N_P
         for n in range(1, slots + 1):
-            above = self.above(level)
-            c = np.minimum(bound, above)
+            c = np.minimum(k, self.above(level))
             if causal:
-                k = self.regrown(policy, level, c, n, np.minimum(k, above))
+                k = self.regrown(policy, level, c, n)
             _, level, sent = self.step(level, c, n, k)
-            bound = np.maximum(bound, k)
             energy += sent ** s.m / self.gains[:, n - 1]
             thresholds[n - 1], sizes[n - 1] = level, k
         if causal:
             return energy, thresholds, sizes
-        rows = self.best_prefix(level, bound, energy)
+        rows = self.best_prefix(level, k, energy)
         picked = np.arange(rows.size)
         return tuple(array[..., rows, picked] for array in (energy, thresholds, sizes))
 
-    def best_prefix(self, level: np.ndarray, bound: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    def best_prefix(self, level: np.ndarray, k: np.ndarray, energy: np.ndarray) -> np.ndarray:
         """Per episode, the row of a ``(candidates, E)`` state with the least score.
 
         A prefix scores its realized prefetch ``energy`` plus the expected
@@ -426,16 +432,16 @@ class _Kernel:
         sum is ``level**m * W_c`` plus the tail sum of ``p * gamma**m``.
         ``argmin`` keeps the first minimum: ties go to the smaller prefix.
         """
-        c = np.minimum(bound, self.above(level))
+        c = np.minimum(k, self.above(level))
         score = energy + self.demand_weight * (level ** self.s.m * self.cum_w[c] + self.tail[c])
         return np.argmin(score, axis=0)
 
-    def regrown(self, policy: PrefetchPolicy, level, c, n: int, positive) -> np.ndarray:
+    def regrown(self, policy: PrefetchPolicy, level, c, n: int) -> np.ndarray:
         """The causal set rule: slot ``n``'s prefix size for each episode.
 
-        The size is the smallest, at least ``positive``, whose estimated
-        final threshold admits exactly as many tasks as the prefix holds
-        (the full set if none does).  The estimates are
+        The size is the smallest, at least the clamped count ``c``, whose
+        estimated final threshold admits exactly as many tasks as the prefix
+        holds (the full set if none does).  The estimates are
 
             aggressive:   R * u_xi / (u_g + u_z(N-n))
             conservative: R * u_z(N-n) / ((u_g + u_z(N-n)) * A)
@@ -459,7 +465,7 @@ class _Kernel:
         else:
             u_z = self.u_zeta[:, n - 1, None]
             eta_hat = residual * u_z / ((u_g + u_z) * mass)
-        return self.least_admitting(eta_hat, positive)
+        return self.least_admitting(eta_hat, c)
 
 
 def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable]],
@@ -542,15 +548,14 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     realized = realized.astype(int)
     if forced_prefix is not None and policy is not PrefetchPolicy.NONCAUSAL_ORACLE:
         raise ValueError(f"only the noncausal policy takes forced_prefix, not {policy.value}")
-    if forced_prefix is not None and (isinstance(forced_prefix, bool) or not (
-            isinstance(forced_prefix, numbers.Integral) and 1 <= forced_prefix <= s.L)):
+    if forced_prefix is not None and not _integer_in(forced_prefix, 1, s.L):
         raise ValueError(f"forced_prefix must be an integer in 1..{s.L}, got {forced_prefix!r}")
     if policy is PrefetchPolicy.NO_PREFETCH:
         prefix_tables = None
     elif prefix_tables is None:
         prefix_tables = build_prefix_tables(s, channel, xi)
     prefetch, thresholds, sizes = _kernel(s, xi, prefix_tables, gains).run(policy, forced_prefix)
-    final_rho = _residuals(s, thresholds[-1], sizes.max(axis=0))
+    final_rho = _residuals(s, thresholds[-1], sizes[-1])
     if not np.all((final_rho >= 0.0) & (final_rho < np.inf)):
         raise FloatingPointError("the prefetch phase left residual bits that are "
                                  "negative or not finite")

@@ -294,8 +294,13 @@ class TestSlotMajor:
     lambda: expected_demand_energy(1.0, build_xi_table(FastGamma(k=2), m=2, horizon=2), 3),
     lambda: demand_energy_bounds(-1.0, FastGamma(k=2), m=2, duration=1),
     lambda: demand_energy_bounds(1.0, FastGamma(k=2), m=2, duration=0),
+    lambda: build_xi_table(FastGamma(k=2), m=2, horizon=True),
+    lambda: expected_demand_energy(1.0, build_xi_table(FastGamma(k=2), m=2, horizon=2), 2.0),
+    lambda: expected_demand_energy(1.0, build_xi_table(FastGamma(k=2), m=2, horizon=2), True),
+    lambda: demand_energy_bounds(1.0, FastGamma(k=2), m=2, duration=True),
 ], ids=["m6", "negative-horizon", "expected-negative-beta", "expected-past-horizon",
-        "bounds-negative-beta", "bounds-zero-duration"])
+        "bounds-negative-beta", "bounds-zero-duration", "bool-horizon",
+        "expected-float-duration", "expected-bool-duration", "bounds-bool-duration"])
 def test_input_checks(call):
     with pytest.raises(ValueError):
         call()

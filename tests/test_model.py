@@ -164,12 +164,13 @@ class UnknownChannel:
 
 @pytest.mark.parametrize("call, error", [
     (lambda: make_scenario(N=0), ValueError),
+    (lambda: make_scenario(N=True, N_P=True), ValueError),
     (lambda: sample_gain(UnknownChannel(), np.random.default_rng(0)), TypeError),
     (lambda: mean_gain(UnknownChannel()), TypeError),
     (lambda: mean_inverse_gain(UnknownChannel()), TypeError),
     (lambda: expect_over_gain(lambda g: g, UnknownChannel()), TypeError),
     (lambda: coefficient_chain(UnknownChannel(), 2, [1.0], 1), TypeError),
-], ids=["N0", "sample_gain", "mean_gain", "mean_inverse_gain", "expect_over_gain",
+], ids=["N0", "bool-N", "sample_gain", "mean_gain", "mean_inverse_gain", "expect_over_gain",
         "coefficient_chain"])
 def test_input_checks(call, error):
     with pytest.raises(error):

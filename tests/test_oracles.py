@@ -598,7 +598,10 @@ class UnknownChannel:
     (lambda: p5_backward_induction(S21, UnknownChannel()), TypeError),
     (lambda: oracles._check_residuals(np.ones(3), S21), ValueError),
     (lambda: oracles._check_residuals([[5.0, 3.0]], S21), ValueError),
-], ids=["unknown-channel", "three-residuals", "row-of-residuals"])
+    (lambda: slow_oracle(UNIFORM2, resolution=3.0), ValueError),
+    (lambda: p5_backward_induction(S21, FAST2, gain_bins=True), ValueError),
+], ids=["unknown-channel", "three-residuals", "row-of-residuals", "float-resolution",
+        "bool-gain-bins"])
 def test_input_checks(call, error):
     with pytest.raises(error):
         call()

@@ -123,6 +123,10 @@ class TestZetaTable:
             ZETA2.value(ZETA2.first_index - 1)
         with pytest.raises(ValueError):
             ZETA2.u(ZETA2.last_index + 1)
+        # A float index is rejected as an index, not a tuple's ``TypeError``.
+        for lookup in (ZETA2.value, ZETA2.u):
+            with pytest.raises(ValueError):
+                lookup(float(ZETA2.last_index))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -182,6 +186,11 @@ class TestThresholdEta:
                 threshold_eta(self.RHO2, 1, bad, ZETA2)
         with pytest.raises(ValueError):
             threshold_eta(self.RHO2, 2, 1.0, ZETA2)
+        # A slot is an integer: a float is not read as one, nor a bool as 1.
+        table = TABLES3[-1]
+        for slot in (2.0, True):
+            with pytest.raises(ValueError):
+                threshold_eta(S3.gamma, slot, 1.0, table)
         for rho in ([-1.0, 4.0], [np.nan, 4.0], [4.0, np.inf]):
             with pytest.raises(ValueError):
                 threshold_eta(np.array(rho), 1, 1.0, ZETA2)
@@ -1312,13 +1321,34 @@ class TestSlotRecord:
 
     @pytest.mark.parametrize("run", RUNS, ids=run_id)
     def test_final_residuals_follow_from_the_record(self, run):
-        # The water level is the last threshold and the set bound the largest
-        # size: the same residual rule that derives ``decisions``.
+        # The water level is the last threshold, and the last size clamps the
+        # same tasks as the largest: the residual rule that derives
+        # ``decisions``.
         s, xi, tables, gains, realized = TestEpisodeBlocks.instance(8, 300)
         batch = run_prefetch_batch(s, FAST2, gains=gains, realized=realized, xi=xi,
                                    prefix_tables=tables, **run)
-        held = prefetch._residuals(s, batch.thresholds[:, -1], batch.slot_set_size.max(axis=1))
-        assert np.array_equal(batch.final_rho, held)
+        level = batch.thresholds[:, -1]
+        for size in (batch.slot_set_size[:, -1], batch.slot_set_size.max(axis=1)):
+            assert np.array_equal(batch.final_rho, prefetch._residuals(s, level, size))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(L=st.integers(1, 64), m=st.integers(2, 5), shape=st.integers(2, 8),
+           N_P=st.integers(1, 8), demand=st.integers(1, 3),
+           gamma_total=st.sampled_from([1e-2, 20.0, 1e3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_causal_sets_leave_out_no_task_above_the_threshold(
+            self, L, m, shape, N_P, demand, gamma_total, seed):
+        # The invariant that lets the slot loop keep no set bound: a causal
+        # set admits every task whose priority exceeds the slot's threshold.
+        rng = np.random.default_rng(seed)
+        s = generate_scenario(rng, L=L, gamma_total=gamma_total, m=m, N=N_P + demand, N_P=N_P)
+        channel = FastGamma(shape)
+        gains, realized = draw_episodes(s, channel, rng, 60)
+        delta = priorities(s)
+        for policy in ("aggressive", "conservative"):
+            batch = run_prefetch_batch(s, channel, policy, gains, realized)
+            above = np.count_nonzero(delta > batch.thresholds[:, :, None], axis=2)
+            assert np.all(above <= batch.slot_set_size)
 
 
 class TestEpisodeBlocks:
