@@ -293,8 +293,13 @@ def coefficient_chain(channel: Channel, m: int, start, steps: int) -> tuple:
     exact; the Gamma model sums a double-exponential rule built once per
     ``(m, k)``, whose terms are all positive, so the relative error (about
     1e-15) does not depend on ``u``.  Raises :class:`QuadratureError` if
-    the rule's step does not settle or an entry is not finite.
+    the rule's step does not settle or an entry is not finite, and
+    ``ValueError`` unless ``m >= 2`` and ``steps >= 0`` are integers.
     """
+    if not _integer_in(m, 2):
+        raise ValueError(f"monomial order m must be an integer of at least 2, got {m!r}")
+    if not _integer_in(steps, 0):
+        raise ValueError(f"steps must be an integer of at least 0, got {steps!r}")
     if isinstance(channel, SlowFading):
         rule = (np.array([channel.g ** (1.0 / (m - 1))]), np.array([1.0]))
     elif isinstance(channel, FastGamma):

@@ -18,13 +18,12 @@ closed forms in the water level; it coincides with the closed forms in
 :mod:`livefetch.oracles` whenever every member of ``S`` is active.  The
 policies differ only in the priority prefix the step works on, so one slot
 loop runs them all, each policy a rule for the prefix size: the noncausal
-oracle locks each of its candidate prefixes (all ``L`` of them, or
-``forced_prefix`` alone) in one batch against the revealed gains and keeps
-the best-scoring one per episode, and the two causal estimators (an
-optimistic and a pessimistic guess of the final-slot threshold) regrow the
-set every slot.  The loop runs in cache-sized blocks of episodes.  No
-threshold depends on the energy coefficient ``lam``, so every energy here
-is per unit ``lam``.
+oracle scores every locked prefix against the revealed gains in closed
+form and locks the best one per episode (or ``forced_prefix``), and the
+two causal estimators (an optimistic and a pessimistic guess of the
+final-slot threshold) regrow the set every slot.  The loop runs in
+cache-sized blocks of episodes.  No threshold depends on the energy
+coefficient ``lam``, so every energy here is per unit ``lam``.
 """
 
 from __future__ import annotations
@@ -252,7 +251,7 @@ class _Kernel:
     :meth:`phase` holds the one slot loop; a policy only chooses each
     slot's prefix size, and :meth:`step` executes the slot.  Every array
     that crosses episodes with sizes keeps the episodes on the last axis:
-    the noncausal oracle's candidate prefixes and the causal set rule's
+    the noncausal oracle's :meth:`prefix_scores` and the causal set rule's
     residual totals, estimates and matches are ``(L, E)``.
     """
 
@@ -303,38 +302,42 @@ class _Kernel:
         index = row + j
         return level * self.low_w.take(index) + self.span.take(index)
 
-    def step(self, level: np.ndarray, c: np.ndarray, n: int, k):
-        """Prefetch slot ``n`` on the size-``k`` prefixes: active count, threshold, sent bits.
-
-        ``c`` is the state's clamped count ``min(k', above(level))``, ``k'``
-        the previous slot's size.
-        Before the final slot the continuation depends on the members'
-        residual total ``R_k`` only, so the slot sends the stage-optimal total
-        ``T = R_k * u_g / (u_g + u_c)`` and an active prefix of size ``j``
-        has the threshold ``(R_j - T) / W_j``; the final slot's stage problem
-        is exactly separable, its threshold ``R_j / (W_j + u_g / u_xi)``.
-        The active prefix is the first whose threshold reaches the next
-        member's ratio ``f_j = min(delta, level)``, i.e. ``R_j - f_j * W_j``
-        reaches ``T`` (or ``f_j * u_g / u_xi``).  That left side never
-        decreases in ``j`` and ``f_j`` never increases, so the first reached
-        prefix is found by searching ``[max(c, 1), k]``; below the clamped
-        count ``c`` no prefix is reached while the members hold bits.  The
-        first reached prefix lies mostly just above ``c``, so the search
-        gallops up from there (Bentley and Yao's unbounded search): from
-        ``start = max(c, 1)`` it probes ``start + 1, start + 5, start + 13, ...``,
-        each probe at ``min(2 * lo - start + 1, (lo + active) // 2)``, so it
-        never passes the bisection's midpoint and a bracket of three or
-        fewer prefixes is plain bisection.  Every episode stops once its
-        bracket is one prefix; a stopped episode's probe re-tests that
-        prefix and changes nothing.
-        """
-        row = c * (self.s.L + 1)
+    def total_and_spare(self, level: np.ndarray, c: np.ndarray, n: int, k) -> tuple:
+        """Slot ``n``'s ``total`` and ``spare`` for :meth:`step` on the size-``k`` prefixes."""
         u_g = self.u_gain[:, n - 1]
         if n == self.s.N_P:
-            total, spare = 0.0, u_g / self.u_xi
-        else:
-            total = self.totals(level, row, k) * u_g / (u_g + self.u_zeta[k - 1, n - 1])
-            spare = 0.0
+            return 0.0, u_g / self.u_xi
+        total = self.totals(level, c * (self.s.L + 1), k) * u_g / (u_g + self.u_zeta[k - 1, n - 1])
+        return total, 0.0
+
+    def step(self, level: np.ndarray, c: np.ndarray, k, total, spare):
+        """One prefetch slot on the size-``k`` prefixes: active count, threshold, sent bits.
+
+        ``c`` is the state's clamped count ``min(k', above(level))``, ``k'``
+        the previous slot's size, and an active prefix of size ``j`` has the
+        threshold ``(R_j - total) / (W_j + spare)``.  Before the final slot
+        the continuation depends on the members' residual total ``R_k``
+        only, so the slot sends the stage-optimal ``total = R_k * u_g / (u_g
+        + u_c)`` with ``spare = 0``; the final slot's stage problem is
+        exactly separable, ``total = 0`` and ``spare = u_g / u_xi``.  The
+        caller passes both, so that the slot loop and
+        :meth:`prefix_scores` share this search.
+        The active prefix is the first whose threshold reaches the next
+        member's ratio ``f_j = min(delta, level)``, i.e. ``R_j - f_j * W_j``
+        reaches ``total + f_j * spare``.  The left side never decreases in
+        ``j`` and ``f_j`` never increases, so the first reached prefix is
+        found by searching ``[max(c, 1), k]``; below the clamped count ``c``
+        no prefix is reached while the members hold bits.  The first reached
+        prefix lies mostly just above ``c``, so the search gallops up from
+        there (Bentley and Yao's unbounded search): from ``start = max(c,
+        1)`` it probes ``start + 1, start + 5, start + 13, ...``, each probe
+        at ``min(2 * lo - start + 1, (lo + active) // 2)``, so it never
+        passes the bisection's midpoint and a bracket of three or fewer
+        prefixes is plain bisection.  Every episode stops once its bracket
+        is one prefix; a stopped episode's probe re-tests that prefix and
+        changes nothing.
+        """
+        row = c * (self.s.L + 1)
         lo = np.minimum(np.maximum(c, 1), k)
         start = lo.copy()
         active = np.maximum(lo, k)
@@ -375,8 +378,8 @@ class _Kernel:
         This holds because thresholds only fall (each slot sends a positive
         total below the members' residual), because no size drops a clamped
         task (every size is at least ``c``) and because no task left out of
-        the prefix is above the new level.  The noncausal candidates never
-        change size.  A causal rule picks the least size ``k_n >= c`` whose
+        the prefix is above the new level.  A locked prefix never changes
+        size.  A causal rule picks the least size ``k_n >= c`` whose
         estimate ``eta_hat`` admits exactly ``k_n`` tasks (``L`` if none
         does), so every task outside the prefix has
         ``delta <= delta[k_n] <= eta_hat <= eta_n``: both causal estimates
@@ -387,54 +390,70 @@ class _Kernel:
         would clamp no other task.
 
         Each slot takes its clamped count ``c``, the policy's prefix size
-        ``k`` and one :meth:`step`; no-prefetch runs no slot.  The
-        noncausal oracle's sizes are its candidates, one row each: every
-        prefix as an ``(L, 1)`` column, or ``forced_prefix`` alone, so its
-        state is ``(candidates, E)`` and its record ``(N_P, candidates, E)``;
-        it keeps the best-scoring row per episode (:meth:`best_prefix`),
-        which with one candidate is that row.  The causal policies regrow
-        the size every slot (:meth:`regrown`) from the tasks that got
-        positive bits in the previous slot, the leading ``c``: the count
-        above this slot's water level is the count above the last slot's
-        threshold.
+        ``k``, the slot's :meth:`total_and_spare` and one :meth:`step`;
+        no-prefetch runs no slot.  The noncausal oracle locks one size per
+        episode: the prefix with the least :meth:`prefix_scores` (the first
+        minimum, so ties go to the smaller prefix), or ``forced_prefix``.
+        So its energies, thresholds and sizes are the loop's on that
+        prefix.  The causal policies regrow the size every slot
+        (:meth:`regrown`) from the tasks that got positive bits in the
+        previous slot, the leading ``c``: the count above this slot's
+        water level is the count above the last slot's threshold.
         """
-        s, episodes = self.s, self.gains.shape[:1]
+        s, episodes = self.s, self.gains.shape[0]
         causal = policy is not PrefetchPolicy.NONCAUSAL_ORACLE
         if causal:
             k = np.zeros(episodes, dtype=int)
         elif forced_prefix is None:
-            k = np.arange(1, s.L + 1)[:, None]
+            k = np.argmin(self.prefix_scores(), axis=0) + 1
         else:
-            k = np.array([[forced_prefix]])
-        shape = episodes if causal else k.shape[:1] + episodes
-        level, energy = np.full(shape, self.delta[0]), np.zeros(shape)
-        sizes, thresholds = np.zeros((s.N_P,) + shape, dtype=int), np.zeros((s.N_P,) + shape)
+            k = np.full(episodes, forced_prefix)
+        level, energy = np.full(episodes, self.delta[0]), np.zeros(episodes)
+        sizes, thresholds = np.zeros((s.N_P, episodes), dtype=int), np.zeros((s.N_P, episodes))
         slots = 0 if policy is PrefetchPolicy.NO_PREFETCH else s.N_P
         for n in range(1, slots + 1):
             c = np.minimum(k, self.above(level))
             if causal:
                 k = self.regrown(policy, level, c, n)
-            _, level, sent = self.step(level, c, n, k)
+            _, level, sent = self.step(level, c, k, *self.total_and_spare(level, c, n, k))
             energy += sent ** s.m / self.gains[:, n - 1]
             thresholds[n - 1], sizes[n - 1] = level, k
-        if causal:
-            return energy, thresholds, sizes
-        rows = self.best_prefix(level, k, energy)
-        picked = np.arange(rows.size)
-        return tuple(array[..., rows, picked] for array in (energy, thresholds, sizes))
+        return energy, thresholds, sizes
 
-    def best_prefix(self, level: np.ndarray, k: np.ndarray, energy: np.ndarray) -> np.ndarray:
-        """Per episode, the row of a ``(candidates, E)`` state with the least score.
+    def prefix_scores(self) -> np.ndarray:
+        """The noncausal score of every locked prefix size, ``(L, E)``.
 
-        A prefix scores its realized prefetch ``energy`` plus the expected
-        demand energy of its residuals, ``xi * sum p * rho**m``.  The
-        ``c`` clamped tasks hold ``w * level`` and ``p * w**m = w``, so the
-        sum is ``level**m * W_c`` plus the tail sum of ``p * gamma**m``.
-        ``argmin`` keeps the first minimum: ties go to the smaller prefix.
+        A prefix scores its realized prefetch energy plus the expected
+        demand energy of its residuals, ``xi * sum p * rho**m``.  Locked to
+        size ``k``, every slot before the last sends exactly ``T = R * u_g /
+        (u_g + u_z)``: its threshold ``(R_j - T) / W_j`` is never negative,
+        since ``T < R``.  So the members' residual total follows the chain
+        ``R <- R - T`` whatever the water level.  All bits sent so far came
+        from the clamped tasks, which lead the prefix, so the last slot's
+        threshold is one :meth:`step` from the full residuals (``level =
+        delta[0]``, ``c = 0``) with the bits already sent, ``R_0 - R``, as
+        its total and ``u_g / u_xi`` as its spare, and that slot sends
+        ``eta * u_g / u_xi``.  The ``c`` clamped tasks then hold ``w * eta``
+        and ``p * w**m = w``, so the demand sum is ``eta**m * W_c`` plus the
+        tail sum of ``p * gamma**m``.  The scores equal the slot loop's on
+        each locked prefix to rounding (the tests bound it at 1e-14
+        relative).
         """
-        c = np.minimum(k, self.above(level))
-        score = energy + self.demand_weight * (level ** self.s.m * self.cum_w[c] + self.tail[c])
-        return np.argmin(score, axis=0)
+        s, episodes = self.s, self.gains.shape[0]
+        k = np.arange(1, s.L + 1)[:, None]
+        first = self.span.take(k)
+        held, energy = first, 0.0
+        for n in range(1, s.N_P):
+            u_g = self.u_gain[:, n - 1]
+            sent = held * u_g / (u_g + self.u_zeta[:, n - 1, None])
+            energy = energy + sent ** s.m / self.gains[:, n - 1]
+            held = held - sent
+        spare = self.u_gain[:, s.N_P - 1] / self.u_xi
+        _, eta, _ = self.step(self.delta[0], np.zeros((s.L, episodes), dtype=int), k,
+                              first - held, spare)
+        energy = energy + (eta * spare) ** s.m / self.gains[:, s.N_P - 1]
+        c = np.minimum(k, self.above(eta))
+        return energy + self.demand_weight * (eta ** s.m * self.cum_w[c] + self.tail[c])
 
     def regrown(self, policy: PrefetchPolicy, level, c, n: int) -> np.ndarray:
         """The causal set rule: slot ``n``'s prefix size for each episode.
@@ -505,16 +524,16 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     ``gains`` has shape ``(episodes, N)`` and ``realized`` holds the task
     index per episode; sharing them across policies yields paired samples.
     ``policy`` may also be given by its value (``"aggressive"``, ...).
-    The noncausal oracle executes every priority prefix against the
-    revealed prefetch gains, all ``L`` of them as one ``(L, episodes)``
-    batch (in blocks of at most ``2**14 // L`` episodes, which changes no
-    result), and keeps, per episode, the one with the lowest realized
-    prefetch energy plus expected demand energy of its residuals (ties go
-    to the smaller prefix).  With ``forced_prefix`` the priority prefix of
-    that size is its one candidate, so every episode locks it; any other
-    policy rejects ``forced_prefix``.  The demand phase always runs
-    the xi-policy.  The result carries every slot's threshold and
-    working-set size.  Energies are per unit ``lam``.
+    The noncausal oracle scores every priority prefix against the
+    revealed prefetch gains by its realized prefetch energy plus the
+    expected demand energy of its residuals, all ``L`` of them in closed
+    form on an ``(L, episodes)`` block (of at most ``2**14 // L``
+    episodes, which changes no result), and runs, per episode, the one of
+    least score (ties go to the smaller prefix) through the slot loop.
+    With ``forced_prefix`` every episode locks the priority prefix of that
+    size, unscored; any other policy rejects ``forced_prefix``.  The demand
+    phase always runs the xi-policy.  The result carries every slot's
+    threshold and working-set size.  Energies are per unit ``lam``.
 
     ``xi`` (built when omitted) must be the demand table of ``channel`` and
     ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``

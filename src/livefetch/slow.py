@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import Scenario
+from .model import Scenario, _integer_in
 
 __all__ = [
     "PrefetchPlan",
@@ -147,10 +147,14 @@ def slot_allocation_slow(plan: PrefetchPlan, realized: int) -> np.ndarray:
     Under a constant gain, convexity makes equal splitting optimal in both
     phases: ``alpha_sigma / N_P`` bits in each prefetch slot, then
     ``beta / (N - N_P)`` in each demand slot.  Returns an array of length
-    ``N``; the demand part is empty when ``N == N_P``.
+    ``N``; the demand part is empty when ``N == N_P``.  A ``realized``
+    that is not an integer (a float or a bool) is a ``ValueError``, an
+    integer outside ``0..L-1`` an ``IndexError``.
     """
     s = plan.scenario
-    if not 0 <= realized < s.L:
+    if not _integer_in(realized, -np.inf):
+        raise ValueError(f"realized task must be an integer, got {realized!r}")
+    if not _integer_in(realized, 0, s.L - 1):
         raise IndexError(f"realized task {realized} out of range for L={s.L}")
     loads = np.empty(s.N)
     loads[:s.N_P] = plan.alpha_sigma / s.N_P

@@ -24,7 +24,7 @@ import numpy as np
 # in the import rather than in the first sweep.
 from numpy.random import SeedSequence, default_rng
 
-from .model import FastGamma, Scenario, sample_gain, to_db
+from .model import FastGamma, Scenario, _integer_in, sample_gain, to_db
 from .slow import (
     expected_fetch_energy_slow,
     no_prefetch_energy_slow,
@@ -188,8 +188,11 @@ def generate_scenario(rng: np.random.Generator, L: int, gamma_total: float,
     ``gamma_total``, and the sizes at any ``gamma_total`` are those at
     ``gamma_total=1.0`` (which :func:`run_sweep` draws) times it, up to one
     rounding.  A positive ``gamma_total`` whose sizes underflow to zero
-    raises ``FloatingPointError``.
+    raises ``FloatingPointError``; an ``L`` that is not an integer of at
+    least 1 is a ``ValueError``, raised before anything is drawn.
     """
+    if not _integer_in(L, 1):
+        raise ValueError(f"task count L must be an integer of at least 1, got {L!r}")
     if uniform:
         p = np.full(L, 1.0 / L)
         gamma = np.full(L, gamma_total / L)

@@ -137,6 +137,20 @@ class TestRuleFailures:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m, steps", [(True, 2), (1, 2), (2.0, 2), (2, 2.0), (2, True),
+                                          (2, -1)],
+                             ids=["bool-m", "m-below-2", "float-m", "float-steps", "bool-steps",
+                                  "negative-steps"])
+    def test_counts_must_be_integers(self, m, steps):
+        # A float or a bool is a ValueError, not numpy's TypeError or a
+        # ZeroDivisionError from 1/(m-1).
+        with pytest.raises(ValueError, match="must be an integer"):
+            coefficient_chain(FastGamma(2), m, [1.0], steps)
+
+    def test_zero_steps_is_an_empty_chain(self):
+        entries, roots = coefficient_chain(FastGamma(2), 3, [1.0, 2.0], 0)
+        assert entries.shape == roots.shape == (2, 0)
+
     def test_non_finite_entry_raises(self):
         with pytest.raises(QuadratureError):
             coefficient_chain(FastGamma(2), 3, [1.0, math.nan], 2)

@@ -361,9 +361,11 @@ NO_DEMAND2 = Scenario(m=2, N=2, N_P=2, p=np.array([0.5, 0.5]), gamma=np.array([4
 @pytest.mark.parametrize("call, error", [
     (lambda: slot_allocation_slow(optimal_prefetch_slow(UNIFORM2), 2), IndexError),
     (lambda: slot_allocation_slow(optimal_prefetch_slow(UNIFORM2), -1), IndexError),
+    (lambda: slot_allocation_slow(optimal_prefetch_slow(UNIFORM2), True), ValueError),
+    (lambda: slot_allocation_slow(optimal_prefetch_slow(UNIFORM2), 1.0), ValueError),
     (lambda: no_prefetch_energy_slow(NO_DEMAND2), ValueError),
     (lambda: gain_lower_bound(NO_DEMAND2), ValueError),
-], ids=["task-past-L", "negative-task", "no-prefetch-without-demand",
+], ids=["task-past-L", "negative-task", "bool-task", "float-task", "no-prefetch-without-demand",
         "gain-bound-without-demand"])
 def test_input_checks(call, error):
     with pytest.raises(error):

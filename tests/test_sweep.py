@@ -127,6 +127,32 @@ class TestGenerateScenario:
         np.testing.assert_array_equal(a.p, b.p)
         np.testing.assert_array_equal(a.gamma, b.gamma)
 
+    @pytest.mark.parametrize("L", [2.0, True, 0, -1])
+    def test_task_count_must_be_a_positive_integer(self, L):
+        # Checked before anything is drawn: the generator is left untouched.
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="must be an integer"):
+            generate_scenario(rng, L=L, gamma_total=1.0, m=2, N=3, N_P=1)
+        assert rng.random() == np.random.default_rng(3).random()
+
+    def test_valid_calls_draw_the_same_scenarios(self):
+        # Pinned bit for bit: a draw of three tasks, a uniform one with a
+        # numpy count, a single task, and the generator's state after them.
+        rng = np.random.default_rng(7)
+        pinned = [
+            (3, 20.0, False, ["0x1.168bd39c9057fp-2", "0x1.8fcdc0948167cp-2",
+                              "0x1.59a66bceee406p-2"],
+             ["0x1.9c1f91e0d2ea2p+1", "0x1.12a5f45ff4842p+2", "0x1.8fa52157d1036p+3"]),
+            (np.int64(2), 1.0, True, ["0x1.0p-1"] * 2, ["0x1.0p-1"] * 2),
+            (1, 5.0, False, ["0x1.0p+0"], ["0x1.4p+2"]),
+        ]
+        for L, gamma_total, uniform, p, gamma in pinned:
+            s = generate_scenario(rng, L=L, gamma_total=gamma_total, m=2, N=5, N_P=2,
+                                  uniform=uniform)
+            assert s.p.tolist() == [float.fromhex(x) for x in p]
+            assert s.gamma.tolist() == [float.fromhex(x) for x in gamma]
+        assert rng.random() == 0.7970694287520462
+
     def test_uniform_flag_forces_equal_tasks(self):
         s = generate_scenario(np.random.default_rng(2), L=4, gamma_total=20.0,
                               m=2, N=5, N_P=4, uniform=True)
