@@ -110,6 +110,8 @@ def demand_energy_bounds(beta: float, channel: Channel, m: int, duration: int) -
 
     with the upper bound tight at ``duration == 1``.
     """
+    if not _integer_in(m, 2, 5):
+        raise ValueError(f"monomial order m must be an integer in [2, 5], got {m!r}")
     if beta < 0.0 or not np.isfinite(beta):
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
     if not _integer_in(duration, 1):

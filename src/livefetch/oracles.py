@@ -46,6 +46,9 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: A golden-section search stops once its bracket is at most this wide.
+_GOLDEN_TOL = 1e-8
+
 #: The slow oracle's grid holds at most this many points.
 _GRID_CAP = 2e5
 
@@ -100,13 +103,13 @@ def _stage_objective(alpha, s: Scenario):
     return prefetch + demand
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Minimize a unimodal function on [lo, hi] to the given interval width."""
+def _golden_section(fun, lo: float, hi: float) -> float:
+    """Minimize a unimodal function on [lo, hi] to an interval width of ``_GOLDEN_TOL``."""
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -249,10 +249,13 @@ class _Kernel:
     """Per-batch constants of the prefetch phase, tasks in priority order.
 
     :meth:`phase` holds the one slot loop; a policy only chooses each
-    slot's prefix size, and :meth:`step` executes the slot.  Every array
-    that crosses episodes with sizes keeps the episodes on the last axis:
-    the noncausal oracle's :meth:`prefix_scores` and the causal set rule's
-    residual totals, estimates and matches are ``(L, E)``.
+    slot's prefix size, and :meth:`step` executes the slot.  Each slot rule
+    is written once: :meth:`totals` gives the prefix totals,
+    :meth:`total_and_spare` the slot's total and spare, and ``span`` is
+    the only ``(L+1)**2`` table.  Every array that crosses episodes with
+    sizes keeps the episodes on the last axis: the noncausal oracle's
+    :meth:`prefix_scores` and the causal set rule's residual totals,
+    estimates and matches are ``(L, E)``.
     """
 
     s: Scenario
@@ -260,7 +263,6 @@ class _Kernel:
     delta: np.ndarray      #: (L+1,) priorities gamma/w, non-increasing, then -inf
     falling: np.ndarray    #: (L,) -delta[:-1], non-decreasing, for ``searchsorted``
     cum_w: np.ndarray      #: (L+1,) prefix sums of w, from 0
-    low_w: np.ndarray      #: ((L+1)**2,) [c*(L+1) + j] = cum_w[min(c, j)]
     span: np.ndarray       #: ((L+1)**2,) [c*(L+1) + j] = sum of gamma over c <= l < j
     u_zeta: np.ndarray     #: [k-1, n-1]: u of the size-k prefix table at N-n to go
     u_xi: float
@@ -292,35 +294,36 @@ class _Kernel:
         match = self.admits_own_size(estimate) & (sizes >= positive)
         return np.where(match, sizes, self.s.L).min(axis=0)
 
-    def totals(self, level, row, j) -> np.ndarray:
+    def totals(self, level, c, j) -> np.ndarray:
         """Residual totals of the size-``j`` prefixes with ``c`` tasks at ``level``.
 
-        ``row = c * (L+1)`` is the offset of ``c``'s row in the flat tables,
-        and ``level * cum_w[min(c, j)]`` equals the clamped tasks' share
-        ``level * min(cum_w[j], cum_w[c])`` because ``cum_w`` increases.
+        The first ``min(c, j)`` tasks hold ``level * w``, the rest of the
+        prefix its data sizes: ``level * cum_w[min(c, j)]`` plus ``span`` at
+        ``c * (L+1) + j``.
         """
-        index = row + j
-        return level * self.low_w.take(index) + self.span.take(index)
+        return level * self.cum_w.take(np.minimum(c, j)) + self.span.take(c * (self.s.L + 1) + j)
 
-    def total_and_spare(self, level: np.ndarray, c: np.ndarray, n: int, k) -> tuple:
-        """Slot ``n``'s ``total`` and ``spare`` for :meth:`step` on the size-``k`` prefixes."""
+    def total_and_spare(self, held, n: int, k) -> tuple:
+        """Slot ``n``'s ``total`` and ``spare`` for :meth:`step` on the size-``k`` prefixes.
+
+        ``held`` is the members' residual total ``R_k``.  Before the final
+        slot the continuation depends on ``R_k`` only, so the slot sends the
+        stage-optimal ``total = R_k * u_g / (u_g + u_z)`` with ``spare =
+        0``; the final slot's stage problem is exactly separable, ``total =
+        0`` and ``spare = u_g / u_xi``.
+        """
         u_g = self.u_gain[:, n - 1]
         if n == self.s.N_P:
             return 0.0, u_g / self.u_xi
-        total = self.totals(level, c * (self.s.L + 1), k) * u_g / (u_g + self.u_zeta[k - 1, n - 1])
-        return total, 0.0
+        return held * u_g / (u_g + self.u_zeta[k - 1, n - 1]), 0.0
 
     def step(self, level: np.ndarray, c: np.ndarray, k, total, spare):
         """One prefetch slot on the size-``k`` prefixes: active count, threshold, sent bits.
 
         ``c`` is the state's clamped count ``min(k', above(level))``, ``k'``
         the previous slot's size, and an active prefix of size ``j`` has the
-        threshold ``(R_j - total) / (W_j + spare)``.  Before the final slot
-        the continuation depends on the members' residual total ``R_k``
-        only, so the slot sends the stage-optimal ``total = R_k * u_g / (u_g
-        + u_c)`` with ``spare = 0``; the final slot's stage problem is
-        exactly separable, ``total = 0`` and ``spare = u_g / u_xi``.  The
-        caller passes both, so that the slot loop and
+        threshold ``(R_j - total) / (W_j + spare)``; the caller passes
+        :meth:`total_and_spare`, so that the slot loop and
         :meth:`prefix_scores` share this search.
         The active prefix is the first whose threshold reaches the next
         member's ratio ``f_j = min(delta, level)``, i.e. ``R_j - f_j * W_j``
@@ -335,20 +338,24 @@ class _Kernel:
         passes the bisection's midpoint and a bracket of three or fewer
         prefixes is plain bisection.  Every episode stops once its bracket
         is one prefix; a stopped episode's probe re-tests that prefix and
-        changes nothing.
+        changes nothing.  If ``k >= c`` every size the step reads is at
+        least ``c``; otherwise it probes none and reads only ``k``.  So the
+        clamped share ``level * cum_w[min(c, k)]`` of :meth:`totals` holds
+        at every size it reads, and is computed once.
         """
         row = c * (self.s.L + 1)
+        clamped = level * self.cum_w.take(np.minimum(c, k))
         lo = np.minimum(np.maximum(c, 1), k)
         start = lo.copy()
         active = np.maximum(lo, k)
         while (lo < active).any():
             mid = np.minimum(2 * lo - start + 1, (lo + active) // 2)
-            eta = (self.totals(level, row, mid) - total) / (self.cum_w.take(mid) + spare)
+            eta = (clamped + self.span.take(row + mid) - total) / (self.cum_w.take(mid) + spare)
             reached = eta >= np.minimum(self.delta.take(mid), level)
             np.copyto(active, mid, where=reached)
             mid += 1
             np.copyto(lo, mid, where=~reached)
-        held = self.totals(level, row, active)
+        held = clamped + self.span.take(row + active)
         mass = self.cum_w.take(active)
         eta = np.maximum((held - total) / (mass + spare), 0.0)
         return active, eta, held - eta * mass
@@ -415,7 +422,8 @@ class _Kernel:
             c = np.minimum(k, self.above(level))
             if causal:
                 k = self.regrown(policy, level, c, n)
-            _, level, sent = self.step(level, c, k, *self.total_and_spare(level, c, n, k))
+            load = self.total_and_spare(self.totals(level, c, k), n, k)
+            _, level, sent = self.step(level, c, k, *load)
             energy += sent ** s.m / self.gains[:, n - 1]
             thresholds[n - 1], sizes[n - 1] = level, k
         return energy, thresholds, sizes
@@ -428,12 +436,12 @@ class _Kernel:
         size ``k``, every slot before the last sends exactly ``T = R * u_g /
         (u_g + u_z)``: its threshold ``(R_j - T) / W_j`` is never negative,
         since ``T < R``.  So the members' residual total follows the chain
-        ``R <- R - T`` whatever the water level.  All bits sent so far came
-        from the clamped tasks, which lead the prefix, so the last slot's
-        threshold is one :meth:`step` from the full residuals (``level =
-        delta[0]``, ``c = 0``) with the bits already sent, ``R_0 - R``, as
-        its total and ``u_g / u_xi`` as its spare, and that slot sends
-        ``eta * u_g / u_xi``.  The ``c`` clamped tasks then hold ``w * eta``
+        ``R <- R - T`` (:meth:`total_and_spare`) whatever the water level.
+        All bits sent so far came from the clamped tasks, which lead the
+        prefix, so the last slot's threshold is one :meth:`step` from the
+        full residuals (``level = delta[0]``, ``c = 0``) with the bits
+        already sent, ``R_0 - R``, as its total and ``u_g / u_xi`` as its
+        spare, and that slot sends ``eta * u_g / u_xi``.  The ``c`` clamped tasks then hold ``w * eta``
         and ``p * w**m = w``, so the demand sum is ``eta**m * W_c`` plus the
         tail sum of ``p * gamma**m``.  The scores equal the slot loop's on
         each locked prefix to rounding (the tests bound it at 1e-14
@@ -444,11 +452,10 @@ class _Kernel:
         first = self.span.take(k)
         held, energy = first, 0.0
         for n in range(1, s.N_P):
-            u_g = self.u_gain[:, n - 1]
-            sent = held * u_g / (u_g + self.u_zeta[:, n - 1, None])
+            sent, _ = self.total_and_spare(held, n, k)
             energy = energy + sent ** s.m / self.gains[:, n - 1]
             held = held - sent
-        spare = self.u_gain[:, s.N_P - 1] / self.u_xi
+        _, spare = self.total_and_spare(held, s.N_P, k)
         _, eta, _ = self.step(self.delta[0], np.zeros((s.L, episodes), dtype=int), k,
                               first - held, spare)
         energy = energy + (eta * spare) ** s.m / self.gains[:, s.N_P - 1]
@@ -476,7 +483,7 @@ class _Kernel:
         """
         s, u_xi, mass = self.s, self.u_xi, self.cum_w[1:, None]
         u_g = self.u_gain[:, n - 1]
-        residual = self.totals(level, c * (s.L + 1), np.arange(1, s.L + 1)[:, None])
+        residual = self.totals(level, c, np.arange(1, s.L + 1)[:, None])
         if n == s.N_P:
             eta_hat = residual * u_xi / (u_g + u_xi * mass)
         elif policy is PrefetchPolicy.AGGRESSIVE:
@@ -503,12 +510,10 @@ def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable
     if prefix_tables is not None and s.N_P > 1:
         u_zeta[:] = [table.inv_root[s.N_P - 2::-1] for table in prefix_tables]
     cum_w = np.concatenate([[0.0], np.cumsum(w)])
-    counts = np.arange(s.L + 1)
     delta = np.append(priorities(s)[order], -np.inf)
     tail = np.append(np.cumsum((prob * gam ** s.m)[::-1])[::-1], 0.0)
     return _Kernel(s=s, tail=tail, delta=delta,
                    falling=-delta[:-1], cum_w=cum_w,
-                   low_w=cum_w[np.minimum.outer(counts, counts)].ravel(),
                    span=np.concatenate([np.zeros((s.L + 1, 1)), span], axis=1).ravel(),
                    u_zeta=u_zeta, u_xi=xi.inv_root[d], demand_weight=xi.xi[d],
                    gains=gains, u_gain=gains[:, :s.N_P] ** root)

@@ -386,23 +386,35 @@ def emit_csv(rows: Iterable[SweepRow], dest) -> None:
 
 
 def load_rows(src) -> list:
-    """Parse a CSV produced by :func:`emit_csv` back into rows (exactly)."""
+    """Parse a CSV produced by :func:`emit_csv` back into rows (exactly).
+
+    A file with no header, another header, or a record that does not hold
+    one number per numeric column raises ``ConfigError`` naming the line.
+    """
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
     handle = open(src, "r", newline="") if own else src
     try:
         reader = csv.reader(handle)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header: {header!r}")
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError("line 1: the CSV is empty, expected its header")
+        if tuple(header) != CSV_HEADER:
+            raise ConfigError(f"line 1: unexpected CSV header: {header!r}")
         rows = []
         for record in reader:
             if not record:
                 continue
-            rows.append(SweepRow(
-                param=record[0], param_value=float(record[1]), policy=record[2],
-                mean_energy=float(record[3]), mean_energy_db=float(record[4]),
-                stderr=float(record[5]), gain=float(record[6]),
-                gain_db=float(record[7]), trials=int(record[8])))
+            if len(record) != len(CSV_HEADER):
+                raise ConfigError(f"line {reader.line_num}: expected {len(CSV_HEADER)} fields, "
+                                  f"got {len(record)}")
+            try:
+                rows.append(SweepRow(
+                    param=record[0], param_value=float(record[1]), policy=record[2],
+                    mean_energy=float(record[3]), mean_energy_db=float(record[4]),
+                    stderr=float(record[5]), gain=float(record[6]),
+                    gain_db=float(record[7]), trials=int(record[8])))
+            except ValueError as exc:
+                raise ConfigError(f"line {reader.line_num}: {exc}") from None
         return rows
     finally:
         if own:

@@ -298,9 +298,14 @@ class TestSlotMajor:
     lambda: expected_demand_energy(1.0, build_xi_table(FastGamma(k=2), m=2, horizon=2), 2.0),
     lambda: expected_demand_energy(1.0, build_xi_table(FastGamma(k=2), m=2, horizon=2), True),
     lambda: demand_energy_bounds(1.0, FastGamma(k=2), m=2, duration=True),
+    lambda: demand_energy_bounds(1.0, FastGamma(k=2), m=1, duration=1),
+    lambda: demand_energy_bounds(1.0, FastGamma(k=2), m=2.5, duration=1),
+    lambda: demand_energy_bounds(1.0, FastGamma(k=2), m=True, duration=1),
+    lambda: demand_energy_bounds(1.0, FastGamma(k=2), m=6, duration=1),
 ], ids=["m6", "negative-horizon", "expected-negative-beta", "expected-past-horizon",
         "bounds-negative-beta", "bounds-zero-duration", "bool-horizon",
-        "expected-float-duration", "expected-bool-duration", "bounds-bool-duration"])
+        "expected-float-duration", "expected-bool-duration", "bounds-bool-duration",
+        "bounds-m1", "bounds-float-m", "bounds-bool-m", "bounds-m6"])
 def test_input_checks(call):
     with pytest.raises(ValueError):
         call()

@@ -7,7 +7,9 @@ module-level function, class or constant (one leading underscore) must be
 read somewhere in its module besides its definition, and so must every
 method of a private class, as an attribute.  Every parameter of a
 library function is read in its body, so a mode whose branch is gone
-cannot keep its parameter.  The package exports
+cannot keep its parameter, and every defaulted parameter of a private
+function is passed by some call in the package, so a default that never
+changes is a constant.  The package exports
 exactly the union of its modules' ``__all__``, each bound in its module.
 The energy coefficient ``lam`` is an output unit: only the sweep harness
 and the command line bind it.  Importing the package loads no part of scipy.
@@ -200,6 +202,64 @@ def test_an_unread_parameter_is_reported():
     # ``self`` is read in the nested body and ``x`` in its default.
     assert unread_parameters(source) == ["f.b (line 1)", "f.rest (line 1)", "f.extra (line 1)",
                                          "h.y (line 7)", "h.z (line 7)"]
+
+
+def unpassed_defaults(sources: list) -> list:
+    """Defaulted parameters of private functions that no call in ``sources`` passes.
+
+    A call passes a parameter by keyword, by position (a method's call
+    through an attribute binds its first parameter itself) or through a
+    ``*`` or ``**`` argument.  A function is matched to its calls by name.
+    """
+    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
+    calls = {}
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            calls.setdefault(name, []).append(node)
+    methods = {id(statement) for node in nodes if isinstance(node, ast.ClassDef)
+               for statement in node.body
+               if not any(getattr(decorator, "id", None) == "staticmethod"
+                          for decorator in getattr(statement, "decorator_list", []))}
+    found = []
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
+                not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        arguments = node.args
+        positional = [*arguments.posonlyargs, *arguments.args]
+        defaulted = positional[len(positional) - len(arguments.defaults):] + [
+            argument for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+            if default is not None]
+        for argument in defaulted:
+            index = positional.index(argument) if argument in positional else None
+
+            def passes(call):
+                bound = int(id(node) in methods and isinstance(call.func, ast.Attribute))
+                return (any(keyword.arg in (None, argument.arg) for keyword in call.keywords)
+                        or any(isinstance(arg, ast.Starred) for arg in call.args)
+                        or index is not None and index < bound + len(call.args))
+
+            if not any(map(passes, calls.get(node.name, []))):
+                found.append(f"{node.name}.{argument.arg} (line {argument.lineno})")
+    return found
+
+
+def test_every_private_default_is_passed():
+    assert unpassed_defaults([path.read_text() for path in sorted(PACKAGE.glob("*.py"))]) == []
+
+
+def test_an_unpassed_default_is_reported():
+    first = ("def _f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n\n"
+             "def _g(x=0):\n    return x\n\n\n"
+             "class _A:\n    def _m(self, y=0, z=1):\n        return y\n\n"
+             "    @staticmethod\n    def _s(u=0):\n        return u\n\n\n"
+             "def public(v=0):\n    return v\n")
+    second = ("_f(1, 2, d=0)\n_A()._m(5)\n_A._s(1)\nnames = [0]\n_g(*names)\n")
+    # ``_g`` is passed through ``*``, ``_m``'s ``y`` by position after the
+    # bound ``self``, ``_s`` by position; a public function is exempt.
+    assert unpassed_defaults([first, second]) == ["_f.c (line 1)", "_f.e (line 1)",
+                                                  "_m.z (line 10)"]
 
 
 def public_modules() -> list:

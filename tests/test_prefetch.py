@@ -1,5 +1,7 @@
 """Fast-fading prefetch thresholds, set selection, and episode simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -983,17 +985,16 @@ def bisection_step(kernel, level, c, k, total, spare):
     The search the galloping step replaced, kept as its bitwise reference:
     both probe the same monotone test, so they must agree bit for bit.
     """
-    row = c * (kernel.s.L + 1)
     lo = np.minimum(np.maximum(c, 1), k)
     active = np.maximum(lo, k)
     for _ in range(int((active - lo).max(initial=0)).bit_length()):
         mid = (lo + active) // 2
-        eta = (kernel.totals(level, row, mid) - total) / (kernel.cum_w.take(mid) + spare)
+        eta = (kernel.totals(level, c, mid) - total) / (kernel.cum_w.take(mid) + spare)
         reached = eta >= np.minimum(kernel.delta.take(mid), level)
         np.copyto(active, mid, where=reached)
         mid += 1
         np.copyto(lo, mid, where=~reached)
-    held = kernel.totals(level, row, active)
+    held = kernel.totals(level, c, active)
     mass = kernel.cum_w.take(active)
     eta = np.maximum((held - total) / (mass + spare), 0.0)
     return active, eta, held - eta * mass
@@ -1007,14 +1008,16 @@ class TestSlotSearch:
 
         Returns how far above ``max(c, 1)`` each state's first reached
         prefix lies, so that callers can check that the gallop's brackets
-        grew.
+        grew.  Unless ``L = 1``, some states have ``k < c``: the slot loop
+        never makes one, but the step reads their totals at ``j = k``, where
+        the clamped share is ``level * cum_w[k]``, not ``level * cum_w[c]``.
         """
         xi = build_xi_table(channel, s.m, s.N - s.N_P)
         tables = build_prefix_tables(s, channel, xi)
         gains = sample_gain(channel, rng, (episodes, s.N))
         kernel = prefetch._kernel(s, xi, tables, gains)
         delta = kernel.delta[:-1]
-        gaps = []
+        gaps, below = [], 0
         for n in range(1, s.N_P + 1):
             # Arbitrary states: any level from zero to above the top
             # priority, levels equal to a priority, any bound and set size.
@@ -1025,7 +1028,8 @@ class TestSlotSearch:
             bound = rng.integers(0, s.L + 1, episodes)
             k = rng.integers(1, s.L + 1, episodes)
             c = np.minimum(bound, kernel.above(level))
-            load = kernel.total_and_spare(level, c, n, k)
+            below += np.count_nonzero(k < c)
+            load = kernel.total_and_spare(kernel.totals(level, c, k), n, k)
             active, eta, sent = kernel.step(level, c, k, *load)
             for got, want in zip((active, eta, sent), bisection_step(kernel, level, c, k, *load)):
                 assert np.array_equal(got, want)
@@ -1050,6 +1054,7 @@ class TestSlotSearch:
             slope = s.m * np.maximum(sent, ref_sent) ** (s.m - 1)
             assert np.all(np.abs(scale * sent ** s.m - scale * ref_sent ** s.m)
                           <= scale * slope * gap)
+        assert below > 0 or s.L == 1
         return np.concatenate(gaps)
 
     def test_matches_the_dense_scan_on_random_instances(self):
@@ -1199,8 +1204,9 @@ class TestLeastAdmitting:
 class TestProbeCount:
     """The galloping slot step probes no more prefix totals than the bisection.
 
-    Counted on the noncausal oracle as calls of ``_Kernel.totals`` and as
-    the entries they return, since a probe costs in proportion to the
+    Counted on the noncausal oracle as reads of the kernel's ``span`` table
+    (one per probe, plus the same few outside the search on both sides) and
+    as the entries they return, since a probe costs in proportion to the
     totals it reads: the one ``(L, episodes)`` search of
     ``_Kernel.prefix_scores`` reads ``L`` times more per probe than a slot
     of the locked ``(episodes,)`` loop.  That search gallops up from the
@@ -1211,18 +1217,27 @@ class TestProbeCount:
     twice the bisection's.
     """
 
-    @staticmethod
-    def probes(monkeypatch, step, s, xi, tables, gains, realized):
-        entries = []
-        totals = prefetch._Kernel.totals
+    class CountedTable(np.ndarray):
+        """A table that records the size of every ``take`` in ``entries``."""
 
-        def counted(kernel, *args):
-            result = totals(kernel, *args)
-            entries.append(np.size(result))
+        def take(self, indices, *args, **kwargs):
+            result = np.asarray(self).take(indices, *args, **kwargs)
+            self.entries.append(np.size(result))
             return result
 
+    @classmethod
+    def probes(cls, monkeypatch, step, s, xi, tables, gains, realized):
+        entries = []
+        kernel = prefetch._kernel
+
+        def counted(*args):
+            built = kernel(*args)
+            span = built.span.view(cls.CountedTable)
+            span.entries = entries
+            return replace(built, span=span)
+
         with monkeypatch.context() as patch:
-            patch.setattr(prefetch._Kernel, "totals", counted)
+            patch.setattr(prefetch, "_kernel", counted)
             patch.setattr(prefetch._Kernel, "step", step)
             batch = run_prefetch_batch(s, FAST2, "noncausal", gains, realized, xi=xi,
                                        prefix_tables=tables)
@@ -1248,7 +1263,11 @@ class TestProbeCount:
 
 
 class TestFlatTables:
-    """The slot step's flat ``(L+1)**2`` tables give the prefix totals bit for bit."""
+    """``_Kernel.totals`` gives the prefix totals bit for bit at every ``(c, j)``, ``j < c`` too.
+
+    It reads ``cum_w`` at ``min(c, j)`` and the flat ``(L+1)**2`` span table
+    at ``c * (L+1) + j``.
+    """
 
     @pytest.mark.parametrize("L", [1, 4, 16, 64])
     def test_lookups_equal_the_two_dimensional_totals(self, L):
@@ -1267,7 +1286,7 @@ class TestFlatTables:
         levels = np.array([0.0, kernel.delta[L // 2],
                            *rng.uniform(0.0, 2.0 * kernel.delta[0], 6)])[:, None, None]
         expected = levels * np.minimum(kernel.cum_w[j], kernel.cum_w[c]) + span[c, j]
-        assert np.array_equal(kernel.totals(levels, c * (L + 1), j), expected)
+        assert np.array_equal(kernel.totals(levels, c, j), expected)
 
 
 class TestScaleHomogeneity:

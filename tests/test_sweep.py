@@ -454,8 +454,27 @@ class TestCsvBoundary:
         assert first.getvalue() == second.getvalue()
 
     def test_header_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="line 1: unexpected CSV header"):
             load_rows(io.StringIO("a,b,c\n1,2,3\n"))
+
+    def test_empty_file_rejected(self):
+        with pytest.raises(ConfigError, match="line 1: the CSV is empty"):
+            load_rows(io.StringIO(""))
+
+    @pytest.mark.parametrize("cut", [1, 8, 10])
+    def test_record_with_another_field_count_rejected(self, cut):
+        buffer = io.StringIO()
+        emit_csv(run_sweep(SLOW_GAMMA)[:2], buffer)
+        head, first, second = buffer.getvalue().splitlines()
+        fields = (second + ",0.5").split(",")[:cut]
+        text = "\n".join([head, first, "", ",".join(fields)]) + "\n"
+        with pytest.raises(ConfigError, match=f"line 4: expected 9 fields, got {cut}"):
+            load_rows(io.StringIO(text))
+
+    def test_record_with_a_bad_number_rejected(self):
+        text = ",".join(CSV_HEADER) + "\ngamma,20.0,slow-opt,x,0,0,1,0,5\n"
+        with pytest.raises(ConfigError, match="line 2: could not convert string to float"):
+            load_rows(io.StringIO(text))
 
 
 @pytest.mark.parametrize("L", [0, -2])
