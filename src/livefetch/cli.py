@@ -12,6 +12,7 @@ numerical failure stops where it happens.
 from __future__ import annotations
 
 import argparse
+import numbers
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -155,7 +156,7 @@ def _coerce(key: str, value: str):
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(value)
-        if isinstance(default, (int, float)):
+        if isinstance(default, numbers.Real):
             return type(default)(value)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {value!r}") from None

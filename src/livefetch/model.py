@@ -38,7 +38,8 @@ __all__ = [
 #: Probabilities may be off unity by at most this much.
 PROB_TOL = 1e-9
 
-#: Bit amounts below this threshold count as zero when classifying task sets.
+#: Residual bits may fall below zero by at most this fraction of their
+#: task's data size (rounding in the caller's arithmetic).
 POSITIVE_BITS_EPS = 1e-12
 
 #: Absolute tolerance demanded from the gain-expectation quadrature.

@@ -444,11 +444,16 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
 
 
 def _check_residuals(rho, s: Scenario) -> np.ndarray:
-    """``rho`` as a float array, after checking it holds valid residual bits of ``s``."""
+    """``rho`` as a float array, after checking it holds valid residual bits of ``s``.
+
+    A residual may fall below zero by rounding, by at most
+    ``POSITIVE_BITS_EPS`` of its task's data size, so the check does not
+    depend on the scale of the data.
+    """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != s.gamma.shape:
         raise ValueError("rho must have one entry per candidate task")
-    if not np.all((rho >= -POSITIVE_BITS_EPS) & (rho < np.inf)):
+    if not np.all((rho >= -POSITIVE_BITS_EPS * s.gamma) & (rho < np.inf)):
         raise ValueError("residual bits must be finite and nonnegative")
     return rho
 

@@ -297,11 +297,11 @@ class _Kernel:
     def totals(self, level, c, j) -> np.ndarray:
         """Residual totals of the size-``j`` prefixes with ``c`` tasks at ``level``.
 
-        The first ``min(c, j)`` tasks hold ``level * w``, the rest of the
-        prefix its data sizes: ``level * cum_w[min(c, j)]`` plus ``span`` at
-        ``c * (L+1) + j``.
+        The first ``c`` tasks hold ``level * w``, the rest of the prefix its
+        data sizes: ``level * cum_w[c]`` plus ``span`` at ``c * (L+1) + j``.
+        Only sizes ``j >= c`` are prefix totals (see :meth:`phase`).
         """
-        return level * self.cum_w.take(np.minimum(c, j)) + self.span.take(c * (self.s.L + 1) + j)
+        return level * self.cum_w.take(c) + self.span.take(c * (self.s.L + 1) + j)
 
     def total_and_spare(self, held, n: int, k) -> tuple:
         """Slot ``n``'s ``total`` and ``spare`` for :meth:`step` on the size-``k`` prefixes.
@@ -310,7 +310,7 @@ class _Kernel:
         slot the continuation depends on ``R_k`` only, so the slot sends the
         stage-optimal ``total = R_k * u_g / (u_g + u_z)`` with ``spare =
         0``; the final slot's stage problem is exactly separable, ``total =
-        0`` and ``spare = u_g / u_xi``.
+        0`` and ``spare = u_g / u_xi``, and ``held`` is not read.
         """
         u_g = self.u_gain[:, n - 1]
         if n == self.s.N_P:
@@ -320,8 +320,8 @@ class _Kernel:
     def step(self, level: np.ndarray, c: np.ndarray, k, total, spare):
         """One prefetch slot on the size-``k`` prefixes: active count, threshold, sent bits.
 
-        ``c`` is the state's clamped count ``min(k', above(level))``, ``k'``
-        the previous slot's size, and an active prefix of size ``j`` has the
+        ``c`` is the state's clamped count and ``k >= max(c, 1)`` (proved
+        in :meth:`phase`), and an active prefix of size ``j`` has the
         threshold ``(R_j - total) / (W_j + spare)``; the caller passes
         :meth:`total_and_spare`, so that the slot loop and
         :meth:`prefix_scores` share this search.
@@ -338,14 +338,14 @@ class _Kernel:
         passes the bisection's midpoint and a bracket of three or fewer
         prefixes is plain bisection.  Every episode stops once its bracket
         is one prefix; a stopped episode's probe re-tests that prefix and
-        changes nothing.  If ``k >= c`` every size the step reads is at
-        least ``c``; otherwise it probes none and reads only ``k``.  So the
-        clamped share ``level * cum_w[min(c, k)]`` of :meth:`totals` holds
-        at every size it reads, and is computed once.
+        changes nothing.  The bracket starts at ``[max(c, 1), k]`` (``k``
+        broadcast to the episodes' shape), and every size the step reads is
+        at least ``c``, so the clamped share ``level * cum_w[c]`` of
+        :meth:`totals` holds at each of them and is computed once.
         """
         row = c * (self.s.L + 1)
-        clamped = level * self.cum_w.take(np.minimum(c, k))
-        lo = np.minimum(np.maximum(c, 1), k)
+        clamped = level * self.cum_w.take(c)
+        lo = np.maximum(c, 1)
         start = lo.copy()
         active = np.maximum(lo, k)
         while (lo < active).any():
@@ -396,6 +396,13 @@ class _Kernel:
         ``above(eta_n) <= k_n``, and a bound on the largest size so far
         would clamp no other task.
 
+        Every :meth:`step` runs with ``k >= max(c, 1)``, so every size it
+        and :meth:`totals` read is at least ``c``.  A locked prefix has ``k
+        >= 1`` and ``c = min(k, above(level)) <= k``.  A causal size is the
+        least admitting size at or above the floor ``c`` among ``1..L``, or
+        ``L``, and ``c <= above(level) <= L``.  The noncausal scorer
+        (:meth:`prefix_scores`) steps from ``c = 0`` with ``k >= 1``.
+
         Each slot takes its clamped count ``c``, the policy's prefix size
         ``k``, the slot's :meth:`total_and_spare` and one :meth:`step`;
         no-prefetch runs no slot.  The noncausal oracle locks one size per
@@ -422,8 +429,8 @@ class _Kernel:
             c = np.minimum(k, self.above(level))
             if causal:
                 k = self.regrown(policy, level, c, n)
-            load = self.total_and_spare(self.totals(level, c, k), n, k)
-            _, level, sent = self.step(level, c, k, *load)
+            held = self.totals(level, c, k) if n < s.N_P else None
+            _, level, sent = self.step(level, c, k, *self.total_and_spare(held, n, k))
             energy += sent ** s.m / self.gains[:, n - 1]
             thresholds[n - 1], sizes[n - 1] = level, k
         return energy, thresholds, sizes
@@ -479,7 +486,10 @@ class _Kernel:
         tells, by two comparisons, whether that count is the prefix size).
         The residual totals and both estimates are ``(L, E)``, so each
         operation broadcasts a column of sizes against a row of episodes,
-        and :meth:`least_admitting` picks the size.
+        and :meth:`least_admitting` picks the size.  :meth:`totals` holds
+        ``c`` tasks at ``level`` in every row, so the rows of sizes below
+        ``c`` are not prefix totals; the floor ``c`` discards them, and no
+        pick depends on them.
         """
         s, u_xi, mass = self.s, self.u_xi, self.cum_w[1:, None]
         u_g = self.u_gain[:, n - 1]
@@ -544,8 +554,8 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``
     (built when omitted and needed) the ``L`` priority prefixes of this
     very ``s`` under this ``xi``, every gain must be finite and positive,
-    every task index a whole number and ``forced_prefix`` an integer in
-    ``1..L``; otherwise ``ValueError``.
+    every task index a whole number (bools and strings are not) and
+    ``forced_prefix`` an integer in ``1..L``; otherwise ``ValueError``.
     Residual bits that come out negative or not finite are a numerical
     failure (``FloatingPointError``).
     """
@@ -565,7 +575,7 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         raise ValueError("realized must hold one task index per episode")
     if not np.all((gains > 0.0) & (gains < np.inf)):
         raise ValueError("all gains must be finite and strictly positive")
-    if not np.all(np.floor(realized) == realized):
+    if realized.dtype.kind not in "iuf" or not np.all(np.floor(realized) == realized):
         raise ValueError("realized task indices must be whole numbers")
     if np.any((realized < 0) | (realized >= s.L)):
         raise IndexError("realized task index out of range")

@@ -113,7 +113,8 @@ class SweepConfig:
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"{self.param} values must be finite, got {values!r}")
         if self.param in ("L", "N", "Np", "k"):
-            if any(v != int(v) or v < 1 for v in values):
+            if any(isinstance(raw, (bool, np.bool_)) or not v.is_integer() or v < 1
+                   for raw, v in zip(self.values, values)):
                 raise ConfigError(f"{self.param} values must be positive integers")
         if self.param == "k" and (self.fading != "fast" or any(v < 2 for v in values)):
             raise ConfigError("a k sweep requires fast fading and k >= 2")
@@ -128,16 +129,18 @@ class SweepConfig:
                 f"policies for {self.fading} fading must be a nonempty subset of "
                 f"{allowed}, got {policies!r}")
         object.__setattr__(self, "policies", policies)
-        if not isinstance(self.m, int) or not 2 <= self.m <= 5:
+        if not _integer_in(self.m, 2, 5):
             raise ConfigError(f"m must be an integer in [2, 5], got {self.m!r}")
-        if not isinstance(self.k, int) or self.k < 2:
+        if not _integer_in(self.k, 2):
             raise ConfigError(f"k must be an integer >= 2, got {self.k!r}")
         if not isinstance(self.uniform, bool):
             raise ConfigError(f"uniform must be True or False, got {self.uniform!r}")
         counts = {key: getattr(self, key)
                   for key in ("L", "N", "N_P", "trials", "scenarios", "seed")}
-        if any(type(value) is not int for value in counts.values()) or self.seed < 0:
+        if not all(_integer_in(value, -math.inf) for value in counts.values()) or self.seed < 0:
             raise ConfigError(f"{', '.join(counts)} must be integers and seed >= 0, got {counts}")
+        for key, value in dict(counts, m=self.m, k=self.k).items():
+            object.__setattr__(self, key, int(value))
         _check_scales(vars(self))
         if self.trials < 1 or self.scenarios < 1:
             raise ConfigError("trials and scenarios must be at least 1")

@@ -9,7 +9,9 @@ method of a private class, as an attribute.  Every parameter of a
 library function is read in its body, so a mode whose branch is gone
 cannot keep its parameter, and every defaulted parameter of a private
 function is passed by some call in the package, so a default that never
-changes is a constant.  The package exports
+changes is a constant.  Every integer check goes through
+``model._integer_in``: no module tests ``isinstance(x, int)`` or
+``type(x) is int``, which reject numpy integers.  The package exports
 exactly the union of its modules' ``__all__``, each bound in its module.
 The energy coefficient ``lam`` is an output unit: only the sweep harness
 and the command line bind it.  Importing the package loads no part of scipy.
@@ -260,6 +262,43 @@ def test_an_unpassed_default_is_reported():
     # bound ``self``, ``_s`` by position; a public function is exempt.
     assert unpassed_defaults([first, second]) == ["_f.c (line 1)", "_f.e (line 1)",
                                                   "_m.z (line 10)"]
+
+
+def bare_int_checks(source: str) -> list:
+    """Lines that test ``isinstance(x, int)`` (``int`` alone or in a tuple) or ``type(x) is [not] int``."""
+    def is_int(node) -> bool:
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    def is_type_call(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "type")
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            if is_int(kinds) or isinstance(kinds, ast.Tuple) and any(map(is_int, kinds.elts)):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            sides = [node.left, *node.comparators]
+            if any(map(is_type_call, sides)) and any(map(is_int, sides)):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_integer_check_is_the_one_rule(path):
+    assert bare_int_checks(path.read_text()) == []
+
+
+def test_a_bare_int_check_is_reported():
+    source = ("ok = isinstance(x, bool) or isinstance(x, numbers.Integral)\n"
+              "a = isinstance(x, int)\nb = isinstance(x, (float, int))\n"
+              "c = type(x) is int\nd = type(x) is not int\ne = int is type(x)\n"
+              "f = type(x) is float or x is int\n")
+    assert bare_int_checks(source) == [2, 3, 4, 5, 6]
 
 
 def public_modules() -> list:

@@ -246,6 +246,28 @@ class TestDecisionVector:
         assert np.array_equal(decision_vector([4.0, 4], 0.5, S2),
                               decision_vector(np.array([4.0, 4.0]), 0.5, S2))
 
+    @pytest.mark.parametrize("scale, residual, accepted", [
+        (1e-14, -5e-13, False),     # -50x the task's data
+        (1e-14, -5e-27, True),
+        (1e10, -1e-5, True),        # 1e-15 of the task's data
+        (1e10, -1e-1, False),
+    ])
+    def test_rounding_allowance_scales_with_the_data(self, scale, residual, accepted):
+        # A residual may dip below zero by rounding relative to its task's
+        # size, so the check accepts and rejects the same bits at any scale.
+        s = Scenario(m=2, N=5, N_P=3, p=np.array([0.45, 0.35, 0.2]),
+                     gamma=scale * np.array([3.0, 2.0, 1.0]))
+        rho = np.array([3.0 * scale, 2.0 * scale, residual])
+        zeta = build_zeta_table(s, FAST2, (0, 1, 2), XI3)
+        calls = (lambda: decision_vector(rho, 0.0, s),
+                 lambda: threshold_eta(rho, 1, 1.0, zeta))
+        for call in calls:
+            if accepted:
+                call()
+            else:
+                with pytest.raises(ValueError, match="nonnegative"):
+                    call()
+
 
 class TestNoncausalFinalThreshold:
     def test_empty_cascade_is_the_exact_final_formula(self):
@@ -899,8 +921,11 @@ class TestBatchRunner:
 
     def test_task_indices_must_be_whole_numbers(self):
         gains, realized = draw_episodes(S3, FAST2, np.random.default_rng(23), 10)
+        # A bool array would run task 1 for True, and numpy's ``floor``
+        # raises TypeError on strings and objects.
         for bad in (realized + 0.5, np.where(realized == 0, 0.7, realized),
-                    np.full(10, np.nan)):
+                    np.full(10, np.nan), realized == 1, realized.astype(str),
+                    realized.astype(object)):
             with pytest.raises(ValueError, match="whole numbers"):
                 run_prefetch_batch(S3, FAST2, "aggressive", gains, bad, xi=XI3)
         whole = run_prefetch_batch(S3, FAST2, "aggressive", gains, realized.astype(float),
@@ -985,7 +1010,7 @@ def bisection_step(kernel, level, c, k, total, spare):
     The search the galloping step replaced, kept as its bitwise reference:
     both probe the same monotone test, so they must agree bit for bit.
     """
-    lo = np.minimum(np.maximum(c, 1), k)
+    lo = np.maximum(c, 1)
     active = np.maximum(lo, k)
     for _ in range(int((active - lo).max(initial=0)).bit_length()):
         mid = (lo + active) // 2
@@ -1008,34 +1033,33 @@ class TestSlotSearch:
 
         Returns how far above ``max(c, 1)`` each state's first reached
         prefix lies, so that callers can check that the gallop's brackets
-        grew.  Unless ``L = 1``, some states have ``k < c``: the slot loop
-        never makes one, but the step reads their totals at ``j = k``, where
-        the clamped share is ``level * cum_w[k]``, not ``level * cum_w[c]``.
+        grew.  Every state has ``k >= max(c, 1)``, as every state of the
+        slot loop does (``TestStepInvariant``).
         """
         xi = build_xi_table(channel, s.m, s.N - s.N_P)
         tables = build_prefix_tables(s, channel, xi)
         gains = sample_gain(channel, rng, (episodes, s.N))
         kernel = prefetch._kernel(s, xi, tables, gains)
         delta = kernel.delta[:-1]
-        gaps, below = [], 0
+        gaps = []
         for n in range(1, s.N_P + 1):
             # Arbitrary states: any level from zero to above the top
-            # priority, levels equal to a priority, any bound and set size.
+            # priority, levels equal to a priority, any bound, and any set
+            # size of at least max(c, 1).
             level = rng.uniform(0.0, 1.2 * delta[0], episodes)
             level[rng.random(episodes) < 0.15] = 0.0
             on_priority = rng.random(episodes) < 0.15
             level[on_priority] = rng.choice(delta, np.count_nonzero(on_priority))
             bound = rng.integers(0, s.L + 1, episodes)
-            k = rng.integers(1, s.L + 1, episodes)
             c = np.minimum(bound, kernel.above(level))
-            below += np.count_nonzero(k < c)
+            k = rng.integers(np.maximum(c, 1), s.L + 1)
             load = kernel.total_and_spare(kernel.totals(level, c, k), n, k)
             active, eta, sent = kernel.step(level, c, k, *load)
             for got, want in zip((active, eta, sent), bisection_step(kernel, level, c, k, *load)):
                 assert np.array_equal(got, want)
             ref_active, ref_eta, ref_sent, candidates = dense_first_reached(
                 kernel, level, bound, n, k)
-            gaps.append(active - np.minimum(np.maximum(c, 1), k))
+            gaps.append(active - np.maximum(c, 1))
             rows = np.arange(episodes)
             moved = active != ref_active
             np.testing.assert_allclose(candidates[rows, active - 1][moved],
@@ -1054,7 +1078,6 @@ class TestSlotSearch:
             slope = s.m * np.maximum(sent, ref_sent) ** (s.m - 1)
             assert np.all(np.abs(scale * sent ** s.m - scale * ref_sent ** s.m)
                           <= scale * slope * gap)
-        assert below > 0 or s.L == 1
         return np.concatenate(gaps)
 
     def test_matches_the_dense_scan_on_random_instances(self):
@@ -1089,6 +1112,47 @@ class TestSlotSearch:
                 for m in range(2, 6)])
             assert np.count_nonzero(gaps >= 3) >= 20
         assert gaps.max() >= L // 2
+
+
+class TestStepInvariant:
+    """Every slot step the batch runs has ``k >= max(c, 1)``.
+
+    ``_Kernel.step`` and ``_Kernel.totals`` read the clamped share as
+    ``level * cum_w[c]``, which gives a prefix total only at sizes of at
+    least ``c``; ``_Kernel.phase`` proves the bound, and this records the
+    ``(c, k)`` of every call.
+    """
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(L=st.integers(1, 64), m=st.integers(2, 5), shape=st.integers(2, 8),
+           N_P=st.integers(1, 8), demand=st.integers(1, 3), uniform=st.booleans(),
+           gamma_total=st.sampled_from([1e-2, 20.0, 1e3]),
+           policy=st.sampled_from(PrefetchPolicy), data=st.data(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_step_reads_sizes_of_at_least_the_clamped_count(
+            self, L, m, shape, N_P, demand, uniform, gamma_total, policy, data, seed):
+        forced = None
+        if policy is PrefetchPolicy.NONCAUSAL_ORACLE:
+            forced = data.draw(st.none() | st.integers(1, L), label="forced_prefix")
+        rng = np.random.default_rng(seed)
+        s = generate_scenario(rng, L=L, gamma_total=gamma_total, m=m, N=N_P + demand,
+                              N_P=N_P, uniform=uniform)
+        channel = FastGamma(shape)
+        gains, realized = draw_episodes(s, channel, rng, 60)
+        calls, step = [], prefetch._Kernel.step
+
+        def recorded(kernel, level, c, k, total, spare):
+            calls.append((c, np.broadcast_to(k, np.shape(c))))
+            return step(kernel, level, c, k, total, spare)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(prefetch._Kernel, "step", recorded)
+            run_prefetch_batch(s, channel, policy, gains, realized, forced_prefix=forced)
+        # One block of episodes: a step per slot, and the scorer's one step.
+        scored = policy is PrefetchPolicy.NONCAUSAL_ORACLE and forced is None
+        assert len(calls) == (0 if policy is PrefetchPolicy.NO_PREFETCH else N_P + scored)
+        for c, k in calls:
+            assert np.all(k >= np.maximum(c, 1))
 
 
 class TestSetRule:
@@ -1263,10 +1327,10 @@ class TestProbeCount:
 
 
 class TestFlatTables:
-    """``_Kernel.totals`` gives the prefix totals bit for bit at every ``(c, j)``, ``j < c`` too.
+    """``_Kernel.totals`` gives the prefix totals bit for bit at every ``(c, j)`` with ``j >= c``.
 
-    It reads ``cum_w`` at ``min(c, j)`` and the flat ``(L+1)**2`` span table
-    at ``c * (L+1) + j``.
+    It reads ``cum_w`` at ``c`` and the flat ``(L+1)**2`` span table at
+    ``c * (L+1) + j``.
     """
 
     @pytest.mark.parametrize("L", [1, 4, 16, 64])
@@ -1282,10 +1346,10 @@ class TestFlatTables:
         for c in range(L + 1):
             for j in range(c + 1, L + 1):
                 span[c, j] = span[c, j - 1] + gam[j - 1]
-        c, j = np.meshgrid(np.arange(L + 1), np.arange(L + 1), indexing="ij")
+        c, j = np.triu_indices(L + 1)
         levels = np.array([0.0, kernel.delta[L // 2],
-                           *rng.uniform(0.0, 2.0 * kernel.delta[0], 6)])[:, None, None]
-        expected = levels * np.minimum(kernel.cum_w[j], kernel.cum_w[c]) + span[c, j]
+                           *rng.uniform(0.0, 2.0 * kernel.delta[0], 6)])[:, None]
+        expected = levels * kernel.cum_w[c] + span[c, j]
         assert np.array_equal(kernel.totals(levels, c, j), expected)
 
 

@@ -53,6 +53,8 @@ class TestSweepConfig:
         dict(param="gamma", values=(1,), policies=("slow-opt",), fading="medium"),
         dict(param="gamma", values=(), policies=("slow-opt",)),
         dict(param="L", values=(2.5,), policies=("slow-opt",)),
+        dict(param="L", values=(True,), policies=("slow-opt",)),
+        dict(param="Np", values=(np.True_, 2), policies=("slow-opt",)),
         dict(param="L", values=(0,), policies=("slow-opt",)),
         dict(param="gamma", values=(-1.0,), policies=("slow-opt",)),
         dict(param="k", values=(2,), policies=("slow-opt",)),            # slow k sweep
@@ -98,6 +100,18 @@ class TestSweepConfig:
     def test_non_finite_values_rejected(self, param, value):
         with pytest.raises(ConfigError):
             SweepConfig(param=param, values=(2, value), policies=("slow-opt",))
+
+    def test_numpy_integers_are_integers(self):
+        # One integer rule (``model._integer_in``) for every count; the
+        # config stores plain ints.
+        cfg = SweepConfig(param="Np", values=(np.int64(2),), policies=("slow-opt",),
+                          m=np.int64(2), k=np.int32(3), L=np.int64(3), N=np.int16(5),
+                          N_P=np.uint8(4), trials=np.int64(5), scenarios=np.int64(2),
+                          seed=np.int64(7))
+        fields = ("m", "k", "L", "N", "N_P", "trials", "scenarios", "seed")
+        assert [getattr(cfg, key) for key in fields] == [2, 3, 3, 5, 4, 5, 2, 7]
+        assert all(type(getattr(cfg, key)) is int for key in fields)
+        assert cfg.values == (2.0,)
 
     def test_all_prefetch_point_allowed_for_slow_opt_only(self):
         cfg = SweepConfig(param="Np", values=(4, 5), policies=("slow-opt",), N=5)
