@@ -70,6 +70,11 @@ def _integer_in(value, low: int, high: float = math.inf) -> bool:
             and low <= value <= high)
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number: a ``numbers.Real`` and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
@@ -143,8 +148,9 @@ class SlowFading:
     g: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.g) and self.g > 0.0):
-            raise ValueError(f"slow-fading gain must be strictly positive, got {self.g!r}")
+        if not (_real(self.g) and np.isfinite(self.g) and self.g > 0.0):
+            raise ValueError(f"slow-fading gain must be a strictly positive real number, "
+                             f"not a bool, got {self.g!r}")
 
 
 @dataclass(frozen=True)

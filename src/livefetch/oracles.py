@@ -27,11 +27,10 @@ from .model import (
 from .demand import XiTable
 from .prefetch import (
     ZetaTable,
-    build_zeta_table,
+    build_prefix_tables,
     expected_total_energy_fast,
     no_prefetch_energy_fast,
 )
-from .slow import priority_order
 
 __all__ = [
     "OracleResult",
@@ -546,8 +545,10 @@ def noncausal_final_threshold(rho: np.ndarray, slot: int, future_gains,
 def best_prefix_set(s: Scenario, channel: Channel, xi: XiTable) -> tuple:
     """Minimize the locked-set energy *formula* over candidate target sets.
 
-    Searches the priority-ordered prefixes (plus the empty set).  Returns
-    ``(task_set, energy, zeta_or_none)``.
+    Searches the priority-ordered prefixes (plus the empty set), scoring
+    the tables of :func:`~livefetch.prefetch.build_prefix_tables` (one
+    coefficient chain for all of them).  Returns ``(task_set, energy,
+    zeta_or_none)``.
 
     The formula assumes every member stays active in every prefetch slot,
     so for sets the execution would clamp it is an unattainably low bound
@@ -555,11 +556,8 @@ def best_prefix_set(s: Scenario, channel: Channel, xi: XiTable) -> tuple:
     policy of ``run_prefetch_batch`` scores realized executions instead.
     """
     best = (frozenset(), no_prefetch_energy_fast(s, xi), None)
-    order = priority_order(s)
-    for k in range(1, s.L + 1):
-        members = tuple(order[:k])
-        zeta = build_zeta_table(s, channel, members, xi)
+    for zeta in build_prefix_tables(s, channel, xi):
         energy = expected_total_energy_fast(zeta)
         if energy < best[1]:
-            best = (frozenset(members), energy, zeta)
+            best = (frozenset(zeta.task_set), energy, zeta)
     return best

@@ -21,9 +21,11 @@ loop runs them all, each policy a rule for the prefix size: the noncausal
 oracle scores every locked prefix against the revealed gains in closed
 form and locks the best one per episode (or ``forced_prefix``), and the
 two causal estimators (an optimistic and a pessimistic guess of the
-final-slot threshold) regrow the set every slot.  The loop runs in
-cache-sized blocks of episodes.  No threshold depends on the energy
-coefficient ``lam``, so every energy here is per unit ``lam``.
+final-slot threshold) regrow the set every slot, scanning up from the
+count of tasks held at the water level.  The loop runs on the whole batch;
+only the noncausal scorer runs in cache-sized blocks of episodes.  No
+threshold depends on the energy coefficient ``lam``, so every energy here
+is per unit ``lam``.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ __all__ = [
 ]
 
 
-#: The prefetch phase runs in blocks of episodes whose ``(L, episodes)``
-#: arrays hold at most this many entries (128 KiB of float64), so that the
-#: temporaries of a large batch stay in cache and are reused block to block.
+#: The noncausal oracle scores its prefixes in blocks of episodes whose
+#: ``(L, episodes)`` arrays hold at most this many entries (128 KiB of
+#: float64), so that the scorer's temporaries stay in cache and are reused
+#: block to block.  No other array of the prefetch phase is ``(L, episodes)``.
 _BLOCK_ENTRIES = 2 ** 14
 
 
@@ -252,10 +255,10 @@ class _Kernel:
     slot's prefix size, and :meth:`step` executes the slot.  Each slot rule
     is written once: :meth:`totals` gives the prefix totals,
     :meth:`total_and_spare` the slot's total and spare, and ``span`` is
-    the only ``(L+1)**2`` table.  Every array that crosses episodes with
-    sizes keeps the episodes on the last axis: the noncausal oracle's
-    :meth:`prefix_scores` and the causal set rule's residual totals,
-    estimates and matches are ``(L, E)``.
+    the only ``(L+1)**2`` table.  Only the noncausal oracle's
+    :meth:`prefix_scores` crosses episodes with sizes, on ``(L, E)`` arrays
+    with the episodes on the last axis; the causal set rule
+    (:meth:`regrown`) reads one ``(E,)`` row of sizes per round.
     """
 
     s: Scenario
@@ -264,7 +267,7 @@ class _Kernel:
     falling: np.ndarray    #: (L,) -delta[:-1], non-decreasing, for ``searchsorted``
     cum_w: np.ndarray      #: (L+1,) prefix sums of w, from 0
     span: np.ndarray       #: ((L+1)**2,) [c*(L+1) + j] = sum of gamma over c <= l < j
-    u_zeta: np.ndarray     #: [k-1, n-1]: u of the size-k prefix table at N-n to go
+    u_zeta: np.ndarray     #: [k-1, n-1]: u of the size-k prefix table at N-n to go (0 at n = N_P)
     u_xi: float
     demand_weight: float   #: xi[N-N_P]
     gains: np.ndarray      #: (E, N) all gains
@@ -273,26 +276,6 @@ class _Kernel:
     def above(self, level: np.ndarray) -> np.ndarray:
         """Number of tasks whose priority exceeds ``level``."""
         return self.falling.searchsorted(-level)
-
-    def admits_own_size(self, estimate: np.ndarray) -> np.ndarray:
-        """Whether ``estimate[j-1]`` admits exactly ``j`` tasks, for each size ``j``.
-
-        ``estimate`` is ``(L, E)``, one row per size.  ``delta`` does not
-        increase and ends in ``-inf``, so exactly ``j`` priorities exceed an
-        estimate when ``delta[j-1]`` does and ``delta[j]`` does not: the
-        count test ``above(estimate) == j`` without a search.
-        """
-        return (self.delta[:-1, None] > estimate) & (self.delta[1:, None] <= estimate)
-
-    def least_admitting(self, estimate: np.ndarray, positive: np.ndarray) -> np.ndarray:
-        """Per episode, the least size ``j >= positive`` that ``estimate[j-1]`` admits.
-
-        ``estimate`` is ``(L, E)`` as in :meth:`admits_own_size`; an episode
-        with no such size gets ``L``.
-        """
-        sizes = np.arange(1, self.s.L + 1)[:, None]
-        match = self.admits_own_size(estimate) & (sizes >= positive)
-        return np.where(match, sizes, self.s.L).min(axis=0)
 
     def totals(self, level, c, j) -> np.ndarray:
         """Residual totals of the size-``j`` prefixes with ``c`` tasks at ``level``.
@@ -360,20 +343,8 @@ class _Kernel:
         eta = np.maximum((held - total) / (mass + spare), 0.0)
         return active, eta, held - eta * mass
 
-    def run(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> tuple:
-        """The prefetch phase of every episode, in blocks of ``_BLOCK_ENTRIES // L``.
-
-        Every step works on each episode alone, so the blocks bound the
-        size of the temporaries without changing a bit of the result.
-        """
-        size = max(1, _BLOCK_ENTRIES // self.s.L)
-        blocks = [replace(self, gains=self.gains[start:start + size],
-                          u_gain=self.u_gain[start:start + size]).phase(policy, forced_prefix)
-                  for start in range(0, max(self.gains.shape[0], 1), size)]
-        return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*blocks))
-
     def phase(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> tuple:
-        """The prefetch phase of this block under ``policy``: the one slot loop.
+        """The prefetch phase of the batch under ``policy``: the one slot loop.
 
         Returns the prefetch energy ``(E,)`` and each slot's threshold and
         prefix size ``(N_P, E)``.  Within the loop an episode's state is its
@@ -386,9 +357,9 @@ class _Kernel:
         total below the members' residual), because no size drops a clamped
         task (every size is at least ``c``) and because no task left out of
         the prefix is above the new level.  A locked prefix never changes
-        size.  A causal rule picks the least size ``k_n >= c`` whose
-        estimate ``eta_hat`` admits exactly ``k_n`` tasks (``L`` if none
-        does), so every task outside the prefix has
+        size.  A causal rule picks the least size ``k_n >= max(c, 1)``
+        whose estimate ``eta_hat`` admits exactly ``k_n`` tasks (``L`` if
+        none does), so every task outside the prefix has
         ``delta <= delta[k_n] <= eta_hat <= eta_n``: both causal estimates
         are at most the executed threshold (the conservative one is the
         all-active formula, a lower bound once members clamp; the
@@ -398,10 +369,10 @@ class _Kernel:
 
         Every :meth:`step` runs with ``k >= max(c, 1)``, so every size it
         and :meth:`totals` read is at least ``c``.  A locked prefix has ``k
-        >= 1`` and ``c = min(k, above(level)) <= k``.  A causal size is the
-        least admitting size at or above the floor ``c`` among ``1..L``, or
-        ``L``, and ``c <= above(level) <= L``.  The noncausal scorer
-        (:meth:`prefix_scores`) steps from ``c = 0`` with ``k >= 1``.
+        >= 1`` and ``c = min(k, above(level)) <= k``.  A causal size is
+        where :meth:`regrown`'s scan stops, and the scan starts at ``max(c,
+        1)`` and only steps up.  The noncausal scorer (:meth:`prefix_scores`)
+        steps from ``c = 0`` with ``k >= 1``.
 
         Each slot takes its clamped count ``c``, the policy's prefix size
         ``k``, the slot's :meth:`total_and_spare` and one :meth:`step`;
@@ -409,17 +380,24 @@ class _Kernel:
         episode: the prefix with the least :meth:`prefix_scores` (the first
         minimum, so ties go to the smaller prefix), or ``forced_prefix``.
         So its energies, thresholds and sizes are the loop's on that
-        prefix.  The causal policies regrow the size every slot
-        (:meth:`regrown`) from the tasks that got positive bits in the
-        previous slot, the leading ``c``: the count above this slot's
-        water level is the count above the last slot's threshold.
+        prefix.  Only the scorer builds ``(L, E)`` arrays, so only it runs
+        in blocks of ``_BLOCK_ENTRIES // L`` episodes; every score is an
+        episode's own, so the blocks change no bit.  The causal policies
+        regrow the size every slot (:meth:`regrown`) from the tasks that
+        got positive bits in the previous slot, the leading ``c``: the
+        count above this slot's water level is the count above the last
+        slot's threshold.
         """
         s, episodes = self.s, self.gains.shape[0]
         causal = policy is not PrefetchPolicy.NONCAUSAL_ORACLE
         if causal:
             k = np.zeros(episodes, dtype=int)
         elif forced_prefix is None:
-            k = np.argmin(self.prefix_scores(), axis=0) + 1
+            size = max(1, _BLOCK_ENTRIES // s.L)
+            k = np.concatenate([
+                np.argmin(replace(self, gains=self.gains[start:start + size],
+                                  u_gain=self.u_gain[start:start + size]).prefix_scores(), axis=0)
+                for start in range(0, max(episodes, 1), size)]) + 1
         else:
             k = np.full(episodes, forced_prefix)
         level, energy = np.full(episodes, self.delta[0]), np.zeros(episodes)
@@ -472,36 +450,47 @@ class _Kernel:
     def regrown(self, policy: PrefetchPolicy, level, c, n: int) -> np.ndarray:
         """The causal set rule: slot ``n``'s prefix size for each episode.
 
-        The size is the smallest, at least the clamped count ``c``, whose
-        estimated final threshold admits exactly as many tasks as the prefix
-        holds (the full set if none does).  The estimates are
+        The size is the smallest, at least ``max(c, 1)`` for the clamped
+        count ``c``, whose estimated final threshold admits exactly as many
+        tasks as the prefix holds (the full set if none does).  The
+        estimates are
 
             aggressive:   R * u_xi / (u_g + u_z(N-n))
             conservative: R * u_z(N-n) / ((u_g + u_z(N-n)) * A)
 
         with ``R`` the prefix's residual total at ``level`` with ``c`` tasks
-        clamped and ``A`` its inverse-probability mass; at the final slot
-        both are the exact ``R * u_xi / (u_g + u_xi * A)``.  A threshold
-        admits the tasks whose priority exceeds it (:meth:`admits_own_size`
-        tells, by two comparisons, whether that count is the prefix size).
-        The residual totals and both estimates are ``(L, E)``, so each
-        operation broadcasts a column of sizes against a row of episodes,
-        and :meth:`least_admitting` picks the size.  :meth:`totals` holds
-        ``c`` tasks at ``level`` in every row, so the rows of sizes below
-        ``c`` are not prefix totals; the floor ``c`` discards them, and no
-        pick depends on them.
+        clamped (:meth:`totals`) and ``A`` its inverse-probability mass; at
+        the final slot both are the exact ``R * u_xi / (u_g + u_xi * A)``.
+        A threshold admits the tasks whose priority exceeds it; ``delta``
+        does not increase and ends in ``-inf``, so the size-``j`` estimate
+        admits exactly ``j`` tasks when ``delta[j-1] > eta_hat >=
+        delta[j]``: two comparisons, not a count.  The conservative ``u_z``
+        depends on the size, so that test is not monotone in ``j`` and no
+        search over it is exact.  So the rule scans: every episode starts
+        at ``max(c, 1)`` and steps up one size per round while its estimate
+        does not admit and its size is below ``L``.  A round reads one
+        ``(E,)`` row of sizes, and a stopped episode's re-test changes
+        nothing; the scan takes one round more than the largest step of an
+        episode, at most ``L``.
         """
-        s, u_xi, mass = self.s, self.u_xi, self.cum_w[1:, None]
-        u_g = self.u_gain[:, n - 1]
-        residual = self.totals(level, c, np.arange(1, s.L + 1)[:, None])
-        if n == s.N_P:
-            eta_hat = residual * u_xi / (u_g + u_xi * mass)
-        elif policy is PrefetchPolicy.AGGRESSIVE:
-            eta_hat = residual * u_xi / (u_g + self.u_zeta[:, n - 1, None])
-        else:
-            u_z = self.u_zeta[:, n - 1, None]
-            eta_hat = residual * u_z / ((u_g + u_z) * mass)
-        return self.least_admitting(eta_hat, c)
+        s, u_xi, u_g, u_zeta = self.s, self.u_xi, self.u_gain[:, n - 1], self.u_zeta[:, n - 1]
+        row, clamped = c * (s.L + 1), level * self.cum_w.take(c)
+        j = np.maximum(c, 1)
+        while True:
+            below = j - 1
+            residual, mass = clamped + self.span.take(row + j), self.cum_w.take(j)
+            if n == s.N_P:
+                eta_hat = residual * u_xi / (u_g + u_xi * mass)
+            elif policy is PrefetchPolicy.AGGRESSIVE:
+                eta_hat = residual * u_xi / (u_g + u_zeta.take(below))
+            else:
+                u_z = u_zeta.take(below)
+                eta_hat = residual * u_z / ((u_g + u_z) * mass)
+            admits = (self.delta.take(below) > eta_hat) & (self.delta.take(j) <= eta_hat)
+            grow = ~admits & (j < s.L)
+            if not grow.any():
+                return j
+            j = j + grow
 
 
 def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable]],
@@ -516,9 +505,9 @@ def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable
     # prefix total free of the cancellation in a difference of prefix sums.
     ahead = np.arange(s.L) >= np.arange(s.L + 1)[:, None]
     span = np.cumsum(np.where(ahead, gam, 0.0), axis=1)
-    u_zeta = np.zeros((s.L, max(s.N_P - 1, 1)))
+    u_zeta = np.zeros((s.L, s.N_P))
     if prefix_tables is not None and s.N_P > 1:
-        u_zeta[:] = [table.inv_root[s.N_P - 2::-1] for table in prefix_tables]
+        u_zeta[:, :-1] = [table.inv_root[s.N_P - 2::-1] for table in prefix_tables]
     cum_w = np.concatenate([[0.0], np.cumsum(w)])
     delta = np.append(priorities(s)[order], -np.inf)
     tail = np.append(np.cumsum((prob * gam ** s.m)[::-1])[::-1], 0.0)
@@ -542,9 +531,11 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     The noncausal oracle scores every priority prefix against the
     revealed prefetch gains by its realized prefetch energy plus the
     expected demand energy of its residuals, all ``L`` of them in closed
-    form on an ``(L, episodes)`` block (of at most ``2**14 // L``
-    episodes, which changes no result), and runs, per episode, the one of
-    least score (ties go to the smaller prefix) through the slot loop.
+    form on ``(L, episodes)`` blocks (of at most ``2**14 // L`` episodes,
+    which changes no result), and runs, per episode, the one of least
+    score (ties go to the smaller prefix) through the slot loop.  The slot
+    loop runs once on the whole batch; the causal policies scan up the
+    prefix sizes from the count of tasks held at the water level.
     With ``forced_prefix`` every episode locks the priority prefix of that
     size, unscored; any other policy rejects ``forced_prefix``.  The demand
     phase always runs the xi-policy.  The result carries every slot's
@@ -588,7 +579,8 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         prefix_tables = None
     elif prefix_tables is None:
         prefix_tables = build_prefix_tables(s, channel, xi)
-    prefetch, thresholds, sizes = _kernel(s, xi, prefix_tables, gains).run(policy, forced_prefix)
+    kernel = _kernel(s, xi, prefix_tables, gains)
+    prefetch, thresholds, sizes = kernel.phase(policy, forced_prefix)
     final_rho = _residuals(s, thresholds[-1], sizes[-1])
     if not np.all((final_rho >= 0.0) & (final_rho < np.inf)):
         raise FloatingPointError("the prefetch phase left residual bits that are "

@@ -24,7 +24,7 @@ import numpy as np
 # in the import rather than in the first sweep.
 from numpy.random import SeedSequence, default_rng
 
-from .model import FastGamma, Scenario, _integer_in, sample_gain, to_db
+from .model import FastGamma, Scenario, _integer_in, _real, sample_gain, to_db
 from .slow import (
     expected_fetch_energy_slow,
     no_prefetch_energy_slow,
@@ -69,11 +69,16 @@ class ConfigError(ValueError):
 
 
 def _check_scales(settings) -> None:
-    """Raise ``ConfigError`` unless ``slow_g``, ``gamma_total`` and ``lam`` are finite and > 0."""
+    """Raise ``ConfigError`` unless ``slow_g``, ``gamma_total`` and ``lam`` are finite and > 0.
+
+    Each must be a ``numbers.Real`` and not a bool (``model._real``): a
+    string or ``True`` is a configuration error, not a scale.
+    """
     bad = [key for key in ("slow_g", "gamma_total", "lam")
-           if not (math.isfinite(settings[key]) and settings[key] > 0)]
+           if not (_real(settings[key]) and math.isfinite(settings[key]) and settings[key] > 0)]
     if bad:
-        raise ConfigError(f"{', '.join(bad)} must be finite and strictly positive")
+        raise ConfigError(f"{', '.join(bad)} must be finite and strictly positive "
+                          "(a real number, not a bool or a string)")
 
 
 @dataclass(frozen=True)
@@ -109,12 +114,13 @@ class SweepConfig:
             raise ConfigError(f"fading must be 'slow' or 'fast', got {self.fading!r}")
         if not self.values:
             raise ConfigError("values must be nonempty")
+        if not all(_real(v) for v in self.values):
+            raise ConfigError(f"{self.param} values must be real numbers, got {self.values!r}")
         values = tuple(float(v) for v in self.values)
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"{self.param} values must be finite, got {values!r}")
         if self.param in ("L", "N", "Np", "k"):
-            if any(isinstance(raw, (bool, np.bool_)) or not v.is_integer() or v < 1
-                   for raw, v in zip(self.values, values)):
+            if any(not v.is_integer() or v < 1 for v in values):
                 raise ConfigError(f"{self.param} values must be positive integers")
         if self.param == "k" and (self.fading != "fast" or any(v < 2 for v in values)):
             raise ConfigError("a k sweep requires fast fading and k >= 2")

@@ -74,6 +74,11 @@ class TestChannels:
         with pytest.raises(ValueError):
             SlowFading(g=0.0)
 
+    @pytest.mark.parametrize("g", [True, np.True_, "2", None])
+    def test_slow_gain_is_a_real_number(self, g):
+        with pytest.raises(ValueError, match="real number, not a bool"):
+            SlowFading(g)
+
     def test_fast_shape_integer_at_least_two(self):
         assert FastGamma(k=2).k == 2
         with pytest.raises(ValueError):

@@ -606,6 +606,31 @@ class TestSetEnergy:
             assert full_energy == pytest.approx(prefix_energy, rel=1e-12)
             assert full_set == prefix_set
 
+    def test_prefix_scan_equals_the_single_set_tables(self):
+        # ``best_prefix_set`` scores the prefix tables of one coefficient
+        # chain; a table per prefix, built alone, gives the same result bit
+        # for bit (the scan it replaced).
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            L, m, N = int(rng.integers(1, 17)), int(rng.integers(2, 6)), int(rng.integers(2, 11))
+            s = generate_scenario(rng, L=L, gamma_total=10.0 ** rng.uniform(-3, 4), m=m, N=N,
+                                  N_P=int(rng.integers(1, N)), uniform=bool(rng.random() < 0.2))
+            channel = FastGamma(int(rng.integers(2, 7)))
+            xi = build_xi_table(channel, m, s.N - s.N_P)
+            best = (frozenset(), no_prefetch_energy_fast(s, xi), None)
+            for k in range(1, L + 1):
+                table = build_zeta_table(s, channel, priority_order(s)[:k], xi)
+                energy = expected_total_energy_fast(table)
+                if energy < best[1]:
+                    best = (frozenset(table.task_set), energy, table)
+            got = best_prefix_set(s, channel, xi)
+            assert got[:2] == best[:2]
+            if best[2] is not None:
+                assert (got[2].task_set, got[2].zeta, got[2].inv_root) == \
+                    (best[2].task_set, best[2].zeta, best[2].inv_root)
+            else:
+                assert got[2] is None
+
     def test_monte_carlo_matches_formula_for_converged_set(self):
         # Lock the episode runner to the modal revealed-gain selection; the
         # closed form is exact for such a self-consistent target set, so the
@@ -1148,57 +1173,18 @@ class TestStepInvariant:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(prefetch._Kernel, "step", recorded)
             run_prefetch_batch(s, channel, policy, gains, realized, forced_prefix=forced)
-        # One block of episodes: a step per slot, and the scorer's one step.
+        # A step per slot, and the scorer's one step (60 episodes are one block).
         scored = policy is PrefetchPolicy.NONCAUSAL_ORACLE and forced is None
         assert len(calls) == (0 if policy is PrefetchPolicy.NO_PREFETCH else N_P + scored)
         for c, k in calls:
             assert np.all(k >= np.maximum(c, 1))
 
 
-class TestSetRule:
-    """The causal set rule's count test by two comparisons equals the searched count."""
-
-    SCENARIOS = {
-        "L1": Scenario(m=2, N=4, N_P=2, p=np.array([1.0]), gamma=np.array([3.0])),
-        "L2": Scenario(m=3, N=4, N_P=2, p=np.array([0.7, 0.3]), gamma=np.array([1.0, 2.0])),
-        "tied": Scenario(m=3, N=8, N_P=5, p=np.array([0.3, 0.3, 0.2, 0.2]),
-                         gamma=np.array([5.0, 5.0, 2.0, 2.0])),
-        "uniform": generate_scenario(np.random.default_rng(0), L=16, gamma_total=20.0, m=2,
-                                     N=10, N_P=8, uniform=True),
-        "random": generate_scenario(np.random.default_rng(1), L=64, gamma_total=20.0, m=3,
-                                    N=10, N_P=8),
-    }
-
-    @pytest.mark.parametrize("name", SCENARIOS)
-    def test_comparisons_equal_the_searched_count(self, name):
-        s = self.SCENARIOS[name]
-        rng = np.random.default_rng(len(name))
-        kernel = prefetch._kernel(s, build_xi_table(FAST2, s.m, s.N - s.N_P), None,
-                                  np.ones((1, s.N)))
-        delta, sizes = kernel.delta, np.arange(1, s.L + 1)
-        # Column j-1 holds estimates for size j: its own priority delta[j-1],
-        # the next one delta[j] (the sentinel -inf at j = L), a value between
-        # them, any value from zero to above the top priority, and the
-        # infinities.
-        lower = np.maximum(delta[1:], 0.0)
-        choices = np.stack(np.broadcast_arrays(
-            delta[:-1], delta[1:], rng.uniform(lower, delta[:-1]),
-            rng.uniform(0.0, 1.2 * delta[0], s.L), 0.0, np.inf, -np.inf))
-        estimate = choices[rng.integers(0, len(choices), (500, s.L)), sizes - 1]
-        expected = kernel.above(estimate) == sizes
-        assert np.array_equal(kernel.admits_own_size(estimate.T), expected.T)
-        assert expected.any() and not expected.all()
-        # Below every priority, an estimate admits the whole set through the
-        # sentinel.
-        assert np.all(kernel.admits_own_size(np.full((s.L, 1), delta[s.L - 1] / 2))[:, 0]
-                      == (sizes == s.L))
-
-
 def argmax_set_rule(kernel, estimate, positive):
-    """The causal set rule on ``(E, L)`` estimates by ``argmax``, the layout it replaced.
+    """The causal set rule on ``(E, L)`` estimates by ``argmax``: the least admitting size.
 
-    Kept as the reference of ``_Kernel.least_admitting``, which takes
-    ``(L, E)`` estimates and must pick the same size for every episode.
+    Size ``j`` admits when ``delta[j-1] > estimate[:, j-1] >= delta[j]``
+    and ``j >= positive``; an episode with no such size gets ``L``.
     """
     rows = np.arange(estimate.shape[0])
     sizes = np.arange(1, kernel.s.L + 1)
@@ -1208,61 +1194,199 @@ def argmax_set_rule(kernel, estimate, positive):
     return np.where(match[rows, first], first + 1, kernel.s.L)
 
 
-class TestLeastAdmitting:
-    """The episode-minor set rule picks the size of the ``(E, L)`` argmax rule."""
+def set_rule_estimates(kernel, policy, level, c, n):
+    """Every size's causal estimate, ``(L, E)``: the block that ``_Kernel.regrown`` scans.
+
+    The residual totals of :meth:`_Kernel.totals` at sizes ``1..L`` and
+    the estimates formed from them with the arithmetic of ``regrown``, one
+    column of sizes against a row of episodes.
+    """
+    s, u_xi, mass = kernel.s, kernel.u_xi, kernel.cum_w[1:, None]
+    u_g = kernel.u_gain[:, n - 1]
+    residual = kernel.totals(level, c, np.arange(1, s.L + 1)[:, None])
+    if n == s.N_P:
+        return residual * u_xi / (u_g + u_xi * mass)
+    u_z = kernel.u_zeta[:, n - 1, None]
+    if policy is PrefetchPolicy.AGGRESSIVE:
+        return residual * u_xi / (u_g + u_z)
+    return residual * u_z / ((u_g + u_z) * mass)
+
+
+def reference_set_rule(kernel, policy, level, c, n):
+    """``regrown``'s reference: the causal set rule as a minimum over the ``(L, E)`` block."""
+    return argmax_set_rule(kernel, set_rule_estimates(kernel, policy, level, c, n).T, c)
+
+
+def set_rule_kernel(s, rng, episodes):
+    """A kernel of ``s`` with its prefix tables and ``episodes`` random gains."""
+    xi = build_xi_table(FAST2, s.m, s.N - s.N_P)
+    return prefetch._kernel(s, xi, build_prefix_tables(s, FAST2, xi),
+                            sample_gain(FAST2, rng, (episodes, s.N)))
+
+
+#: Scenarios of the set-rule tests: one and two tasks, tied priorities, all
+#: priorities tied, and a random one.
+SET_RULE_SCENARIOS = {
+    "L1": Scenario(m=2, N=4, N_P=2, p=np.array([1.0]), gamma=np.array([3.0])),
+    "L2": Scenario(m=3, N=4, N_P=2, p=np.array([0.7, 0.3]), gamma=np.array([1.0, 2.0])),
+    "tied": Scenario(m=3, N=8, N_P=5, p=np.array([0.3, 0.3, 0.2, 0.2]),
+                     gamma=np.array([5.0, 5.0, 2.0, 2.0])),
+    "uniform": generate_scenario(np.random.default_rng(0), L=16, gamma_total=20.0, m=2,
+                                 N=10, N_P=8, uniform=True),
+    "random": generate_scenario(np.random.default_rng(1), L=64, gamma_total=20.0, m=3,
+                                N=10, N_P=8),
+}
+
+
+class TestSetRule:
+    """The set rule's two comparisons pick the size the searched count picks.
+
+    ``_Kernel.regrown`` tests ``delta[j-1] > eta_hat >= delta[j]``; the
+    reference counts the priorities above each estimate
+    (``_Kernel.above``).  Both read the same priority table, so each
+    state swaps in a table that puts one size's estimate on a priority,
+    on the next one, or between them.
+    """
 
     @staticmethod
-    def kernel(L, rng):
-        s = generate_scenario(rng, L=L, gamma_total=20.0, m=int(rng.integers(2, 6)),
-                              N=10, N_P=8)
-        return prefetch._kernel(s, build_xi_table(FAST2, s.m, s.N - s.N_P), None,
-                                np.ones((1, s.N)))
+    def priority_table(rng, estimate, j, at):
+        """Non-increasing priorities, then ``-inf``, with the size-``j`` estimate at ``at``.
 
-    @pytest.mark.parametrize("L", [1, 2, 4, 8, 64])
-    def test_random_estimates(self, L):
-        rng = np.random.default_rng(L + 500)
-        kernel = self.kernel(L, rng)
-        delta, sizes = kernel.delta, np.arange(1, L + 1)
-        # As in TestSetRule: each size's own priority, the next one, values
-        # between them, anything from zero to above the top, the infinities.
-        choices = np.stack(np.broadcast_arrays(
-            delta[:-1], delta[1:], rng.uniform(np.maximum(delta[1:], 0.0), delta[:-1]),
-            rng.uniform(0.0, 1.2 * delta[0], L), 0.0, np.inf, -np.inf))
-        estimate = choices[rng.integers(0, len(choices), (2000, L)), sizes - 1]
-        positive = rng.integers(0, L + 1, 2000)
-        k = kernel.least_admitting(estimate.T, positive)
-        assert np.array_equal(k, argmax_set_rule(kernel, estimate, positive))
-        # The draws hold rows that no size matches and, from two tasks on,
-        # rows whose positive floor skips a smaller admitting size.
-        admits = kernel.above(estimate) == sizes
-        assert np.any(~(admits & (sizes >= positive[:, None])).any(axis=1))
-        unfloored = argmax_set_rule(kernel, estimate, np.zeros_like(positive))
-        assert L == 1 or np.any(admits.any(axis=1) & (unfloored < k))
+        ``at`` is ``j`` (the estimate ``estimate[j-1]`` on the next
+        priority), ``j - 1`` (on its own) or ``None`` (between them); the
+        other priorities lie above and below it at random.
+        """
+        L = estimate.size
+        value = estimate[j - 1]
+        above = j if at is None else at
+        high = np.sort(value + rng.uniform(1e-3, 1.0, above) * (1.0 + value))[::-1]
+        low = np.sort(rng.uniform(0.0, value, L - above - (at is not None)))[::-1]
+        table = np.concatenate([high, [value] if at is not None else [], low, [-np.inf]])
+        assert table.size == L + 1 and np.all(np.diff(table) <= 0.0)
+        return table
 
-    @pytest.mark.parametrize("policy", ["aggressive", "conservative"])
+    @pytest.mark.parametrize("name", SET_RULE_SCENARIOS)
+    def test_comparisons_equal_the_searched_count(self, name):
+        s = SET_RULE_SCENARIOS[name]
+        rng = np.random.default_rng(len(name))
+        kernel = set_rule_kernel(s, rng, 40)
+        picks = []
+        for n in range(1, s.N_P + 1):
+            for policy in CAUSAL:
+                for e in range(kernel.gains.shape[0]):
+                    one = replace(kernel, gains=kernel.gains[e:e + 1],
+                                  u_gain=kernel.u_gain[e:e + 1])
+                    level = rng.uniform(0.0, 1.2 * kernel.delta[:1])
+                    c = rng.integers(0, s.L + 1, 1)
+                    estimate = set_rule_estimates(one, policy, level, c, n)[:, 0]
+                    j = int(rng.integers(max(c[0], 1), s.L + 1))
+                    at = rng.choice([j - 1, None] + ([j] if j < s.L else []))
+                    delta = self.priority_table(rng, estimate, j, at)
+                    swapped = replace(one, delta=delta, falling=-delta[:-1])
+                    counted = swapped.above(estimate) == np.arange(1, s.L + 1)
+                    admitting = np.flatnonzero(counted[max(c[0], 1) - 1:]) + max(c[0], 1)
+                    want = admitting[0] if admitting.size else s.L
+                    got = swapped.regrown(policy, level, c, n)
+                    assert got.tolist() == [want]
+                    picks.append((at == j, at == j - 1 and j < s.L, want == j))
+        # The swapped tables pick the size whose estimate sits on the next
+        # priority and, below the full set, pass over the one whose estimate
+        # sits on its own.
+        picks = np.array(picks)
+        assert s.L == 1 or np.any(picks[:, 0] & picks[:, 2])
+        assert s.L == 1 or np.any(picks[:, 1] & ~picks[:, 2])
+
+
+class TestLeastAdmitting:
+    """``_Kernel.regrown``'s scan picks the least admitting size of the whole ``(L, E)`` block."""
+
+    @staticmethod
+    def states(kernel, rng, episodes):
+        """Levels at zero, on a priority and anywhere up to above the top; every floor ``0..L``."""
+        delta = kernel.delta[:-1]
+        level = rng.uniform(0.0, 1.2 * delta[0], episodes)
+        kind = rng.random(episodes)
+        level[kind < 0.15] = 0.0
+        on_priority = kind > 0.85
+        level[on_priority] = rng.choice(delta, np.count_nonzero(on_priority))
+        c = np.resize(np.arange(kernel.s.L + 1), episodes)
+        rng.shuffle(c)
+        return level, c
+
+    @pytest.mark.parametrize("name", ["1", "2", "4", "8", "64", "tied", "uniform"])
+    def test_random_states(self, name):
+        rng = np.random.default_rng(len(name) + 500)
+        if name in SET_RULE_SCENARIOS:
+            s = SET_RULE_SCENARIOS[name]
+        else:
+            s = generate_scenario(rng, L=int(name), gamma_total=20.0,
+                                  m=int(rng.integers(2, 6)), N=10, N_P=8)
+        kernel = set_rule_kernel(s, rng, 2000)
+        lifted = none_admit = False
+        for n in range(1, s.N_P + 1):
+            for policy in CAUSAL:
+                level, c = self.states(kernel, rng, 2000)
+                k = kernel.regrown(policy, level, c, n)
+                assert np.array_equal(k, reference_set_rule(kernel, policy, level, c, n))
+                estimate = set_rule_estimates(kernel, policy, level, c, n).T
+                admits = kernel.above(estimate) == np.arange(1, s.L + 1)
+                floored = admits & (np.arange(1, s.L + 1) >= c[:, None])
+                none_admit |= np.any(~floored.any(axis=1))
+                lifted |= np.any(admits.any(axis=1) & (np.argmax(admits, axis=1) + 1 < k))
+        # The states hold episodes that no size admits and, from two tasks
+        # on, episodes whose floor skips a smaller admitting size.
+        assert none_admit
+        assert s.L == 1 or name == "uniform" or lifted
+
+    @pytest.mark.parametrize("policy", CAUSAL)
     @pytest.mark.parametrize("L", [1, 2, 4, 8, 64])
     def test_causal_batches(self, monkeypatch, policy, L):
         rng = np.random.default_rng(L + 600)
-        s = self.kernel(L, rng).s
-        rule, seen, floors = prefetch._Kernel.least_admitting, [], []
+        s = generate_scenario(rng, L=L, gamma_total=20.0, m=int(rng.integers(2, 6)),
+                              N=10, N_P=8)
+        rule, seen, floors = prefetch._Kernel.regrown, [], []
 
-        def checked(kernel, estimate, positive):
-            k = rule(kernel, estimate, positive)
-            assert estimate.shape == (L, positive.size)
-            assert np.array_equal(k, argmax_set_rule(kernel, estimate.T, positive))
+        def checked(kernel, policy, level, c, n):
+            k = rule(kernel, policy, level, c, n)
+            assert np.array_equal(k, reference_set_rule(kernel, policy, level, c, n))
             seen.append(k)
-            floors.append(positive)
+            floors.append(c)
             return k
-        monkeypatch.setattr(prefetch._Kernel, "least_admitting", checked)
+        monkeypatch.setattr(prefetch._Kernel, "regrown", checked)
         gains, realized = draw_episodes(s, FAST2, rng, 400)
         batch = run_prefetch_batch(s, FAST2, policy, gains, realized)
-        assert sum(k.size for k in seen) == s.N_P * gains.shape[0]
+        # One call per slot, on the whole batch.
+        assert [k.size for k in seen] == [gains.shape[0]] * s.N_P
+        assert np.array_equal(np.stack(seen, axis=1), batch.slot_set_size)
         # Each slot's floor is the number of tasks that got bits in the
         # previous slot (none before the first), not the previous set size.
-        floors = np.concatenate([np.stack(floors[start:start + s.N_P], axis=1)
-                                 for start in range(0, len(floors), s.N_P)])
         sent = np.count_nonzero(batch.decisions > 0.0, axis=2)
-        assert np.array_equal(floors, np.pad(sent[:, :-1], ((0, 0), (1, 0))))
+        assert np.array_equal(np.stack(floors, axis=1), np.pad(sent[:, :-1], ((0, 0), (1, 0))))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(L=st.integers(1, 64), m=st.integers(2, 5), shape=st.integers(2, 8),
+           N_P=st.integers(1, 8), demand=st.integers(1, 3), uniform=st.booleans(),
+           gamma_total=st.sampled_from([1e-2, 20.0, 1e3]), policy=st.sampled_from(CAUSAL),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_call_equals_the_block_rule(self, L, m, shape, N_P, demand, uniform,
+                                              gamma_total, policy, seed):
+        # The ranges of TestStepInvariant.
+        rng = np.random.default_rng(seed)
+        s = generate_scenario(rng, L=L, gamma_total=gamma_total, m=m, N=N_P + demand,
+                              N_P=N_P, uniform=uniform)
+        channel = FastGamma(shape)
+        gains, realized = draw_episodes(s, channel, rng, 60)
+        calls, rule = [], prefetch._Kernel.regrown
+
+        def checked(kernel, policy, level, c, n):
+            k = rule(kernel, policy, level, c, n)
+            calls.append(np.array_equal(k, reference_set_rule(kernel, policy, level, c, n)))
+            return k
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(prefetch._Kernel, "regrown", checked)
+            run_prefetch_batch(s, channel, policy, gains, realized)
+        assert calls == [True] * N_P
 
 
 class TestProbeCount:
@@ -1324,6 +1448,76 @@ class TestProbeCount:
         assert gallop <= bisection
         if (L, m) == (64, 2):
             assert gallop_entries <= 0.6 * bisection_entries
+
+
+class TestScanCount:
+    """The causal set rule reads one ``(episodes,)`` row of ``span`` per round of its scan.
+
+    Counted, as in ``TestProbeCount``, as reads of the kernel's ``span``
+    table during each ``_Kernel.regrown`` call.  A call scans from each
+    episode's floor ``max(c, 1)`` and stops when the last episode stops,
+    so it takes one round more than its largest step, and never more
+    than the ``L`` rows of the ``(L, episodes)`` rule it replaced.
+    """
+
+    @staticmethod
+    def calls(monkeypatch, s, policy, gains, realized):
+        """Per ``regrown`` call: the entries of each ``span`` read, the floors and the picks."""
+        entries, calls = [], []
+        kernel, regrown = prefetch._kernel, prefetch._Kernel.regrown
+
+        def counted(*args):
+            built = kernel(*args)
+            span = built.span.view(TestProbeCount.CountedTable)
+            span.entries = entries
+            return replace(built, span=span)
+
+        def spy(built, policy, level, c, n):
+            before = len(entries)
+            k = regrown(built, policy, level, c, n)
+            calls.append((entries[before:], np.maximum(c, 1), k))
+            return k
+
+        with monkeypatch.context() as patch:
+            patch.setattr(prefetch, "_kernel", counted)
+            patch.setattr(prefetch._Kernel, "regrown", spy)
+            run_prefetch_batch(s, FAST2, policy, gains, realized)
+        assert len(calls) == s.N_P
+        return calls
+
+    @pytest.mark.parametrize("policy", CAUSAL)
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("L", [1, 4, 16, 64])
+    def test_one_row_per_round(self, monkeypatch, L, uniform, policy):
+        rng = np.random.default_rng(L + 900)
+        s = generate_scenario(rng, L=L, gamma_total=20.0, m=int(rng.integers(2, 6)), N=10,
+                              N_P=8, uniform=uniform)
+        gains, realized = draw_episodes(s, FAST2, rng, 300)
+        calls = self.calls(monkeypatch, s, policy, gains, realized)
+        for n, (reads, floor, k) in enumerate(calls, start=1):
+            assert reads == [gains.shape[0]] * len(reads)
+            assert len(reads) == 1 + int((k - floor).max())
+            assert sum(reads) <= L * gains.shape[0]
+            if uniform:
+                # Every priority ties, so only the full set admits: the
+                # first slot scans all L sizes up from 1, and every later
+                # one starts at its floor L, since all L tasks then hold
+                # bits.
+                assert np.all(k == L)
+                assert len(reads) == (L if n == 1 else 1)
+
+    @pytest.mark.parametrize("L, bound", [(16, 40), (32, 40), (64, 40)])
+    def test_rounds_at_the_wide_L_shape(self, monkeypatch, L, bound):
+        # The shape of the ``wide-L`` benchmark: m=2, N=10, N_P=8, 1,000
+        # episodes.  The (L, episodes) rule read 8 * L rows per batch; the
+        # scan reads at most five per slot here.
+        rng = np.random.default_rng(L)
+        s = generate_scenario(rng, L=L, gamma_total=20.0, m=2, N=10, N_P=8)
+        gains, realized = draw_episodes(s, FAST2, rng, 1000)
+        for policy in CAUSAL:
+            rounds = sum(len(reads) for reads, _, _ in
+                         self.calls(monkeypatch, s, policy, gains, realized))
+            assert s.N_P <= rounds <= bound
 
 
 class TestFlatTables:
@@ -1487,7 +1681,12 @@ class TestSlotRecord:
 
 
 class TestEpisodeBlocks:
-    """The prefetch phase runs in blocks of episodes without changing a bit."""
+    """The noncausal scorer runs in blocks of episodes without changing a bit.
+
+    Only ``_Kernel.prefix_scores`` builds ``(L, episodes)`` arrays, so only
+    it runs in blocks; the slot loop (``_Kernel.phase``) runs once on the
+    whole batch.
+    """
 
     FIELDS = ("prefetch_energy", "demand_energy", "realized", "set_size", "final_rho",
               "thresholds", "decisions", "slot_set_size")
@@ -1505,17 +1704,24 @@ class TestEpisodeBlocks:
     @pytest.mark.parametrize("run", RUNS, ids=run_id)
     def test_one_call_equals_calls_on_slices(self, monkeypatch, L, episodes, blocks, run):
         s, xi, tables, gains, realized = self.instance(L, episodes)
-        sizes = []
-        phase = prefetch._Kernel.phase
+        phases, scored = [], []
+        phase, prefix_scores = prefetch._Kernel.phase, prefetch._Kernel.prefix_scores
 
-        def spy(kernel, *args):
-            sizes.append(kernel.gains.shape[0])
+        def phase_spy(kernel, *args):
+            phases.append(kernel.gains.shape[0])
             return phase(kernel, *args)
 
-        monkeypatch.setattr(prefetch._Kernel, "phase", spy)
+        def scores_spy(kernel):
+            scored.append(kernel.gains.shape[0])
+            return prefix_scores(kernel)
+
+        monkeypatch.setattr(prefetch._Kernel, "phase", phase_spy)
+        monkeypatch.setattr(prefetch._Kernel, "prefix_scores", scores_spy)
         whole = run_prefetch_batch(s, FAST2, gains=gains, realized=realized, xi=xi,
                                    prefix_tables=tables, **run)
-        assert sizes == blocks
+        assert phases == [episodes]
+        unforced = run["policy"] is PrefetchPolicy.NONCAUSAL_ORACLE and "forced_prefix" not in run
+        assert scored == (blocks if unforced else [])
         cuts = [0, 1, 301, 700, episodes]
         parts = [run_prefetch_batch(s, FAST2, gains=gains[a:b], realized=realized[a:b], xi=xi,
                                     prefix_tables=tables, **run)

@@ -95,6 +95,30 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(param="gamma", values=(1,), policies=("slow-opt",), **{key: value})
 
+    @pytest.mark.parametrize("key", ["lam", "slow_g", "gamma_total"])
+    @pytest.mark.parametrize("value", [True, np.True_, "2", None])
+    def test_scales_are_real_numbers(self, key, value):
+        # A bool or a string is not a scale: ``lam=True`` would weigh every
+        # energy by one and ``lam="2"`` fail in arithmetic, not in the check.
+        with pytest.raises(ConfigError, match=key):
+            SweepConfig(param="gamma", values=(1,), policies=("slow-opt",), **{key: value})
+
+    @pytest.mark.parametrize("param", ["gamma", "L", "N"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "5", b"5", None])
+    def test_values_are_real_numbers(self, param, value):
+        with pytest.raises(ConfigError, match="real numbers"):
+            SweepConfig(param=param, values=(value, 2), policies=("slow-opt",), N=20)
+
+    def test_the_reported_config_is_rejected(self):
+        with pytest.raises(ConfigError):
+            SweepConfig(param="gamma", values=(True, 2), policies=("slow-opt",), lam=True,
+                        slow_g=True, gamma_total=True)
+
+    def test_numpy_reals_are_scales_and_values(self):
+        cfg = SweepConfig(param="gamma", values=(np.float32(2.5), np.int64(3)),
+                          policies=("slow-opt",), lam=np.float64(2.0), slow_g=np.int64(3))
+        assert cfg.values == (2.5, 3.0) and (cfg.lam, cfg.slow_g) == (2.0, 3)
+
     @pytest.mark.parametrize("param", ["gamma", "L"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_values_rejected(self, param, value):
