@@ -22,6 +22,7 @@ import numpy as np
 from .model import (
     Channel,
     _integer_in,
+    _real,
     coefficient_chain,
     mean_gain,
     mean_inverse_gain,
@@ -89,8 +90,8 @@ def build_xi_table(channel: Channel, m: int, horizon: int) -> XiTable:
 
 def expected_demand_energy(beta: float, table: XiTable, duration: int) -> float:
     """Optimal expected demand energy per unit ``lam``: ``xi[duration] * beta**m``."""
-    if beta < 0.0 or not np.isfinite(beta):
-        raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    if not (_real(beta) and np.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be a nonnegative, finite number, got {beta!r}")
     if not _integer_in(duration, 0, table.horizon):
         raise ValueError(f"duration must be an integer in 0..{table.horizon}, got {duration!r}")
     if duration == 0:
@@ -112,8 +113,8 @@ def demand_energy_bounds(beta: float, channel: Channel, m: int, duration: int) -
     """
     if not _integer_in(m, 2, 5):
         raise ValueError(f"monomial order m must be an integer in [2, 5], got {m!r}")
-    if beta < 0.0 or not np.isfinite(beta):
-        raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    if not (_real(beta) and np.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be a nonnegative, finite number, got {beta!r}")
     if not _integer_in(duration, 1):
         raise ValueError(f"duration must be a positive integer, got {duration!r}")
     scale = beta ** m / duration ** (m - 1)

@@ -301,19 +301,22 @@ def coefficient_chain(channel: Channel, m: int, start, steps: int) -> tuple:
     ``(m, k)``, whose terms are all positive, so the relative error (about
     1e-15) does not depend on ``u``.  Raises :class:`QuadratureError` if
     the rule's step does not settle or an entry is not finite, and
-    ``ValueError`` unless ``m >= 2`` and ``steps >= 0`` are integers.
+    ``ValueError`` unless ``m >= 2`` and ``steps >= 0`` are integers and
+    every start is at least 0 (NaN is not).
     """
     if not _integer_in(m, 2):
         raise ValueError(f"monomial order m must be an integer of at least 2, got {m!r}")
     if not _integer_in(steps, 0):
         raise ValueError(f"steps must be an integer of at least 0, got {steps!r}")
+    u = np.array(start, dtype=float)
+    if not np.all(u >= 0.0):
+        raise ValueError(f"every start root must be at least 0, got {start!r}")
     if isinstance(channel, SlowFading):
         rule = (np.array([channel.g ** (1.0 / (m - 1))]), np.array([1.0]))
     elif isinstance(channel, FastGamma):
         rule = _root_gain_rule(m, channel.k)
     else:
         raise TypeError(f"unknown channel model: {channel!r}")
-    u = np.array(start, dtype=float)
     entries, roots = np.empty((u.size, steps)), np.empty((u.size, steps))
     for j in range(steps):
         entries[:, j] = _rule_moment(rule, m, u)

@@ -23,6 +23,7 @@ from .model import (
     Scenario,
     SlowFading,
     _integer_in,
+    _real,
 )
 from .demand import XiTable
 from .prefetch import (
@@ -484,8 +485,8 @@ def threshold_eta(rho: np.ndarray, slot: int, g: float, zeta: ZetaTable) -> floa
     that fails.
     """
     mass, residual = _set_sums(rho, slot, zeta)
-    if not (np.isfinite(g) and g > 0.0):
-        raise ValueError(f"channel gain must be strictly positive, got {g!r}")
+    if not (_real(g) and np.isfinite(g) and g > 0.0):
+        raise ValueError(f"channel gain must be a finite, strictly positive number, got {g!r}")
     s = zeta.scenario
     u_g = g ** (1.0 / (s.m - 1))
     if slot < s.N_P:
@@ -505,8 +506,8 @@ def decision_vector(rho: np.ndarray, eta: float, s: Scenario) -> np.ndarray:
     each task is sent over the whole phase.
     """
     rho = _check_residuals(rho, s)
-    if eta < 0.0 or not np.isfinite(eta):
-        raise ValueError(f"threshold must be nonnegative and finite, got {eta!r}")
+    if not (_real(eta) and np.isfinite(eta) and eta >= 0.0):
+        raise ValueError(f"threshold must be a nonnegative, finite number, got {eta!r}")
     w = s.p ** (-1.0 / (s.m - 1))
     return np.clip(rho - eta * w, 0.0, np.maximum(rho, 0.0))
 

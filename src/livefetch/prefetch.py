@@ -19,13 +19,13 @@ closed forms in the water level; it coincides with the closed forms in
 policies differ only in the priority prefix the step works on, so one slot
 loop runs them all, each policy a rule for the prefix size: the noncausal
 oracle scores every locked prefix against the revealed gains in closed
-form and locks the best one per episode (or ``forced_prefix``), and the
-two causal estimators (an optimistic and a pessimistic guess of the
-final-slot threshold) regrow the set every slot, scanning up from the
-count of tasks held at the water level.  The loop runs on the whole batch;
-only the noncausal scorer runs in cache-sized blocks of episodes.  No
-threshold depends on the energy coefficient ``lam``, so every energy here
-is per unit ``lam``.
+form and locks the best one per episode, and the two causal estimators
+(an optimistic and a pessimistic guess of the final-slot threshold)
+regrow the set every slot, scanning up from the count of tasks held at
+the water level.  The loop runs on the whole batch; only the noncausal
+scorer runs in cache-sized blocks of episodes.  No threshold depends on
+the energy coefficient ``lam``, so every energy here is per unit
+``lam``.
 """
 
 from __future__ import annotations
@@ -343,7 +343,7 @@ class _Kernel:
         eta = np.maximum((held - total) / (mass + spare), 0.0)
         return active, eta, held - eta * mass
 
-    def phase(self, policy: PrefetchPolicy, forced_prefix: Optional[int]) -> tuple:
+    def phase(self, policy: PrefetchPolicy) -> tuple:
         """The prefetch phase of the batch under ``policy``: the one slot loop.
 
         Returns the prefetch energy ``(E,)`` and each slot's threshold and
@@ -378,11 +378,11 @@ class _Kernel:
         ``k``, the slot's :meth:`total_and_spare` and one :meth:`step`;
         no-prefetch runs no slot.  The noncausal oracle locks one size per
         episode: the prefix with the least :meth:`prefix_scores` (the first
-        minimum, so ties go to the smaller prefix), or ``forced_prefix``.
-        So its energies, thresholds and sizes are the loop's on that
-        prefix.  Only the scorer builds ``(L, E)`` arrays, so only it runs
-        in blocks of ``_BLOCK_ENTRIES // L`` episodes; every score is an
-        episode's own, so the blocks change no bit.  The causal policies
+        minimum, so ties go to the smaller prefix), so its energies,
+        thresholds and sizes are the loop's on that prefix.  Only the
+        scorer builds ``(L, E)`` arrays, so only it runs in blocks of
+        ``_BLOCK_ENTRIES // L`` episodes; every score is an episode's own,
+        so the blocks change no bit.  The causal policies
         regrow the size every slot (:meth:`regrown`) from the tasks that
         got positive bits in the previous slot, the leading ``c``: the
         count above this slot's water level is the count above the last
@@ -392,14 +392,12 @@ class _Kernel:
         causal = policy is not PrefetchPolicy.NONCAUSAL_ORACLE
         if causal:
             k = np.zeros(episodes, dtype=int)
-        elif forced_prefix is None:
+        else:
             size = max(1, _BLOCK_ENTRIES // s.L)
             k = np.concatenate([
                 np.argmin(replace(self, gains=self.gains[start:start + size],
                                   u_gain=self.u_gain[start:start + size]).prefix_scores(), axis=0)
                 for start in range(0, max(episodes, 1), size)]) + 1
-        else:
-            k = np.full(episodes, forced_prefix)
         level, energy = np.full(episodes, self.delta[0]), np.zeros(episodes)
         sizes, thresholds = np.zeros((s.N_P, episodes), dtype=int), np.zeros((s.N_P, episodes))
         slots = 0 if policy is PrefetchPolicy.NO_PREFETCH else s.N_P
@@ -521,8 +519,7 @@ def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable
 def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
                        gains: np.ndarray, realized: np.ndarray, *,
                        xi: Optional[XiTable] = None,
-                       prefix_tables: Optional[Sequence[ZetaTable]] = None,
-                       forced_prefix: Optional[int] = None) -> BatchResult:
+                       prefix_tables: Optional[Sequence[ZetaTable]] = None) -> BatchResult:
     """Simulate whole stages: prefetch phase, realization, demand phase.
 
     ``gains`` has shape ``(episodes, N)`` and ``realized`` holds the task
@@ -535,20 +532,17 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     which changes no result), and runs, per episode, the one of least
     score (ties go to the smaller prefix) through the slot loop.  The slot
     loop runs once on the whole batch; the causal policies scan up the
-    prefix sizes from the count of tasks held at the water level.
-    With ``forced_prefix`` every episode locks the priority prefix of that
-    size, unscored; any other policy rejects ``forced_prefix``.  The demand
-    phase always runs the xi-policy.  The result carries every slot's
-    threshold and working-set size.  Energies are per unit ``lam``.
+    prefix sizes from the count of tasks held at the water level.  The
+    demand phase always runs the xi-policy.  The result carries every
+    slot's threshold and working-set size.  Energies are per unit ``lam``.
 
     ``xi`` (built when omitted) must be the demand table of ``channel`` and
     ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``
     (built when omitted and needed) the ``L`` priority prefixes of this
     very ``s`` under this ``xi``, every gain must be finite and positive,
-    every task index a whole number (bools and strings are not) and
-    ``forced_prefix`` an integer in ``1..L``; otherwise ``ValueError``.
-    Residual bits that come out negative or not finite are a numerical
-    failure (``FloatingPointError``).
+    and every task index a whole number (bools and strings are not);
+    otherwise ``ValueError``.  Residual bits that come out negative or not
+    finite are a numerical failure (``FloatingPointError``).
     """
     policy = PrefetchPolicy(policy)
     if xi is None:
@@ -571,16 +565,12 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     if np.any((realized < 0) | (realized >= s.L)):
         raise IndexError("realized task index out of range")
     realized = realized.astype(int)
-    if forced_prefix is not None and policy is not PrefetchPolicy.NONCAUSAL_ORACLE:
-        raise ValueError(f"only the noncausal policy takes forced_prefix, not {policy.value}")
-    if forced_prefix is not None and not _integer_in(forced_prefix, 1, s.L):
-        raise ValueError(f"forced_prefix must be an integer in 1..{s.L}, got {forced_prefix!r}")
     if policy is PrefetchPolicy.NO_PREFETCH:
         prefix_tables = None
     elif prefix_tables is None:
         prefix_tables = build_prefix_tables(s, channel, xi)
     kernel = _kernel(s, xi, prefix_tables, gains)
-    prefetch, thresholds, sizes = kernel.phase(policy, forced_prefix)
+    prefetch, thresholds, sizes = kernel.phase(policy)
     final_rho = _residuals(s, thresholds[-1], sizes[-1])
     if not np.all((final_rho >= 0.0) & (final_rho < np.inf)):
         raise FloatingPointError("the prefetch phase left residual bits that are "

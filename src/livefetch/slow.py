@@ -79,10 +79,14 @@ def priority_order(s: Scenario) -> list:
 def _task_members(s: Scenario, task_set: Iterable[int]) -> list:
     """The distinct task indices of ``task_set`` in ascending order.
 
-    Raises ``ValueError`` on an empty set and ``IndexError`` on an index
+    Raises ``ValueError`` on an empty set or an index that is not an
+    integer (a float, a bool or a string), and ``IndexError`` on an integer
     outside ``0 .. L-1``.
     """
-    members = sorted({int(i) for i in task_set})
+    indices = list(task_set)
+    if not all(_integer_in(i, -np.inf) for i in indices):
+        raise ValueError(f"task indices must be integers, got {indices!r}")
+    members = sorted({int(i) for i in indices})
     if not members:
         raise ValueError("task_set must be nonempty")
     if members[0] < 0 or members[-1] >= s.L:

@@ -112,11 +112,16 @@ class SweepConfig:
             raise ConfigError(f"param must be one of {SWEEP_PARAMS}, got {self.param!r}")
         if self.fading not in ("slow", "fast"):
             raise ConfigError(f"fading must be 'slow' or 'fast', got {self.fading!r}")
-        if not self.values:
+        for key in ("values", "policies"):
+            if isinstance(getattr(self, key), str):
+                raise ConfigError(f"{key} must be a sequence, not the string "
+                                  f"{getattr(self, key)!r}")
+        values = tuple(self.values)
+        if not values:
             raise ConfigError("values must be nonempty")
-        if not all(_real(v) for v in self.values):
-            raise ConfigError(f"{self.param} values must be real numbers, got {self.values!r}")
-        values = tuple(float(v) for v in self.values)
+        if not all(_real(v) for v in values):
+            raise ConfigError(f"{self.param} values must be real numbers, got {values!r}")
+        values = tuple(float(v) for v in values)
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"{self.param} values must be finite, got {values!r}")
         if self.param in ("L", "N", "Np", "k"):

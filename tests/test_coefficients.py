@@ -152,8 +152,26 @@ class TestRuleFailures:
         assert entries.shape == roots.shape == (2, 0)
 
     def test_non_finite_entry_raises(self):
+        # No start that the chain accepts makes an entry non-finite, so the
+        # rule's own moment is fed one.
+        rule = model._root_gain_rule(3, 2)
         with pytest.raises(QuadratureError):
-            coefficient_chain(FastGamma(2), 3, [1.0, math.nan], 2)
+            model._rule_moment(rule, 3, np.array([1.0, math.nan]))
+
+    @pytest.mark.parametrize("m, start", [(2, [-0.5]), (3, [-1.0]), (3, [1.0, math.nan]),
+                                          (2, [-math.inf])],
+                             ids=["negative-m2", "negative-m3", "nan", "minus-inf"])
+    def test_starts_must_be_at_least_zero(self, m, start):
+        # A root is a nonnegative number: a negative start once gave negative
+        # entries of a positive expectation, or a QuadratureError.
+        with pytest.raises(ValueError, match="start"):
+            coefficient_chain(FastGamma(2), m, start, 2)
+
+    def test_an_infinite_start_has_zero_entries(self):
+        # An overflow upstream can pass an infinite root; it stays accepted.
+        with np.errstate(divide="ignore"):
+            entries, roots = coefficient_chain(FastGamma(2), 2, [math.inf], 2)
+        assert np.all(entries == 0.0) and np.all(roots == math.inf)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_rules_build_in_the_cli_error_mode(self, m, cold_rules):

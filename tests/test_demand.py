@@ -154,6 +154,25 @@ class TestExpectedDemandEnergy:
             expected_demand_energy(1.0, table, 0)
 
 
+@pytest.mark.parametrize("beta", [True, "1.0", -1.0, np.nan, np.inf])
+def test_beta_must_be_a_nonnegative_finite_number(beta):
+    # A bool is not read as one bit, and a string is a ValueError, not a
+    # bare TypeError.
+    table = build_xi_table(FastGamma(k=2), m=2, horizon=2)
+    with pytest.raises(ValueError, match="beta"):
+        expected_demand_energy(beta, table, 2)
+    with pytest.raises(ValueError, match="beta"):
+        demand_energy_bounds(beta, FastGamma(k=2), m=2, duration=2)
+
+
+def test_numpy_float_beta():
+    table = build_xi_table(FastGamma(k=2), m=2, horizon=1)
+    assert expected_demand_energy(np.float32(4.0), table, 1) == \
+        expected_demand_energy(4.0, table, 1)
+    assert demand_energy_bounds(np.float64(4.0), FastGamma(k=2), m=2, duration=2) == \
+        demand_energy_bounds(4.0, FastGamma(k=2), m=2, duration=2)
+
+
 class TestDemandEnergyBounds:
     def test_reference_pair(self):
         lower, upper = demand_energy_bounds(4.0, FastGamma(k=2), m=2, duration=2)

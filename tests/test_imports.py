@@ -7,9 +7,11 @@ module-level function, class or constant (one leading underscore) must be
 read somewhere in its module besides its definition, and so must every
 method of a private class, as an attribute.  Every parameter of a
 library function is read in its body, so a mode whose branch is gone
-cannot keep its parameter, and every defaulted parameter of a private
-function is passed by some call in the package, so a default that never
-changes is a constant.  Every integer check goes through
+cannot keep its parameter, and every defaulted parameter of a library
+function is passed by some call in the package or in ``perfbench/``, so a
+default that never changes, or that only the tests change, is a
+constant.  The public options of ``oracles``, the tests' reference
+routes, are exempt.  Every integer check goes through
 ``model._integer_in``: no module tests ``isinstance(x, int)`` or
 ``type(x) is int``, which reject numpy integers.  The package exports
 exactly the union of its modules' ``__all__``, each bound in its module.
@@ -29,6 +31,7 @@ import pytest
 import livefetch
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "livefetch"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -206,16 +209,20 @@ def test_an_unread_parameter_is_reported():
                                          "h.y (line 7)", "h.z (line 7)"]
 
 
-def unpassed_defaults(sources: list) -> list:
-    """Defaulted parameters of private functions that no call in ``sources`` passes.
+def unpassed_defaults(sources: list, callers: list) -> list:
+    """Defaulted parameters that no call in ``sources`` or ``callers`` passes.
 
-    A call passes a parameter by keyword, by position (a method's call
-    through an attribute binds its first parameter itself) or through a
-    ``*`` or ``**`` argument.  A function is matched to its calls by name.
+    Each of ``sources`` is a pair ``(text, public)``: every private function
+    of ``text`` is checked, and its public ones as well when ``public``;
+    ``callers`` only call.  A call passes a parameter by keyword, by
+    position (a method's call through an attribute binds its first
+    parameter itself) or through a ``*`` or ``**`` argument.  A function is
+    matched to its calls by name.
     """
-    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
+    checked = [(node, public) for text, public in sources for node in ast.walk(ast.parse(text))]
+    nodes = [node for node, _ in checked]
     calls = {}
-    for node in nodes:
+    for node in nodes + [node for text in callers for node in ast.walk(ast.parse(text))]:
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             calls.setdefault(name, []).append(node)
@@ -224,10 +231,10 @@ def unpassed_defaults(sources: list) -> list:
                if not any(getattr(decorator, "id", None) == "staticmethod"
                           for decorator in getattr(statement, "decorator_list", []))}
     found = []
-    for node in nodes:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
-                not node.name.startswith("_") or node.name.startswith("__"):
-            continue
+    for node in (node for node, public in checked
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not node.name.startswith("__")
+                 and (public or node.name.startswith("_"))):
         arguments = node.args
         positional = [*arguments.posonlyargs, *arguments.args]
         defaulted = positional[len(positional) - len(arguments.defaults):] + [
@@ -247,8 +254,13 @@ def unpassed_defaults(sources: list) -> list:
     return found
 
 
-def test_every_private_default_is_passed():
-    assert unpassed_defaults([path.read_text() for path in sorted(PACKAGE.glob("*.py"))]) == []
+def test_every_default_is_passed():
+    # The oracles are the tests' reference routes: the checks set their
+    # public options.  The benchmark harness only calls.
+    sources = [(path.read_text(), path.name != "oracles.py")
+               for path in sorted(PACKAGE.glob("*.py"))]
+    callers = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unpassed_defaults(sources, callers) == []
 
 
 def test_an_unpassed_default_is_reported():
@@ -260,8 +272,20 @@ def test_an_unpassed_default_is_reported():
     second = ("_f(1, 2, d=0)\n_A()._m(5)\n_A._s(1)\nnames = [0]\n_g(*names)\n")
     # ``_g`` is passed through ``*``, ``_m``'s ``y`` by position after the
     # bound ``self``, ``_s`` by position; a public function is exempt.
-    assert unpassed_defaults([first, second]) == ["_f.c (line 1)", "_f.e (line 1)",
-                                                  "_m.z (line 10)"]
+    assert unpassed_defaults([(first, False), (second, False)], []) == [
+        "_f.c (line 1)", "_f.e (line 1)", "_m.z (line 10)"]
+
+
+def test_an_unpassed_public_default_is_reported():
+    # A checked source's public defaults count, an exempt source's do not,
+    # and a caller's calls pass them without its own functions being checked.
+    library = ("def run(a, *, mode=None, size=1):\n    return a\n\n\n"
+               "class Table:\n    def value(self, j=0):\n        return j\n\n"
+               "    def __init__(self, x=0):\n        self.x = x\n")
+    reference = "def route(a, mode=None):\n    return a\n"
+    harness = "def _helper(n=0):\n    return run(n, size=2)\n"
+    assert unpassed_defaults([(library, True), (reference, False)], [harness]) == [
+        "run.mode (line 1)", "value.j (line 6)"]
 
 
 def bare_int_checks(source: str) -> list:

@@ -75,11 +75,39 @@ def draw_episodes(s, channel, rng, episodes):
     return gains, rng.choice(s.L, size=episodes, p=s.p)
 
 
-def run_batch(s, policy, gains, realized=None, xi=XI3, tables=TABLES3, **kwargs):
+def run_batch(s, policy, gains, realized=None, xi=XI3, tables=TABLES3):
     if realized is None:
         realized = np.zeros(gains.shape[0], dtype=int)
     return run_prefetch_batch(s, FAST2, policy, gains, realized, xi=xi,
-                              prefix_tables=tables, **kwargs)
+                              prefix_tables=tables)
+
+
+def locked_batch(s, channel, k, gains, realized, **tables):
+    """The noncausal oracle's batch with each episode locked to the size-``k`` prefix.
+
+    ``k`` is one size or one size per episode, and ``tables`` are
+    ``run_prefetch_batch``'s ``xi`` and ``prefix_tables``.  The oracle runs
+    with ``_Kernel.prefix_scores`` replaced by scores least at ``k``, so
+    only the pick comes from the test: the slot loop, the demand phase and
+    the result are the library's.  The scorer's blocks arrive in episode
+    order, so the stub keeps a running offset into ``k``.
+    """
+    sizes = np.broadcast_to(k, (np.shape(gains)[0],))
+    assert np.all((sizes >= 1) & (sizes <= s.L))
+    offset = 0
+
+    def scores(kernel):
+        nonlocal offset
+        block = sizes[offset:offset + kernel.gains.shape[0]]
+        offset += block.size
+        return (np.arange(1, s.L + 1)[:, None] != block).astype(float)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prefetch._Kernel, "prefix_scores", scores)
+        result = run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE, gains,
+                                    realized, **tables)
+    assert offset == sizes.size
+    return result
 
 
 class TestZetaTable:
@@ -135,6 +163,11 @@ class TestZetaTable:
             build_zeta_table(S3, FAST2, (), XI3)
         with pytest.raises(IndexError):
             build_zeta_table(S3, FAST2, (0, 3), XI3)
+        # Task 1 is the integer 1, not 1.7, "1" or True.
+        for bad in ([1.7], ["1"], [True], [-0.5]):
+            with pytest.raises(ValueError, match="integers"):
+                build_zeta_table(S3, FAST2, bad, XI3)
+        assert build_zeta_table(S3, FAST2, np.array([1]), XI3).task_set == (1,)
         degenerate = Scenario(m=2, N=3, N_P=3, p=np.array([1.0]),
                               gamma=np.array([2.0]))
         with pytest.raises(ValueError):
@@ -183,9 +216,13 @@ class TestThresholdEta:
         assert eta == pytest.approx(8.0 / 4.0, rel=1e-9)
 
     def test_validation(self):
-        for bad in (0.0, -1.0, np.inf, np.nan):
+        # A gain is a number: a bool is not read as 1, and a string is a
+        # ValueError, not a bare TypeError.
+        for bad in (0.0, -1.0, np.inf, np.nan, True, "1.0"):
             with pytest.raises(ValueError):
                 threshold_eta(self.RHO2, 1, bad, ZETA2)
+        assert threshold_eta(self.RHO2, 1, np.float32(2.0), ZETA2) == \
+            threshold_eta(self.RHO2, 1, 2.0, ZETA2)
         with pytest.raises(ValueError):
             threshold_eta(self.RHO2, 2, 1.0, ZETA2)
         # A slot is an integer: a float is not read as one, nor a bool as 1.
@@ -233,9 +270,11 @@ class TestDecisionVector:
             assert np.all(bits <= rho + 1e-12)
 
     def test_validation(self):
-        for bad in (-0.5, np.nan, np.inf):
+        for bad in (-0.5, np.nan, np.inf, True, "0.5"):
             with pytest.raises(ValueError):
                 decision_vector(np.array([4.0, 4.0]), bad, S2)
+        assert np.array_equal(decision_vector([4.0, 4.0], np.float32(0.5), S2),
+                              decision_vector([4.0, 4.0], 0.5, S2))
         for rho in ([np.nan, 4.0], [4.0, np.inf], [-np.inf, 4.0]):
             with pytest.raises(ValueError):
                 decision_vector(np.array(rho), 1.0, S2)
@@ -447,11 +486,8 @@ class TestSelectNoncausalSet:
             gains = sample_gain(FAST2, rng, (1, S3.N))
             scores = []
             for k in (1, 2, 3):
-                result = run_prefetch_batch(S3, FAST2,
-                                            PrefetchPolicy.NONCAUSAL_ORACLE,
-                                            gains, np.array([0]), xi=XI3,
-                                            prefix_tables=TABLES3,
-                                            forced_prefix=k)
+                result = locked_batch(S3, FAST2, k, gains, np.array([0]), xi=XI3,
+                                      prefix_tables=TABLES3)
                 demand = float(np.sum(S3.p * result.final_rho[0] ** S3.m))
                 scores.append(float(result.prefetch_energy[0])
                               + XI3.xi[d] * demand)
@@ -469,8 +505,8 @@ class TestSelectNoncausalSet:
         xi = build_xi_table(FAST2, 2, 2)
         tables = build_prefix_tables(s, FAST2, xi)
         gains, realized = draw_episodes(s, FAST2, np.random.default_rng(1), 500)
-        two, three = (run_batch(s, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized, xi=xi,
-                                tables=tables, forced_prefix=k) for k in (2, 3))
+        two, three = (locked_batch(s, FAST2, k, gains, realized, xi=xi, prefix_tables=tables)
+                      for k in (2, 3))
         assert np.array_equal(two.prefetch_energy, three.prefetch_energy)
         assert np.array_equal(two.final_rho, three.final_rho)
         result = run_batch(s, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized, xi=xi,
@@ -490,8 +526,7 @@ class TestSelectNoncausalSet:
             tables = build_prefix_tables(s, FAST2, xi)
             gains, realized = draw_episodes(s, FAST2, rng, 400)
             weight = xi.xi[s.N - s.N_P]
-            runs = [run_prefetch_batch(s, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE, gains,
-                                       realized, xi=xi, prefix_tables=tables, forced_prefix=k)
+            runs = [locked_batch(s, FAST2, k, gains, realized, xi=xi, prefix_tables=tables)
                     for k in range(1, s.L + 1)]
             scores = np.array([run.prefetch_energy
                                + weight * (s.p * run.final_rho ** s.m).sum(axis=1)
@@ -542,8 +577,7 @@ class TestSelectNoncausalSet:
         tables = build_prefix_tables(s, channel, xi)
         gains, realized = draw_episodes(s, channel, rng, 40)
         kernel = prefetch._kernel(s, xi, tables, gains)
-        runs = [run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized,
-                                   xi=xi, prefix_tables=tables, forced_prefix=k)
+        runs = [locked_batch(s, channel, k, gains, realized, xi=xi, prefix_tables=tables)
                 for k in range(1, L + 1)]
         loop = []
         for k, run in enumerate(runs, start=1):
@@ -646,10 +680,8 @@ class TestSetEnergy:
         episodes = 100_000
         gains = sample_gain(FAST2, rng, (episodes, S3.N))
         realized = rng.choice(S3.L, size=episodes, p=S3.p)
-        result = run_prefetch_batch(S3, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
-                                    gains, realized, xi=XI3,
-                                    prefix_tables=TABLES3,
-                                    forced_prefix=modal_k)
+        result = locked_batch(S3, FAST2, modal_k, gains, realized, xi=XI3,
+                              prefix_tables=TABLES3)
         total = result.total_energy
         mean = float(total.mean())
         se = float(total.std(ddof=1)) / np.sqrt(episodes)
@@ -700,11 +732,10 @@ class TestEpisodeRunner:
                 target = result.thresholds[:, n, None] * w[None, :]
                 assert rho[positive] == pytest.approx(target[positive], abs=1e-9)
 
-    def test_forced_prefix_masks_outside_tasks(self):
+    def test_locked_prefix_masks_outside_tasks(self):
         rng = np.random.default_rng(15)
         gains, realized = draw_episodes(S3, FAST2, rng, 20)
-        result = run_batch(S3, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized,
-                           forced_prefix=1)
+        result = locked_batch(S3, FAST2, 1, gains, realized, xi=XI3, prefix_tables=TABLES3)
         assert priority_order(S3)[0] == 0
         assert np.all(result.decisions[:, :, 1:] == 0.0)
         assert np.all(result.slot_set_size == 1)
@@ -894,9 +925,8 @@ class TestBatchRunner:
             for k in range(1, s.L + 1):
                 members = sorted(order[:k])
                 outside = sorted(order[k:])
-                result = run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE,
-                                            gains, realized, xi=xi, prefix_tables=tables,
-                                            forced_prefix=k)
+                result = locked_batch(s, channel, k, gains, realized, xi=xi,
+                                      prefix_tables=tables)
                 decisions = result.decisions
                 active = np.all(decisions[:, :, members] > POSITIVE_BITS_EPS, axis=(1, 2))
                 checked += np.count_nonzero(active)
@@ -938,11 +968,6 @@ class TestBatchRunner:
         with pytest.raises(IndexError):
             run_prefetch_batch(S3, FAST2, PrefetchPolicy.AGGRESSIVE, gains,
                                realized + 10, xi=XI3)
-        for bad_prefix in (0, S3.L + 1, 2.0, 2.5, True, np.float64(2.0)):
-            with pytest.raises(ValueError):
-                run_prefetch_batch(S3, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE,
-                                   gains, realized, xi=XI3,
-                                   forced_prefix=bad_prefix)
 
     def test_task_indices_must_be_whole_numbers(self):
         gains, realized = draw_episodes(S3, FAST2, np.random.default_rng(23), 10)
@@ -959,15 +984,6 @@ class TestBatchRunner:
         assert whole.realized.dtype == exact.realized.dtype
         assert np.array_equal(whole.realized, realized)
         assert np.array_equal(whole.total_energy, exact.total_energy)
-
-    @pytest.mark.parametrize("policy", ["aggressive", "conservative", "no-prefetch"])
-    def test_forced_prefix_is_the_noncausal_oracles_alone(self, policy):
-        # Locking a prefix is the oracle's one-prefix mode; any other policy
-        # would run it under its own name.
-        gains, realized = draw_episodes(S3, FAST2, np.random.default_rng(17), 10)
-        with pytest.raises(ValueError, match="forced_prefix"):
-            run_prefetch_batch(S3, FAST2, policy, gains, realized, xi=XI3,
-                               prefix_tables=TABLES3, forced_prefix=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_failed_residuals_are_a_numerical_failure(self, monkeypatch, bad):
@@ -1156,9 +1172,9 @@ class TestStepInvariant:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_every_step_reads_sizes_of_at_least_the_clamped_count(
             self, L, m, shape, N_P, demand, uniform, gamma_total, policy, data, seed):
-        forced = None
+        locked = None
         if policy is PrefetchPolicy.NONCAUSAL_ORACLE:
-            forced = data.draw(st.none() | st.integers(1, L), label="forced_prefix")
+            locked = data.draw(st.none() | st.integers(1, L), label="locked prefix")
         rng = np.random.default_rng(seed)
         s = generate_scenario(rng, L=L, gamma_total=gamma_total, m=m, N=N_P + demand,
                               N_P=N_P, uniform=uniform)
@@ -1172,9 +1188,12 @@ class TestStepInvariant:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(prefetch._Kernel, "step", recorded)
-            run_prefetch_batch(s, channel, policy, gains, realized, forced_prefix=forced)
+            if locked is None:
+                run_prefetch_batch(s, channel, policy, gains, realized)
+            else:
+                locked_batch(s, channel, locked, gains, realized)
         # A step per slot, and the scorer's one step (60 episodes are one block).
-        scored = policy is PrefetchPolicy.NONCAUSAL_ORACLE and forced is None
+        scored = policy is PrefetchPolicy.NONCAUSAL_ORACLE and locked is None
         assert len(calls) == (0 if policy is PrefetchPolicy.NO_PREFETCH else N_P + scored)
         for c, k in calls:
             assert np.all(k >= np.maximum(c, 1))
@@ -1627,20 +1646,26 @@ def run_id(run: dict) -> str:
 
 #: Each policy, and the noncausal oracle with a locked prefix.
 RUNS = [*[{"policy": policy} for policy in PrefetchPolicy],
-        {"policy": PrefetchPolicy.NONCAUSAL_ORACLE, "forced_prefix": 3}]
+        {"policy": PrefetchPolicy.NONCAUSAL_ORACLE, "locked": 3}]
+
+
+def run_entry(run, s, gains, realized, **tables):
+    """The batch of one ``RUNS`` entry on ``FAST2``: its policy, or its locked prefix."""
+    if "locked" in run:
+        return locked_batch(s, FAST2, run["locked"], gains, realized, **tables)
+    return run_prefetch_batch(s, FAST2, run["policy"], gains=gains, realized=realized, **tables)
 
 
 class TestSlotRecord:
     """Every batch carries each slot's threshold and working-set size."""
 
     @pytest.mark.parametrize("run", [*RUNS, *[{"policy": PrefetchPolicy.NONCAUSAL_ORACLE,
-                                               "forced_prefix": k} for k in (1, 8)]],
+                                               "locked": k} for k in (1, 8)]],
                              ids=run_id)
     def test_a_sweep_batch_carries_the_slot_record(self, run):
         # Called as ``run_sweep`` calls it: no option asks for the record.
         s, xi, tables, gains, realized = TestEpisodeBlocks.instance(8, 50)
-        batch = run_prefetch_batch(s, FAST2, gains=gains, realized=realized, xi=xi,
-                                   prefix_tables=tables, **run)
+        batch = run_entry(run, s, gains, realized, xi=xi, prefix_tables=tables)
         assert batch.scenario is s
         assert batch.thresholds.shape == batch.slot_set_size.shape == (50, s.N_P)
         assert np.array_equal(batch.set_size, batch.slot_set_size[:, -1])
@@ -1654,8 +1679,7 @@ class TestSlotRecord:
         # same tasks as the largest: the residual rule that derives
         # ``decisions``.
         s, xi, tables, gains, realized = TestEpisodeBlocks.instance(8, 300)
-        batch = run_prefetch_batch(s, FAST2, gains=gains, realized=realized, xi=xi,
-                                   prefix_tables=tables, **run)
+        batch = run_entry(run, s, gains, realized, xi=xi, prefix_tables=tables)
         level = batch.thresholds[:, -1]
         for size in (batch.slot_set_size[:, -1], batch.slot_set_size.max(axis=1)):
             assert np.array_equal(batch.final_rho, prefetch._residuals(s, level, size))
@@ -1717,18 +1741,36 @@ class TestEpisodeBlocks:
 
         monkeypatch.setattr(prefetch._Kernel, "phase", phase_spy)
         monkeypatch.setattr(prefetch._Kernel, "prefix_scores", scores_spy)
-        whole = run_prefetch_batch(s, FAST2, gains=gains, realized=realized, xi=xi,
-                                   prefix_tables=tables, **run)
+        whole = run_entry(run, s, gains, realized, xi=xi, prefix_tables=tables)
         assert phases == [episodes]
-        unforced = run["policy"] is PrefetchPolicy.NONCAUSAL_ORACLE and "forced_prefix" not in run
-        assert scored == (blocks if unforced else [])
+        # A locked run's stub replaces the scorer's spy.
+        unlocked = run["policy"] is PrefetchPolicy.NONCAUSAL_ORACLE and "locked" not in run
+        assert scored == (blocks if unlocked else [])
         cuts = [0, 1, 301, 700, episodes]
-        parts = [run_prefetch_batch(s, FAST2, gains=gains[a:b], realized=realized[a:b], xi=xi,
-                                    prefix_tables=tables, **run)
+        parts = [run_entry(run, s, gains[a:b], realized[a:b], xi=xi, prefix_tables=tables)
                  for a, b in zip(cuts[:-1], cuts[1:])]
         for name in self.FIELDS:
             joined = np.concatenate([getattr(part, name) for part in parts])
             assert np.array_equal(getattr(whole, name), joined), name
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    @pytest.mark.parametrize("L", [1, 4, 64])
+    def test_per_episode_locks_equal_the_locks_at_each_size(self, L, m):
+        # One random size per episode runs, episode by episode, as the batch
+        # locked at that size.  At L=64 the 1,000 episodes span four scorer
+        # blocks, each of which takes its sizes at its own offset.
+        rng = np.random.default_rng(8 * L + m)
+        s = generate_scenario(rng, L=L, gamma_total=20.0, m=m, N=10, N_P=8)
+        xi = build_xi_table(FAST2, m, s.N - s.N_P)
+        tables = build_prefix_tables(s, FAST2, xi)
+        gains, realized = draw_episodes(s, FAST2, rng, 1000)
+        k = rng.integers(1, L + 1, size=1000)
+        mixed = locked_batch(s, FAST2, k, gains, realized, xi=xi, prefix_tables=tables)
+        for size in range(1, L + 1):
+            run = locked_batch(s, FAST2, size, gains, realized, xi=xi, prefix_tables=tables)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(mixed, name)[k == size],
+                                      getattr(run, name)[k == size]), (size, name)
 
     @pytest.mark.parametrize("policy", PrefetchPolicy)
     def test_empty_batch_at_large_L(self, policy):

@@ -78,6 +78,23 @@ class TestTotalPrefetchedBits:
         with pytest.raises(ValueError):
             total_prefetched_bits(UNIFORM2, set())
 
+    @pytest.mark.parametrize("bad", [[1.7], [-0.5], ["1"], [True], "01", [np.float64(1.0)]],
+                             ids=["float", "negative-float", "string", "bool", "str-set",
+                                  "numpy-float"])
+    def test_task_indices_must_be_integers(self, bad):
+        # ``int`` would read 1.7, "1" and True as task 1, and truncate -0.5
+        # to task 0 before the range check.
+        with pytest.raises(ValueError, match="integers"):
+            total_prefetched_bits(UNIFORM2, bad)
+
+    def test_integer_task_indices(self):
+        # numpy integers are integers; an integer out of range is an IndexError.
+        assert total_prefetched_bits(UNIFORM2, np.array([1, 0, 1])) == \
+            total_prefetched_bits(UNIFORM2, {0, 1})
+        for bad in ([2], [-1], [np.int64(0), np.int64(2)]):
+            with pytest.raises(IndexError):
+                total_prefetched_bits(UNIFORM2, bad)
+
 
 class TestOptimalPrefetch:
     def test_uniform_pair_plan(self):

@@ -109,6 +109,23 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="real numbers"):
             SweepConfig(param=param, values=(value, 2), policies=("slow-opt",), N=20)
 
+    @pytest.mark.parametrize("key, value", [("values", "12"), ("policies", "slow-opt")])
+    def test_a_string_is_not_a_sequence(self, key, value):
+        # A string would be read, and reported, character by character.
+        fields = dict(param="gamma", values=(1,), policies=("slow-opt",))
+        with pytest.raises(ConfigError, match=f"{key} must be a sequence, not the string"):
+            SweepConfig(**{**fields, key: value})
+
+    def test_values_of_any_iterable(self):
+        # A generator is read once, not taken for an empty sweep, and an
+        # array is not tested for truth.
+        for values in ((v for v in [1.0, 2.0]), np.array([1.0, 2.0]), [1.0, 2.0]):
+            cfg = SweepConfig(param="gamma", values=values, policies=("slow-opt",))
+            assert cfg.values == (1.0, 2.0)
+        for values in ((v for v in []), np.array([])):
+            with pytest.raises(ConfigError, match="nonempty"):
+                SweepConfig(param="gamma", values=values, policies=("slow-opt",))
+
     def test_the_reported_config_is_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(param="gamma", values=(True, 2), policies=("slow-opt",), lam=True,
