@@ -192,9 +192,10 @@ def no_prefetch_energy_fast(s: Scenario, xi: XiTable) -> float:
 class BatchResult:
     """Vectorized episode statistics per unit ``lam`` (one entry per episode).
 
-    The result owns its ``scenario`` and each slot's threshold and
-    working-set size, from which the final set size and the per-slot bits
-    follow.
+    The result stores its ``scenario``, its energies, the realized tasks
+    and each slot's threshold and working-set size.  ``final_rho``,
+    ``beta``, ``set_size`` and ``decisions`` derive from that record, the
+    residual views by the one checked rule :func:`_residuals`.
     """
 
     scenario: Scenario
@@ -202,7 +203,6 @@ class BatchResult:
     prefetch_energy: np.ndarray
     demand_energy: np.ndarray
     realized: np.ndarray
-    final_rho: np.ndarray           #: (E, L) residual bits per task
     thresholds: np.ndarray          #: (E, N_P) each slot's threshold
     slot_set_size: np.ndarray       #: (E, N_P) each slot's working-set size (0 for no-prefetch)
 
@@ -211,9 +211,16 @@ class BatchResult:
         return self.prefetch_energy + self.demand_energy
 
     @property
+    def final_rho(self) -> np.ndarray:
+        """``(E, L)`` residual bits per task."""
+        return _residuals(self.scenario, self.thresholds[:, -1:], self.slot_set_size[:, -1:],
+                          np.arange(self.scenario.L))
+
+    @property
     def beta(self) -> np.ndarray:
         """Residual bits of the realized task."""
-        return self.final_rho[np.arange(self.realized.size), self.realized]
+        return _residuals(self.scenario, self.thresholds[:, -1], self.slot_set_size[:, -1],
+                          self.realized)
 
     @property
     def set_size(self) -> np.ndarray:
@@ -223,28 +230,30 @@ class BatchResult:
     @property
     def decisions(self) -> np.ndarray:
         """``(E, N_P, L)`` bits each slot sends to each task."""
-        pad = ((0, 0), (1, 0))
-        held = _residuals(self.scenario, np.pad(self.thresholds, pad),
-                          np.pad(self.slot_set_size, pad))
+        pad = ((0, 0), (1, 0), (0, 0))
+        held = _residuals(self.scenario, np.pad(self.thresholds[..., None], pad),
+                          np.pad(self.slot_set_size[..., None], pad), np.arange(self.scenario.L))
         return held[:, :-1] - held[:, 1:]
 
 
-def _residuals(s: Scenario, level: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Bits each task of ``s`` holds at water ``level`` after a slot on ``size`` tasks.
+def _residuals(s: Scenario, level, size, task) -> np.ndarray:
+    """Bits task ``task`` of ``s`` holds at water ``level`` after a slot on ``size`` tasks.
 
-    A task holds ``level * p**(-1/(m-1))`` if it is among the ``size``
-    first in priority order and its priority exceeds ``level``, and its
-    whole ``gamma`` otherwise (see :meth:`_Kernel.phase`).  The tasks run on the
-    first axis, so each comparison broadcasts a task column against a row
-    of episodes; the result is the ``(..., L)`` view of that array.
+    A task holds its whole ``gamma`` if it is not among the ``size`` first
+    in priority order or its priority is at most ``level``, and ``level *
+    p**(-1/(m-1))`` otherwise (see :meth:`_Kernel.phase`).  The arguments
+    broadcast; ``task`` holds task indices.  A NaN level compares false, so
+    it leaves the members' residuals NaN rather than whole.  This is the
+    one residual check: bits that come out negative or not finite are a
+    numerical failure (``FloatingPointError``).
     """
-    column = (s.L,) + (1,) * np.ndim(level)
     rank = np.empty(s.L, dtype=int)
     rank[priority_order(s)] = np.arange(s.L)
-    clamped = (rank.reshape(column) < size) & (priorities(s).reshape(column) > level)
-    held = np.where(clamped, level * (s.p ** -(1.0 / (s.m - 1))).reshape(column),
-                    s.gamma.reshape(column))
-    return np.moveaxis(held, 0, -1)
+    whole = (rank[task] >= size) | (priorities(s)[task] <= level)
+    held = np.where(whole, s.gamma[task], level * (s.p ** -(1.0 / (s.m - 1)))[task])
+    if not np.all((held >= 0.0) & (held < np.inf)):
+        raise FloatingPointError("residual bits came out negative or not finite")
+    return held
 
 
 @dataclass(frozen=True)
@@ -533,16 +542,19 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     score (ties go to the smaller prefix) through the slot loop.  The slot
     loop runs once on the whole batch; the causal policies scan up the
     prefix sizes from the count of tasks held at the water level.  The
-    demand phase always runs the xi-policy.  The result carries every
-    slot's threshold and working-set size.  Energies are per unit ``lam``.
+    demand phase always runs the xi-policy on the realized task's
+    residual, the one residual per episode the batch computes.  The result
+    stores the energies and every slot's threshold and working-set size.
+    Energies are per unit ``lam``.
 
     ``xi`` (built when omitted) must be the demand table of ``channel`` and
     ``s.m`` with a horizon of at least ``N - N_P``, and ``prefix_tables``
     (built when omitted and needed) the ``L`` priority prefixes of this
     very ``s`` under this ``xi``, every gain must be finite and positive,
     and every task index a whole number (bools and strings are not);
-    otherwise ``ValueError``.  Residual bits that come out negative or not
-    finite are a numerical failure (``FloatingPointError``).
+    otherwise ``ValueError``.  A threshold or an energy that comes out not
+    finite, and residual bits that come out negative or not finite, are a
+    numerical failure (``FloatingPointError``), raised where computed.
     """
     policy = PrefetchPolicy(policy)
     if xi is None:
@@ -571,16 +583,16 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
         prefix_tables = build_prefix_tables(s, channel, xi)
     kernel = _kernel(s, xi, prefix_tables, gains)
     prefetch, thresholds, sizes = kernel.phase(policy)
-    final_rho = _residuals(s, thresholds[-1], sizes[-1])
-    if not np.all((final_rho >= 0.0) & (final_rho < np.inf)):
-        raise FloatingPointError("the prefetch phase left residual bits that are "
-                                 "negative or not finite")
-    _, demand = simulate_demand_batch(final_rho[np.arange(gains.shape[0]), realized],
+    if not (np.all(np.isfinite(thresholds)) and np.all(np.isfinite(prefetch))):
+        raise FloatingPointError("a prefetch threshold or energy is not finite")
+    _, demand = simulate_demand_batch(_residuals(s, thresholds[-1], sizes[-1], realized),
                                       gains[:, s.N_P:], xi)
     # Summed slot by slot, in the order of ``np.cumsum(demand, axis=1)``.
     demand_energy = demand[:, 0].copy()
     for energy in demand.T[1:]:
         demand_energy += energy
+    if not np.all(np.isfinite(demand_energy)):
+        raise FloatingPointError("a demand energy is not finite")
     return BatchResult(scenario=s, policy=policy, prefetch_energy=prefetch,
                        demand_energy=demand_energy, realized=realized,
-                       final_rho=final_rho, thresholds=thresholds.T, slot_set_size=sizes.T)
+                       thresholds=thresholds.T, slot_set_size=sizes.T)

@@ -113,10 +113,14 @@ class SweepConfig:
         if self.fading not in ("slow", "fast"):
             raise ConfigError(f"fading must be 'slow' or 'fast', got {self.fading!r}")
         for key in ("values", "policies"):
-            if isinstance(getattr(self, key), str):
-                raise ConfigError(f"{key} must be a sequence, not the string "
-                                  f"{getattr(self, key)!r}")
-        values = tuple(self.values)
+            items = getattr(self, key)
+            if isinstance(items, str):
+                raise ConfigError(f"{key} must be a sequence, not the string {items!r}")
+            try:
+                object.__setattr__(self, key, tuple(items))
+            except TypeError:
+                raise ConfigError(f"{key} must be a sequence, got {items!r}") from None
+        values = self.values
         if not values:
             raise ConfigError("values must be nonempty")
         if not all(_real(v) for v in values):
@@ -132,14 +136,12 @@ class SweepConfig:
         if self.param == "gamma" and any(v <= 0 for v in values):
             raise ConfigError("gamma values must be strictly positive")
         object.__setattr__(self, "values", values)
-        policies = tuple(self.policies)
         allowed = SLOW_POLICIES if self.fading == "slow" else FAST_POLICIES
-        unknown = [p for p in policies if p not in allowed]
-        if not policies or unknown:
+        unknown = [p for p in self.policies if p not in allowed]
+        if not self.policies or unknown:
             raise ConfigError(
                 f"policies for {self.fading} fading must be a nonempty subset of "
-                f"{allowed}, got {policies!r}")
-        object.__setattr__(self, "policies", policies)
+                f"{allowed}, got {self.policies!r}")
         if not _integer_in(self.m, 2, 5):
             raise ConfigError(f"m must be an integer in [2, 5], got {self.m!r}")
         if not _integer_in(self.k, 2):

@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from livefetch import sweep
+from livefetch import prefetch, sweep
 from livefetch.cli import _FIGURE_SPECS, main
 from livefetch.model import QuadratureError
 from livefetch.sweep import (
@@ -232,8 +232,11 @@ class TestExitCodes:
         assert "underflowed" in err
 
     @pytest.mark.parametrize("fading, target, broken", [
+        # The residual rule holds its check, so it runs on a NaN water level
+        # that holds every task: each task's bits come out NaN.
         ("fast", "livefetch.prefetch._residuals",
-         lambda s, level, bound: np.full(level.shape + (s.L,), np.nan)),
+         lambda s, level, size, task, rule=prefetch._residuals:
+             rule(s, np.full(np.shape(level), np.nan), s.L, task)),
         ("slow", "livefetch.slow.total_prefetched_bits", lambda s, members: -np.inf),
     ], ids=["fast-residuals", "slow-alpha"])
     def test_single_computed_value_failure_exits_three(self, monkeypatch, capsys,

@@ -985,23 +985,37 @@ class TestBatchRunner:
         assert np.array_equal(whole.realized, realized)
         assert np.array_equal(whole.total_energy, exact.total_energy)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0])
     def test_failed_residuals_are_a_numerical_failure(self, monkeypatch, bad):
         # The demand phase's check on its caller's residuals raises
         # ValueError; residuals the library computed raise where computed.
+        # The rule holds the check, so it runs here on a broken water level
+        # that holds every task: NaN, -inf and negative levels leave NaN,
+        # -inf and negative bits (a NaN level compares false, so it does not
+        # read as nothing prefetched).
         gains, realized = draw_episodes(S3, FAST2, np.random.default_rng(19), 10)
         computed = prefetch._residuals
 
-        def broken(s, level, bound):
-            rho = computed(s, level, bound)
-            rho[..., 0] = bad
-            return rho
+        def broken(s, level, size, task):
+            return computed(s, np.full(np.shape(level), bad), s.L, task)
         monkeypatch.setattr(prefetch, "_residuals", broken)
         with pytest.raises(FloatingPointError, match="residual bits"):
             run_prefetch_batch(S3, FAST2, "aggressive", gains, realized, xi=XI3,
                                prefix_tables=TABLES3)
         with pytest.raises(ValueError, match="residual bits"):
             simulate_demand_batch(np.full(gains.shape[0], bad), gains[:, S3.N_P:], XI3)
+
+    @pytest.mark.parametrize("gamma", [[1e308] * 3, [1e200, 1e100, 1.0]],
+                             ids=["nan-thresholds", "infinite-energies"])
+    @pytest.mark.parametrize("policy", PrefetchPolicy)
+    def test_non_finite_thresholds_and_energies_are_a_numerical_failure(self, gamma, policy):
+        # The first data sizes overflow the prefix totals, so every threshold
+        # comes out NaN; the second leave finite thresholds but overflow
+        # every energy.  Numpy only warns, so the batch raises.
+        s = Scenario(m=2, N=10, N_P=8, p=np.array([0.5, 0.3, 0.2]), gamma=np.array(gamma))
+        gains = sample_gain(FAST2, np.random.default_rng(5), (5, s.N))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+            run_prefetch_batch(s, FAST2, policy, gains, np.array([0, 1, 2, 0, 1]))
 
 
 @pytest.mark.parametrize("d", range(1, 10))
@@ -1029,7 +1043,7 @@ def dense_first_reached(kernel, level, bound, n, k):
     """
     s = kernel.s
     rows = np.arange(level.size)
-    rho = prefetch._residuals(s, level, bound)[:, priority_order(s)]
+    rho = prefetch._residuals(s, level[:, None], bound[:, None], priority_order(s))
     cum_rho = np.concatenate([np.zeros((rows.size, 1)), np.cumsum(rho, axis=1)], axis=1)
     u_g = kernel.u_gain[:, n - 1]
     if n == s.N_P:
@@ -1111,7 +1125,7 @@ class TestSlotSearch:
             # prefix's held bits ``R``, so the sent bits agree relative to
             # ``R``, and the slot energies ``sent**m / g`` as far as
             # the mean value theorem carries that error.
-            rho = prefetch._residuals(s, level, bound)[:, priority_order(s)]
+            rho = prefetch._residuals(s, level[:, None], bound[:, None], priority_order(s))
             held = rho.cumsum(axis=1)[rows, active - 1]
             gap = self.TOL * held
             assert np.all(np.abs(sent - ref_sent) <= gap)
@@ -1680,9 +1694,43 @@ class TestSlotRecord:
         # ``decisions``.
         s, xi, tables, gains, realized = TestEpisodeBlocks.instance(8, 300)
         batch = run_entry(run, s, gains, realized, xi=xi, prefix_tables=tables)
-        level = batch.thresholds[:, -1]
-        for size in (batch.slot_set_size[:, -1], batch.slot_set_size.max(axis=1)):
-            assert np.array_equal(batch.final_rho, prefetch._residuals(s, level, size))
+        level = batch.thresholds[:, -1:]
+        for size in (batch.slot_set_size[:, -1:], batch.slot_set_size.max(axis=1)[:, None]):
+            assert np.array_equal(batch.final_rho,
+                                  prefetch._residuals(s, level, size, np.arange(s.L)))
+
+    @pytest.mark.parametrize("L", [4, 64])
+    @pytest.mark.parametrize("run", RUNS, ids=run_id)
+    def test_the_batch_computes_one_residual_per_episode(self, monkeypatch, L, run):
+        # The demand phase reads only the realized task's residual, so the
+        # batch calls the residual rule once, on ``(E,)``, and builds no
+        # ``(E, L)`` residuals.
+        s, xi, tables, gains, realized = TestEpisodeBlocks.instance(L, 300)
+        shapes, rule = [], prefetch._residuals
+
+        def spy(*args):
+            held = rule(*args)
+            shapes.append(held.shape)
+            return held
+        monkeypatch.setattr(prefetch, "_residuals", spy)
+        batch = run_entry(run, s, gains, realized, xi=xi, prefix_tables=tables)
+        assert shapes == [(300,)]
+        assert batch.beta.tobytes() == batch.final_rho[np.arange(300), realized].tobytes()
+
+    def test_every_residual_view_is_checked(self):
+        # A record no slot loop makes: a negative threshold in slot 1, the
+        # last.  Every view derives from the record by the one checked rule.
+        s = Scenario(m=2, N=4, N_P=2, p=np.array([0.5, 0.3, 0.2]),
+                     gamma=np.array([7.0, 6.0, 5.0]))
+        top = priorities(s).max()
+        batch = prefetch.BatchResult(
+            scenario=s, policy=PrefetchPolicy.AGGRESSIVE, prefetch_energy=np.zeros(2),
+            demand_energy=np.zeros(2), realized=np.array([0, 2]),
+            thresholds=np.array([[0.5 * top, -1e-3], [0.5 * top, 0.25 * top]]),
+            slot_set_size=np.full((2, 2), s.L))
+        for view in ("decisions", "final_rho", "beta"):
+            with pytest.raises(FloatingPointError, match="residual bits"):
+                getattr(batch, view)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(L=st.integers(1, 64), m=st.integers(2, 5), shape=st.integers(2, 8),

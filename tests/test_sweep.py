@@ -84,6 +84,8 @@ class TestSweepConfig:
         dict(param="Np", values=(6,), policies=("slow-opt",), N=5),      # N_P > N
         dict(param="Np", values=(5,), policies=("no-prefetch",), N=5),   # no demand phase
         dict(param="Np", values=(5,), policies=("noncausal",), N=5, fading="fast"),
+        dict(param="gamma", values=1.0, policies=("slow-opt",)),        # not iterable
+        dict(param="gamma", values=(5.0,), policies=None),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
