@@ -15,7 +15,6 @@ remaining slots and also give the optimal expected energy in closed form,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,17 +56,6 @@ class XiTable:
         return len(self.xi) - 1
 
 
-@lru_cache(maxsize=None)
-def _xi_cached(channel: Channel, m: int, horizon: int) -> XiTable:
-    xi, inv_root = [float("inf")], [0.0]
-    if horizon >= 1:
-        xi.append(mean_inverse_gain(channel))
-        inv_root.append((1.0 / xi[1]) ** (1.0 / (m - 1)))
-    entries, roots = coefficient_chain(channel, m, inv_root[-1:], max(horizon - 1, 0))
-    return XiTable(channel=channel, m=m, xi=tuple(xi + entries[0].tolist()),
-                   inv_root=tuple(inv_root + roots[0].tolist()))
-
-
 def build_xi_table(channel: Channel, m: int, horizon: int) -> XiTable:
     """Tabulate the demand coefficients for horizons ``0..horizon``.
 
@@ -85,7 +73,14 @@ def build_xi_table(channel: Channel, m: int, horizon: int) -> XiTable:
         raise ValueError(f"monomial order m must be an integer in [2, 5], got {m!r}")
     if not _integer_in(horizon, 0):
         raise ValueError(f"horizon must be a nonnegative integer, got {horizon!r}")
-    return _xi_cached(channel, int(m), int(horizon))
+    m = int(m)
+    xi, inv_root = [float("inf")], [0.0]
+    if horizon >= 1:
+        xi.append(mean_inverse_gain(channel))
+        inv_root.append((1.0 / xi[1]) ** (1.0 / (m - 1)))
+    entries, roots = coefficient_chain(channel, m, inv_root[-1:], max(horizon - 1, 0))
+    return XiTable(channel=channel, m=m, xi=tuple(xi + entries[0].tolist()),
+                   inv_root=tuple(inv_root + roots[0].tolist()))
 
 
 def expected_demand_energy(beta: float, table: XiTable, duration: int) -> float:

@@ -12,9 +12,9 @@ the gain, the slot and a second family of backward coefficients ``zeta``
 causal set leaves out only tasks at or below them, so an episode's whole
 phase state is its water level.  One vectorized slot step executes every
 prefetch slot of every policy: it sends the stage-optimal slot total and
-finds the threshold by a galloping search over the priority prefixes, up
-from the count of tasks held at the water level, whose residual totals are
-closed forms in the water level; it coincides with the closed forms in
+finds the threshold by bisecting the priority prefixes above the count of
+tasks held at the water level, whose residual totals are closed forms in
+the water level; it coincides with the closed forms in
 :mod:`livefetch.oracles` whenever every member of ``S`` is active.  The
 policies differ only in the priority prefix the step works on, so one slot
 loop runs them all, each policy a rule for the prefix size: the noncausal
@@ -41,7 +41,7 @@ import numpy as np
 from .model import (  # noqa: F401
     Channel, Scenario, _integer_in, coefficient_chain, expect_over_gain)
 from .demand import XiTable, build_xi_table, simulate_demand_batch
-from .slow import _task_members, priorities, priority_order
+from .slow import _finite_energy, _task_members, priorities, priority_order
 
 __all__ = [
     "PrefetchPolicy",
@@ -171,21 +171,24 @@ def expected_total_energy_fast(zeta: ZetaTable) -> float:
             + xi[N-N_P] * sum_{l not in S} p(l) * gamma(l)**m
 
     per unit ``lam``.  Tasks outside the set are fetched purely on demand.
+    An energy that overflows is a numerical failure (``FloatingPointError``).
     """
     s, members = zeta.scenario, list(zeta.task_set)
     outside = np.setdiff1d(np.arange(s.L), members)
     demand = float(np.sum(s.p[outside] * s.gamma[outside] ** s.m))
     energy = zeta.xi.xi[s.N - s.N_P] * demand
-    return energy + float(np.sum(s.gamma[members])) ** s.m * zeta.value(s.N)
+    return _finite_energy(energy + np.sum(s.gamma[members]) ** s.m * zeta.value(s.N))
 
 
 def no_prefetch_energy_fast(s: Scenario, xi: XiTable) -> float:
     """Expected stage energy when all fetching waits for the demand phase.
 
         xi[N-N_P] * sum_l p(l) * gamma(l)**m  per unit ``lam``.
+
+    An energy that overflows is a numerical failure (``FloatingPointError``).
     """
     _check_xi(s, xi.channel, xi)
-    return xi.xi[s.N - s.N_P] * float(np.sum(s.p * s.gamma ** s.m))
+    return _finite_energy(xi.xi[s.N - s.N_P] * np.sum(s.p * s.gamma ** s.m))
 
 
 @dataclass(frozen=True)
@@ -321,32 +324,26 @@ class _Kernel:
         member's ratio ``f_j = min(delta, level)``, i.e. ``R_j - f_j * W_j``
         reaches ``total + f_j * spare``.  The left side never decreases in
         ``j`` and ``f_j`` never increases, so the first reached prefix is
-        found by searching ``[max(c, 1), k]``; below the clamped count ``c``
-        no prefix is reached while the members hold bits.  The first reached
-        prefix lies mostly just above ``c``, so the search gallops up from
-        there (Bentley and Yao's unbounded search): from ``start = max(c,
-        1)`` it probes ``start + 1, start + 5, start + 13, ...``, each probe
-        at ``min(2 * lo - start + 1, (lo + active) // 2)``, so it never
-        passes the bisection's midpoint and a bracket of three or fewer
-        prefixes is plain bisection.  Every episode stops once its bracket
-        is one prefix; a stopped episode's probe re-tests that prefix and
-        changes nothing.  The bracket starts at ``[max(c, 1), k]`` (``k``
-        broadcast to the episodes' shape), and every size the step reads is
-        at least ``c``, so the clamped share ``level * cum_w[c]`` of
-        :meth:`totals` holds at each of them and is computed once.
+        found by bisecting ``[max(c, 1), k]`` (``k`` broadcast to the
+        episodes' shape); below the clamped count ``c`` no prefix is reached
+        while the members hold bits.  Each probe at ``(lo + active) // 2``
+        halves a bracket of ``w`` sizes beyond its first to at most ``w //
+        2``, so the search takes at most ``bit_length(max(k - max(c,
+        1)))`` rounds; an episode whose bracket is one prefix re-tests it
+        and changes nothing.  Every size the step reads is at least ``c``, so the
+        clamped share ``level * cum_w[c]`` of :meth:`totals` holds at each
+        of them and is computed once.
         """
         row = c * (self.s.L + 1)
         clamped = level * self.cum_w.take(c)
         lo = np.maximum(c, 1)
-        start = lo.copy()
         active = np.maximum(lo, k)
         while (lo < active).any():
-            mid = np.minimum(2 * lo - start + 1, (lo + active) // 2)
+            mid = (lo + active) // 2
             eta = (clamped + self.span.take(row + mid) - total) / (self.cum_w.take(mid) + spare)
             reached = eta >= np.minimum(self.delta.take(mid), level)
             np.copyto(active, mid, where=reached)
-            mid += 1
-            np.copyto(lo, mid, where=~reached)
+            np.copyto(lo, mid + 1, where=~reached)
         held = clamped + self.span.take(row + active)
         mass = self.cum_w.take(active)
         eta = np.maximum((held - total) / (mass + spare), 0.0)

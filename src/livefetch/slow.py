@@ -76,6 +76,13 @@ def priority_order(s: Scenario) -> list:
     return sorted(range(s.L), key=lambda i: (-delta[i], i))
 
 
+def _finite_energy(energy) -> float:
+    """``energy`` as a float; one that is not finite (an overflow) is a ``FloatingPointError``."""
+    if not np.isfinite(energy):
+        raise FloatingPointError(f"energy is not finite: {float(energy)!r}")
+    return float(energy)
+
+
 def _task_members(s: Scenario, task_set: Iterable[int]) -> list:
     """The distinct task indices of ``task_set`` in ascending order.
 
@@ -176,6 +183,9 @@ def expected_fetch_energy_slow(plan: PrefetchPlan) -> float:
 
         alpha_sigma**m / N_P**(m-1)
             + sum_l p[l] * (gamma[l]-alpha[l])**m / (N-N_P)**(m-1).
+
+    A sum that overflows is a numerical failure (``FloatingPointError``);
+    the float power ``alpha_sigma**m`` raises ``OverflowError`` itself.
     """
     s = plan.scenario
     prefetch = plan.alpha_sigma ** s.m / s.N_P ** (s.m - 1)
@@ -186,14 +196,17 @@ def expected_fetch_energy_slow(plan: PrefetchPlan) -> float:
         if np.any(beta > 1e-12 * s.gamma):
             raise ValueError("N == N_P leaves no demand phase, but the plan leaves bits unfetched")
         demand = 0.0
-    return prefetch + demand
+    return _finite_energy(prefetch + demand)
 
 
 def no_prefetch_energy_slow(s: Scenario) -> float:
-    """Expected stage energy per unit ``lam`` at unit gain without prefetching."""
+    """Expected stage energy per unit ``lam`` at unit gain without prefetching.
+
+    An energy that overflows is a numerical failure (``FloatingPointError``).
+    """
     if s.N == s.N_P:
         raise ValueError("no-prefetch strategy is infeasible when N == N_P")
-    return float(np.sum(s.p * s.gamma ** s.m)) / (s.N - s.N_P) ** (s.m - 1)
+    return _finite_energy(np.sum(s.p * s.gamma ** s.m) / (s.N - s.N_P) ** (s.m - 1))
 
 
 def gain_lower_bound(s: Scenario) -> float:

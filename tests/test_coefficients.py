@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from livefetch import cli, demand, model
+from livefetch import cli, model
 from livefetch.demand import build_xi_table
 from livefetch.model import FastGamma, QuadratureError, Scenario, coefficient_chain
 from livefetch.prefetch import build_prefix_tables, build_zeta_table
@@ -116,12 +116,10 @@ class TestOnePath:
 
 @pytest.fixture
 def cold_rules():
-    """Empty the rule and xi caches before and after the test."""
+    """Empty the rule cache before and after the test."""
     model._root_gain_rule.cache_clear()
-    demand._xi_cached.cache_clear()
     yield
     model._root_gain_rule.cache_clear()
-    demand._xi_cached.cache_clear()
 
 
 class TestRuleFailures:

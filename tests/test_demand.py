@@ -95,10 +95,16 @@ class TestXiTable:
             assert lower - 1e-12 <= table.xi[j] <= upper + 1e-12
         assert all(a > b for a, b in zip(table.xi[1:-1], table.xi[2:]))
 
-    def test_caching_returns_identical_table(self):
-        a = build_xi_table(FastGamma(k=2), m=2, horizon=4)
-        b = build_xi_table(FastGamma(k=2), m=2, horizon=4)
-        assert a is b
+    @pytest.mark.parametrize("channel", [FastGamma(k=2), FastGamma(k=64), SlowFading(g=2.5)])
+    def test_two_builds_are_equal(self, channel):
+        # Nothing is cached: each build computes its own table, bit for bit
+        # the same.
+        a = build_xi_table(channel, m=3, horizon=6)
+        b = build_xi_table(channel, m=3, horizon=6)
+        assert a is not b
+        assert a == b
+        for name in ("xi", "inv_root"):
+            assert np.array(getattr(a, name)).tobytes() == np.array(getattr(b, name)).tobytes()
 
 
 class TestDemandBits:

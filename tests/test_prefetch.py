@@ -30,6 +30,7 @@ from livefetch.prefetch import (
     run_prefetch_batch,
 )
 from livefetch.slow import (
+    PrefetchPlan,
     expected_fetch_energy_slow,
     no_prefetch_energy_slow,
     optimal_prefetch_slow,
@@ -617,6 +618,21 @@ class TestSetEnergy:
         assert expected_total_energy_fast(table) == pytest.approx(
             36.0 * table.value(4), rel=1e-12)
 
+    @pytest.mark.parametrize("energy", [
+        lambda s, xi: no_prefetch_energy_slow(s),
+        lambda s, xi: no_prefetch_energy_fast(s, xi),
+        lambda s, xi: expected_fetch_energy_slow(PrefetchPlan(s, np.zeros(s.L))),
+        lambda s, xi: expected_total_energy_fast(build_prefix_tables(s, FAST2, xi)[0]),
+        lambda s, xi: best_prefix_set(s, FAST2, xi),
+    ], ids=["no-prefetch-slow", "no-prefetch-fast", "slow-plan", "locked-set", "best-prefix"])
+    def test_an_overflowing_energy_is_a_numerical_failure(self, energy):
+        # Scenario accepts data sizes whose powers overflow.  Numpy only
+        # warns, so each closed form raises where it computes the energy,
+        # neither returning inf nor raising a bare OverflowError.
+        s = Scenario(m=2, N=10, N_P=8, p=np.array([0.5, 0.3, 0.2]), gamma=np.full(3, 1e308))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+            energy(s, build_xi_table(FAST2, s.m, s.N - s.N_P))
+
     def test_validation(self):
         # The no-prefetch energy reads xi at N - N_P slots to go.
         for xi in (build_xi_table(FAST2, 3, 2), build_xi_table(FAST2, 2, 1)):
@@ -1059,37 +1075,16 @@ def dense_first_reached(kernel, level, bound, n, k):
     return active, eta, sent, candidates
 
 
-def bisection_step(kernel, level, c, k, total, spare):
-    """The slot step with a fixed-length bisection over ``[max(c, 1), k]``.
-
-    The search the galloping step replaced, kept as its bitwise reference:
-    both probe the same monotone test, so they must agree bit for bit.
-    """
-    lo = np.maximum(c, 1)
-    active = np.maximum(lo, k)
-    for _ in range(int((active - lo).max(initial=0)).bit_length()):
-        mid = (lo + active) // 2
-        eta = (kernel.totals(level, c, mid) - total) / (kernel.cum_w.take(mid) + spare)
-        reached = eta >= np.minimum(kernel.delta.take(mid), level)
-        np.copyto(active, mid, where=reached)
-        mid += 1
-        np.copyto(lo, mid, where=~reached)
-    held = kernel.totals(level, c, active)
-    mass = kernel.cum_w.take(active)
-    eta = np.maximum((held - total) / (mass + spare), 0.0)
-    return active, eta, held - eta * mass
-
-
 class TestSlotSearch:
     TOL = 1e-12
 
     def check(self, s, channel, rng, episodes=200):
-        """Compare the step with the dense scan and the bisection on random states.
+        """Compare the step with the dense scan on random states.
 
         Returns how far above ``max(c, 1)`` each state's first reached
-        prefix lies, so that callers can check that the gallop's brackets
-        grew.  Every state has ``k >= max(c, 1)``, as every state of the
-        slot loop does (``TestStepInvariant``).
+        prefix lies, so that callers can check that the search's brackets
+        were wide.  Every state has ``k >= max(c, 1)``, as every state of
+        the slot loop does (``TestStepInvariant``).
         """
         xi = build_xi_table(channel, s.m, s.N - s.N_P)
         tables = build_prefix_tables(s, channel, xi)
@@ -1110,8 +1105,6 @@ class TestSlotSearch:
             k = rng.integers(np.maximum(c, 1), s.L + 1)
             load = kernel.total_and_spare(kernel.totals(level, c, k), n, k)
             active, eta, sent = kernel.step(level, c, k, *load)
-            for got, want in zip((active, eta, sent), bisection_step(kernel, level, c, k, *load)):
-                assert np.array_equal(got, want)
             ref_active, ref_eta, ref_sent, candidates = dense_first_reached(
                 kernel, level, bound, n, k)
             gaps.append(active - np.maximum(c, 1))
@@ -1154,10 +1147,10 @@ class TestSlotSearch:
 
 
     @pytest.mark.parametrize("L", [31, 64, 128, 256])
-    def test_matches_the_bisection_at_wide_L(self, L):
+    def test_matches_the_dense_scan_at_wide_L(self, L):
         # Uniform scenarios tie every priority, so the first reached prefix
         # spreads over the whole range above the clamped count and the
-        # gallop's brackets grow to their widest.
+        # search's brackets are at their widest.
         rng = np.random.default_rng(L)
         for uniform in (False, True):
             gaps = np.concatenate([
@@ -1422,71 +1415,63 @@ class TestLeastAdmitting:
         assert calls == [True] * N_P
 
 
-class TestProbeCount:
-    """The galloping slot step probes no more prefix totals than the bisection.
+class CountedTable(np.ndarray):
+    """A table that records the size of every ``take`` in ``entries``."""
 
-    Counted on the noncausal oracle as reads of the kernel's ``span`` table
-    (one per probe, plus the same few outside the search on both sides) and
-    as the entries they return, since a probe costs in proportion to the
-    totals it reads: the one ``(L, episodes)`` search of
-    ``_Kernel.prefix_scores`` reads ``L`` times more per probe than a slot
-    of the locked ``(episodes,)`` loop.  That search gallops up from the
-    first prefix to the last slot's active count, so at small ``L`` it can
-    read more entries than a bisection over ``L`` sizes; the gallop pays at
-    wide ``L``.  A causal ``(episodes,)`` search can take a few more probes
-    when one episode's bracket grows far, a gallop's worst case of about
-    twice the bisection's.
+    def take(self, indices, *args, **kwargs):
+        result = np.asarray(self).take(indices, *args, **kwargs)
+        self.entries.append(np.size(result))
+        return result
+
+
+class TestRoundBound:
+    """The slot step bisects: each call reads ``span`` at most ``bit_length(max(k - max(c, 1))) + 1`` times.
+
+    Counted as reads of the kernel's ``span`` table during each
+    ``_Kernel.step`` call: one per round of the search and one for the
+    active prefix's total.  A probe at the bracket's midpoint halves the
+    widest bracket, so no episode's first reached prefix, however far above
+    ``max(c, 1)``, costs the batch more rounds than the bisection of the
+    widest ``[max(c, 1), k]``.
     """
 
-    class CountedTable(np.ndarray):
-        """A table that records the size of every ``take`` in ``entries``."""
-
-        def take(self, indices, *args, **kwargs):
-            result = np.asarray(self).take(indices, *args, **kwargs)
-            self.entries.append(np.size(result))
-            return result
-
-    @classmethod
-    def probes(cls, monkeypatch, step, s, xi, tables, gains, realized):
-        entries = []
-        kernel = prefetch._kernel
+    @pytest.mark.parametrize("policy", SET_POLICIES)
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("L, uniform", [(16, False), (64, False), (256, True)])
+    def test_reads_at_most_the_bisection_bound(self, monkeypatch, L, uniform, m, policy):
+        rng = np.random.default_rng(10 * L + m)
+        s = generate_scenario(rng, L=L, gamma_total=20.0, m=m, N=10, N_P=8, uniform=uniform)
+        gains, realized = draw_episodes(s, FAST2, rng, 1000)
+        entries, calls = [], []
+        kernel, step = prefetch._kernel, prefetch._Kernel.step
 
         def counted(*args):
             built = kernel(*args)
-            span = built.span.view(cls.CountedTable)
+            span = built.span.view(CountedTable)
             span.entries = entries
             return replace(built, span=span)
 
+        def spy(built, level, c, k, total, spare):
+            before = len(entries)
+            result = step(built, level, c, k, total, spare)
+            widest = int((np.broadcast_to(k, np.shape(c)) - np.maximum(c, 1)).max())
+            calls.append((len(entries) - before, widest.bit_length() + 1))
+            return result
+
         with monkeypatch.context() as patch:
             patch.setattr(prefetch, "_kernel", counted)
-            patch.setattr(prefetch._Kernel, "step", step)
-            batch = run_prefetch_batch(s, FAST2, "noncausal", gains, realized, xi=xi,
-                                       prefix_tables=tables)
-        return len(entries), sum(entries), batch
-
-    @pytest.mark.parametrize("m", [2, 3, 5])
-    @pytest.mark.parametrize("L", [2, 4, 8, 16, 64])
-    def test_no_more_probes_than_the_bisection(self, monkeypatch, L, m):
-        rng = np.random.default_rng(100 * L + m)
-        s = generate_scenario(rng, L=L, gamma_total=20.0, m=m, N=10, N_P=8)
-        xi = build_xi_table(FAST2, m, s.N - s.N_P)
-        tables = build_prefix_tables(s, FAST2, xi)
-        gains, realized = draw_episodes(s, FAST2, rng, 1000)
-        gallop, gallop_entries, batch = self.probes(
-            monkeypatch, prefetch._Kernel.step, s, xi, tables, gains, realized)
-        bisection, bisection_entries, reference = self.probes(
-            monkeypatch, bisection_step, s, xi, tables, gains, realized)
-        for name in ("thresholds", "slot_set_size", "prefetch_energy"):
-            assert np.array_equal(getattr(batch, name), getattr(reference, name))
-        assert gallop <= bisection
-        if (L, m) == (64, 2):
-            assert gallop_entries <= 0.6 * bisection_entries
+            patch.setattr(prefetch._Kernel, "step", spy)
+            run_prefetch_batch(s, FAST2, policy, gains, realized)
+        # A step per slot, and the noncausal scorer's one per block.
+        blocks = -(-gains.shape[0] // (prefetch._BLOCK_ENTRIES // L))
+        assert len(calls) == s.N_P + (blocks if policy is PrefetchPolicy.NONCAUSAL_ORACLE else 0)
+        assert all(reads <= bound for reads, bound in calls)
 
 
 class TestScanCount:
     """The causal set rule reads one ``(episodes,)`` row of ``span`` per round of its scan.
 
-    Counted, as in ``TestProbeCount``, as reads of the kernel's ``span``
+    Counted, as in ``TestRoundBound``, as reads of the kernel's ``span``
     table during each ``_Kernel.regrown`` call.  A call scans from each
     episode's floor ``max(c, 1)`` and stops when the last episode stops,
     so it takes one round more than its largest step, and never more
@@ -1501,7 +1486,7 @@ class TestScanCount:
 
         def counted(*args):
             built = kernel(*args)
-            span = built.span.view(TestProbeCount.CountedTable)
+            span = built.span.view(CountedTable)
             span.entries = entries
             return replace(built, span=span)
 
