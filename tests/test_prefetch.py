@@ -1424,6 +1424,18 @@ class CountedTable(np.ndarray):
         return result
 
 
+def counting_kernel(entries):
+    """``prefetch._kernel`` with a ``span`` table that records the size of each read in ``entries``."""
+    kernel = prefetch._kernel
+
+    def counted(*args):
+        built = kernel(*args)
+        span = built.span.view(CountedTable)
+        span.entries = entries
+        return replace(built, span=span)
+    return counted
+
+
 class TestRoundBound:
     """The slot step bisects: each call reads ``span`` at most ``bit_length(max(k - max(c, 1))) + 1`` times.
 
@@ -1442,14 +1454,7 @@ class TestRoundBound:
         rng = np.random.default_rng(10 * L + m)
         s = generate_scenario(rng, L=L, gamma_total=20.0, m=m, N=10, N_P=8, uniform=uniform)
         gains, realized = draw_episodes(s, FAST2, rng, 1000)
-        entries, calls = [], []
-        kernel, step = prefetch._kernel, prefetch._Kernel.step
-
-        def counted(*args):
-            built = kernel(*args)
-            span = built.span.view(CountedTable)
-            span.entries = entries
-            return replace(built, span=span)
+        entries, calls, step = [], [], prefetch._Kernel.step
 
         def spy(built, level, c, k, total, spare):
             before = len(entries)
@@ -1459,7 +1464,7 @@ class TestRoundBound:
             return result
 
         with monkeypatch.context() as patch:
-            patch.setattr(prefetch, "_kernel", counted)
+            patch.setattr(prefetch, "_kernel", counting_kernel(entries))
             patch.setattr(prefetch._Kernel, "step", spy)
             run_prefetch_batch(s, FAST2, policy, gains, realized)
         # A step per slot, and the noncausal scorer's one per block.
@@ -1481,14 +1486,7 @@ class TestScanCount:
     @staticmethod
     def calls(monkeypatch, s, policy, gains, realized):
         """Per ``regrown`` call: the entries of each ``span`` read, the floors and the picks."""
-        entries, calls = [], []
-        kernel, regrown = prefetch._kernel, prefetch._Kernel.regrown
-
-        def counted(*args):
-            built = kernel(*args)
-            span = built.span.view(CountedTable)
-            span.entries = entries
-            return replace(built, span=span)
+        entries, calls, regrown = [], [], prefetch._Kernel.regrown
 
         def spy(built, policy, level, c, n):
             before = len(entries)
@@ -1497,7 +1495,7 @@ class TestScanCount:
             return k
 
         with monkeypatch.context() as patch:
-            patch.setattr(prefetch, "_kernel", counted)
+            patch.setattr(prefetch, "_kernel", counting_kernel(entries))
             patch.setattr(prefetch._Kernel, "regrown", spy)
             run_prefetch_batch(s, FAST2, policy, gains, realized)
         assert len(calls) == s.N_P
