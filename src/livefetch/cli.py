@@ -34,7 +34,6 @@ from .sweep import (
     SLOW_POLICIES,
     ConfigError,
     SweepConfig,
-    _check_scales,
     _run_sweep,
     emit_csv,
     gain_vs_shape,
@@ -218,65 +217,64 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_single(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
-    _check_scales(settings)
     fading = settings["fading"] or "slow"
-    rng = np.random.default_rng(np.random.SeedSequence((settings["seed"], 7)))
-    s = generate_scenario(rng, L=settings["L"], gamma_total=settings["gamma_total"],
-                          m=settings["m"], N=settings["N"], N_P=settings["Np"],
-                          uniform=bool(settings["uniform"]))
-    _say(f"scenario: L={s.L} N={s.N} N_P={s.N_P} m={s.m} lam={settings['lam']} "
+    policies = (settings["policy"],) if fading == "fast" else ("slow-opt",)
+    cfg = _sweep_config(dict(settings, param="gamma", values=(settings["gamma_total"],),
+                             fading=fading, policies=policies))
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7)))
+    s = generate_scenario(rng, L=cfg.L, gamma_total=cfg.gamma_total, m=cfg.m, N=cfg.N,
+                          N_P=cfg.N_P, uniform=cfg.uniform)
+    _say(f"scenario: L={s.L} N={s.N} N_P={s.N_P} m={s.m} lam={cfg.lam} "
          f"gamma_total={s.gamma_total:.6g}")
     with np.printoptions(precision=5, suppress=True):
         _say(f"  p        = {s.p}")
         _say(f"  gamma    = {s.gamma}")
         _say(f"  priority = {priorities(s)}")
-    if fading == "slow":
-        _print_slow_single(s, settings)
+    if cfg.fading == "slow":
+        _print_slow_single(s, cfg)
     else:
-        _print_fast_single(s, settings, rng)
+        _print_fast_single(s, cfg, rng)
     return 0
 
 
-def _print_slow_single(s, settings) -> None:
-    g = settings["slow_g"]
-    unit = settings["lam"] / g
+def _print_slow_single(s, cfg: SweepConfig) -> None:
     plan = optimal_prefetch_slow(s)
     with np.printoptions(precision=5, suppress=True):
-        _say(f"slow fading, g={g}")
+        _say(f"slow fading, g={cfg.slow_g}")
         _say(f"  optimal alpha = {plan.alpha} (targets {sorted(plan.task_set)})")
         _say(f"  alpha_sigma   = {plan.alpha_sigma:.6g}")
     energy = expected_fetch_energy_slow(plan)
-    _say(f"  expected energy           = {_positive('expected', unit * energy):.6g}")
+    _say(f"  expected energy           = {_positive('expected', cfg.unit * energy):.6g}")
     if s.N > s.N_P:
         base = no_prefetch_energy_slow(s)
-        _say(f"  no-prefetch energy        = {_positive('no-prefetch', unit * base):.6g}")
+        _say(f"  no-prefetch energy        = {_positive('no-prefetch', cfg.unit * base):.6g}")
         _say(f"  prefetching gain          = {base / energy:.6g} "
              f"({to_db(base / energy):.3f} dB)")
 
 
-def _print_fast_single(s, settings, rng) -> None:
-    lam = settings["lam"]
-    channel = FastGamma(settings["k"])
-    policy = PrefetchPolicy(settings["policy"])
+def _print_fast_single(s, cfg: SweepConfig, rng) -> None:
+    unit = cfg.unit
+    channel = FastGamma(cfg.k)
+    policy = PrefetchPolicy(cfg.policies[0])
     xi = build_xi_table(channel, s.m, s.N - s.N_P)
     gains = sample_gain(channel, rng, (1, s.N))
     realized = rng.choice(s.L, size=1, p=s.p)
     result = run_prefetch_batch(s, channel, policy, gains, realized, xi=xi)
     order = priority_order(s)
     decisions = result.decisions
-    _say(f"fast fading, k={settings['k']}, policy={policy.value}")
+    _say(f"fast fading, k={cfg.k}, policy={policy.value}")
     for n in range(s.N_P):
         members = ",".join(str(i) for i in sorted(order[:result.slot_set_size[0, n]])) or "-"
         _say(f"  slot {n + 1}: g={gains[0, n]:.4f} eta={result.thresholds[0, n]:.5g} "
              f"bits={decisions[0, n].sum():.5g} set={{{members}}}")
-    total = _positive("total", lam * result.total_energy[0])
-    reference = _positive("no-prefetch", lam * no_prefetch_energy_fast(s, xi))
+    total = _positive("total", unit * result.total_energy[0])
+    reference = _positive("no-prefetch", unit * no_prefetch_energy_fast(s, xi))
     bits, _ = simulate_demand_batch(result.beta, gains[:, s.N_P:], xi)
     _say(f"  realized task  = {realized[0]}")
     with np.printoptions(precision=5, suppress=True):
         _say(f"  demand bits    = {bits[0]}")
-    _say(f"  prefetch energy = {lam * result.prefetch_energy[0]:.6g}")
-    _say(f"  demand energy   = {lam * result.demand_energy[0]:.6g}")
+    _say(f"  prefetch energy = {unit * result.prefetch_energy[0]:.6g}")
+    _say(f"  demand energy   = {unit * result.demand_energy[0]:.6g}")
     _say(f"  total energy    = {total:.6g}")
     _say(f"  no-prefetch reference = {reference:.6g}")
 
@@ -311,10 +309,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     # fig6's partial-sum draws meet no other panel's.
     memo = {}
     for name, param, values, fading, overrides in _FIGURE_SPECS:
-        policies = SLOW_POLICIES if fading == "slow" else FAST_POLICIES
-        cfg = SweepConfig(param=param, values=values, policies=policies,
-                          fading=fading, trials=settings["trials"],
-                          scenarios=settings["scenarios"], seed=settings["seed"], **overrides)
+        cfg = _sweep_config(dict(settings, param=param, values=values, fading=fading,
+                                 **overrides))
         rows = gain_vs_shape(cfg) if name == "fig6" else _run_sweep(cfg, memo)
         path = os.path.join(out_dir, f"{name}.csv")
         _on_disk("write", path, emit_csv, rows, path)

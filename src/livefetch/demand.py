@@ -26,6 +26,7 @@ from .model import (
     mean_gain,
     mean_inverse_gain,
 )
+from .slow import _finite_energy
 
 __all__ = [
     "XiTable",
@@ -84,7 +85,10 @@ def build_xi_table(channel: Channel, m: int, horizon: int) -> XiTable:
 
 
 def expected_demand_energy(beta: float, table: XiTable, duration: int) -> float:
-    """Optimal expected demand energy per unit ``lam``: ``xi[duration] * beta**m``."""
+    """Optimal expected demand energy per unit ``lam``: ``xi[duration] * beta**m``.
+
+    An energy that overflows is a numerical failure (``FloatingPointError``).
+    """
     if not (_real(beta) and np.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be a nonnegative, finite number, got {beta!r}")
     if not _integer_in(duration, 0, table.horizon):
@@ -93,7 +97,7 @@ def expected_demand_energy(beta: float, table: XiTable, duration: int) -> float:
         if beta > 0.0:
             raise ValueError("positive residual with zero demand slots is infeasible")
         return 0.0
-    return table.xi[duration] * beta ** table.m
+    return _finite_energy(table.xi[duration] * np.float64(beta) ** table.m)
 
 
 def demand_energy_bounds(beta: float, channel: Channel, m: int, duration: int) -> tuple:
@@ -104,7 +108,8 @@ def demand_energy_bounds(beta: float, channel: Channel, m: int, duration: int) -
         beta**m / (E[g] * duration**(m-1))
             <= E*  <= E[1/g] * beta**m / duration**(m-1),
 
-    with the upper bound tight at ``duration == 1``.
+    with the upper bound tight at ``duration == 1``.  A bound that overflows
+    is a numerical failure (``FloatingPointError``).
     """
     if not _integer_in(m, 2, 5):
         raise ValueError(f"monomial order m must be an integer in [2, 5], got {m!r}")
@@ -112,8 +117,9 @@ def demand_energy_bounds(beta: float, channel: Channel, m: int, duration: int) -
         raise ValueError(f"beta must be a nonnegative, finite number, got {beta!r}")
     if not _integer_in(duration, 1):
         raise ValueError(f"duration must be a positive integer, got {duration!r}")
-    scale = beta ** m / duration ** (m - 1)
-    return (scale / mean_gain(channel), scale * mean_inverse_gain(channel))
+    scale = np.float64(beta) ** m / duration ** (m - 1)
+    return (_finite_energy(scale / mean_gain(channel)),
+            _finite_energy(scale * mean_inverse_gain(channel)))
 
 
 def simulate_demand_batch(beta: np.ndarray, gains: np.ndarray, table: XiTable) -> tuple:

@@ -184,11 +184,10 @@ def expected_fetch_energy_slow(plan: PrefetchPlan) -> float:
         alpha_sigma**m / N_P**(m-1)
             + sum_l p[l] * (gamma[l]-alpha[l])**m / (N-N_P)**(m-1).
 
-    A sum that overflows is a numerical failure (``FloatingPointError``);
-    the float power ``alpha_sigma**m`` raises ``OverflowError`` itself.
+    An energy that overflows is a numerical failure (``FloatingPointError``).
     """
     s = plan.scenario
-    prefetch = plan.alpha_sigma ** s.m / s.N_P ** (s.m - 1)
+    prefetch = np.float64(plan.alpha_sigma) ** s.m / s.N_P ** (s.m - 1)
     beta = s.gamma - plan.alpha
     if s.N > s.N_P:
         demand = float(np.sum(s.p * beta ** s.m)) / (s.N - s.N_P) ** (s.m - 1)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -50,9 +51,6 @@ __all__ = [
     "load_rows",
 ]
 
-CSV_HEADER = ("param", "param_value", "policy", "mean_energy", "mean_energy_db",
-              "stderr", "gain", "gain_db", "trials")
-
 SWEEP_PARAMS = ("gamma", "L", "N", "Np", "k")
 
 SLOW_POLICIES = ("slow-opt", "no-prefetch")
@@ -66,19 +64,6 @@ _TAG_TASKS = 33
 
 class ConfigError(ValueError):
     """Invalid sweep configuration or config file."""
-
-
-def _check_scales(settings) -> None:
-    """Raise ``ConfigError`` unless ``slow_g``, ``gamma_total`` and ``lam`` are finite and > 0.
-
-    Each must be a ``numbers.Real`` and not a bool (``model._real``): a
-    string or ``True`` is a configuration error, not a scale.
-    """
-    bad = [key for key in ("slow_g", "gamma_total", "lam")
-           if not (_real(settings[key]) and math.isfinite(settings[key]) and settings[key] > 0)]
-    if bad:
-        raise ConfigError(f"{', '.join(bad)} must be finite and strictly positive "
-                          "(a real number, not a bool or a string)")
 
 
 @dataclass(frozen=True)
@@ -112,6 +97,11 @@ class SweepConfig:
             raise ConfigError(f"param must be one of {SWEEP_PARAMS}, got {self.param!r}")
         if self.fading not in ("slow", "fast"):
             raise ConfigError(f"fading must be 'slow' or 'fast', got {self.fading!r}")
+        scales = {key: getattr(self, key) for key in ("slow_g", "gamma_total", "lam")}
+        bad = [key for key, v in scales.items() if not (_real(v) and math.isfinite(v) and v > 0)]
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite and strictly positive "
+                              "(a real number, not a bool or a string)")
         for key in ("values", "policies"):
             items = getattr(self, key)
             if isinstance(items, str):
@@ -142,6 +132,10 @@ class SweepConfig:
             raise ConfigError(
                 f"policies for {self.fading} fading must be a nonempty subset of "
                 f"{allowed}, got {self.policies!r}")
+        for key in ("values", "policies"):
+            items = getattr(self, key)
+            if len(set(items)) < len(items):
+                raise ConfigError(f"{key} must not repeat an entry, got {items!r}")
         if not _integer_in(self.m, 2, 5):
             raise ConfigError(f"m must be an integer in [2, 5], got {self.m!r}")
         if not _integer_in(self.k, 2):
@@ -154,11 +148,15 @@ class SweepConfig:
             raise ConfigError(f"{', '.join(counts)} must be integers and seed >= 0, got {counts}")
         for key, value in dict(counts, m=self.m, k=self.k).items():
             object.__setattr__(self, key, int(value))
-        _check_scales(vars(self))
         if self.trials < 1 or self.scenarios < 1:
             raise ConfigError("trials and scenarios must be at least 1")
         for value in values:
             self._dims(value)  # raises ConfigError on inconsistent geometry
+
+    @property
+    def unit(self) -> float:
+        """The unit of reported energies: ``lam``, over ``slow_g`` under slow fading."""
+        return self.lam / self.slow_g if self.fading == "slow" else self.lam
 
     def _dims(self, value: float) -> dict:
         dims = {"L": self.L, "N": self.N, "N_P": self.N_P,
@@ -166,15 +164,12 @@ class SweepConfig:
         key = {"gamma": "gamma_total", "Np": "N_P"}.get(self.param, self.param)
         dims[key] = value if key == "gamma_total" else int(value)
         if not 1 <= dims["N_P"] <= dims["N"]:
-            raise ConfigError(
-                f"sweep point {self.param}={value} breaks 1 <= N_P <= N "
-                f"(N_P={dims['N_P']}, N={dims['N']})")
+            raise ConfigError(f"N_P={dims['N_P']} and N={dims['N']} break 1 <= N_P <= N")
         if dims["N"] == dims["N_P"] and set(self.policies) != {"slow-opt"}:
-            raise ConfigError(
-                f"sweep point {self.param}={value} leaves no demand phase; "
-                "only the slow-opt policy is defined there")
+            raise ConfigError(f"N_P = N = {dims['N']} leaves no demand phase; "
+                              "only the slow-opt policy is defined without one")
         if dims["L"] < 1:
-            raise ConfigError(f"sweep point L={dims['L']} is invalid")
+            raise ConfigError(f"L={dims['L']} leaves no task; L must be at least 1")
         return dims
 
 
@@ -191,6 +186,13 @@ class SweepRow:
     gain: float
     gain_db: float
     trials: int
+
+
+#: The CSV columns are SweepRow's fields, in order: each is written and
+#: parsed by its type, floats as their round-trip ``repr``.
+_COLUMN_TYPES = {"str": (str, str), "float": (lambda v: repr(float(v)), float), "int": (int, int)}
+_COLUMNS = tuple((field.name, *_COLUMN_TYPES[field.type]) for field in fields(SweepRow))
+CSV_HEADER = tuple(name for name, _, _ in _COLUMNS)
 
 
 def generate_scenario(rng: np.random.Generator, L: int, gamma_total: float,
@@ -232,11 +234,10 @@ def _positive_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
 def _aggregate(cfg: SweepConfig, value: float, policy: str,
                energies: Sequence[float], gains: Sequence[float],
                episodes: int) -> SweepRow:
-    """One row from per-scenario unit energies, scaled here by ``lam`` (over ``slow_g``)."""
-    unit = cfg.lam / cfg.slow_g if cfg.fading == "slow" else cfg.lam
+    """One row from per-scenario unit energies, scaled here by ``cfg.unit``."""
     energies = np.asarray(energies, dtype=float)
     gains = np.asarray(gains, dtype=float)
-    mean_energy = unit * float(energies.mean())
+    mean_energy = cfg.unit * float(energies.mean())
     # The spread is taken about the first energy: equal energies then have
     # exactly zero spread, which a rounded mean would not give.
     spread = energies - energies[0]
@@ -244,7 +245,7 @@ def _aggregate(cfg: SweepConfig, value: float, policy: str,
     gain = float(gains.mean())
     return SweepRow(param=cfg.param, param_value=float(value), policy=policy,
                     mean_energy=mean_energy, mean_energy_db=to_db(mean_energy),
-                    stderr=unit * stderr, gain=gain, gain_db=to_db(gain),
+                    stderr=cfg.unit * stderr, gain=gain, gain_db=to_db(gain),
                     trials=episodes)
 
 
@@ -382,23 +383,23 @@ def gain_vs_shape(cfg: SweepConfig) -> list:
     return rows
 
 
+@contextmanager
+def _opened(target, mode: str):
+    """``target`` itself if it is a text file object, else that path opened in ``mode`` (UTF-8)."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, newline="", encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield target
+
+
 def emit_csv(rows: Iterable[SweepRow], dest) -> None:
     """Write rows to a path or text file object using round-trip floats."""
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    handle = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
+    with _opened(dest, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for row in rows:
-            writer.writerow([
-                row.param, repr(float(row.param_value)), row.policy,
-                repr(float(row.mean_energy)), repr(float(row.mean_energy_db)),
-                repr(float(row.stderr)), repr(float(row.gain)),
-                repr(float(row.gain_db)), int(row.trials),
-            ])
-    finally:
-        if own:
-            handle.close()
+            writer.writerow([write(getattr(row, name)) for name, write, _ in _COLUMNS])
 
 
 def load_rows(src) -> list:
@@ -407,9 +408,7 @@ def load_rows(src) -> list:
     A file with no header, another header, or a record that does not hold
     one number per numeric column raises ``ConfigError`` naming the line.
     """
-    own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    handle = open(src, "r", newline="") if own else src
-    try:
+    with _opened(src, "r") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -424,14 +423,8 @@ def load_rows(src) -> list:
                 raise ConfigError(f"line {reader.line_num}: expected {len(CSV_HEADER)} fields, "
                                   f"got {len(record)}")
             try:
-                rows.append(SweepRow(
-                    param=record[0], param_value=float(record[1]), policy=record[2],
-                    mean_energy=float(record[3]), mean_energy_db=float(record[4]),
-                    stderr=float(record[5]), gain=float(record[6]),
-                    gain_db=float(record[7]), trials=int(record[8])))
+                rows.append(SweepRow(**{name: parse(text)
+                                        for (name, _, parse), text in zip(_COLUMNS, record)}))
             except ValueError as exc:
                 raise ConfigError(f"line {reader.line_num}: {exc}") from None
         return rows
-    finally:
-        if own:
-            handle.close()

@@ -247,11 +247,11 @@ class TestExitCodes:
         assert "numerical failure (FloatingPointError)" in capsys.readouterr().err
 
     def test_python_float_overflow_exits_three(self, capsys):
-        # The slow plan's alpha_sigma ** m is a Python float power, which
-        # raises OverflowError rather than numpy's FloatingPointError.
+        # The slow plan's alpha_sigma ** m overflows; the power is taken in
+        # numpy float64, so it raises FloatingPointError, not OverflowError.
         code = main(["single", "--fading", "slow", "--gamma-total", "1e70", "--m", "5"])
         assert code == 3
-        assert "numerical failure (OverflowError)" in capsys.readouterr().err
+        assert "numerical failure (FloatingPointError)" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -321,6 +321,21 @@ class TestSingleCommand:
         others = [[line for line in out.splitlines()[1:] if not is_energy_line(line)
                    and not line.startswith("slow fading, g=")] for out in (unit, scaled)]
         assert others[0] == others[1]       # plans, gains, bits and thresholds
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--fading", "fast", "--N", "4", "--Np", "4"], "N_P = N = 4 leaves no demand phase"),
+        (["--Np", "6"], "N_P=6 and N=5 break 1 <= N_P <= N"),
+        (["--L", "0"], "L=0 leaves no task"),
+        (["--k", "1"], "k must be an integer >= 2"),
+        (["--m", "6"], "m must be an integer in [2, 5]"),
+        (["--gamma-total", "-1"], "gamma_total must be finite and strictly positive"),
+    ])
+    def test_bad_settings_exit_two_before_printing(self, capsys, flags, message):
+        assert main(["single", "--seed", "1"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: ") and message in err
+        assert "sweep point" not in err
 
     def test_uniform_flag_reaches_the_scenario(self, capsys):
         assert main(["single", "--uniform", "--L", "2", "--seed", "0"]) == 0

@@ -1,6 +1,7 @@
 """Demand-phase DP: coefficient tables, per-slot rule, energies, bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,34 @@ def test_numpy_float_beta():
         expected_demand_energy(4.0, table, 1)
     assert demand_energy_bounds(np.float64(4.0), FastGamma(k=2), m=2, duration=2) == \
         demand_energy_bounds(4.0, FastGamma(k=2), m=2, duration=2)
+
+
+@pytest.mark.parametrize("errors", ["ignore", "warn", "raise"])
+@pytest.mark.parametrize("energy", [
+    lambda beta: expected_demand_energy(beta, build_xi_table(FastGamma(2), 5, 3), 2),
+    lambda beta: demand_energy_bounds(beta, FastGamma(2), 5, 2),
+], ids=["expected", "bounds"])
+def test_an_overflowing_power_is_a_numerical_failure(energy, errors):
+    # beta is finite but beta**m is not: a FloatingPointError, never a bare
+    # OverflowError of a float power or an infinite energy.
+    with np.errstate(all=errors), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(FloatingPointError):
+            energy(1e70)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_finite_energies_keep_their_float_power(m):
+    ch = FastGamma(3)
+    table = build_xi_table(ch, m, 4)
+    for beta in np.random.default_rng(m).uniform(0.0, 50.0, 200).tolist() + [1e-80, 1e61]:
+        for duration in (1, 2, 4):
+            energy = expected_demand_energy(beta, table, duration)
+            assert type(energy) is float
+            assert energy == table.xi[duration] * beta ** m
+            scale = beta ** m / duration ** (m - 1)
+            assert demand_energy_bounds(beta, ch, m, duration) == \
+                (scale / mean_gain(ch), scale * mean_inverse_gain(ch))
 
 
 class TestDemandEnergyBounds:

@@ -1,4 +1,4 @@
-"""The benchmark's use of the library: its traced targets and two tiny workloads.
+"""The benchmark's use of the library: its traced targets and three tiny workloads.
 
 ``perfbench/`` imports its helpers by bare name (``tracer``, ``workloads``,
 ``checks``), so they load from that directory.  A library change that
@@ -41,7 +41,7 @@ def test_tiny_workloads_pass_their_checks_traced(bench, tmp_path):
     assert tracer.find_wrapped() == []
     tracing.install()
     try:
-        for workload in ("oracle-c8", "wide-L"):
+        for workload in ("oracle-c8", "wide-L", "figures"):
             out_dir = tmp_path / workload
             out_dir.mkdir()
             workloads.run(workload, 3, str(out_dir), tiny=True)

@@ -1,5 +1,7 @@
 """Constant-gain (slow-fading) prefetch optimization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +275,27 @@ class TestEnergies:
         plan = PrefetchPlan(scenario=s, alpha=np.zeros(2))
         assert expected_fetch_energy_slow(plan) == pytest.approx(
             no_prefetch_energy_slow(s), rel=1e-12)
+
+    @pytest.mark.parametrize("errors", ["ignore", "warn", "raise"])
+    def test_an_overflowing_prefetch_power_is_a_numerical_failure(self, errors):
+        # A finite alpha_sigma whose m-th power overflows: the energy is a
+        # FloatingPointError, not a bare OverflowError of a float power.
+        s = Scenario(m=5, N=3, N_P=3, p=np.array([0.5, 0.5]), gamma=np.array([1e70, 1e70]))
+        with np.errstate(all=errors), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(FloatingPointError):
+                expected_fetch_energy_slow(optimal_prefetch_slow(s))
+
+    def test_finite_energies_keep_their_float_power(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            s = random_scenario(rng, m_choices=(2, 3, 4, 5))
+            plan = optimal_prefetch_slow(s)
+            beta = s.gamma - plan.alpha
+            demand = float(np.sum(s.p * beta ** s.m)) / (s.N - s.N_P) ** (s.m - 1)
+            energy = expected_fetch_energy_slow(plan)
+            assert type(energy) is float
+            assert energy == plan.alpha_sigma ** s.m / s.N_P ** (s.m - 1) + demand
 
 
     def test_a_plan_is_scored_on_its_own_scenario(self):

@@ -1,6 +1,7 @@
 """Sweep harness: config validation, pairing, aggregation, CSV boundary."""
 
 import io
+import pathlib
 from dataclasses import replace
 from functools import lru_cache
 
@@ -86,10 +87,22 @@ class TestSweepConfig:
         dict(param="Np", values=(5,), policies=("noncausal",), N=5, fading="fast"),
         dict(param="gamma", values=1.0, policies=("slow-opt",)),        # not iterable
         dict(param="gamma", values=(5.0,), policies=None),
+        # A repeated value or policy would write the same row twice.
+        dict(param="gamma", values=(5, 5.0), policies=("slow-opt",)),
+        dict(param="N", values=(5, 6, 5), policies=("slow-opt",)),
+        dict(param="gamma", values=(5,), policies=("slow-opt", "slow-opt")),
+        dict(param="L", values=(2,), policies=("noncausal", "aggressive", "noncausal"),
+             fading="fast"),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SweepConfig(**kwargs)
+
+    @pytest.mark.parametrize("fading, unit", [("slow", 2.5 / 4.0), ("fast", 2.5)])
+    def test_unit_is_lam_over_the_gain_under_slow_fading(self, fading, unit):
+        cfg = SweepConfig(param="gamma", values=(5,), policies=("no-prefetch",),
+                          fading=fading, lam=2.5, slow_g=4.0)
+        assert cfg.unit == unit
 
     @pytest.mark.parametrize("key", ["lam", "slow_g", "gamma_total"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -474,6 +487,23 @@ class TestUnitScale:
 
 
 class TestCsvBoundary:
+    def test_header_is_the_nine_row_fields_in_order(self):
+        assert CSV_HEADER == ("param", "param_value", "policy", "mean_energy",
+                              "mean_energy_db", "stderr", "gain", "gain_db", "trials")
+
+    @pytest.mark.parametrize("as_path", [str, pathlib.Path])
+    def test_path_round_trip_is_exact_and_utf8(self, tmp_path, as_path):
+        rows = [SweepRow(param="\u03b3", param_value=5e-324, policy="r\u00e9f",
+                         mean_energy=1.7976931348623157e308, mean_energy_db=0.1 + 0.2,
+                         stderr=0.0, gain=1e-300, gain_db=-0.0, trials=2 ** 40),
+                run_sweep(SLOW_GAMMA)[0]]
+        path = tmp_path / "rows.csv"
+        emit_csv(rows, as_path(path))
+        assert load_rows(as_path(path)) == rows
+        record = path.read_bytes().decode("utf-8").splitlines()[1]
+        assert record == ("\u03b3,5e-324,r\u00e9f,1.7976931348623157e+308,"
+                          "0.30000000000000004,0.0,1e-300,-0.0,1099511627776")
+
     def test_empty_rows_emit_header_only(self):
         buffer = io.StringIO()
         emit_csv([], buffer)
