@@ -46,10 +46,11 @@ _FIELDS = {"Np" if field.name == "N_P" else field.name: field
            for field in fields(SweepConfig)}
 
 #: SweepConfig's defaults, except that ``fading`` starts unset: the CLI
-#: infers it from the swept parameter or the policy list.
+#: infers it from the swept parameter, the policy list or ``single``'s
+#: policy, which also starts unset.
 _DEFAULTS = {key: None if field.default is MISSING or key == "fading" else field.default
              for key, field in _FIELDS.items()}
-_DEFAULTS.update(out="sweep.csv", policy="noncausal")
+_DEFAULTS.update(out="sweep.csv", policy=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     single = sub.add_parser("single", help="inspect one random stage in detail")
     single.add_argument("--fading", choices=["slow", "fast"])
     single.add_argument("--policy", choices=list(FAST_POLICIES),
-                        help="episode policy for fast fading")
+                        help="episode policy for fast fading (implies --fading fast; "
+                             "default noncausal)")
     single.add_argument("--seed", type=int)
     _add_model_flags(single)
 
@@ -217,8 +219,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_single(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
-    fading = settings["fading"] or "slow"
-    policies = (settings["policy"],) if fading == "fast" else ("slow-opt",)
+    fading, policy = settings["fading"], settings["policy"]
+    if fading is None:
+        fading = "slow" if policy is None else "fast"
+    if fading == "slow" and policy is not None:
+        raise ConfigError(f"--policy {policy!r} runs a fast-fading episode; "
+                          "slow fading runs slow-opt")
+    policies = ("slow-opt",) if fading == "slow" else (policy or "noncausal",)
     cfg = _sweep_config(dict(settings, param="gamma", values=(settings["gamma_total"],),
                              fading=fading, policies=policies))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7)))

@@ -23,7 +23,9 @@ form and locks the best one per episode, and the two causal estimators
 (an optimistic and a pessimistic guess of the final-slot threshold)
 regrow the set every slot, scanning up from the count of tasks held at
 the water level.  The loop runs on the whole batch; only the noncausal
-scorer runs in cache-sized blocks of episodes.  No threshold depends on
+scorer runs in cache-sized blocks of episodes, and its last slot's search
+stops at the block's reach: a size that every episode reaches at its
+largest sent total, and so at every prefix's.  No threshold depends on
 the energy coefficient ``lam``, so every energy here is per unit
 ``lam``.
 """
@@ -56,10 +58,12 @@ __all__ = [
 
 
 #: The noncausal oracle scores its prefixes in blocks of episodes whose
-#: ``(L, episodes)`` arrays hold at most this many entries (128 KiB of
-#: float64), so that the scorer's temporaries stay in cache and are reused
-#: block to block.  No other array of the prefetch phase is ``(L, episodes)``.
-_BLOCK_ENTRIES = 2 ** 14
+#: ``(L, episodes)`` arrays hold at most this many entries (64 KiB of
+#: float64, half of glibc's default mmap threshold), so that the scorer's
+#: temporaries stay in cache and come from the heap, reused block to block
+#: without fresh page faults.  No other array of the prefetch phase is
+#: ``(L, episodes)``.
+_BLOCK_ENTRIES = 2 ** 13
 
 
 class PrefetchPolicy(enum.Enum):
@@ -265,9 +269,11 @@ class _Kernel:
 
     :meth:`phase` holds the one slot loop; a policy only chooses each
     slot's prefix size, and :meth:`step` executes the slot.  Each slot rule
-    is written once: :meth:`totals` gives the prefix totals,
-    :meth:`total_and_spare` the slot's total and spare, and ``span`` is
-    the only ``(L+1)**2`` table.  Only the noncausal oracle's
+    is written once: :meth:`clamp` gives the slot's clamped state,
+    :meth:`totals` the prefix totals in it, :meth:`total_and_spare` the
+    slot's total and spare, :meth:`reached` the test that the step's
+    search and the scorer's reach share, and ``span`` is the only
+    ``(L+1)**2`` table.  Only the noncausal oracle's
     :meth:`prefix_scores` crosses episodes with sizes, on ``(L, E)`` arrays
     with the episodes on the last axis; the causal set rule
     (:meth:`regrown`) reads one ``(E,)`` row of sizes per round.
@@ -289,14 +295,24 @@ class _Kernel:
         """Number of tasks whose priority exceeds ``level``."""
         return self.falling.searchsorted(-level)
 
-    def totals(self, level, c, j) -> np.ndarray:
-        """Residual totals of the size-``j`` prefixes with ``c`` tasks at ``level``.
+    def clamp(self, level, c) -> tuple:
+        """A slot's clamped state: the row offset ``c * (L+1)`` and the share ``level * cum_w[c]``.
 
-        The first ``c`` tasks hold ``level * w``, the rest of the prefix its
-        data sizes: ``level * cum_w[c]`` plus ``span`` at ``c * (L+1) + j``.
-        Only sizes ``j >= c`` are prefix totals (see :meth:`phase`).
+        The first ``c`` tasks hold ``level * w``; the slot computes this
+        pair once and hands it to :meth:`regrown`, :meth:`totals` and
+        :meth:`step`.
         """
-        return level * self.cum_w.take(c) + self.span.take(c * (self.s.L + 1) + j)
+        return c * (self.s.L + 1), level * self.cum_w.take(c)
+
+    def totals(self, clamp: tuple, j) -> np.ndarray:
+        """Residual totals of the size-``j`` prefixes in the :meth:`clamp` state ``clamp``.
+
+        The clamped share plus the rest of the prefix's data sizes,
+        ``span`` at ``c * (L+1) + j``.  Only sizes ``j >= c`` are prefix
+        totals (see :meth:`phase`).
+        """
+        row, share = clamp
+        return share + self.span.take(row + j)
 
     def total_and_spare(self, held, n: int, k) -> tuple:
         """Slot ``n``'s ``total`` and ``spare`` for :meth:`step` on the size-``k`` prefixes.
@@ -312,39 +328,47 @@ class _Kernel:
             return 0.0, u_g / self.u_xi
         return held * u_g / (u_g + self.u_zeta[k - 1, n - 1]), 0.0
 
-    def step(self, level: np.ndarray, c: np.ndarray, k, total, spare):
+    def reached(self, level, clamp: tuple, j, total, spare) -> np.ndarray:
+        """Whether the size-``j`` prefix's threshold reaches the next member's ratio.
+
+        The threshold is ``(R_j - total) / (W_j + spare)`` and the ratio
+        ``min(delta[j], level)``.  In rounded arithmetic the test is
+        monotone non-increasing in ``total``: the subtraction and the
+        division by the same positive denominator are both monotone.
+        """
+        eta = (self.totals(clamp, j) - total) / (self.cum_w.take(j) + spare)
+        return eta >= np.minimum(self.delta.take(j), level)
+
+    def step(self, level, c, clamp: tuple, k, total, spare):
         """One prefetch slot on the size-``k`` prefixes: active count, threshold, sent bits.
 
-        ``c`` is the state's clamped count and ``k >= max(c, 1)`` (proved
-        in :meth:`phase`), and an active prefix of size ``j`` has the
-        threshold ``(R_j - total) / (W_j + spare)``; the caller passes
-        :meth:`total_and_spare`, so that the slot loop and
-        :meth:`prefix_scores` share this search.
-        The active prefix is the first whose threshold reaches the next
-        member's ratio ``f_j = min(delta, level)``, i.e. ``R_j - f_j * W_j``
-        reaches ``total + f_j * spare``.  The left side never decreases in
-        ``j`` and ``f_j`` never increases, so the first reached prefix is
-        found by bisecting ``[max(c, 1), k]`` (``k`` broadcast to the
-        episodes' shape); below the clamped count ``c`` no prefix is reached
-        while the members hold bits.  Each probe at ``(lo + active) // 2``
-        halves a bracket of ``w`` sizes beyond its first to at most ``w //
-        2``, so the search takes at most ``bit_length(max(k - max(c,
-        1)))`` rounds; an episode whose bracket is one prefix re-tests it
-        and changes nothing.  Every size the step reads is at least ``c``, so the
-        clamped share ``level * cum_w[c]`` of :meth:`totals` holds at each
-        of them and is computed once.
+        ``c`` is the state's clamped count, ``clamp`` its :meth:`clamp`
+        pair and ``k >= max(c, 1)`` (proved in :meth:`phase`), and an
+        active prefix of size ``j`` has the threshold ``(R_j - total) /
+        (W_j + spare)``; the caller passes :meth:`total_and_spare`, so that
+        the slot loop and :meth:`prefix_scores` share this step.  The active
+        prefix is the first :meth:`reached` one: its threshold reaches the
+        next member's ratio ``f_j = min(delta, level)``, i.e. ``R_j - f_j *
+        W_j`` reaches ``total + f_j * spare``.  The left side never
+        decreases in ``j`` and ``f_j`` never increases, so the first reached
+        prefix is found by bisecting ``[max(c, 1), k]`` (``k`` broadcast to
+        the episodes' shape); below the clamped count ``c`` no prefix is
+        reached while the members hold bits.  Each probe at ``(lo +
+        active) // 2`` halves a bracket of ``w`` sizes beyond its first to
+        at most ``w // 2``, so the search takes at most ``bit_length(max(k
+        - max(c, 1)))`` rounds; an episode whose bracket is one prefix
+        re-tests it and changes nothing.  Every size the step reads is at
+        least ``c``, so the clamped share of :meth:`totals` holds at each of
+        them.
         """
-        row = c * (self.s.L + 1)
-        clamped = level * self.cum_w.take(c)
         lo = np.maximum(c, 1)
         active = np.maximum(lo, k)
         while (lo < active).any():
             mid = (lo + active) // 2
-            eta = (clamped + self.span.take(row + mid) - total) / (self.cum_w.take(mid) + spare)
-            reached = eta >= np.minimum(self.delta.take(mid), level)
+            reached = self.reached(level, clamp, mid, total, spare)
             np.copyto(active, mid, where=reached)
             np.copyto(lo, mid + 1, where=~reached)
-        held = clamped + self.span.take(row + active)
+        held = self.totals(clamp, active)
         mass = self.cum_w.take(active)
         eta = np.maximum((held - total) / (mass + spare), 0.0)
         return active, eta, held - eta * mass
@@ -380,8 +404,9 @@ class _Kernel:
         1)`` and only steps up.  The noncausal scorer (:meth:`prefix_scores`)
         steps from ``c = 0`` with ``k >= 1``.
 
-        Each slot takes its clamped count ``c``, the policy's prefix size
-        ``k``, the slot's :meth:`total_and_spare` and one :meth:`step`;
+        Each slot takes its clamped count ``c`` and its :meth:`clamp` pair
+        once, the policy's prefix size ``k`` with the members' residual
+        total, the slot's :meth:`total_and_spare` and one :meth:`step`;
         no-prefetch runs no slot.  The noncausal oracle locks one size per
         episode: the prefix with the least :meth:`prefix_scores` (the first
         minimum, so ties go to the smaller prefix), so its energies,
@@ -389,10 +414,11 @@ class _Kernel:
         scorer builds ``(L, E)`` arrays, so only it runs in blocks of
         ``_BLOCK_ENTRIES // L`` episodes; every score is an episode's own,
         so the blocks change no bit.  The causal policies
-        regrow the size every slot (:meth:`regrown`) from the tasks that
-        got positive bits in the previous slot, the leading ``c``: the
-        count above this slot's water level is the count above the last
-        slot's threshold.
+        regrow the size every slot (:meth:`regrown`, which also returns the
+        residual total at the size it picks) from the tasks that got
+        positive bits in the previous slot, the leading ``c``: the count
+        above this slot's water level is the count above the last slot's
+        threshold.
         """
         s, episodes = self.s, self.gains.shape[0]
         causal = policy is not PrefetchPolicy.NONCAUSAL_ORACLE
@@ -409,10 +435,12 @@ class _Kernel:
         slots = 0 if policy is PrefetchPolicy.NO_PREFETCH else s.N_P
         for n in range(1, slots + 1):
             c = np.minimum(k, self.above(level))
+            clamp = self.clamp(level, c)
             if causal:
-                k = self.regrown(policy, level, c, n)
-            held = self.totals(level, c, k) if n < s.N_P else None
-            _, level, sent = self.step(level, c, k, *self.total_and_spare(held, n, k))
+                k, held = self.regrown(policy, c, clamp, n)
+            else:
+                held = self.totals(clamp, k) if n < s.N_P else None
+            _, level, sent = self.step(level, c, clamp, k, *self.total_and_spare(held, n, k))
             energy += sent ** s.m / self.gains[:, n - 1]
             thresholds[n - 1], sizes[n - 1] = level, k
         return energy, thresholds, sizes
@@ -429,12 +457,25 @@ class _Kernel:
         All bits sent so far came from the clamped tasks, which lead the
         prefix, so the last slot's threshold is one :meth:`step` from the
         full residuals (``level = delta[0]``, ``c = 0``) with the bits
-        already sent, ``R_0 - R``, as its total and ``u_g / u_xi`` as its
-        spare, and that slot sends ``eta * u_g / u_xi``.  The ``c`` clamped tasks then hold ``w * eta``
-        and ``p * w**m = w``, so the demand sum is ``eta**m * W_c`` plus the
-        tail sum of ``p * gamma**m``.  The scores equal the slot loop's on
-        each locked prefix to rounding (the tests bound it at 1e-14
-        relative).
+        already sent, ``T_k = R_0 - R``, as its total and ``u_g / u_xi`` as
+        its spare, and that slot sends ``eta * u_g / u_xi``.
+
+        That step's :meth:`reached` test depends on the prefix only through
+        ``T_k``, and is monotone non-increasing in it.  So a size that every
+        episode reaches at its largest total ``max_k T_k`` is reached at
+        every ``T_k``, and no prefix's first reached size lies above it.
+        The block's reach is the least such size among ``1, 2, 4, ...``
+        below ``L`` (``L`` if none is), each tested on one ``(E,)`` row,
+        and the step bisects ``[1, min(k, reach)]`` in place of ``[1, k]``:
+        the same first reached sizes in ``bit_length(reach - 1)`` rounds.
+        The rounds follow the widest bracket, so a reach per episode would
+        save no more: the largest one, rounded up to a power of two, is
+        this one and has the same ``bit_length``.
+
+        The ``c`` clamped tasks then hold ``w * eta`` and ``p * w**m = w``,
+        so the demand sum is ``eta**m * W_c`` plus the tail sum of ``p *
+        gamma**m``.  The scores equal the slot loop's on each locked prefix
+        to rounding (the tests bound it at 1e-14 relative).
         """
         s, episodes = self.s, self.gains.shape[0]
         k = np.arange(1, s.L + 1)[:, None]
@@ -445,14 +486,20 @@ class _Kernel:
             energy = energy + sent ** s.m / self.gains[:, n - 1]
             held = held - sent
         _, spare = self.total_and_spare(held, s.N_P, k)
-        _, eta, _ = self.step(self.delta[0], np.zeros((s.L, episodes), dtype=int), k,
-                              first - held, spare)
+        level, total = self.delta[0], first - held
+        # Nothing is clamped, so every probe reads row 0 of ``span`` plus a
+        # zero share: the scalar pair ``unclamped``, not an (L, E) gather.
+        unclamped, largest, reach = self.clamp(level, 0), total.max(axis=0), 1
+        while reach < s.L and not self.reached(level, unclamped, reach, largest, spare).all():
+            reach *= 2
+        c = np.zeros((s.L, episodes), dtype=int)
+        _, eta, _ = self.step(level, c, unclamped, np.minimum(k, reach), total, spare)
         energy = energy + (eta * spare) ** s.m / self.gains[:, s.N_P - 1]
         c = np.minimum(k, self.above(eta))
         return energy + self.demand_weight * (eta ** s.m * self.cum_w[c] + self.tail[c])
 
-    def regrown(self, policy: PrefetchPolicy, level, c, n: int) -> np.ndarray:
-        """The causal set rule: slot ``n``'s prefix size for each episode.
+    def regrown(self, policy: PrefetchPolicy, c, clamp: tuple, n: int) -> tuple:
+        """The causal set rule: slot ``n``'s prefix size and its residual total, per episode.
 
         The size is the smallest, at least ``max(c, 1)`` for the clamped
         count ``c``, whose estimated final threshold admits exactly as many
@@ -462,12 +509,12 @@ class _Kernel:
             aggressive:   R * u_xi / (u_g + u_z(N-n))
             conservative: R * u_z(N-n) / ((u_g + u_z(N-n)) * A)
 
-        with ``R`` the prefix's residual total at ``level`` with ``c`` tasks
-        clamped (:meth:`totals`) and ``A`` its inverse-probability mass; at
-        the final slot both are the exact ``R * u_xi / (u_g + u_xi * A)``.
-        A threshold admits the tasks whose priority exceeds it; ``delta``
-        does not increase and ends in ``-inf``, so the size-``j`` estimate
-        admits exactly ``j`` tasks when ``delta[j-1] > eta_hat >=
+        with ``R`` the prefix's residual total in the :meth:`clamp` state
+        ``clamp`` (:meth:`totals`) and ``A`` its inverse-probability mass;
+        at the final slot both are the exact ``R * u_xi / (u_g + u_xi *
+        A)``.  A threshold admits the tasks whose priority exceeds it;
+        ``delta`` does not increase and ends in ``-inf``, so the size-``j``
+        estimate admits exactly ``j`` tasks when ``delta[j-1] > eta_hat >=
         delta[j]``: two comparisons, not a count.  The conservative ``u_z``
         depends on the size, so that test is not monotone in ``j`` and no
         search over it is exact.  So the rule scans: every episode starts
@@ -475,14 +522,14 @@ class _Kernel:
         does not admit and its size is below ``L``.  A round reads one
         ``(E,)`` row of sizes, and a stopped episode's re-test changes
         nothing; the scan takes one round more than the largest step of an
-        episode, at most ``L``.
+        episode, at most ``L``.  The last round read every episode's ``R``
+        at the size returned, and that ``R`` is returned with it.
         """
         s, u_xi, u_g, u_zeta = self.s, self.u_xi, self.u_gain[:, n - 1], self.u_zeta[:, n - 1]
-        row, clamped = c * (s.L + 1), level * self.cum_w.take(c)
         j = np.maximum(c, 1)
         while True:
             below = j - 1
-            residual, mass = clamped + self.span.take(row + j), self.cum_w.take(j)
+            residual, mass = self.totals(clamp, j), self.cum_w.take(j)
             if n == s.N_P:
                 eta_hat = residual * u_xi / (u_g + u_xi * mass)
             elif policy is PrefetchPolicy.AGGRESSIVE:
@@ -493,7 +540,7 @@ class _Kernel:
             admits = (self.delta.take(below) > eta_hat) & (self.delta.take(j) <= eta_hat)
             grow = ~admits & (j < s.L)
             if not grow.any():
-                return j
+                return j, residual
             j = j + grow
 
 
@@ -534,7 +581,7 @@ def run_prefetch_batch(s: Scenario, channel: Channel, policy: PrefetchPolicy,
     The noncausal oracle scores every priority prefix against the
     revealed prefetch gains by its realized prefetch energy plus the
     expected demand energy of its residuals, all ``L`` of them in closed
-    form on ``(L, episodes)`` blocks (of at most ``2**14 // L`` episodes,
+    form on ``(L, episodes)`` blocks (of at most ``2**13 // L`` episodes,
     which changes no result), and runs, per episode, the one of least
     score (ties go to the smaller prefix) through the slot loop.  The slot
     loop runs once on the whole batch; the causal policies scan up the

@@ -303,6 +303,28 @@ class TestSingleCommand:
         assert "total energy" in out
         assert "no-prefetch reference" in out
 
+    @pytest.mark.parametrize("policy", FAST_POLICIES)
+    def test_a_policy_implies_fast_fading(self, capsys, policy):
+        assert main(["single", "--policy", policy, "--seed", "1"]) == 0
+        implied = capsys.readouterr().out
+        assert main(["single", "--fading", "fast", "--policy", policy, "--seed", "1"]) == 0
+        assert implied == capsys.readouterr().out
+        assert f"fast fading, k=2, policy={policy}" in implied
+
+    def test_fast_fading_runs_the_noncausal_oracle_by_default(self, capsys):
+        assert main(["single", "--fading", "fast", "--seed", "1"]) == 0
+        default = capsys.readouterr().out
+        assert main(["single", "--policy", "noncausal", "--seed", "1"]) == 0
+        assert default == capsys.readouterr().out
+        assert "policy=noncausal" in default
+
+    @pytest.mark.parametrize("policy", FAST_POLICIES)
+    def test_a_policy_under_slow_fading_exits_two(self, capsys, policy):
+        assert main(["single", "--fading", "slow", "--policy", policy, "--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: ") and repr(policy) in err
+
     @pytest.mark.parametrize("fading,extra,factor", [
         ("slow", [], 2.5),
         ("slow", ["--slow-g", "4"], 2.5 / 4.0),

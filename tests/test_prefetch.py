@@ -37,7 +37,7 @@ from livefetch.slow import (
     priorities,
     priority_order,
 )
-from livefetch.sweep import generate_scenario
+from livefetch.sweep import SweepConfig, generate_scenario, run_sweep
 
 FAST2 = FastGamma(2)
 
@@ -1103,8 +1103,9 @@ class TestSlotSearch:
             bound = rng.integers(0, s.L + 1, episodes)
             c = np.minimum(bound, kernel.above(level))
             k = rng.integers(np.maximum(c, 1), s.L + 1)
-            load = kernel.total_and_spare(kernel.totals(level, c, k), n, k)
-            active, eta, sent = kernel.step(level, c, k, *load)
+            clamp = kernel.clamp(level, c)
+            load = kernel.total_and_spare(kernel.totals(clamp, k), n, k)
+            active, eta, sent = kernel.step(level, c, clamp, k, *load)
             ref_active, ref_eta, ref_sent, candidates = dense_first_reached(
                 kernel, level, bound, n, k)
             gaps.append(active - np.maximum(c, 1))
@@ -1165,10 +1166,10 @@ class TestSlotSearch:
 class TestStepInvariant:
     """Every slot step the batch runs has ``k >= max(c, 1)``.
 
-    ``_Kernel.step`` and ``_Kernel.totals`` read the clamped share as
-    ``level * cum_w[c]``, which gives a prefix total only at sizes of at
-    least ``c``; ``_Kernel.phase`` proves the bound, and this records the
-    ``(c, k)`` of every call.
+    ``_Kernel.step`` and ``_Kernel.totals`` read the clamped share
+    ``level * cum_w[c]`` of ``_Kernel.clamp``, which gives a prefix total
+    only at sizes of at least ``c``; ``_Kernel.phase`` proves the bound,
+    and this records the ``(c, k)`` of every call.
     """
 
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -1189,9 +1190,9 @@ class TestStepInvariant:
         gains, realized = draw_episodes(s, channel, rng, 60)
         calls, step = [], prefetch._Kernel.step
 
-        def recorded(kernel, level, c, k, total, spare):
+        def recorded(kernel, level, c, clamp, k, total, spare):
             calls.append((c, np.broadcast_to(k, np.shape(c))))
-            return step(kernel, level, c, k, total, spare)
+            return step(kernel, level, c, clamp, k, total, spare)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(prefetch._Kernel, "step", recorded)
@@ -1220,16 +1221,17 @@ def argmax_set_rule(kernel, estimate, positive):
     return np.where(match[rows, first], first + 1, kernel.s.L)
 
 
-def set_rule_estimates(kernel, policy, level, c, n):
+def set_rule_estimates(kernel, policy, clamp, n):
     """Every size's causal estimate, ``(L, E)``: the block that ``_Kernel.regrown`` scans.
 
-    The residual totals of :meth:`_Kernel.totals` at sizes ``1..L`` and
-    the estimates formed from them with the arithmetic of ``regrown``, one
-    column of sizes against a row of episodes.
+    The residual totals of :meth:`_Kernel.totals` in the clamped state
+    ``clamp`` at sizes ``1..L`` and the estimates formed from them with
+    the arithmetic of ``regrown``, one column of sizes against a row of
+    episodes.
     """
     s, u_xi, mass = kernel.s, kernel.u_xi, kernel.cum_w[1:, None]
     u_g = kernel.u_gain[:, n - 1]
-    residual = kernel.totals(level, c, np.arange(1, s.L + 1)[:, None])
+    residual = kernel.totals(clamp, np.arange(1, s.L + 1)[:, None])
     if n == s.N_P:
         return residual * u_xi / (u_g + u_xi * mass)
     u_z = kernel.u_zeta[:, n - 1, None]
@@ -1238,9 +1240,21 @@ def set_rule_estimates(kernel, policy, level, c, n):
     return residual * u_z / ((u_g + u_z) * mass)
 
 
-def reference_set_rule(kernel, policy, level, c, n):
+def reference_set_rule(kernel, policy, c, clamp, n):
     """``regrown``'s reference: the causal set rule as a minimum over the ``(L, E)`` block."""
-    return argmax_set_rule(kernel, set_rule_estimates(kernel, policy, level, c, n).T, c)
+    return argmax_set_rule(kernel, set_rule_estimates(kernel, policy, clamp, n).T, c)
+
+
+def regrown_size(kernel, policy, level, c, n):
+    """``_Kernel.regrown``'s size in the state ``(level, c)``, after checking its residual total.
+
+    The rule returns the residual total it read at the size it picks; it
+    must be :meth:`_Kernel.totals` at that size, bit for bit.
+    """
+    clamp = kernel.clamp(level, c)
+    k, held = kernel.regrown(policy, c, clamp, n)
+    assert np.array_equal(held, kernel.totals(clamp, k))
+    return k
 
 
 def set_rule_kernel(s, rng, episodes):
@@ -1304,7 +1318,7 @@ class TestSetRule:
                                   u_gain=kernel.u_gain[e:e + 1])
                     level = rng.uniform(0.0, 1.2 * kernel.delta[:1])
                     c = rng.integers(0, s.L + 1, 1)
-                    estimate = set_rule_estimates(one, policy, level, c, n)[:, 0]
+                    estimate = set_rule_estimates(one, policy, one.clamp(level, c), n)[:, 0]
                     j = int(rng.integers(max(c[0], 1), s.L + 1))
                     at = rng.choice([j - 1, None] + ([j] if j < s.L else []))
                     delta = self.priority_table(rng, estimate, j, at)
@@ -1312,7 +1326,7 @@ class TestSetRule:
                     counted = swapped.above(estimate) == np.arange(1, s.L + 1)
                     admitting = np.flatnonzero(counted[max(c[0], 1) - 1:]) + max(c[0], 1)
                     want = admitting[0] if admitting.size else s.L
-                    got = swapped.regrown(policy, level, c, n)
+                    got = regrown_size(swapped, policy, level, c, n)
                     assert got.tolist() == [want]
                     picks.append((at == j, at == j - 1 and j < s.L, want == j))
         # The swapped tables pick the size whose estimate sits on the next
@@ -1352,9 +1366,10 @@ class TestLeastAdmitting:
         for n in range(1, s.N_P + 1):
             for policy in CAUSAL:
                 level, c = self.states(kernel, rng, 2000)
-                k = kernel.regrown(policy, level, c, n)
-                assert np.array_equal(k, reference_set_rule(kernel, policy, level, c, n))
-                estimate = set_rule_estimates(kernel, policy, level, c, n).T
+                k = regrown_size(kernel, policy, level, c, n)
+                clamp = kernel.clamp(level, c)
+                assert np.array_equal(k, reference_set_rule(kernel, policy, c, clamp, n))
+                estimate = set_rule_estimates(kernel, policy, clamp, n).T
                 admits = kernel.above(estimate) == np.arange(1, s.L + 1)
                 floored = admits & (np.arange(1, s.L + 1) >= c[:, None])
                 none_admit |= np.any(~floored.any(axis=1))
@@ -1372,12 +1387,13 @@ class TestLeastAdmitting:
                               N=10, N_P=8)
         rule, seen, floors = prefetch._Kernel.regrown, [], []
 
-        def checked(kernel, policy, level, c, n):
-            k = rule(kernel, policy, level, c, n)
-            assert np.array_equal(k, reference_set_rule(kernel, policy, level, c, n))
+        def checked(kernel, policy, c, clamp, n):
+            k, held = rule(kernel, policy, c, clamp, n)
+            assert np.array_equal(k, reference_set_rule(kernel, policy, c, clamp, n))
+            assert np.array_equal(held, kernel.totals(clamp, k))
             seen.append(k)
             floors.append(c)
-            return k
+            return k, held
         monkeypatch.setattr(prefetch._Kernel, "regrown", checked)
         gains, realized = draw_episodes(s, FAST2, rng, 400)
         batch = run_prefetch_batch(s, FAST2, policy, gains, realized)
@@ -1404,10 +1420,11 @@ class TestLeastAdmitting:
         gains, realized = draw_episodes(s, channel, rng, 60)
         calls, rule = [], prefetch._Kernel.regrown
 
-        def checked(kernel, policy, level, c, n):
-            k = rule(kernel, policy, level, c, n)
-            calls.append(np.array_equal(k, reference_set_rule(kernel, policy, level, c, n)))
-            return k
+        def checked(kernel, policy, c, clamp, n):
+            k, held = rule(kernel, policy, c, clamp, n)
+            calls.append(np.array_equal(k, reference_set_rule(kernel, policy, c, clamp, n))
+                         and np.array_equal(held, kernel.totals(clamp, k)))
+            return k, held
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(prefetch._Kernel, "regrown", checked)
@@ -1456,9 +1473,9 @@ class TestRoundBound:
         gains, realized = draw_episodes(s, FAST2, rng, 1000)
         entries, calls, step = [], [], prefetch._Kernel.step
 
-        def spy(built, level, c, k, total, spare):
+        def spy(built, level, c, clamp, k, total, spare):
             before = len(entries)
-            result = step(built, level, c, k, total, spare)
+            result = step(built, level, c, clamp, k, total, spare)
             widest = int((np.broadcast_to(k, np.shape(c)) - np.maximum(c, 1)).max())
             calls.append((len(entries) - before, widest.bit_length() + 1))
             return result
@@ -1471,6 +1488,197 @@ class TestRoundBound:
         blocks = -(-gains.shape[0] // (prefetch._BLOCK_ENTRIES // L))
         assert len(calls) == s.N_P + (blocks if policy is PrefetchPolicy.NONCAUSAL_ORACLE else 0)
         assert all(reads <= bound for reads, bound in calls)
+
+
+#: The arrays of a ``BatchResult``, stored and derived.
+RESULT_FIELDS = ("prefetch_energy", "demand_energy", "realized", "set_size", "final_rho",
+                 "thresholds", "decisions", "slot_set_size")
+
+
+def unbounded_prefix_scores(kernel):
+    """The noncausal scores with the last slot's step on every ``[1, k]``: the reach bound's reference.
+
+    The scorer without its reach: the same chain of stage-optimal totals,
+    then one :meth:`_Kernel.step` from the full residuals on each prefix's
+    whole bracket.  Returns the ``(L, E)`` scores and active sizes.
+    """
+    s, episodes = kernel.s, kernel.gains.shape[0]
+    k = np.arange(1, s.L + 1)[:, None]
+    first = kernel.span.take(k)
+    held, energy = first, 0.0
+    for n in range(1, s.N_P):
+        sent, _ = kernel.total_and_spare(held, n, k)
+        energy = energy + sent ** s.m / kernel.gains[:, n - 1]
+        held = held - sent
+    _, spare = kernel.total_and_spare(held, s.N_P, k)
+    level, c = kernel.delta[0], np.zeros((s.L, episodes), dtype=int)
+    active, eta, _ = kernel.step(level, c, kernel.clamp(level, c), k, first - held, spare)
+    energy = energy + (eta * spare) ** s.m / kernel.gains[:, s.N_P - 1]
+    c = np.minimum(k, kernel.above(eta))
+    return energy + kernel.demand_weight * (eta ** s.m * kernel.cum_w[c] + kernel.tail[c]), active
+
+
+class TestReachBound:
+    """The scorer's last step bisects ``[1, min(k, reach)]`` and changes no bit.
+
+    A block's reach is the least of ``1, 2, 4, ...`` below ``L`` that every
+    episode reaches at its largest sent total (``L`` if none is).  The
+    reached test is monotone in the total, so every prefix reaches it, no
+    prefix's first reached size lies above it, and the bounded search
+    finds the size the whole bracket finds.
+    """
+
+    @staticmethod
+    def scored(kernel):
+        """``kernel.prefix_scores()``, with its reach and its last step's active sizes."""
+        steps, step = [], prefetch._Kernel.step
+
+        def spy(built, level, c, clamp, k, total, spare):
+            result = step(built, level, c, clamp, k, total, spare)
+            steps.append((int(np.max(k)), result[0]))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(prefetch._Kernel, "step", spy)
+            scores = kernel.prefix_scores()
+        (reach, active), = steps
+        return scores, reach, active
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8, 16, 31, 64, 128, 256])
+    def test_equals_the_unbounded_scorer(self, L):
+        rng = np.random.default_rng(L + 3100)
+        episodes = 150 if L < 128 else 60
+        cut = 0
+        for _ in range(6 if L < 128 else 3):
+            m, N = int(rng.integers(2, 6)), int(rng.integers(2, 11))
+            s = generate_scenario(rng, L=L, gamma_total=10.0 ** rng.uniform(-3, 4), m=m, N=N,
+                                  N_P=int(rng.integers(1, N)), uniform=bool(rng.random() < 0.15))
+            channel = FastGamma(int(rng.choice([2, 3, 8])))
+            xi = build_xi_table(channel, m, N - s.N_P)
+            tables = build_prefix_tables(s, channel, xi)
+            gains, realized = draw_episodes(s, channel, rng, episodes)
+            kernel = prefetch._kernel(s, xi, tables, gains)
+            scores, reach, active = self.scored(kernel)
+            reference, unbounded = unbounded_prefix_scores(kernel)
+            assert np.array_equal(scores, reference)
+            assert np.array_equal(active, unbounded)
+            # No entry's first reached size lies above its block's reach.
+            assert np.all(unbounded <= reach)
+            cut += reach < L
+            run = run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE, gains,
+                                     realized, xi=xi, prefix_tables=tables)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(prefetch._Kernel, "prefix_scores",
+                              lambda built: unbounded_prefix_scores(built)[0])
+                want = run_prefetch_batch(s, channel, PrefetchPolicy.NONCAUSAL_ORACLE, gains,
+                                          realized, xi=xi, prefix_tables=tables)
+            for name in RESULT_FIELDS:
+                assert np.array_equal(getattr(run, name), getattr(want, name)), name
+        # From four tasks on, the reach cuts the brackets of some blocks.
+        assert L < 4 or cut > 0
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("L", [2, 4, 16, 64])
+    def test_reached_is_monotone_in_the_total(self, L, uniform):
+        rng = np.random.default_rng(L + 3200 + uniform)
+        s = generate_scenario(rng, L=L, gamma_total=10.0 ** rng.uniform(-3, 4),
+                              m=int(rng.integers(2, 6)), N=10, N_P=8, uniform=uniform)
+        kernel = set_rule_kernel(s, rng, 4000)
+        # The scorer's state (the top level, nothing clamped) for half the
+        # pairs, any clamped state for the rest; sizes below L, whose next
+        # ratio is finite, and spares of the last slot or none.
+        level = np.where(rng.random(4000) < 0.5, kernel.delta[0],
+                         rng.uniform(0.0, 1.2 * kernel.delta[0], 4000))
+        c = np.minimum(rng.integers(0, L, 4000), kernel.above(level))
+        j = rng.integers(np.maximum(c, 1), L)
+        clamp = kernel.clamp(level, c)
+        spare = np.where(rng.random(4000) < 0.5, kernel.u_gain[:, -1] / kernel.u_xi, 0.0)
+        # Totals within a few units in the last place of the one at which the
+        # threshold meets the ratio, and anywhere up to ten times it.
+        ratio = np.minimum(kernel.delta.take(j), level)
+        edge = kernel.totals(clamp, j) - ratio * (kernel.cum_w.take(j) + spare)
+        ulp = np.spacing(np.abs(edge))
+        near = rng.random(4000) < 0.8
+        total = np.where(near, edge + rng.integers(-8, 9, 4000) * ulp,
+                         rng.uniform(0.0, 10.0, 4000) * np.abs(edge))
+        larger = total + np.where(near, rng.integers(0, 9, 4000) * ulp,
+                                  rng.uniform(0.0, 1.0, 4000) * np.abs(edge))
+        assert np.all(larger >= total)
+        low = kernel.reached(level, clamp, j, total, spare)
+        high = kernel.reached(level, clamp, j, larger, spare)
+        assert not np.any(high & ~low)
+        # Both outcomes occur at both totals.
+        assert low.any() and not low.all() and high.any() and not high.all()
+
+    @staticmethod
+    def scorer_reads(monkeypatch, run):
+        """Per noncausal scorer block of ``run()``: its reach and the reads of ``span`` it took.
+
+        Counted, as in ``TestRoundBound``, as reads of the kernel's
+        ``span`` table: the reach's tests (each reads one size) and the
+        scorer's ``_Kernel.step`` (the one step on ``(L, E)`` states), whose
+        sizes ``min(k, reach)`` give the reach.
+        """
+        entries, blocks = [], []
+        scores, step = prefetch._Kernel.prefix_scores, prefetch._Kernel.step
+
+        def scores_spy(built):
+            blocks.append([len(entries)])
+            return scores(built)
+
+        def step_spy(built, level, c, clamp, k, total, spare):
+            before = len(entries)
+            result = step(built, level, c, clamp, k, total, spare)
+            if np.ndim(c) == 2:
+                blocks[-1] += [before, len(entries), np.copy(k)]
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(prefetch, "_kernel", counting_kernel(entries))
+            patch.setattr(prefetch._Kernel, "prefix_scores", scores_spy)
+            patch.setattr(prefetch._Kernel, "step", step_spy)
+            run()
+        found = []
+        for start, before, after, bound in blocks:
+            # After the L prefixes' data sizes, the reach tests 1, 2, 4, ...
+            # below L, one size each, and the step bisects [1, min(k,
+            # reach)] and then reads the active prefix's total once.
+            L, reach = bound.shape[0], int(bound.max())
+            first, *tests = entries[start:before]
+            assert first == L and tests == [1] * len(tests)
+            assert len(tests) <= (L - 1).bit_length()
+            assert len(tests) == (reach - 1).bit_length() + (reach < L)
+            assert np.array_equal(bound, np.minimum(np.arange(1, L + 1)[:, None], reach))
+            assert after - before <= (reach - 1).bit_length() + 1
+            found.append((L, reach, after - before))
+        return found
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("L, uniform", [(16, False), (32, False), (64, False), (256, True)])
+    def test_scorer_reads_at_most_the_bounded_bisection(self, monkeypatch, L, uniform, m):
+        rng = np.random.default_rng(10 * L + m)
+        s = generate_scenario(rng, L=L, gamma_total=20.0, m=m, N=10, N_P=8, uniform=uniform)
+        gains, realized = draw_episodes(s, FAST2, rng, 1000)
+        found = self.scorer_reads(monkeypatch, lambda: run_prefetch_batch(
+            s, FAST2, PrefetchPolicy.NONCAUSAL_ORACLE, gains, realized))
+        assert len(found) == -(-gains.shape[0] // (prefetch._BLOCK_ENTRIES // L))
+        # With every priority tied only the full set is reached, so the
+        # reach is L and bounds nothing; otherwise it bounds every block.
+        assert all((reach == L) == uniform for _, reach, _ in found)
+
+    def test_reads_at_the_wide_L_workload(self, monkeypatch):
+        # The ``wide-L`` benchmark's sweep at seed 1.  The reach is at most
+        # 2, 4 and 4 at L = 16, 32 and 64, so each scorer step reads
+        # ``span`` at most 2, 3 and 3 times, against the whole brackets'
+        # 5, 6 and 7.
+        cfg = SweepConfig(param="L", values=(16, 32, 64), fading="fast", N=10, N_P=8,
+                          trials=1000, scenarios=1, seed=1, policies=("noncausal",))
+        reach, reads = {}, {}
+        for L, size, count in self.scorer_reads(monkeypatch, lambda: run_sweep(cfg)):
+            reach[L] = max(reach.get(L, 0), size)
+            reads[L] = max(reads.get(L, 0), count)
+        assert reach == {16: 2, 32: 4, 64: 4}
+        assert reads == {16: 2, 32: 3, 64: 3}
 
 
 class TestScanCount:
@@ -1488,11 +1696,11 @@ class TestScanCount:
         """Per ``regrown`` call: the entries of each ``span`` read, the floors and the picks."""
         entries, calls, regrown = [], [], prefetch._Kernel.regrown
 
-        def spy(built, policy, level, c, n):
+        def spy(built, policy, c, clamp, n):
             before = len(entries)
-            k = regrown(built, policy, level, c, n)
+            k, held = regrown(built, policy, c, clamp, n)
             calls.append((entries[before:], np.maximum(c, 1), k))
-            return k
+            return k, held
 
         with monkeypatch.context() as patch:
             patch.setattr(prefetch, "_kernel", counting_kernel(entries))
@@ -1560,7 +1768,7 @@ class TestFlatTables:
         levels = np.array([0.0, kernel.delta[L // 2],
                            *rng.uniform(0.0, 2.0 * kernel.delta[0], 6)])[:, None]
         expected = levels * kernel.cum_w[c] + span[c, j]
-        assert np.array_equal(kernel.totals(levels, c, j), expected)
+        assert np.array_equal(kernel.totals(kernel.clamp(levels, c), j), expected)
 
 
 class TestScaleHomogeneity:
@@ -1743,8 +1951,7 @@ class TestEpisodeBlocks:
     whole batch.
     """
 
-    FIELDS = ("prefetch_energy", "demand_energy", "realized", "set_size", "final_rho",
-              "thresholds", "decisions", "slot_set_size")
+    FIELDS = RESULT_FIELDS
 
     @staticmethod
     def instance(L, episodes):
@@ -1754,7 +1961,7 @@ class TestEpisodeBlocks:
         gains, realized = draw_episodes(s, FAST2, rng, episodes)
         return s, xi, build_prefix_tables(s, FAST2, xi), gains, realized
 
-    @pytest.mark.parametrize("L, episodes, blocks", [(64, 1000, [256, 256, 256, 232]),
+    @pytest.mark.parametrize("L, episodes, blocks", [(64, 1000, [128] * 7 + [104]),
                                                      (4, 1000, [1000])])
     @pytest.mark.parametrize("run", RUNS, ids=run_id)
     def test_one_call_equals_calls_on_slices(self, monkeypatch, L, episodes, blocks, run):
