@@ -1,5 +1,12 @@
 """Command-line interface: parameter sweeps, single-stage inspection, figures.
 
+The CLI keeps no settings of its own.  A command's settings are the flags
+it was given, laid over its config file (``sweep --config``: UTF-8
+``key=value`` lines whose keys are that command's own flags), and
+``SweepConfig``'s field defaults fill in the rest.  The names a flag
+accepts are the library's lists: ``SWEEP_PARAMS``, ``FADINGS`` and
+``FAST_POLICIES``.
+
 Exit codes: 0 on success (also when standard output closes early: every
 file is still written), 2 for configuration problems (bad flags, bad
 or unreadable config file, unwritable output, inconsistent geometry), 3
@@ -15,7 +22,7 @@ import argparse
 import numbers
 import os
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,8 +37,10 @@ from .slow import (
 from .demand import build_xi_table, simulate_demand_batch
 from .prefetch import PrefetchPolicy, no_prefetch_energy_fast, run_prefetch_batch
 from .sweep import (
+    FADINGS,
     FAST_POLICIES,
     SLOW_POLICIES,
+    SWEEP_PARAMS,
     ConfigError,
     SweepConfig,
     _run_sweep,
@@ -41,16 +50,9 @@ from .sweep import (
     run_sweep,
 )
 
-#: Config keys name SweepConfig's fields, ``Np`` standing for ``N_P``.
+#: Settings keys name SweepConfig's fields, ``Np`` standing for ``N_P``.
 _FIELDS = {"Np" if field.name == "N_P" else field.name: field
            for field in fields(SweepConfig)}
-
-#: SweepConfig's defaults, except that ``fading`` starts unset: the CLI
-#: infers it from the swept parameter, the policy list or ``single``'s
-#: policy, which also starts unset.
-_DEFAULTS = {key: None if field.default is MISSING or key == "fading" else field.default
-             for key, field in _FIELDS.items()}
-_DEFAULTS.update(out="sweep.csv", policy=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,12 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run one parameter sweep, write a CSV")
-    sweep.add_argument("--param", choices=["gamma", "L", "N", "Np", "k"])
+    sweep.add_argument("--param", choices=SWEEP_PARAMS)
     sweep.add_argument("--values", help="comma-separated sweep values, e.g. 5,10,20")
     sweep.add_argument("--policies",
-                       help="comma-separated subset of slow-opt,no-prefetch,"
-                            "aggressive,conservative,noncausal")
-    sweep.add_argument("--fading", choices=["slow", "fast"])
+                       help="comma-separated subset of "
+                            + ",".join(dict.fromkeys(SLOW_POLICIES + FAST_POLICIES)))
+    sweep.add_argument("--fading", choices=FADINGS)
     sweep.add_argument("--trials", type=int, help="episodes per scenario (fast fading)")
     sweep.add_argument("--scenarios", type=int, help="random scenarios per sweep point")
     sweep.add_argument("--seed", type=int)
@@ -74,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sweep)
 
     single = sub.add_parser("single", help="inspect one random stage in detail")
-    single.add_argument("--fading", choices=["slow", "fast"])
-    single.add_argument("--policy", choices=list(FAST_POLICIES),
+    single.add_argument("--fading", choices=FADINGS)
+    single.add_argument("--policy", choices=FAST_POLICIES,
                         help="episode policy for fast fading (implies --fading fast; "
                              "default noncausal)")
     single.add_argument("--seed", type=int)
@@ -90,25 +92,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, help="monomial order (default 2)")
-    parser.add_argument("--k", type=int, help="fast-fading shape (default 2)")
-    parser.add_argument("--slow-g", dest="slow_g", type=float,
-                        help="slow-fading gain (default 1.0)")
-    parser.add_argument("--gamma-total", dest="gamma_total", type=float,
-                        help="total candidate data size (default 20)")
-    parser.add_argument("--L", type=int, help="candidate tasks (default 4)")
-    parser.add_argument("--N", type=int, help="slots per stage (default 5)")
-    parser.add_argument("--Np", type=int, help="prefetch slots (default 4)")
-    parser.add_argument("--lam", type=float, help="energy coefficient (default 1)")
+    """One flag per model setting, typed and documented by its SweepConfig field."""
+    for key, text in (("m", "monomial order"), ("k", "fast-fading shape"),
+                      ("slow_g", "slow-fading gain"), ("gamma_total", "total candidate data size"),
+                      ("L", "candidate tasks"), ("N", "slots per stage"),
+                      ("Np", "prefetch slots"), ("lam", "energy coefficient")):
+        default = _FIELDS[key].default
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type(default),
+                            help=f"{text} (default {default:g})")
     parser.add_argument("--uniform", action="store_const", const=True,
                         help="force uniform task probabilities and sizes")
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, keys) -> dict:
+    """The ``key=value`` lines of the UTF-8 file ``path``, each key one of ``keys``."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     settings = {}
-    with _on_disk("read config file", path, open, path) as handle:
+    with _on_disk("read config file", path, open, path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -117,8 +118,8 @@ def _read_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key.strip()!r}")
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             settings[key] = value.strip()
     return settings
 
@@ -147,8 +148,8 @@ def _say(line: str) -> None:
 
 
 def _coerce(key: str, value: str):
-    """Convert a config-file string to the type of the key's default."""
-    default = _DEFAULTS[key]
+    """Convert a config-file string to the type of the SweepConfig field ``key`` sets."""
+    default = getattr(_FIELDS.get(key), "default", None)
     try:
         if isinstance(default, bool):
             lowered = value.lower()
@@ -165,17 +166,19 @@ def _coerce(key: str, value: str):
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
-    config = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in config:
-            merged[key] = _coerce(key, config[key])
-        else:
-            merged[key] = default
-    return merged
+    """The settings the command was given: its flags, laid over its config file.
+
+    A config file's keys are the command's own flags (the dests on
+    ``args`` but ``command`` and ``config``); a setting given nowhere is
+    left out, for SweepConfig's field default to fill in.
+    """
+    own = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
+    flags = {key: value for key, value in own.items() if value is not None}
+    if not getattr(args, "config", None):
+        return flags
+    config = _read_config_file(args.config, own)
+    return {**{key: _coerce(key, value) for key, value in config.items() if key not in flags},
+            **flags}
 
 
 def _parse_values(text: str) -> tuple:
@@ -186,15 +189,14 @@ def _parse_values(text: str) -> tuple:
 
 
 def _sweep_config(settings: dict) -> SweepConfig:
-    if settings["param"] is None:
-        raise ConfigError("--param is required (flag or config file)")
-    if settings["values"] is None:
-        raise ConfigError("--values is required (flag or config file)")
+    for key in ("param", "values"):
+        if key not in settings:
+            raise ConfigError(f"--{key} is required (flag or config file)")
     values = settings["values"]
     if isinstance(values, str):
         values = _parse_values(values)
-    fading = settings["fading"]
-    policies = settings["policies"]
+    fading = settings.get("fading")
+    policies = settings.get("policies")
     if isinstance(policies, str):
         policies = tuple(p.strip() for p in policies.split(",") if p.strip())
     if fading is None:
@@ -205,28 +207,31 @@ def _sweep_config(settings: dict) -> SweepConfig:
     if policies is None:
         policies = SLOW_POLICIES if fading == "slow" else FAST_POLICIES
     chosen = dict(settings, values=values, policies=policies, fading=fading)
-    return SweepConfig(**{field.name: chosen[key] for key, field in _FIELDS.items()})
+    return SweepConfig(**{field.name: chosen[key] for key, field in _FIELDS.items()
+                          if key in chosen})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     cfg = _sweep_config(settings)
     rows = run_sweep(cfg)
-    _on_disk("write", settings["out"], emit_csv, rows, settings["out"])
-    _say(f"wrote {len(rows)} rows to {settings['out']}")
+    out = settings.get("out", "sweep.csv")
+    _on_disk("write", out, emit_csv, rows, out)
+    _say(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 def _cmd_single(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
-    fading, policy = settings["fading"], settings["policy"]
+    fading, policy = settings.get("fading"), settings.get("policy")
     if fading is None:
         fading = "slow" if policy is None else "fast"
     if fading == "slow" and policy is not None:
         raise ConfigError(f"--policy {policy!r} runs a fast-fading episode; "
                           "slow fading runs slow-opt")
     policies = ("slow-opt",) if fading == "slow" else (policy or "noncausal",)
-    cfg = _sweep_config(dict(settings, param="gamma", values=(settings["gamma_total"],),
+    gamma_total = settings.get("gamma_total", _FIELDS["gamma_total"].default)
+    cfg = _sweep_config(dict(settings, param="gamma", values=(gamma_total,),
                              fading=fading, policies=policies))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7)))
     s = generate_scenario(rng, L=cfg.L, gamma_total=cfg.gamma_total, m=cfg.m, N=cfg.N,

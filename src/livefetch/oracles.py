@@ -446,15 +446,17 @@ def p5_backward_induction(s: Scenario, channel: Channel, bit_grid: int = 41,
 def _check_residuals(rho, s: Scenario) -> np.ndarray:
     """``rho`` as a float array, after checking it holds valid residual bits of ``s``.
 
-    A residual may fall below zero by rounding, by at most
-    ``POSITIVE_BITS_EPS`` of its task's data size, so the check does not
-    depend on the scale of the data.
+    A residual may fall below zero, or above its task's data size, by
+    rounding, by at most ``POSITIVE_BITS_EPS`` of that size, so the check
+    does not depend on the scale of the data.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != s.gamma.shape:
         raise ValueError("rho must have one entry per candidate task")
     if not np.all((rho >= -POSITIVE_BITS_EPS * s.gamma) & (rho < np.inf)):
         raise ValueError("residual bits must be finite and nonnegative")
+    if not np.all(rho <= (1.0 + POSITIVE_BITS_EPS) * s.gamma):
+        raise ValueError("residual bits must not exceed their task's data size")
     return rho
 
 

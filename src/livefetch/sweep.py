@@ -52,9 +52,10 @@ __all__ = [
 ]
 
 SWEEP_PARAMS = ("gamma", "L", "N", "Np", "k")
+FADINGS = ("slow", "fast")
 
 SLOW_POLICIES = ("slow-opt", "no-prefetch")
-FAST_POLICIES = ("no-prefetch", "aggressive", "conservative", "noncausal")
+FAST_POLICIES = tuple(policy.value for policy in PrefetchPolicy)
 
 # Seed-stream tags: scenario shapes, episode gains, task realizations.
 _TAG_SCENARIO = 11
@@ -95,8 +96,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.param not in SWEEP_PARAMS:
             raise ConfigError(f"param must be one of {SWEEP_PARAMS}, got {self.param!r}")
-        if self.fading not in ("slow", "fast"):
-            raise ConfigError(f"fading must be 'slow' or 'fast', got {self.fading!r}")
+        if self.fading not in FADINGS:
+            raise ConfigError(f"fading must be one of {FADINGS}, got {self.fading!r}")
         scales = {key: getattr(self, key) for key in ("slow_g", "gamma_total", "lam")}
         bad = [key for key, v in scales.items() if not (_real(v) and math.isfinite(v) and v > 0)]
         if bad:

@@ -1,6 +1,9 @@
 """Command-line interface: flag handling, config files, exit codes."""
 
+import argparse
 import io
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import fields
@@ -9,11 +12,13 @@ import numpy as np
 import pytest
 
 from livefetch import prefetch, sweep
-from livefetch.cli import _FIGURE_SPECS, main
+from livefetch.cli import _FIGURE_SPECS, _build_parser, main
 from livefetch.model import QuadratureError
 from livefetch.sweep import (
+    FADINGS,
     FAST_POLICIES,
     SLOW_POLICIES,
+    SWEEP_PARAMS,
     SweepConfig,
     emit_csv,
     gain_vs_shape,
@@ -23,6 +28,33 @@ from livefetch.sweep import (
 
 FIGURE_NAMES = ("fig4a", "fig4b", "fig4c", "fig4d",
                 "fig5a", "fig5b", "fig5c", "fig5d", "fig6")
+
+COMMANDS = next(action for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+SWEEP_FLAGS = {action.dest: action for action in COMMANDS["sweep"]._actions
+               if action.dest not in ("help", "config")}
+
+# A value for every sweep flag that moves SweepConfig off its defaults (or,
+# for ``out``, the CSV off the other runs' path).
+FLAG_VALUES = {"param": "N", "values": "5,6", "policies": "slow-opt", "fading": "fast",
+               "trials": "7", "scenarios": "3", "seed": "5", "out": "elsewhere.csv",
+               "m": "3", "k": "4", "slow_g": "2.5", "gamma_total": "10", "L": "3",
+               "N": "6", "Np": "2", "lam": "0.5", "uniform": "true"}
+
+
+def record_sweeps(monkeypatch) -> list:
+    """The SweepConfig of every ``livefetch sweep`` run from now on, none simulated."""
+    configs = []
+    monkeypatch.setattr("livefetch.cli.run_sweep", lambda cfg: configs.append(cfg) or [])
+    return configs
+
+
+def sweep_argv(settings: dict) -> list:
+    argv = ["sweep"]
+    for dest, value in settings.items():
+        action = SWEEP_FLAGS[dest]
+        argv += [action.option_strings[0]] + ([] if action.nargs == 0 else [value])
+    return argv
 
 
 class TestSweepCommand:
@@ -109,6 +141,60 @@ class TestConfigFile:
                                          policies=("slow-opt",), scenarios=2,
                                          uniform=True))
         assert load_rows(out) == expected
+
+    @pytest.mark.parametrize("text", ["false", "no", "OFF", "0"])
+    def test_false_boolean_coercion(self, tmp_path, monkeypatch, text):
+        configs = record_sweeps(monkeypatch)
+        cfg_path = self._write(tmp_path, f"param=L\nvalues=2\nuniform={text}\n")
+        out = str(tmp_path / "rows.csv")
+        assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
+        assert main(["sweep", "--config", cfg_path, "--out", out, "--uniform"]) == 0
+        assert [cfg.uniform for cfg in configs] == [False, True]
+
+    def test_every_flag_is_a_config_key(self):
+        assert set(SWEEP_FLAGS) == set(FLAG_VALUES)
+
+    @pytest.mark.parametrize("dest", sorted(SWEEP_FLAGS))
+    def test_a_config_key_sets_what_its_flag_sets(self, tmp_path, monkeypatch, dest):
+        configs = record_sweeps(monkeypatch)
+        value = FLAG_VALUES[dest]
+        if dest == "out":
+            value = str(tmp_path / value)
+        base = {"param": "gamma", "values": "5", "out": str(tmp_path / "rows.csv")}
+        rest = {key: given for key, given in base.items() if key != dest}
+        cfg_path = self._write(tmp_path, f"# set by the file\n{dest}={value}\n")
+        assert main(sweep_argv(base)) == 0
+        assert main(sweep_argv({**base, dest: value})) == 0
+        assert main(sweep_argv(rest) + ["--config", cfg_path]) == 0
+        unset, by_flag, by_config = configs
+        assert by_config == by_flag
+        if dest == "out":
+            assert os.path.exists(value)
+        else:
+            assert by_flag != unset
+
+    @pytest.mark.parametrize("key", ["policy", "config", "bogus"])
+    def test_a_key_that_is_no_sweep_flag_exits_two(self, tmp_path, capsys, key):
+        cfg_path = self._write(tmp_path, f"param=gamma\nvalues=5\n{key}=aggressive\n")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_is_read_as_utf8_in_any_locale(self, tmp_path):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text("# Fig. 4a \u2013 slow fading\nparam=gamma\nvalues=5\n"
+                            "policies=slow-opt\nscenarios=1\n", encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        src = os.path.dirname(os.path.dirname(sweep.__file__))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "livefetch.cli", "sweep",
+                               "--config", str(cfg_path), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert load_rows(out) == run_sweep(SweepConfig(param="gamma", values=(5.0,),
+                                                       policies=("slow-opt",), scenarios=1))
 
     @pytest.mark.parametrize("text,fragment", [
         ("param=gamma\nvalues=5\nbogus=1\n", "unknown key"),
@@ -419,6 +505,21 @@ class TestFiguresCommand:
             expected = io.StringIO()
             emit_csv(gain_vs_shape(cfg) if name == "fig6" else run_sweep(cfg), expected)
             assert (out_dir / f"{name}.csv").read_bytes() == expected.getvalue().encode(), name
+
+
+class TestVocabularies:
+    """Each list of names is written once, and every flag offers that list."""
+
+    def test_fast_policies_are_the_prefetch_policies(self):
+        assert set(FAST_POLICIES) == {policy.value for policy in prefetch.PrefetchPolicy}
+        assert len(FAST_POLICIES) == len(prefetch.PrefetchPolicy)
+
+    def test_flag_choices_are_the_library_lists(self):
+        choices = {(command, action.dest): tuple(action.choices)
+                   for command, parser in COMMANDS.items()
+                   for action in parser._actions if action.choices is not None}
+        assert choices == {("sweep", "param"): SWEEP_PARAMS, ("sweep", "fading"): FADINGS,
+                           ("single", "fading"): FADINGS, ("single", "policy"): FAST_POLICIES}
 
 
 class ClosedStdout(io.StringIO):

@@ -265,7 +265,7 @@ class TestDecisionVector:
         s = Scenario(m=3, N=5, N_P=2, p=np.array([0.6, 0.3, 0.1]),
                      gamma=np.array([5.0, 4.0, 3.0]))
         for _ in range(50):
-            rho = rng.uniform(0.0, 5.0, 3)
+            rho = rng.uniform(0.0, s.gamma)
             bits = decision_vector(rho, float(rng.uniform(0.0, 3.0)), s)
             assert np.all(bits >= 0.0)
             assert np.all(bits <= rho + 1e-12)
@@ -307,6 +307,26 @@ class TestDecisionVector:
             else:
                 with pytest.raises(ValueError, match="nonnegative"):
                     call()
+
+
+    @pytest.mark.parametrize("scale", [1e-14, 1.0, 1e10])
+    def test_residuals_above_the_data_size_are_rejected(self, scale):
+        # A residual is what is left of a task's data, so it may exceed the
+        # data size by rounding alone, relative to that size at any scale.
+        s = generate_scenario(np.random.default_rng(0), L=3, gamma_total=scale,
+                              m=2, N=5, N_P=3)
+        zeta = build_zeta_table(s, FAST2, (0, 1, 2), XI3)
+        for rho, accepted in ((s.gamma * (1.0 + 1e-13), True),
+                              (s.gamma * (1.0 + 1e-9), False),
+                              (np.full(3, 100.0 * scale), False)):
+            calls = (lambda: decision_vector(rho, 0.0, s),
+                     lambda: threshold_eta(rho, 1, 1.0, zeta))
+            for call in calls:
+                if accepted:
+                    call()
+                else:
+                    with pytest.raises(ValueError, match="exceed"):
+                        call()
 
 
 class TestNoncausalFinalThreshold:
