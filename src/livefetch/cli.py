@@ -105,10 +105,13 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_config_file(path: str, keys) -> dict:
-    """The ``key=value`` lines of the UTF-8 file ``path``, each key one of ``keys``."""
+    """The ``key=value`` lines of the UTF-8 file ``path``, each key one of ``keys`` and set once.
+
+    A key's ``-`` reads as ``_``, so ``gamma-total`` and ``gamma_total`` are one key.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    settings = {}
+    settings, lines = {}, {}
     with _on_disk("read config file", path, open, path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -120,7 +123,10 @@ def _read_config_file(path: str, keys) -> dict:
             key = key.strip().replace("-", "_")
             if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            settings[key] = value.strip()
+            if key in settings:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line "
+                                  f"{lines[key]}")
+            settings[key], lines[key] = value.strip(), lineno
     return settings
 
 
@@ -174,9 +180,10 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     """
     own = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
     flags = {key: value for key, value in own.items() if value is not None}
-    if not getattr(args, "config", None):
+    path = vars(args).get("config")
+    if path is None:
         return flags
-    config = _read_config_file(args.config, own)
+    config = _read_config_file(path, own)
     return {**{key: _coerce(key, value) for key, value in config.items() if key not in flags},
             **flags}
 

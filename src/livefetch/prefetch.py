@@ -282,10 +282,9 @@ class _Kernel:
     s: Scenario
     tail: np.ndarray       #: (L+1,) suffix sums of p * gamma**m, then 0
     delta: np.ndarray      #: (L+1,) priorities gamma/w, non-increasing, then -inf
-    falling: np.ndarray    #: (L,) -delta[:-1], non-decreasing, for ``searchsorted``
     cum_w: np.ndarray      #: (L+1,) prefix sums of w, from 0
     span: np.ndarray       #: ((L+1)**2,) [c*(L+1) + j] = sum of gamma over c <= l < j
-    u_zeta: np.ndarray     #: [k-1, n-1]: u of the size-k prefix table at N-n to go (0 at n = N_P)
+    u_zeta: np.ndarray     #: [k-1, n-1]: u of the size-k prefix at N-n to go (u_xi*A_k at n = N_P)
     u_xi: float
     demand_weight: float   #: xi[N-N_P]
     gains: np.ndarray      #: (E, N) all gains
@@ -293,7 +292,7 @@ class _Kernel:
 
     def above(self, level: np.ndarray) -> np.ndarray:
         """Number of tasks whose priority exceeds ``level``."""
-        return self.falling.searchsorted(-level)
+        return np.searchsorted(-self.delta[:-1], -level)
 
     def clamp(self, level, c) -> tuple:
         """A slot's clamped state: the row offset ``c * (L+1)`` and the share ``level * cum_w[c]``.
@@ -393,7 +392,8 @@ class _Kernel:
         ``delta <= delta[k_n] <= eta_hat <= eta_n``: both causal estimates
         are at most the executed threshold (the conservative one is the
         all-active formula, a lower bound once members clamp; the
-        aggressive one lies below it since ``u_z > u_xi * A``).  So
+        aggressive one lies below it since ``u_z >= u_xi * A``, with
+        equality in the final slot, where both rules take it).  So
         ``above(eta_n) <= k_n``, and a bound on the largest size so far
         would clamp no other task.
 
@@ -510,33 +510,33 @@ class _Kernel:
             conservative: R * u_z(N-n) / ((u_g + u_z(N-n)) * A)
 
         with ``R`` the prefix's residual total in the :meth:`clamp` state
-        ``clamp`` (:meth:`totals`) and ``A`` its inverse-probability mass;
-        at the final slot both are the exact ``R * u_xi / (u_g + u_xi *
-        A)``.  A threshold admits the tasks whose priority exceeds it;
-        ``delta`` does not increase and ends in ``-inf``, so the size-``j``
-        estimate admits exactly ``j`` tasks when ``delta[j-1] > eta_hat >=
-        delta[j]``: two comparisons, not a count.  The conservative ``u_z``
-        depends on the size, so that test is not monotone in ``j`` and no
-        search over it is exact.  So the rule scans: every episode starts
-        at ``max(c, 1)`` and steps up one size per round while its estimate
-        does not admit and its size is below ``L``.  A round reads one
-        ``(E,)`` row of sizes, and a stopped episode's re-test changes
-        nothing; the scan takes one round more than the largest step of an
-        episode, at most ``L``.  The last round read every episode's ``R``
-        at the size returned, and that ``R`` is returned with it.
+        ``clamp`` (:meth:`totals`) and ``A`` its inverse-probability mass.
+        At the final slot ``u_z(N-N_P)`` is ``u_xi * A``, the root that the
+        prefix's zeta chain starts from (``u_zeta``'s last column), and both
+        rules take the aggressive formula, there the exact ``R * u_xi /
+        (u_g + u_xi * A)``.  A threshold admits the tasks whose priority
+        exceeds it; ``delta`` does not increase and ends in ``-inf``, so the
+        size-``j`` estimate admits exactly ``j`` tasks when ``delta[j-1] >
+        eta_hat >= delta[j]``: two comparisons, not a count.  The
+        conservative ``u_z`` depends on the size, so that test is not
+        monotone in ``j`` and no search over it is exact.  So the rule
+        scans: every episode starts at ``max(c, 1)`` and steps up one size
+        per round while its estimate does not admit and its size is below
+        ``L``.  A round reads one ``(E,)`` row of sizes, and a stopped
+        episode's re-test changes nothing; the scan takes one round more
+        than the largest step of an episode, at most ``L``.  The last round
+        read every episode's ``R`` at the size returned, and that ``R`` is
+        returned with it.
         """
         s, u_xi, u_g, u_zeta = self.s, self.u_xi, self.u_gain[:, n - 1], self.u_zeta[:, n - 1]
         j = np.maximum(c, 1)
         while True:
             below = j - 1
-            residual, mass = self.totals(clamp, j), self.cum_w.take(j)
-            if n == s.N_P:
-                eta_hat = residual * u_xi / (u_g + u_xi * mass)
-            elif policy is PrefetchPolicy.AGGRESSIVE:
-                eta_hat = residual * u_xi / (u_g + u_zeta.take(below))
+            residual, u_z = self.totals(clamp, j), u_zeta.take(below)
+            if policy is PrefetchPolicy.AGGRESSIVE or n == s.N_P:
+                eta_hat = residual * u_xi / (u_g + u_z)
             else:
-                u_z = u_zeta.take(below)
-                eta_hat = residual * u_z / ((u_g + u_z) * mass)
+                eta_hat = residual * u_z / ((u_g + u_z) * self.cum_w.take(j))
             admits = (self.delta.take(below) > eta_hat) & (self.delta.take(j) <= eta_hat)
             grow = ~admits & (j < s.L)
             if not grow.any():
@@ -556,14 +556,14 @@ def _kernel(s: Scenario, xi: XiTable, prefix_tables: Optional[Sequence[ZetaTable
     # prefix total free of the cancellation in a difference of prefix sums.
     ahead = np.arange(s.L) >= np.arange(s.L + 1)[:, None]
     span = np.cumsum(np.where(ahead, gam, 0.0), axis=1)
+    cum_w = np.concatenate([[0.0], np.cumsum(w)])
     u_zeta = np.zeros((s.L, s.N_P))
+    u_zeta[:, -1] = xi.inv_root[d] * cum_w[1:]
     if prefix_tables is not None and s.N_P > 1:
         u_zeta[:, :-1] = [table.inv_root[s.N_P - 2::-1] for table in prefix_tables]
-    cum_w = np.concatenate([[0.0], np.cumsum(w)])
     delta = np.append(priorities(s)[order], -np.inf)
     tail = np.append(np.cumsum((prob * gam ** s.m)[::-1])[::-1], 0.0)
-    return _Kernel(s=s, tail=tail, delta=delta,
-                   falling=-delta[:-1], cum_w=cum_w,
+    return _Kernel(s=s, tail=tail, delta=delta, cum_w=cum_w,
                    span=np.concatenate([np.zeros((s.L + 1, 1)), span], axis=1).ravel(),
                    u_zeta=u_zeta, u_xi=xi.inv_root[d], demand_weight=xi.xi[d],
                    gains=gains, u_gain=gains[:, :s.N_P] ** root)

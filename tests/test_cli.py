@@ -181,6 +181,17 @@ class TestConfigFile:
         assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("first,again", [("seed=1", "seed=2"),
+                                             ("gamma-total=10", "gamma_total=20")])
+    def test_a_key_set_twice_exits_two(self, tmp_path, capsys, first, again):
+        cfg_path = self._write(tmp_path, f"param=gamma\n{first}\nvalues=5\n\n{again}\n"
+                                         "policies=slow-opt\nscenarios=1\n")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+        key = again.partition("=")[0]
+        assert f"{cfg_path}:5: key {key!r} is already set on line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_is_read_as_utf8_in_any_locale(self, tmp_path):
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text("# Fig. 4a \u2013 slow fading\nparam=gamma\nvalues=5\n"
@@ -210,6 +221,13 @@ class TestConfigFile:
         missing = str(tmp_path / "nope.cfg")
         assert main(["sweep", "--config", missing]) == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_an_empty_config_path_is_a_missing_file(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", "", "--param", "gamma", "--values", "5",
+                     "--policies", "slow-opt", "--scenarios", "1", "--out", str(out)]) == 2
+        assert "config file not found" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_directory_exits_two(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path)]) == 2

@@ -1298,6 +1298,31 @@ SET_RULE_SCENARIOS = {
 }
 
 
+class TestAbove:
+    """``_Kernel.above`` counts the priorities that exceed each level.
+
+    The kernel's own tests take ``above`` as their reference, so this one
+    counts directly: levels at zero, on every priority, between
+    neighbours and above the top, on ``(E,)`` and ``(L, E)`` arrays.
+    """
+
+    @pytest.mark.parametrize("name", SET_RULE_SCENARIOS)
+    def test_equals_a_direct_count(self, name):
+        s = SET_RULE_SCENARIOS[name]
+        rng = np.random.default_rng(len(name))
+        kernel = set_rule_kernel(s, rng, 1)
+        priority = kernel.delta[:-1]
+        levels = np.concatenate([[0.0, 2.0 * priority[0]], priority,
+                                 (priority[:-1] + priority[1:]) / 2.0,
+                                 rng.uniform(0.0, 1.5 * priority[0], 40)])
+        block = np.stack([rng.permutation(levels) for _ in range(s.L)])
+        for level in (levels, block):
+            counted = np.count_nonzero(priority > level[..., None], axis=-1)
+            got = kernel.above(level)
+            assert got.shape == level.shape
+            assert np.array_equal(got, counted)
+
+
 class TestSetRule:
     """The set rule's two comparisons pick the size the searched count picks.
 
@@ -1342,7 +1367,7 @@ class TestSetRule:
                     j = int(rng.integers(max(c[0], 1), s.L + 1))
                     at = rng.choice([j - 1, None] + ([j] if j < s.L else []))
                     delta = self.priority_table(rng, estimate, j, at)
-                    swapped = replace(one, delta=delta, falling=-delta[:-1])
+                    swapped = replace(one, delta=delta)
                     counted = swapped.above(estimate) == np.arange(1, s.L + 1)
                     admitting = np.flatnonzero(counted[max(c[0], 1) - 1:]) + max(c[0], 1)
                     want = admitting[0] if admitting.size else s.L

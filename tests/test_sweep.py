@@ -2,7 +2,7 @@
 
 import io
 import pathlib
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -484,6 +484,58 @@ class TestUnitScale:
         for row in run_sweep(cfg):
             if row.param_value == 1.0:
                 assert row.stderr == 0.0
+
+
+def memo_csv(cfg: SweepConfig, memo: dict) -> str:
+    """The CSV text of ``cfg``'s rows, run through ``memo``."""
+    handle = io.StringIO()
+    emit_csv(sweep._run_sweep(cfg, memo), handle)
+    return handle.getvalue()
+
+
+#: Bases of the shared-memo test.  They run ``no-prefetch`` alone, the one
+#: policy both fadings accept, so that the fading can move by itself.  A
+#: ``k`` sweep's draws depend on its largest shape, so it has a base too.
+MEMO_SLOW = SweepConfig(param="gamma", values=(2.0, 4.0), policies=("no-prefetch",),
+                        fading="slow", L=3, N=4, N_P=2, trials=40, scenarios=2, seed=5)
+MEMO_BASES = {"slow": MEMO_SLOW, "fast": replace(MEMO_SLOW, fading="fast"),
+              "fast-k": replace(MEMO_SLOW, fading="fast", param="k", values=(2.0, 3.0))}
+
+#: One move off the base per SweepConfig field; ``None`` moves the fading
+#: to the other one and the policies to the fading's full list.
+MEMO_MOVES = {"param": "L", "values": (2.0, 8.0), "policies": None, "fading": None, "m": 3,
+              "k": 3, "slow_g": 2.0, "gamma_total": 10.0, "L": 4, "N": 5, "N_P": 3,
+              "lam": 2.0, "trials": 50, "scenarios": 3, "seed": 6, "uniform": True}
+
+
+class TestSharedMemo:
+    """A memo filled by another sweep never changes a sweep's rows.
+
+    ``livefetch figures`` runs its panels through one memo of unit
+    simulations (``sweep._run_sweep``), whose key is written by hand.  Each
+    case moves one field off a base, runs the moved sweep through a memo
+    the base has filled, and compares its CSV with an empty memo's.  A ``k``
+    sweep needs fast fading, so that base does not move its fading.
+    """
+
+    def test_every_field_moves(self):
+        assert set(MEMO_MOVES) == {field.name for field in dataclass_fields(SweepConfig)}
+
+    @pytest.mark.parametrize("base,field", [
+        (base, field) for base in MEMO_BASES for field in MEMO_MOVES
+        if (base, field) != ("fast-k", "fading")])
+    def test_a_filled_memo_changes_no_row(self, base, field):
+        cfg = MEMO_BASES[base]
+        value = MEMO_MOVES[field]
+        if field == "fading":
+            value = "slow" if cfg.fading == "fast" else "fast"
+        elif field == "policies":
+            value = FAST_POLICIES if cfg.fading == "fast" else SLOW_POLICIES
+        moved = replace(cfg, **{field: value})
+        assert moved != cfg
+        memo = {}
+        sweep._run_sweep(cfg, memo)
+        assert memo_csv(moved, memo) == memo_csv(moved, {})
 
 
 class TestCsvBoundary:
